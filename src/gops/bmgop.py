@@ -12,7 +12,6 @@ for cross-checking and small instances.
 
 import itertools
 import math
-import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -21,7 +20,7 @@ from .core import (ActionPointPair, BenefitModel, CostModel, GridMap,
                    Grounding, format_number, iter_bits,
                    validate_instance_parts)
 from .errors import InstanceError, LimitReachedError
-from .ip import IpModel, Limits, solve_branch_and_bound
+from .ip import IpModel, Limits, _solve_for_tags
 
 
 @dataclass(eq=False)
@@ -109,16 +108,22 @@ class GreedyTrace:
 
 def objective_f(inst: BmgopInstance, pairs) -> float:
     """Total benefit of the state reached by executing ``pairs``."""
+    return _benefit(inst, inst.grounding.pairs_to_indices(pairs))
+
+
+def _benefit(inst: BmgopInstance, indices) -> float:
     g = inst.grounding
-    indices = g.pairs_to_indices(pairs)
     return g.benefit_sum(g.s0_mask | g.union_effects(indices))
 
 
 def validate_bmgop(inst: BmgopInstance, pairs) -> list:
     """Failed solution conditions (cardinality, cost, integrity) as
     human-readable strings; empty when valid."""
+    return _violations(inst, inst.grounding.pairs_to_indices(pairs))
+
+
+def _violations(inst: BmgopInstance, indices) -> list:
     g = inst.grounding
-    indices = g.pairs_to_indices(pairs)
     out = []
     if len(indices) > inst.k:
         out.append(f"cardinality {len(indices)} exceeds k={inst.k}")
@@ -154,16 +159,9 @@ def _check_delta(delta: float) -> None:
 
 def _solution(inst: BmgopInstance, indices, bound: Optional[float]) -> BmgopSolution:
     g = inst.grounding
-    indices = sorted(indices)
-    final_mask = g.s0_mask | g.union_effects(indices)
-    return BmgopSolution(
-        pairs=frozenset(g.pairs[i] for i in indices),
-        total_cost=g.cost_sum(indices),
-        cardinality=len(indices),
-        final_state=frozenset(g.mask_atoms(final_mask)),
-        achieved_benefit=g.benefit_sum(final_mask),
-        reported_bound=bound,
-    )
+    final_mask, fields = g._selection(indices)
+    return BmgopSolution(**fields, achieved_benefit=g.benefit_sum(final_mask),
+                         reported_bound=bound)
 
 
 def bmgop_compute(inst: BmgopInstance, delta: float = 0.001,
@@ -257,30 +255,16 @@ def bmgop_compute(inst: BmgopInstance, delta: float = 0.001,
             gain=best_gain, w_prime=w_prime, w_dprime=w_dprime,
             ic_weights=tuple(ic_w), condition_value=condition()))
 
-    def invalid(indices):
-        if len(indices) > k:
-            return True
-        if sum(costs[i] for i in indices) > budget:
-            return True
-        chosen = set(indices)
-        return any(len(members & chosen) > 1 for _, members in g.ic_s0)
-
-    def value(indices):
-        mask = g.s0_mask
-        for i in indices:
-            mask |= effects[i]
-        return g.benefit_sum(mask)
-
-    if order and invalid(order):
+    if order and _violations(inst, order):
         last = order[-1]
-        if value(order[:-1]) >= value([last]):
+        if _benefit(inst, order[:-1]) >= _benefit(inst, [last]):
             order = order[:-1]
             trace.fixup = "drop-last"
         else:
             order = [last]
             trace.fixup = "keep-last"
         dropped = 0
-        while order and invalid(order):
+        while order and _violations(inst, order):
             order.pop()
             dropped += 1
         if dropped:
@@ -332,47 +316,35 @@ def solve_bmgop_exact(inst: BmgopInstance, limits: Optional[Limits] = None) -> B
     costs = g.costs
     effects = g.effects
     ic_sets = [members for _, members in g.ic_s0]
-
-    max_nodes = limits.max_nodes if limits else None
-    deadline = None
-    if limits and limits.max_seconds is not None:
-        deadline = time.monotonic() + limits.max_seconds
-    nodes = 0
+    tick = (limits or Limits())._counter()
 
     best_value = g.benefit_sum(g.s0_mask)
     best_combo = ()
-    for t in range(1, min(inst.k, n) + 1):
-        for combo in itertools.combinations(range(n), t):
-            nodes += 1
-            if max_nodes is not None and nodes > max_nodes:
-                raise LimitReachedError(f"node budget exhausted at size {t}",
-                                        best=_solution(inst, best_combo, None))
-            if deadline is not None and nodes % 4096 == 0 and time.monotonic() > deadline:
-                raise LimitReachedError(f"time budget exhausted at size {t}",
-                                        best=_solution(inst, best_combo, None))
-            if sum(costs[i] for i in combo) > inst.budget:
-                continue
-            chosen = frozenset(combo)
-            if any(len(members & chosen) > 1 for members in ic_sets):
-                continue
-            mask = g.s0_mask
-            for i in combo:
-                mask |= effects[i]
-            value = g.benefit_sum(mask)
-            if value > best_value:
-                best_value = value
-                best_combo = combo
+    try:
+        for t in range(1, min(inst.k, n) + 1):
+            for combo in itertools.combinations(range(n), t):
+                tick()
+                if sum(costs[i] for i in combo) > inst.budget:
+                    continue
+                chosen = frozenset(combo)
+                if any(len(members & chosen) > 1 for members in ic_sets):
+                    continue
+                mask = g.s0_mask
+                for i in combo:
+                    mask |= effects[i]
+                value = g.benefit_sum(mask)
+                if value > best_value:
+                    best_value = value
+                    best_combo = combo
+    except LimitReachedError as err:
+        raise LimitReachedError(f"{err.message} at size {t}",
+                                best=_solution(inst, best_combo, None)) from None
     return _solution(inst, best_combo, None)
 
 
 def solve_bmgop_ip(inst: BmgopInstance, limits: Optional[Limits] = None):
     """Solve via the exact program. Returns (solution or None, status)."""
-    model = build_bmgop_ip(inst)
-    result = solve_branch_and_bound(model, limits=limits)
-    if result.status == "infeasible" or not result.values and result.objective_value is None:
-        return None, result.status
-    chosen = []
-    for var in model.variables:
-        if var.tag and var.tag[0] == "pair" and result.values.get(var.name) == 1:
-            chosen.append(var.tag[1])
-    return _solution(inst, chosen, None), result.status
+    tags, status = _solve_for_tags(build_bmgop_ip(inst), limits)
+    if tags is None:
+        return None, status
+    return _solution(inst, [i for kind, i in tags if kind == "pair"], None), status

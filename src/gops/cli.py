@@ -14,8 +14,7 @@ from .bmgop import BmgopInstance, bmgop_compute, build_bmgop_ip, solve_bmgop_exa
 from .encodings import CoverProblem, MonotoneCnf, encode_max_k_cover, encode_monsat, encode_set_cover
 from .errors import BoundViolationError, GopsError, LimitReachedError, ParseError
 from .gbgop import (GbgopInstance, build_gbgop_ip, count_gbgop_solutions,
-                    reduce_to_r_star, restricted_pairs, solve_gbgop_exact,
-                    solve_gbgop_ip)
+                    reduce_to_r_star, solve_gbgop_exact, solve_gbgop_ip)
 from .ip import Limits, emit_lp
 from .scenarios import gen_campaign, gen_random
 from .serialize import (parse_instance, report_for_bmgop, report_for_gbgop,
@@ -89,7 +88,6 @@ def _cmd_reduce(args) -> int:
         print("error[method]: the reduction is defined for goal-based instances",
               file=sys.stderr)
         return EXIT_INPUT
-    r = restricted_pairs(inst)
     r_star, stats = reduce_to_r_star(inst)
     payload = {"r_size": stats.r_size, "r_star_size": stats.r_star_size,
                "members": [[p.action, [p.point.x, p.point.y]] for p in r_star]}
@@ -215,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="build the goal-based program over the reduced pair set")
     p.set_defaults(func=_cmd_emit_lp)
 
-    p = sub.add_parser("count", parents=[common, limits], help="count all solutions (guarded)")
+    p = sub.add_parser("count", parents=[common], help="count all solutions (guarded)")
     p.add_argument("file")
     p.add_argument("--cap", type=int, default=None)
     p.set_defaults(func=_cmd_count)

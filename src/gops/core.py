@@ -550,3 +550,13 @@ class Grounding:
     def benefit_sum(self, mask: int) -> float:
         benefits = self.benefits
         return sum(benefits[i] for i in iter_bits(mask))
+
+    def _selection(self, indices):
+        """(final-state mask, the solution fields both problem flavors
+        share) for the selected pair indices."""
+        indices = sorted(indices)
+        final_mask = self.s0_mask | self.union_effects(indices)
+        return final_mask, dict(pairs=frozenset(self.pairs[i] for i in indices),
+                                total_cost=self.cost_sum(indices),
+                                cardinality=len(indices),
+                                final_state=frozenset(self.mask_atoms(final_mask)))

@@ -8,7 +8,6 @@ solver, and a guarded exhaustive solution counter.
 """
 
 import itertools
-import time
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -16,7 +15,7 @@ from typing import Optional
 from .core import (CostModel, GridMap, Grounding, iter_bits,
                    validate_instance_parts)
 from .errors import InstanceError, LimitReachedError, UncoverableAtomsError
-from .ip import IpModel, Limits, solve_branch_and_bound
+from .ip import IpModel, Limits, _solve_for_tags
 
 
 @dataclass(eq=False)
@@ -80,16 +79,19 @@ class Violation:
     pairs: tuple = ()
 
 
-def _solution_from_indices(inst: GbgopInstance, indices) -> GbgopSolution:
-    g = inst.grounding
-    indices = sorted(indices)
-    final_mask = g.s0_mask | g.union_effects(indices)
-    return GbgopSolution(
-        pairs=frozenset(g.pairs[i] for i in indices),
-        total_cost=g.cost_sum(indices),
-        final_state=frozenset(g.mask_atoms(final_mask)),
-        cardinality=len(indices),
-    )
+def _solution(inst: GbgopInstance, indices) -> GbgopSolution:
+    return GbgopSolution(**inst.grounding._selection(indices)[1])
+
+
+def _needed(inst: GbgopInstance) -> int:
+    """Goal atoms that do not hold initially, as a mask."""
+    return inst.theta_in_mask & ~inst.grounding.s0_mask
+
+
+def _admissible(inst: GbgopInstance) -> list:
+    """Indices of the pairs whose effects avoid every forbidden atom."""
+    out_mask = inst.theta_out_mask
+    return [i for i, eff in enumerate(inst.grounding.effects) if not eff & out_mask]
 
 
 def validate_gbgop(inst: GbgopInstance, sol) -> list:
@@ -99,8 +101,11 @@ def validate_gbgop(inst: GbgopInstance, sol) -> list:
     condition: budget overrun, each violated integrity constraint, goal
     atoms left false, forbidden atoms made (or already) true.
     """
+    return _violations(inst, inst.grounding.pairs_to_indices(sol))
+
+
+def _violations(inst: GbgopInstance, indices) -> list:
     g = inst.grounding
-    indices = g.pairs_to_indices(sol)
     out = []
 
     inherent = g.s0_mask & inst.theta_out_mask
@@ -144,9 +149,8 @@ def validate_gbgop(inst: GbgopInstance, sol) -> list:
 
 def restricted_pairs(inst: GbgopInstance) -> list:
     """Pairs whose effects avoid every forbidden atom, canonical order."""
-    g = inst.grounding
-    out_mask = inst.theta_out_mask
-    return [g.pairs[i] for i in range(len(g.pairs)) if not g.effects[i] & out_mask]
+    pairs = inst.grounding.pairs
+    return [pairs[i] for i in _admissible(inst)]
 
 
 @dataclass(frozen=True)
@@ -162,11 +166,10 @@ def probe_feasibility(inst: GbgopInstance) -> Optional[GbgopSolution]:
     proves nothing, since the all-pairs set may break cost or integrity
     constraints that a smaller selection would satisfy.
     """
-    candidate = restricted_pairs(inst)
-    if validate_gbgop(inst, candidate):
+    candidate = _admissible(inst)
+    if _violations(inst, candidate):
         return None
-    g = inst.grounding
-    return _solution_from_indices(inst, g.pairs_to_indices(candidate))
+    return _solution(inst, candidate)
 
 
 def reduce_to_r_star(inst: GbgopInstance):
@@ -178,11 +181,16 @@ def reduce_to_r_star(inst: GbgopInstance):
     member; a pair never dominates itself. Returns the kept pairs in
     canonical order plus (|R|, |R*|) stats. Quadratic scan.
     """
-    g = inst.grounding
-    out_mask = inst.theta_out_mask
-    needed = inst.theta_in_mask & ~g.s0_mask
+    pairs = inst.grounding.pairs
+    r_indices, kept = _r_star(inst)
+    return [pairs[i] for i in kept], ReductionStats(r_size=len(r_indices), r_star_size=len(kept))
 
-    r_indices = [i for i in range(len(g.pairs)) if not g.effects[i] & out_mask]
+
+def _r_star(inst: GbgopInstance):
+    """(indices of R, indices of R*), both in canonical order."""
+    g = inst.grounding
+    needed = _needed(inst)
+    r_indices = _admissible(inst)
     costs = g.costs
     q_sets = [frozenset(g.pair_ics[i]) for i in r_indices]
     affs = [g.effects[i] & needed for i in r_indices]
@@ -203,8 +211,7 @@ def reduce_to_r_star(inst: GbgopInstance):
                     break
         if not dominated:
             kept.append(r_indices[a])
-    r_star = [g.pairs[i] for i in kept]
-    return r_star, ReductionStats(r_size=n, r_star_size=len(r_star))
+    return r_indices, kept
 
 
 def build_gbgop_ip(inst: GbgopInstance, use_reduction: bool = False) -> IpModel:
@@ -218,8 +225,7 @@ def build_gbgop_ip(inst: GbgopInstance, use_reduction: bool = False) -> IpModel:
     the caller gets the atoms instead of an opaque failure.
     """
     g = inst.grounding
-    pairs = reduce_to_r_star(inst)[0] if use_reduction else restricted_pairs(inst)
-    indices = [g.pair_index[p] for p in pairs]
+    indices = _r_star(inst)[1] if use_reduction else _admissible(inst)
 
     model = IpModel(sense="min")
     var_of = {}
@@ -229,7 +235,7 @@ def build_gbgop_ip(inst: GbgopInstance, use_reduction: bool = False) -> IpModel:
         var_of[i] = v
         model.objective[v] = 1.0
 
-    needed = inst.theta_in_mask & ~g.s0_mask
+    needed = _needed(inst)
     uncoverable = []
     for atom_idx in iter_bits(needed):
         bit = 1 << atom_idx
@@ -263,43 +269,36 @@ def solve_gbgop_exact(inst: GbgopInstance, limits: Optional[Limits] = None) -> O
     g = inst.grounding
     if g.s0_mask & inst.theta_out_mask:
         return None
-    needed = inst.theta_in_mask & ~g.s0_mask
+    needed = _needed(inst)
 
-    r_star = reduce_to_r_star(inst)[0]
-    candidates = [g.pair_index[p] for p in r_star]
+    candidates = _r_star(inst)[1]
     all_effects = g.union_effects(candidates)
     if needed & ~all_effects:
         return None  # some goal atom has no producer
 
-    max_nodes = limits.max_nodes if limits else None
-    deadline = None
-    if limits and limits.max_seconds is not None:
-        deadline = time.monotonic() + limits.max_seconds
-    nodes = 0
-
+    tick = (limits or Limits())._counter()
     effects = g.effects
     costs = g.costs
     budget = inst.budget
     ic_sets = [members for _, members in g.ic_s0]
 
-    for t in range(len(candidates) + 1):
-        for combo in itertools.combinations(candidates, t):
-            nodes += 1
-            if max_nodes is not None and nodes > max_nodes:
-                raise LimitReachedError(f"node budget exhausted at cardinality {t}")
-            if deadline is not None and nodes % 4096 == 0 and time.monotonic() > deadline:
-                raise LimitReachedError(f"time budget exhausted at cardinality {t}")
-            if sum(costs[i] for i in combo) > budget:
-                continue
-            mask = 0
-            for i in combo:
-                mask |= effects[i]
-            if needed & ~mask:
-                continue
-            chosen = frozenset(combo)
-            if any(len(members & chosen) > 1 for members in ic_sets):
-                continue
-            return _solution_from_indices(inst, combo)
+    try:
+        for t in range(len(candidates) + 1):
+            for combo in itertools.combinations(candidates, t):
+                tick()
+                if sum(costs[i] for i in combo) > budget:
+                    continue
+                mask = 0
+                for i in combo:
+                    mask |= effects[i]
+                if needed & ~mask:
+                    continue
+                chosen = frozenset(combo)
+                if any(len(members & chosen) > 1 for members in ic_sets):
+                    continue
+                return _solution(inst, combo)
+    except LimitReachedError as err:
+        raise LimitReachedError(f"{err.message} at cardinality {t}") from None
     return None
 
 
@@ -312,12 +311,10 @@ def solve_gbgop_ip(inst: GbgopInstance, limits: Optional[Limits] = None,
         model = build_gbgop_ip(inst, use_reduction=use_reduction)
     except UncoverableAtomsError:
         return None, "infeasible"
-    result = solve_branch_and_bound(model, limits=limits)
-    if result.status == "infeasible" or not result.values and result.objective_value is None:
-        return None, result.status
-    chosen = [model.variables[i].tag for i in range(len(model.variables))
-              if result.values.get(model.variables[i].name) == 1]
-    return _solution_from_indices(inst, chosen), result.status
+    chosen, status = _solve_for_tags(model, limits)
+    if chosen is None:
+        return None, status
+    return _solution(inst, chosen), status
 
 
 def count_gbgop_solutions(inst: GbgopInstance, cap: Optional[int] = None) -> int:
@@ -338,7 +335,7 @@ def count_gbgop_solutions(inst: GbgopInstance, cap: Optional[int] = None) -> int
             "enumeration cost is unavoidable")
     if g.s0_mask & inst.theta_out_mask:
         return 0
-    needed = inst.theta_in_mask & ~g.s0_mask
+    needed = _needed(inst)
     out_mask = inst.theta_out_mask
     effects = g.effects
     costs = g.costs

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import format_number
-from .errors import InstanceError
+from .errors import InstanceError, LimitReachedError
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,24 @@ class Limits:
     max_nodes: Optional[int] = None
     max_seconds: Optional[float] = None
 
+    def _counter(self):
+        """Start the clock for one search; returns a function to call once
+        per search node. It raises LimitReachedError on the node after the
+        ``max_nodes``-th, and once ``max_seconds`` have passed (the clock is
+        read every 4096 nodes)."""
+        max_nodes = self.max_nodes
+        deadline = None if self.max_seconds is None else time.monotonic() + self.max_seconds
+        nodes = 0
+
+        def tick() -> None:
+            nonlocal nodes
+            nodes += 1
+            if max_nodes is not None and nodes > max_nodes:
+                raise LimitReachedError("node budget exhausted")
+            if deadline is not None and nodes % 4096 == 0 and time.monotonic() > deadline:
+                raise LimitReachedError("time budget exhausted")
+        return tick
+
 
 def solve_branch_and_bound(model: IpModel, limits: Optional[Limits] = None,
                            use_bound: bool = True) -> IpAssignment:
@@ -131,24 +149,11 @@ def solve_branch_and_bound(model: IpModel, limits: Optional[Limits] = None,
     values = [0] * n
     best_obj = None
     best_vec = None
-    node_count = 0
-    max_nodes = limits.max_nodes if limits else None
-    deadline = None
-    if limits and limits.max_seconds is not None:
-        deadline = time.monotonic() + limits.max_seconds
-    hit_limit = False
+    tick = (limits or Limits())._counter()
 
     def rec(depth: int, cur: float, rest: float) -> None:
-        nonlocal best_obj, best_vec, node_count, hit_limit
-        if hit_limit:
-            return
-        node_count += 1
-        if max_nodes is not None and node_count > max_nodes:
-            hit_limit = True
-            return
-        if deadline is not None and node_count % 4096 == 0 and time.monotonic() > deadline:
-            hit_limit = True
-            return
+        nonlocal best_obj, best_vec
+        tick()
         if depth == n:
             total = cur + model.constant
             if best_obj is None or (total > best_obj if maximize else total < best_obj):
@@ -181,18 +186,23 @@ def solve_branch_and_bound(model: IpModel, limits: Optional[Limits] = None,
                 else:
                     free_max[k] += co
 
-    rec(0, 0.0, sum(gain))
+    try:
+        rec(0, 0.0, sum(gain))
+        status = "optimal" if best_vec is not None else "infeasible"
+    except LimitReachedError:
+        status = "limit_reached"
+    if best_vec is None:
+        return IpAssignment(status, {}, None)
+    return IpAssignment(status, {model.variables[i].name: best_vec[i] for i in range(n)}, best_obj)
 
-    if hit_limit:
-        values_out = {}
-        if best_vec is not None:
-            values_out = {model.variables[i].name: best_vec[i] for i in range(n)}
-        return IpAssignment("limit_reached", values_out, best_obj)
-    if best_vec is None and n > 0:
-        return IpAssignment("infeasible", {}, None)
-    if best_vec is None:  # empty model
-        return IpAssignment("optimal", {}, model.constant)
-    return IpAssignment("optimal", {model.variables[i].name: best_vec[i] for i in range(n)}, best_obj)
+
+def _solve_for_tags(model: IpModel, limits: Optional[Limits]):
+    """Branch-and-bound on ``model``. Returns (tags of the variables set to
+    1, or None when the search ended without an assignment; status)."""
+    result = solve_branch_and_bound(model, limits=limits)
+    if result.objective_value is None:
+        return None, result.status
+    return [v.tag for v in model.variables if result.values.get(v.name) == 1], result.status
 
 
 # ---------------------------------------------------------------------------

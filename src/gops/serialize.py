@@ -133,6 +133,13 @@ def parse_instance(text: str):
     """Parse an instance document; returns a goal-based or a
     benefit-maximizing instance according to its problem section."""
     try:
+        return _parse_document(text)
+    except RecursionError:
+        raise ParseError("too-deep", "the document nests too deeply to parse") from None
+
+
+def _parse_document(text: str):
+    try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise ParseError("bad-json", f"line {err.lineno} column {err.colno}: {err.msg}") from err

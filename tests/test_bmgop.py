@@ -216,6 +216,25 @@ def test_greedy_keep_last_fixup():
     assert validate_bmgop(inst, sol.pairs) == []
 
 
+@pytest.mark.parametrize("mode", ["weighted", "plain"])
+def test_greedy_repair_sums_costs_as_validate_does(mode):
+    # picked C, A, B: 0.1 + 0.7 + 0.4 is exactly 1.2 in pick order, but
+    # 0.7 + 0.4 + 0.1 in canonical order is 1.2000000000000002, over budget
+    acts = tuple(explicit_action(name, P00, [GroundAtom(name.lower(), P00)]) for name in "ABC")
+    costs = {ActionPointPair("A", P00): 0.7, ActionPointPair("B", P00): 0.4,
+             ActionPointPair("C", P00): 0.1}
+    inst = tiny_bmgop(predicates=("a", "b", "c"), actions=acts,
+                      cost_model=CostModel(default_cost=0.5, overrides=costs),
+                      benefit_model=BenefitModel(per_predicate={"a": 3.0, "b": 1.0, "c": 1.0}),
+                      k=10, budget=1.2)
+    sol, trace = bmgop_compute(inst, condition_mode=mode)
+    assert [it.chosen.action for it in trace.iterations] == ["C", "A", "B"]
+    assert trace.fixup == "drop-last"
+    assert sol.pairs == {ActionPointPair("C", P00), ActionPointPair("A", P00)}
+    assert sol.total_cost == pytest.approx(0.8)
+    assert validate_bmgop(inst, sol.pairs) == []
+
+
 def test_greedy_forced_drop_when_single_pick_breaks_budget():
     # the lone pick costs more than the whole budget: repair must fall back
     # to dropping it, returning the empty solution

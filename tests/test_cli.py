@@ -47,6 +47,25 @@ def test_validate_minimal_document(tmp_path):
     assert run_cli(["validate", str(path)]).returncode == 0
 
 
+def test_deeply_nested_formula_exit_2(tmp_path):
+    doc = {
+        "format": "gop-instance", "version": 1,
+        "map": {"M": 0, "N": 0}, "predicates": ["g"], "state": [],
+        "actions": [{"name": "act", "effect": "g", "source_guard": "GUARD",
+                     "target_guard": "true"}],
+        "cost": {"default": 0.5, "rules": [], "overrides": []},
+        "ics": [],
+        "problem": {"type": "gbgop", "budget": 1.0, "theta_in": [], "theta_out": []},
+    }
+    guard = '{"not": ' * 3000 + '"true"' + "}" * 3000  # too deep for json.dumps
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc).replace('"GUARD"', guard))
+    result = run_cli(["solve", str(path)])
+    assert result.returncode == 2
+    assert "error[too-deep]" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_validate_bad_file_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{")

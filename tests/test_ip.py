@@ -3,8 +3,10 @@ import random
 
 import pytest
 
-from gops import IpModel, Limits, emit_lp, solve_branch_and_bound
-from gops.errors import InstanceError
+from gops import (CoverProblem, IpModel, Limits, emit_lp, encode_max_k_cover,
+                  encode_set_cover, solve_bmgop_exact, solve_branch_and_bound,
+                  solve_gbgop_exact)
+from gops.errors import InstanceError, LimitReachedError
 
 
 def exhaustive_optimum(model):
@@ -127,6 +129,43 @@ def test_node_limit_reached():
         model.objective[v] = 1.0
     result = solve_branch_and_bound(model, limits=Limits(max_nodes=5))
     assert result.status == "limit_reached"
+
+
+def _flat_model_bnb(limits):
+    # no constraints and a zero objective: all 2^13 leaves tie, so the
+    # search visits every one of its 16383 nodes
+    model = IpModel(sense="max")
+    for i in range(13):
+        model.add_variable(f"x{i}")
+    result = solve_branch_and_bound(model, limits=limits)
+    assert result.status == "limit_reached"
+    assert result.objective_value == 0.0
+
+
+def _singleton_cover_gbgop_exact(limits):
+    # the only cover takes all 14 singletons: 16383 smaller subsets come first
+    inst = encode_set_cover(CoverProblem(universe=tuple(range(14)),
+                                         families=tuple(frozenset({e}) for e in range(14))))
+    with pytest.raises(LimitReachedError, match="time budget exhausted"):
+        solve_gbgop_exact(inst, limits=limits)
+
+
+def _singleton_max_cover_bmgop_exact(limits):
+    # 6195 subsets of at most 4 of 20 singletons
+    inst = encode_max_k_cover(CoverProblem(universe=tuple(range(20)),
+                                           families=tuple(frozenset({e}) for e in range(20)),
+                                           k=4))
+    with pytest.raises(LimitReachedError, match="time budget exhausted") as err:
+        solve_bmgop_exact(inst, limits=limits)
+    assert err.value.best is not None
+
+
+@pytest.mark.parametrize("run", [_flat_model_bnb, _singleton_cover_gbgop_exact,
+                                 _singleton_max_cover_bmgop_exact],
+                         ids=["branch-and-bound", "gbgop-exact", "bmgop-exact"])
+def test_time_limit_ends_search_past_4096_nodes(run):
+    # the clock is read every 4096 nodes; each search needs more than that
+    run(Limits(max_seconds=0.0))
 
 
 def test_validate_rejects_bad_models():
