@@ -44,8 +44,8 @@ class BmgopInstance:
                                 self.cost_model, self.ics, self.benefit_model)
         if not isinstance(self.k, int) or self.k < 0:
             raise InstanceError("k-range", "k must be a non-negative integer")
-        if self.budget < 0:
-            raise InstanceError("budget-range", "budget must be non-negative")
+        if not (0 <= self.budget < math.inf):
+            raise InstanceError("budget-range", "budget must be a finite non-negative number")
 
     @cached_property
     def grounding(self) -> Grounding:

@@ -13,6 +13,14 @@ threads. Enumerations of points, atoms and action-point pairs follow one
 canonical order everywhere: declaration order major, row-major point order
 minor. Solvers depend on that order for deterministic tie-breaking and
 represent atom sets as integer bitmasks over the canonical atom indices.
+
+``Grounding`` builds those bitmask tables without visiting point pairs:
+each guard is evaluated once into a point mask, a rule's effect at ``p``
+is the metric ball around ``p`` AND the target-guard mask (gated by bit
+``p`` of the source-guard mask), and the result is shifted into the
+effect predicate's block of atom indices. The set-based functions
+(``satisfies``, ``action_effects``, ``cost_of``, ``benefit_of``) are the
+reference semantics, and the tests hold the tables equal to them.
 """
 
 import math
@@ -229,8 +237,12 @@ class ActionRule:
                 f"action {self.name!r} must use exactly one of effect_predicate / explicit_effects")
         if self.metric not in METRICS:
             raise InstanceError("metric", f"action {self.name!r}: unknown metric {self.metric!r}")
-        if self.max_distance is not None and self.max_distance < 0:
-            raise InstanceError("distance-negative", f"action {self.name!r}: negative max_distance")
+        if self.max_distance is not None:
+            if not -math.inf < self.max_distance < math.inf:
+                raise InstanceError("distance-not-finite",
+                                    f"action {self.name!r}: max_distance {self.max_distance} is not finite")
+            if self.max_distance < 0:
+                raise InstanceError("distance-negative", f"action {self.name!r}: negative max_distance")
 
 
 def action_effects(rule: ActionRule, point: Point, s0: State, grid: GridMap) -> frozenset:
@@ -320,8 +332,8 @@ class BenefitModel:
 
     def __post_init__(self):
         for v in list(self.per_predicate.values()) + list(self.per_atom_overrides.values()):
-            if v < 0:
-                raise InstanceError("benefit-range", f"benefit {v} is negative")
+            if not (0 <= v < math.inf):
+                raise InstanceError("benefit-range", f"benefit {v} is not a finite non-negative number")
 
 
 def benefit_of(a: GroundAtom, model: BenefitModel) -> float:
@@ -466,12 +478,104 @@ def validate_instance_parts(grid: GridMap, predicates: Sequence[str], s0: State,
         check_formula(ic.condition, f"integrity constraint {i}", require_ground=True)
 
 
+def _point_mask(formula: Formula, s0_mask: int, offsets: Mapping[str, int],
+                atom_index: Mapping[GroundAtom, int], full: int) -> int:
+    """The points at which ``formula`` holds in the state ``s0_mask``, as a
+    mask with one bit per point: the bitmask form of ``satisfies``.
+
+    A template atom is its predicate's block of ``s0_mask`` (``offsets``
+    gives where each block starts); a ground atom holds at all points or
+    none. ``full`` has every point bit set.
+    """
+    if isinstance(formula, TrueFormula):
+        return full
+    if isinstance(formula, AtomFormula):
+        if formula.point is None:
+            offset = offsets.get(formula.predicate)
+            return 0 if offset is None else s0_mask >> offset & full
+        i = atom_index.get(GroundAtom(formula.predicate, formula.point))
+        return full if i is not None and s0_mask >> i & 1 else 0
+    if isinstance(formula, NotFormula):
+        return full & ~_point_mask(formula.child, s0_mask, offsets, atom_index, full)
+    if isinstance(formula, AndFormula):
+        mask = full
+        for c in formula.children:
+            mask &= _point_mask(c, s0_mask, offsets, atom_index, full)
+        return mask
+    if isinstance(formula, OrFormula):
+        mask = 0
+        for c in formula.children:
+            mask |= _point_mask(c, s0_mask, offsets, atom_index, full)
+        return mask
+    raise TypeError(f"not a formula node: {formula!r}")
+
+
+def _ball(grid: GridMap, metric: str, bound: float):
+    """Function from a point ``p`` to the point mask of the map points
+    within ``bound`` of ``p``.
+
+    The ball is one contiguous run of columns per row. The run's
+    half-width at each row offset ``|dy|`` comes from ``within_distance``
+    on the offset itself, called once per offset inside the box of
+    ``GridMap.box_around``, so the float comparisons and the candidates
+    are the ones ``action_effects`` has. Offsets also stop at the map's
+    extent, so a radius larger than the map costs no more than one as
+    large as the map.
+    """
+    origin = Point(0, 0)
+    reach = math.floor(bound)
+    max_dx = min(grid.width_bound, reach)
+    half_widths = []
+    for dy in range(min(grid.height_bound, reach) + 1):
+        dx = -1
+        while dx < max_dx and within_distance(metric, origin, Point(dx + 1, dy), bound):
+            dx += 1
+        if dx < 0:
+            break  # the metrics are monotone in |dy| too
+        half_widths.append(dx)
+    width = grid.width_bound + 1
+    last_row = grid.height_bound
+    last_col = grid.width_bound
+    # runs[h][x]: the row mask of the columns within h of column x
+    runs = {h: [((1 << (min(last_col, x + h) - max(0, x - h) + 1)) - 1) << max(0, x - h)
+                for x in range(width)]
+            for h in set(half_widths)}
+    rows = [(dy, runs[h]) for dy, h in enumerate(half_widths)]
+
+    def ball(p: Point) -> int:
+        mask = 0
+        for dy, run in rows:
+            segment = run[p.x]
+            if p.y >= dy:
+                mask |= segment << ((p.y - dy) * width)
+            if dy and p.y + dy <= last_row:
+                mask |= segment << ((p.y + dy) * width)
+        return mask
+
+    return ball
+
+
 class Grounding:
     """Canonical index tables plus frozen per-pair effect, cost and benefit
     caches for one instance. Built once, then read-only.
 
     Atom sets are integer bitmasks over canonical atom indices, which gives
     O(1) membership and fast union/difference in the solvers' inner loops.
+
+    Effects and costs are derived with mask algebra, never per pair:
+
+    * every guard (source, target, cost-rule and constraint condition) is
+      evaluated once into a point mask, one bit per map point in row-major
+      order (``_point_mask``);
+    * a rule-form action placed at ``p`` whose source mask has bit ``p``
+      gets the metric ball around ``p`` (``_ball``) AND the target mask,
+      shifted into the effect predicate's block of atom indices; without a
+      distance bound the ball is the whole map;
+    * a pair's cost is its override, else the value of the first cost rule
+      whose condition mask has bit ``p``, else the default.
+
+    The set-based functions (``satisfies``, ``action_effects``, ``cost_of``,
+    ``benefit_of``) remain the reference semantics these tables must equal.
     """
 
     def __init__(self, grid: GridMap, predicates: Sequence[str], s0: State,
@@ -481,24 +585,55 @@ class Grounding:
         self.grid = grid
         self.predicates = tuple(predicates)
         self.actions = tuple(actions)
-        self.points = grid.points()
+        self.points = points = grid.points()
+        n_points = len(points)
 
-        self.atoms = enumerate_ground_atoms(grid, self.predicates)
+        self.atoms = [GroundAtom(pred, p) for pred in self.predicates for p in points]
         self.atom_index = {a: i for i, a in enumerate(self.atoms)}
         self.n_atoms = len(self.atoms)
 
-        self.pairs = enumerate_pairs(grid, self.actions)
+        self.pairs = [ActionPointPair(rule.name, p) for rule in self.actions for p in points]
         self.pair_index = {p: i for i, p in enumerate(self.pairs)}
 
         self.s0_mask = self.atoms_to_mask(s0)
 
+        offsets = {pred: k * n_points for k, pred in enumerate(self.predicates)}
+        full = (1 << n_points) - 1
+
+        def where(formula: Formula) -> int:
+            return _point_mask(formula, self.s0_mask, offsets, self.atom_index, full)
+
         self.effects = []
-        self.costs = []
         for rule in self.actions:
-            for point in self.points:
-                pair = ActionPointPair(rule.name, point)
-                self.effects.append(self.atoms_to_mask(action_effects(rule, point, s0, grid)))
-                self.costs.append(cost_of(pair, s0, cost_model))
+            if rule.explicit_effects is not None:
+                table = rule.explicit_effects
+                self.effects += [self.atoms_to_mask(table.get(p, ())) for p in points]
+                continue
+            source = where(rule.source_guard)
+            target = where(rule.target_guard)
+            shift = offsets[rule.effect_predicate]
+            row = [0] * n_points
+            if rule.max_distance is None:
+                for i in iter_bits(source):
+                    row[i] = target << shift
+            else:
+                ball = _ball(grid, rule.metric, rule.max_distance)
+                for i in iter_bits(source):
+                    row[i] = (ball(points[i]) & target) << shift
+            self.effects += row
+
+        point_costs = [cost_model.default_cost] * n_points
+        unresolved = full
+        for condition, value in cost_model.state_rules:
+            hit = where(condition) & unresolved
+            for i in iter_bits(hit):
+                point_costs[i] = value
+            unresolved &= ~hit
+        self.costs = point_costs * len(self.actions)
+        for pair, value in cost_model.overrides.items():
+            i = self.pair_index.get(pair)
+            if i is not None:
+                self.costs[i] = value
 
         if benefit_model is None:
             self.benefits = None
@@ -507,13 +642,16 @@ class Grounding:
 
         # Constraints active in the initial state, as (position in ics, pair
         # index set); plus the inverse map from pair index to positions.
+        # Conditions are ground, so their point mask is all points or none.
         self.ic_s0 = []
         for pos, ic in enumerate(ics):
-            if satisfies(s0, ic.condition):
+            if where(ic.condition):
                 members = frozenset(self.pair_index[p] for p in ic.pairs)
                 self.ic_s0.append((pos, members))
-        self.pair_ics = [tuple(j for j, (_, members) in enumerate(self.ic_s0) if i in members)
-                         for i in range(len(self.pairs))]
+        self.pair_ics = [()] * len(self.pairs)
+        for j, (_, members) in enumerate(self.ic_s0):
+            for i in members:
+                self.pair_ics[i] += (j,)
 
     def atoms_to_mask(self, atoms: Iterable[GroundAtom]) -> int:
         mask = 0

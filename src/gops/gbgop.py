@@ -8,6 +8,7 @@ solver, and a guarded exhaustive solution counter.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -39,8 +40,8 @@ class GbgopInstance:
         self.theta_out = frozenset(self.theta_out)
         validate_instance_parts(self.grid, self.predicates, self.s0, self.actions,
                                 self.cost_model, self.ics)
-        if self.budget < 0:
-            raise InstanceError("budget-range", "budget must be non-negative")
+        if not (0 <= self.budget < math.inf):
+            raise InstanceError("budget-range", "budget must be a finite non-negative number")
         if self.theta_in & self.theta_out:
             raise InstanceError("goal-overlap", "theta_in and theta_out must be disjoint")
         for a in self.theta_in | self.theta_out:
@@ -336,7 +337,10 @@ def count_gbgop_solutions(inst: GbgopInstance, cap: Optional[int] = None) -> int
     if g.s0_mask & inst.theta_out_mask:
         return 0
     needed = _needed(inst)
-    out_mask = inst.theta_out_mask
+    # Pairs that produce a forbidden atom are never chosen, so only the
+    # admissible ones branch.
+    candidates = _admissible(inst)
+    m = len(candidates)
     effects = g.effects
     costs = g.costs
     budget = inst.budget
@@ -344,27 +348,25 @@ def count_gbgop_solutions(inst: GbgopInstance, cap: Optional[int] = None) -> int
     n_ics = len(g.ic_s0)
 
     # Suffix unions let us abandon branches that can no longer cover.
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        ok = not effects[i] & out_mask
-        suffix[i] = suffix[i + 1] | (effects[i] if ok else 0)
+    suffix = [0] * (m + 1)
+    for t in range(m - 1, -1, -1):
+        suffix[t] = suffix[t + 1] | effects[candidates[t]]
 
     count = 0
     ic_counts = [0] * n_ics
 
-    def rec(i: int, cost: float, mask: int) -> None:
+    def rec(t: int, cost: float, mask: int) -> None:
         nonlocal count
-        if needed & ~(mask | suffix[i]):
+        if needed & ~(mask | suffix[t]):
             return
-        if i == n:
+        if t == m:
             if not needed & ~mask:
                 count += 1
                 if cap is not None and count > cap:
                     raise LimitReachedError(f"solution count exceeded cap {cap}")
             return
-        rec(i + 1, cost, mask)
-        if effects[i] & out_mask:
-            return
+        rec(t + 1, cost, mask)
+        i = candidates[t]
         c2 = cost + costs[i]
         if c2 > budget:
             return
@@ -373,7 +375,7 @@ def count_gbgop_solutions(inst: GbgopInstance, cap: Optional[int] = None) -> int
                 return
         for j in pair_ics[i]:
             ic_counts[j] += 1
-        rec(i + 1, c2, mask | effects[i])
+        rec(t + 1, c2, mask | effects[i])
         for j in pair_ics[i]:
             ic_counts[j] -= 1
 

@@ -32,7 +32,10 @@ def _expect(value, kind, path, what):
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ParseError("type", f"expected a number for {what}", path)
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ParseError("number-range", f"{what} is too large", path) from None
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ParseError("type", f"expected an integer for {what}", path)

@@ -11,8 +11,8 @@ from itertools import product
 
 from gops import (ActionPointPair, ActionRule, AndFormula, AtomFormula,
                   BenefitModel, CostModel, GridMap, GroundAtom, NotFormula,
-                  OrFormula, Point, TRUE, TrueFormula, appl, atom, benefit_of,
-                  cost_of, lnot)
+                  OrFormula, Point, TRUE, TrueFormula, action_effects, appl,
+                  atom, benefit_of, cost_of, lnot, satisfies)
 from gops.core import formula_atoms
 
 
@@ -46,7 +46,8 @@ def truth_table_satisfies(state, formula, at=None):
 
 
 def random_formula(rng, atoms, depth):
-    """Random ground formula of at most the given depth over ``atoms``."""
+    """Random formula of at most the given depth over ``atoms``: ground
+    atoms, or atom formulas, where a ``None`` point makes a template."""
     if depth == 0 or rng.random() < 0.3:
         if rng.random() < 0.1:
             return TRUE
@@ -57,6 +58,45 @@ def random_formula(rng, atoms, depth):
         return lnot(random_formula(rng, atoms, depth - 1))
     parts = tuple(random_formula(rng, atoms, depth - 1) for _ in range(rng.randint(1, 3)))
     return AndFormula(parts) if kind == 1 else OrFormula(parts)
+
+
+# ---------------------------------------------------------------------------
+# Reference grounding: the per-pair tables from the set-based semantics.
+
+def reference_grounding(grid, predicates, s0, actions, cost_model, ics,
+                        benefit_model=None):
+    """The tables ``Grounding`` builds, computed pair by pair with
+    ``action_effects``, ``cost_of``, ``benefit_of`` and ``satisfies``.
+    Returns a dict keyed by the ``Grounding`` attribute names."""
+    points = grid.points()
+    atoms = [GroundAtom(pred, p) for pred in predicates for p in points]
+    atom_index = {a: i for i, a in enumerate(atoms)}
+    pairs = [ActionPointPair(rule.name, p) for rule in actions for p in points]
+    pair_index = {pair: i for i, pair in enumerate(pairs)}
+
+    def to_mask(atom_set):
+        return sum(1 << atom_index[a] for a in set(atom_set))
+
+    rules = {rule.name: rule for rule in actions}
+    ic_s0 = [(pos, frozenset(pair_index[p] for p in ic.pairs))
+             for pos, ic in enumerate(ics) if satisfies(s0, ic.condition)]
+    return dict(
+        s0_mask=to_mask(s0),
+        effects=[to_mask(action_effects(rules[pair.action], pair.point, s0, grid))
+                 for pair in pairs],
+        costs=[cost_of(pair, s0, cost_model) for pair in pairs],
+        benefits=(None if benefit_model is None
+                  else [benefit_of(a, benefit_model) for a in atoms]),
+        ic_s0=ic_s0,
+        pair_ics=[tuple(j for j, (_, members) in enumerate(ic_s0) if i in members)
+                  for i in range(len(pairs))],
+    )
+
+
+def reference_grounding_of(inst):
+    return reference_grounding(inst.grid, inst.predicates, inst.s0, inst.actions,
+                               inst.cost_model, inst.ics,
+                               getattr(inst, "benefit_model", None))
 
 
 # ---------------------------------------------------------------------------

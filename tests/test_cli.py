@@ -66,6 +66,44 @@ def test_deeply_nested_formula_exit_2(tmp_path):
     assert "Traceback" not in result.stderr
 
 
+_NUMBER_DOC = json.dumps({
+    "format": "gop-instance", "version": 1,
+    "map": {"M": 2, "N": 2}, "predicates": ["g"], "state": [],
+    "actions": [{"name": "act", "effect": "g", "source_guard": "true",
+                 "target_guard": "true", "max_distance": "DISTANCE"}],
+    "cost": {"default": 0.5, "rules": [], "overrides": []},
+    "ics": [],
+    "benefit": {"per_predicate": {"g": "BENEFIT"}},
+    "problem": {"type": "bmgop", "k": 1, "budget": "BUDGET"},
+})
+
+
+@pytest.mark.parametrize("field,literal,code", [
+    ("DISTANCE", "Infinity", "distance-not-finite"),
+    ("DISTANCE", "NaN", "distance-not-finite"),
+    ("DISTANCE", "1e400", "distance-not-finite"),
+    pytest.param("DISTANCE", "1" + "0" * 400, "number-range", id="DISTANCE-10**400"),
+    ("BUDGET", "NaN", "budget-range"),
+    ("BUDGET", "Infinity", "budget-range"),
+    ("BENEFIT", "NaN", "benefit-range"),
+    ("BENEFIT", "1e400", "benefit-range"),
+])
+def test_non_finite_numbers_exit_2(tmp_path, field, literal, code):
+    # Python's json reads NaN, Infinity and 1e400 (as inf); each must be
+    # rejected up front, not crash grounding or solve to a silent 0.
+    values = {"DISTANCE": "1.5", "BUDGET": "1.0", "BENEFIT": "1.0", field: literal}
+    text = _NUMBER_DOC
+    for name, value in values.items():
+        text = text.replace(f'"{name}"', value)
+    path = tmp_path / "numbers.json"
+    path.write_text(text)
+    for args in (["validate", str(path)], ["solve", str(path), "--method", "approx"]):
+        result = run_cli(args)
+        assert result.returncode == 2, result.stderr
+        assert f"error[{code}]" in result.stderr
+        assert "Traceback" not in result.stderr
+
+
 def test_validate_bad_file_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{")

@@ -258,3 +258,13 @@ def test_grid_bounds():
     assert not grid.contains(Point(0, -1))
     with pytest.raises(InstanceError):
         GridMap(-1, 0)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_distance_and_benefit_rejected(value):
+    with pytest.raises(InstanceError) as err:
+        ActionRule(name="r", effect_predicate="g", max_distance=value)
+    assert err.value.code == "distance-not-finite"
+    with pytest.raises(InstanceError) as err:
+        BenefitModel(per_predicate={"g": value})
+    assert err.value.code == "benefit-range"
