@@ -13,44 +13,26 @@ for cross-checking and small instances.
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
-from .core import (ActionPointPair, BenefitModel, CostModel, GridMap,
-                   Grounding, format_number, iter_bits,
-                   validate_instance_parts)
+from .core import (ActionPointPair, BenefitModel, Problem, format_number,
+                   iter_bits)
 from .errors import InstanceError, LimitReachedError
 from .ip import IpModel, Limits, _solve_for_tags
 
 
 @dataclass(eq=False)
-class BmgopInstance:
-    grid: GridMap
-    predicates: tuple
-    s0: frozenset
-    actions: tuple
-    cost_model: CostModel
+class BmgopInstance(Problem):
     benefit_model: BenefitModel
-    ics: tuple
     k: int
-    budget: float
 
     def __post_init__(self):
-        self.predicates = tuple(self.predicates)
-        self.s0 = frozenset(self.s0)
-        self.actions = tuple(self.actions)
-        self.ics = tuple(self.ics)
-        validate_instance_parts(self.grid, self.predicates, self.s0, self.actions,
-                                self.cost_model, self.ics, self.benefit_model)
+        super().__post_init__()
         if not isinstance(self.k, int) or self.k < 0:
             raise InstanceError("k-range", "k must be a non-negative integer")
-        if not (0 <= self.budget < math.inf):
-            raise InstanceError("budget-range", "budget must be a finite non-negative number")
 
-    @cached_property
-    def grounding(self) -> Grounding:
-        return Grounding(self.grid, self.predicates, self.s0, self.actions,
-                         self.cost_model, self.ics, self.benefit_model)
+    def _benefit_model(self) -> BenefitModel:
+        return self.benefit_model
 
 
 @dataclass(frozen=True)
@@ -130,10 +112,8 @@ def _violations(inst: BmgopInstance, indices) -> list:
     total = g.cost_sum(indices)
     if total > inst.budget:
         out.append(f"total cost {total} exceeds budget {inst.budget}")
-    chosen = set(indices)
-    for pos, members in g.ic_s0:
-        if len(members & chosen) > 1:
-            out.append(f"integrity constraint {pos} admits at most one pair")
+    for pos, _ in g.conflicts(indices):
+        out.append(f"integrity constraint {pos} admits at most one pair")
     return out
 
 
@@ -282,10 +262,7 @@ def build_bmgop_ip(inst: BmgopInstance) -> IpModel:
     g = inst.grounding
     n = len(g.pairs)
     model = IpModel(sense="max")
-
-    x_of = []
-    for i, pair in enumerate(g.pairs):
-        x_of.append(model.add_variable(f"X_{pair.action}_{pair.point.x}_{pair.point.y}", tag=("pair", i)))
+    x_of = {i: model.add_pair_variable(pair, tag=("pair", i)) for i, pair in enumerate(g.pairs)}
 
     model.constant = g.benefit_sum(g.s0_mask)
     for atom_idx in range(g.n_atoms):
@@ -301,9 +278,7 @@ def build_bmgop_ip(inst: BmgopInstance) -> IpModel:
         model.add_constraint(coeffs, ">=", 0.0, f"cover_{a.predicate}_{a.point.x}_{a.point.y}")
 
     model.add_constraint({x_of[i]: 1.0 for i in range(n)}, "<=", float(inst.k), "card")
-    model.add_constraint({x_of[i]: g.costs[i] for i in range(n)}, "<=", inst.budget, "budget")
-    for pos, members in g.ic_s0:
-        model.add_constraint({x_of[i]: 1.0 for i in sorted(members)}, "<=", 1.0, f"ic_{pos}")
+    model.add_packing_rows(inst, x_of)
     return model
 
 
@@ -315,7 +290,6 @@ def solve_bmgop_exact(inst: BmgopInstance, limits: Optional[Limits] = None) -> B
     n = len(g.pairs)
     costs = g.costs
     effects = g.effects
-    ic_sets = [members for _, members in g.ic_s0]
     tick = (limits or Limits())._counter()
 
     best_value = g.benefit_sum(g.s0_mask)
@@ -326,8 +300,7 @@ def solve_bmgop_exact(inst: BmgopInstance, limits: Optional[Limits] = None) -> B
                 tick()
                 if sum(costs[i] for i in combo) > inst.budget:
                     continue
-                chosen = frozenset(combo)
-                if any(len(members & chosen) > 1 for members in ic_sets):
+                if g.conflicts(combo):
                     continue
                 mask = g.s0_mask
                 for i in combo:

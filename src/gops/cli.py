@@ -17,8 +17,7 @@ from .gbgop import (GbgopInstance, build_gbgop_ip, count_gbgop_solutions,
                     reduce_to_r_star, solve_gbgop_exact, solve_gbgop_ip)
 from .ip import Limits, emit_lp
 from .scenarios import gen_campaign, gen_random
-from .serialize import (parse_instance, report_for_bmgop, report_for_gbgop,
-                        serialize_instance)
+from .serialize import parse_instance, report_for, serialize_instance
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -50,30 +49,24 @@ def _cmd_validate(args) -> int:
 
 def _cmd_solve(args) -> int:
     inst = _read_instance(args.file)
-    trace_path = args.trace
-    if isinstance(inst, GbgopInstance):
-        if args.method == "approx":
+    gbgop = isinstance(inst, GbgopInstance)
+    trace_path = None
+    if args.method == "approx":
+        if gbgop:
             print("error[method]: no approximation method for goal-based instances",
                   file=sys.stderr)
             return EXIT_INPUT
-        if args.method == "exact":
-            sol = solve_gbgop_exact(inst, limits=_limits(args))
-            status = "optimal" if sol is not None else "infeasible"
-        else:
-            sol, status = solve_gbgop_ip(inst, limits=_limits(args))
-        report = report_for_gbgop(args.method, status, sol, inst)
+        sol, trace = bmgop_compute(inst, delta=args.delta, condition_mode=args.condition)
+        status = "feasible"
+        trace_path = args.trace
+        if trace_path:
+            Path(trace_path).write_text(trace.to_text())
+    elif args.method == "exact":
+        sol = (solve_gbgop_exact if gbgop else solve_bmgop_exact)(inst, limits=_limits(args))
+        status = "optimal" if sol is not None else "infeasible"
     else:
-        if args.method == "approx":
-            sol, trace = bmgop_compute(inst, delta=args.delta, condition_mode=args.condition)
-            if trace_path:
-                Path(trace_path).write_text(trace.to_text())
-            report = report_for_bmgop("approx", "feasible", sol, inst, trace_path=trace_path)
-        elif args.method == "exact":
-            sol = solve_bmgop_exact(inst, limits=_limits(args))
-            report = report_for_bmgop("exact", "optimal", sol, inst)
-        else:
-            sol, status = solve_bmgop_ip(inst, limits=_limits(args))
-            report = report_for_bmgop("ip", status, sol, inst)
+        sol, status = (solve_gbgop_ip if gbgop else solve_bmgop_ip)(inst, limits=_limits(args))
+    report = report_for(args.method, status, sol, inst, trace_path=trace_path)
     _emit(args, report.to_json(), report.to_text())
     if report.status == "infeasible":
         return EXIT_INFEASIBLE

@@ -14,17 +14,24 @@ canonical order everywhere: declaration order major, row-major point order
 minor. Solvers depend on that order for deterministic tie-breaking and
 represent atom sets as integer bitmasks over the canonical atom indices.
 
+``Problem`` holds what both problem flavours share: the map, predicates,
+initial state, actions, cost model, integrity constraints and budget,
+their validation, and the cached ``Grounding``. The goal-based and
+benefit-maximizing instances subclass it and add only their objective.
+
 ``Grounding`` builds those bitmask tables without visiting point pairs:
 each guard is evaluated once into a point mask, a rule's effect at ``p``
 is the metric ball around ``p`` AND the target-guard mask (gated by bit
 ``p`` of the source-guard mask), and the result is shifted into the
 effect predicate's block of atom indices. The set-based functions
-(``satisfies``, ``action_effects``, ``cost_of``, ``benefit_of``) are the
-reference semantics, and the tests hold the tables equal to them.
+(``satisfies``, ``action_effects``, ``appl``, ``cost_of``, ``benefit_of``,
+``ground_ics_for_state``, ``check_ics``) are reference semantics only: no
+solver calls them, and the tests hold the tables and solvers equal to them.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import InstanceError
@@ -638,7 +645,13 @@ class Grounding:
         if benefit_model is None:
             self.benefits = None
         else:
-            self.benefits = [benefit_of(a, benefit_model) for a in self.atoms]
+            per_predicate = benefit_model.per_predicate
+            self.benefits = [value for pred in self.predicates
+                             for value in [per_predicate.get(pred, 0.0)] * n_points]
+            for a, value in benefit_model.per_atom_overrides.items():
+                i = self.atom_index.get(a)
+                if i is not None:
+                    self.benefits[i] = value
 
         # Constraints active in the initial state, as (position in ics, pair
         # index set); plus the inverse map from pair index to positions.
@@ -689,6 +702,18 @@ class Grounding:
         benefits = self.benefits
         return sum(benefits[i] for i in iter_bits(mask))
 
+    def conflicts(self, indices) -> list:
+        """(position in ics, chosen members in ascending order) for each
+        constraint active in the initial state that more than one of the
+        selected pair indices belongs to."""
+        chosen = set(indices)
+        out = []
+        for pos, members in self.ic_s0:
+            overlap = members & chosen
+            if len(overlap) > 1:
+                out.append((pos, sorted(overlap)))
+        return out
+
     def _selection(self, indices):
         """(final-state mask, the solution fields both problem flavors
         share) for the selected pair indices."""
@@ -698,3 +723,38 @@ class Grounding:
                                 total_cost=self.cost_sum(indices),
                                 cardinality=len(indices),
                                 final_state=frozenset(self.mask_atoms(final_mask)))
+
+
+@dataclass(eq=False)
+class Problem:
+    """The parts of an instance both problem flavours share, normalised to
+    tuples and frozensets and validated on construction, with their
+    ``Grounding`` built on first use. Subclasses add their objective's
+    fields and checks after calling ``__post_init__``."""
+
+    grid: GridMap
+    predicates: tuple
+    s0: frozenset
+    actions: tuple
+    cost_model: CostModel
+    ics: tuple
+    budget: float
+
+    def __post_init__(self):
+        self.predicates = tuple(self.predicates)
+        self.s0 = frozenset(self.s0)
+        self.actions = tuple(self.actions)
+        self.ics = tuple(self.ics)
+        validate_instance_parts(self.grid, self.predicates, self.s0, self.actions,
+                                self.cost_model, self.ics, self._benefit_model())
+        if not (0 <= self.budget < math.inf):
+            raise InstanceError("budget-range", "budget must be a finite non-negative number")
+
+    def _benefit_model(self) -> Optional[BenefitModel]:
+        """The benefit table to validate and ground, for flavours with one."""
+        return None
+
+    @cached_property
+    def grounding(self) -> Grounding:
+        return Grounding(self.grid, self.predicates, self.s0, self.actions,
+                         self.cost_model, self.ics, self._benefit_model())

@@ -8,40 +8,24 @@ solver, and a guarded exhaustive solution counter.
 """
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .core import (CostModel, GridMap, Grounding, iter_bits,
-                   validate_instance_parts)
+from .core import Problem, iter_bits
 from .errors import InstanceError, LimitReachedError, UncoverableAtomsError
 from .ip import IpModel, Limits, _solve_for_tags
 
 
 @dataclass(eq=False)
-class GbgopInstance:
-    grid: GridMap
-    predicates: tuple
-    s0: frozenset
-    actions: tuple
-    cost_model: CostModel
-    ics: tuple
-    budget: float
+class GbgopInstance(Problem):
     theta_in: frozenset
     theta_out: frozenset
 
     def __post_init__(self):
-        self.predicates = tuple(self.predicates)
-        self.s0 = frozenset(self.s0)
-        self.actions = tuple(self.actions)
-        self.ics = tuple(self.ics)
+        super().__post_init__()
         self.theta_in = frozenset(self.theta_in)
         self.theta_out = frozenset(self.theta_out)
-        validate_instance_parts(self.grid, self.predicates, self.s0, self.actions,
-                                self.cost_model, self.ics)
-        if not (0 <= self.budget < math.inf):
-            raise InstanceError("budget-range", "budget must be a finite non-negative number")
         if self.theta_in & self.theta_out:
             raise InstanceError("goal-overlap", "theta_in and theta_out must be disjoint")
         for a in self.theta_in | self.theta_out:
@@ -49,11 +33,6 @@ class GbgopInstance:
                 raise InstanceError("unknown-predicate", f"goal atom {a}: unknown predicate")
             if not self.grid.contains(a.point):
                 raise InstanceError("point-bounds", f"goal atom {a}: point outside the map")
-
-    @cached_property
-    def grounding(self) -> Grounding:
-        return Grounding(self.grid, self.predicates, self.s0, self.actions,
-                         self.cost_model, self.ics)
 
     @cached_property
     def theta_in_mask(self) -> int:
@@ -122,15 +101,12 @@ def _violations(inst: GbgopInstance, indices) -> list:
         out.append(Violation("cost-exceeded",
                              f"total cost {total} exceeds budget {inst.budget}"))
 
-    chosen = set(indices)
-    for pos, members in g.ic_s0:
-        overlap = sorted(members & chosen)
-        if len(overlap) > 1:
-            pairs = tuple(g.pairs[i] for i in overlap)
-            out.append(Violation("ic-violated",
-                                 f"integrity constraint {pos} admits at most one of: "
-                                 + ", ".join(map(str, pairs)),
-                                 pairs=pairs))
+    for pos, overlap in g.conflicts(indices):
+        pairs = tuple(g.pairs[i] for i in overlap)
+        out.append(Violation("ic-violated",
+                             f"integrity constraint {pos} admits at most one of: "
+                             + ", ".join(map(str, pairs)),
+                             pairs=pairs))
 
     final_mask = g.s0_mask | g.union_effects(indices)
     missing = inst.theta_in_mask & ~final_mask
@@ -229,12 +205,8 @@ def build_gbgop_ip(inst: GbgopInstance, use_reduction: bool = False) -> IpModel:
     indices = _r_star(inst)[1] if use_reduction else _admissible(inst)
 
     model = IpModel(sense="min")
-    var_of = {}
-    for i in indices:
-        pair = g.pairs[i]
-        v = model.add_variable(f"X_{pair.action}_{pair.point.x}_{pair.point.y}", tag=i)
-        var_of[i] = v
-        model.objective[v] = 1.0
+    var_of = {i: model.add_pair_variable(g.pairs[i], tag=i) for i in indices}
+    model.objective = dict.fromkeys(var_of.values(), 1.0)
 
     needed = _needed(inst)
     uncoverable = []
@@ -249,13 +221,7 @@ def build_gbgop_ip(inst: GbgopInstance, use_reduction: bool = False) -> IpModel:
                              f"cover_{a.predicate}_{a.point.x}_{a.point.y}")
     if uncoverable:
         raise UncoverableAtomsError(uncoverable)
-
-    model.add_constraint({var_of[i]: g.costs[i] for i in indices}, "<=", inst.budget, "budget")
-
-    for pos, members in g.ic_s0:
-        present = sorted(members & set(indices))
-        if present:
-            model.add_constraint({var_of[i]: 1.0 for i in present}, "<=", 1.0, f"ic_{pos}")
+    model.add_packing_rows(inst, var_of)
     return model
 
 
@@ -281,7 +247,6 @@ def solve_gbgop_exact(inst: GbgopInstance, limits: Optional[Limits] = None) -> O
     effects = g.effects
     costs = g.costs
     budget = inst.budget
-    ic_sets = [members for _, members in g.ic_s0]
 
     try:
         for t in range(len(candidates) + 1):
@@ -294,8 +259,7 @@ def solve_gbgop_exact(inst: GbgopInstance, limits: Optional[Limits] = None) -> O
                     mask |= effects[i]
                 if needed & ~mask:
                     continue
-                chosen = frozenset(combo)
-                if any(len(members & chosen) > 1 for members in ic_sets):
+                if g.conflicts(combo):
                     continue
                 return _solution(inst, combo)
     except LimitReachedError as err:
@@ -303,13 +267,12 @@ def solve_gbgop_exact(inst: GbgopInstance, limits: Optional[Limits] = None) -> O
     return None
 
 
-def solve_gbgop_ip(inst: GbgopInstance, limits: Optional[Limits] = None,
-                   use_reduction: bool = True):
-    """Solve via the covering program. Returns (solution or None, status);
-    status is the underlying assignment status, with uncoverable goal
-    atoms reported as plain infeasibility."""
+def solve_gbgop_ip(inst: GbgopInstance, limits: Optional[Limits] = None):
+    """Solve via the covering program over the reduced pair set. Returns
+    (solution or None, status); status is the underlying assignment
+    status, with uncoverable goal atoms reported as plain infeasibility."""
     try:
-        model = build_gbgop_ip(inst, use_reduction=use_reduction)
+        model = build_gbgop_ip(inst, use_reduction=True)
     except UncoverableAtomsError:
         return None, "infeasible"
     chosen, status = _solve_for_tags(model, limits)

@@ -45,6 +45,21 @@ class IpModel:
             coeffs = sorted(coeffs.items())
         self.constraints.append(IpConstraint(tuple(coeffs), sense, rhs, label))
 
+    def add_pair_variable(self, pair, tag: object) -> int:
+        """The selection variable ``X_<action>_<x>_<y>`` of an action-point pair."""
+        return self.add_variable(f"X_{pair.action}_{pair.point.x}_{pair.point.y}", tag=tag)
+
+    def add_packing_rows(self, inst, var_of) -> None:
+        """The ``budget`` row over the selection variables ``var_of`` (pair
+        index -> variable) of a problem instance, then one ``ic_<pos>`` row
+        per constraint active in its initial state with members among them."""
+        g = inst.grounding
+        self.add_constraint({v: g.costs[i] for i, v in var_of.items()}, "<=", inst.budget, "budget")
+        for pos, members in g.ic_s0:
+            present = sorted(members & var_of.keys())
+            if present:
+                self.add_constraint({var_of[i]: 1.0 for i in present}, "<=", 1.0, f"ic_{pos}")
+
     def validate(self) -> None:
         if self.sense not in ("min", "max"):
             raise InstanceError("ip-sense", f"unknown objective sense {self.sense!r}")
@@ -109,6 +124,11 @@ def solve_branch_and_bound(model: IpModel, limits: Optional[Limits] = None,
     free coefficient). Both prunes are strict, so all optima stay
     reachable and ties resolve to the lexicographically smallest
     assignment vector. ``use_bound=False`` disables the objective prune.
+
+    The search recurses once per variable. When the limits are hit, or
+    when a model has more variables than Python's recursion depth allows,
+    the search stops with status ``limit_reached`` and keeps its best
+    assignment so far, if any.
     """
     model.validate()
     n = len(model.variables)
@@ -189,7 +209,7 @@ def solve_branch_and_bound(model: IpModel, limits: Optional[Limits] = None,
     try:
         rec(0, 0.0, sum(gain))
         status = "optimal" if best_vec is not None else "infeasible"
-    except LimitReachedError:
+    except (LimitReachedError, RecursionError):
         status = "limit_reached"
     if best_vec is None:
         return IpAssignment(status, {}, None)

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 from .bmgop import BmgopInstance
 from .core import (ActionPointPair, ActionRule, BenefitModel, CostModel,
-                   GridMap, GroundAtom, IntegrityConstraint, Point, TRUE,
-                   action_effects, atom, lnot)
+                   GridMap, GroundAtom, Grounding, IntegrityConstraint, Point,
+                   TRUE, atom, lnot)
 from .errors import InstanceError
 from .gbgop import GbgopInstance
 
@@ -195,13 +195,8 @@ def gen_random(*, seed: int, width: int = 1, height: int = 1, predicates: int = 
 
     # Bias goal atoms toward producible ones so a good share of instances
     # are feasible; leave some arbitrary picks to exercise infeasibility.
-    producible_set = set()
-    for rule in rules:
-        for p in points:
-            producible_set |= action_effects(rule, p, s0, grid)
-    producible = sorted(
-        producible_set,
-        key=lambda a: (pred_names.index(a.predicate), grid.point_index(a.point)))
+    g = Grounding(grid, pred_names, s0, rules, cost_model, ic_tuple)
+    producible = g.mask_atoms(g.union_effects(range(len(g.pairs))))
     all_atoms = [GroundAtom(pred, p) for pred in pred_names for p in points]
     theta_in = set()
     for _ in range(rng.randint(1, 3)):

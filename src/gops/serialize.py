@@ -13,13 +13,13 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .bmgop import BmgopInstance, BmgopSolution
+from .bmgop import BmgopInstance
 from .core import (ActionPointPair, ActionRule, AndFormula, AtomFormula,
                    BenefitModel, CostModel, Formula, GridMap, GroundAtom,
                    IntegrityConstraint, NotFormula, OrFormula, Point, TRUE,
                    TrueFormula)
 from .errors import ParseError
-from .gbgop import GbgopInstance, GbgopSolution
+from .gbgop import GbgopInstance
 
 FORMAT_NAME = "gop-instance"
 FORMAT_VERSION = 1
@@ -415,27 +415,19 @@ class SolutionReport:
         return "\n".join(lines) + "\n"
 
 
-def report_for_gbgop(method: str, status: str, sol: Optional[GbgopSolution],
-                     inst: GbgopInstance, trace_path: Optional[str] = None,
-                     diagnostics=()) -> SolutionReport:
+def report_for(method: str, status: str, sol, inst, trace_path: Optional[str] = None,
+               diagnostics=()) -> SolutionReport:
+    """The report of a solver run on an instance of either flavour; ``sol``
+    is None when the run found no solution. Benefit and bound are filled
+    in from benefit-maximizing solutions."""
     if sol is None:
         return SolutionReport(method=method, status=status, diagnostics=tuple(diagnostics))
-    pair_key = _pair_key(inst)
     return SolutionReport(
-        method=method, status=status, pairs=tuple(sorted(sol.pairs, key=pair_key)),
+        method=method, status=status, pairs=tuple(sorted(sol.pairs, key=_pair_key(inst))),
         cardinality=sol.cardinality, cost=sol.total_cost,
-        proven_optimal=status == "optimal", trace_path=trace_path,
-        diagnostics=tuple(diagnostics))
-
-
-def report_for_bmgop(method: str, status: str, sol: Optional[BmgopSolution],
-                     inst: BmgopInstance, trace_path: Optional[str] = None,
-                     diagnostics=()) -> SolutionReport:
-    if sol is None:
-        return SolutionReport(method=method, status=status, diagnostics=tuple(diagnostics))
-    pair_key = _pair_key(inst)
-    return SolutionReport(
-        method=method, status=status, pairs=tuple(sorted(sol.pairs, key=pair_key)),
-        cardinality=sol.cardinality, cost=sol.total_cost, benefit=sol.achieved_benefit,
-        proven_optimal=status == "optimal", bound=sol.reported_bound,
+        benefit=getattr(sol, "achieved_benefit", None),
+        proven_optimal=status == "optimal", bound=getattr(sol, "reported_bound", None),
         trace_path=trace_path, diagnostics=tuple(diagnostics))
+
+
+report_for_gbgop = report_for_bmgop = report_for

@@ -5,7 +5,8 @@ import pytest
 
 from gops import (ActionPointPair, BenefitModel, CostModel, GroundAtom,
                   IntegrityConstraint, Limits, Point, TRUE, approx_bound,
-                  bmgop_compute, bound_applicable, build_bmgop_ip, gen_random,
+                  bmgop_compute, bound_applicable, build_bmgop_ip,
+                  gen_campaign, gen_random,
                   objective_f, solve_branch_and_bound, solve_bmgop_exact,
                   solve_bmgop_ip, validate_bmgop)
 from gops.encodings import CoverProblem, encode_max_k_cover
@@ -105,6 +106,14 @@ def test_exact_matches_ip_and_bruteforce_on_random_instances():
         assert abs(exact.achieved_benefit - via_ip.achieved_benefit) <= 1e-9
         assert exact.achieved_benefit == brute_best_bmgop(inst)
         assert validate_bmgop(inst, exact.pairs) == []
+
+
+def test_ip_deeper_than_the_recursion_limit_ends_limit_reached():
+    # 1,683 variables: one per pair and one per atom outside the initial state
+    inst = gen_campaign().bmgop
+    sol, status = solve_bmgop_ip(inst, limits=Limits(max_seconds=2.0))
+    assert status == "limit_reached"
+    assert sol is None or validate_bmgop(inst, sol.pairs) == []
 
 
 def test_exact_solver_limit_carries_best_so_far():

@@ -255,6 +255,14 @@ def test_limit_reached_exit_3(campaign_files):
     assert "error[limit-reached]" in result.stderr
 
 
+def test_solve_ip_deeper_than_the_recursion_limit_exit_3(campaign_files):
+    _, bm = campaign_files
+    result = run_cli(["solve", str(bm), "--method", "ip", "--max-seconds", "2"])
+    assert result.returncode == 3
+    assert result.stdout.startswith("method: ip\nstatus: limit_reached\n")
+    assert "Traceback" not in result.stderr
+
+
 def test_cli_outputs_are_byte_identical_across_hash_seeds(campaign_files, tmp_path):
     gb, bm = campaign_files
     invocations = [

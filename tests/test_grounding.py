@@ -7,7 +7,8 @@ import pytest
 
 from gops import (ActionPointPair, ActionRule, BenefitModel, CostModel,
                   GridMap, GroundAtom, Grounding, IntegrityConstraint, Point,
-                  TRUE, atom, gen_campaign, gen_random, land, lnot, lor)
+                  TRUE, atom, check_ics, gen_campaign, gen_random, land, lnot,
+                  lor)
 from gops.core import METRICS
 
 from helpers import random_formula, reference_grounding, reference_grounding_of
@@ -119,3 +120,34 @@ def test_radius_zero_yields_the_placement_point_where_the_target_holds(metric):
     for i, p in enumerate(g.points):
         expected = {GroundAtom("hit", p)} if GroundAtom("ok", p) in s0 else set()
         assert set(g.mask_atoms(g.effects[i])) == expected
+
+
+def assert_conflicts_match_check_ics(inst, rng, rounds):
+    """``Grounding.conflicts`` against the set-based ``check_ics`` on random
+    selections, biased toward constraint members so that overlaps occur."""
+    g = inst.grounding
+    members = sorted({g.pair_index[p] for ic in inst.ics for p in ic.pairs})
+    for _ in range(rounds):
+        picked = set(rng.sample(range(len(g.pairs)), min(rng.randint(0, 4), len(g.pairs))))
+        picked |= {i for i in members if rng.random() < 0.5}
+        chosen = frozenset(g.pairs[i] for i in picked)
+        ok, violated = check_ics(inst.s0, chosen, inst.ics)
+        got = g.conflicts(picked)
+        assert ok == (not got)
+        assert [inst.ics[pos] for pos, _ in got] == violated
+        assert [overlap for _, overlap in got] == [
+            sorted(g.pair_index[p] for p in ic.pairs & chosen) for ic in violated]
+
+
+@pytest.mark.parametrize("flavor", ["gbgop", "bmgop"])
+def test_campaign_conflicts_match_check_ics(flavor):
+    assert_conflicts_match_check_ics(getattr(gen_campaign(), flavor), random.Random(7), 200)
+
+
+def test_random_corpus_conflicts_match_check_ics():
+    rng = random.Random(11)
+    for seed in range(60):
+        for flavor in ("gbgop", "bmgop"):
+            inst = gen_random(seed=seed, width=seed % 4, height=seed % 3, actions=3,
+                              ics=4, problem=flavor)
+            assert_conflicts_match_check_ics(inst, rng, 20)

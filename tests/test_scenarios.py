@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from gops import (ActionPointPair, GroundAtom, Point, bmgop_compute, cost_of,
@@ -99,6 +101,21 @@ def test_gen_random_same_seed_identical_bytes():
     x = gen_random(seed=1, problem="gbgop")
     y = gen_random(seed=2, problem="gbgop")
     assert serialize_instance(x) != serialize_instance(y)
+
+
+def test_gen_random_corpus_golden_digest():
+    # Pins gen_random's output (instances, goal picks and rng draws) across
+    # changes to how it computes them; the digest is over the documents in
+    # seed, parameter, flavour order.
+    digest = hashlib.sha256()
+    for seed in range(40):
+        for width, height, actions, radius, ics in ((0, 0, 3, 1.0, 1), (3, 2, 3, 1.5, 2),
+                                                    (8, 8, 3, 3.0, 2), (12, 5, 4, 0.0, 3)):
+            for problem in ("gbgop", "bmgop"):
+                inst = gen_random(seed=seed, width=width, height=height, actions=actions,
+                                  radius=radius, ics=ics, problem=problem)
+                digest.update(serialize_instance(inst).encode())
+    assert digest.hexdigest() == "f40c6dd8a49fc591b52db3ad8b1934d70c3dced15c2d215d2e0f21e9485d9304"
 
 
 def test_gen_random_respects_model_invariants():
