@@ -260,21 +260,23 @@ def build_bmgop_ip(inst: BmgopInstance) -> IpModel:
     objective (initial-state benefit enters as a constant), and linking,
     cardinality, budget and integrity packing constraints."""
     g = inst.grounding
-    n = len(g.pairs)
+    pairs = g.pairs
+    atoms = g.atoms
+    benefits = g.benefits
+    n = len(pairs)
     model = IpModel(sense="max")
-    x_of = {i: model.add_pair_variable(pair, tag=("pair", i)) for i, pair in enumerate(g.pairs)}
+    x_of = {i: model.add_pair_variable(pair, tag=("pair", i)) for i, pair in enumerate(pairs)}
 
     model.constant = g.benefit_sum(g.s0_mask)
-    for atom_idx in range(g.n_atoms):
-        if g.s0_mask >> atom_idx & 1:
-            continue
-        a = g.atoms[atom_idx]
+    outside_s0 = ((1 << g.n_atoms) - 1) & ~g.s0_mask
+    for atom_idx, producers in g.producers(range(n), outside_s0).items():
+        a = atoms[atom_idx]
         y = model.add_variable(f"Y_{a.predicate}_{a.point.x}_{a.point.y}", tag=("atom", atom_idx))
-        if g.benefits[atom_idx] != 0:
-            model.objective[y] = g.benefits[atom_idx]
-        bit = 1 << atom_idx
-        coeffs = {x_of[i]: 1.0 for i in range(n) if g.effects[i] & bit}
-        coeffs[y] = -1.0
+        if benefits[atom_idx] != 0:
+            model.objective[y] = benefits[atom_idx]
+        # producers ascend and every X variable precedes y: already in variable order
+        coeffs = [(x_of[i], 1.0) for i in producers]
+        coeffs.append((y, -1.0))
         model.add_constraint(coeffs, ">=", 0.0, f"cover_{a.predicate}_{a.point.x}_{a.point.y}")
 
     model.add_constraint({x_of[i]: 1.0 for i in range(n)}, "<=", float(inst.k), "card")

@@ -694,6 +694,22 @@ class Grounding:
             mask |= effects[i]
         return mask
 
+    def producers(self, indices: Iterable[int], mask: int) -> dict:
+        """Atom index -> the pair indices among ``indices`` whose effects
+        hold that atom, for every atom of ``mask``, both ascending; atoms no
+        pair produces map to an empty list.
+
+        One pass over the pairs' effect bits inside ``mask``, so the work
+        is the number of entries, not atoms times pairs."""
+        out = {a: [] for a in iter_bits(mask)}
+        effects = self.effects
+        for i in sorted(indices):
+            hit = effects[i] & mask
+            if hit:  # most pairs miss a small mask; skip their bit loop
+                for a in iter_bits(hit):
+                    out[a].append(i)
+        return out
+
     def cost_sum(self, indices: Iterable[int]) -> float:
         costs = self.costs
         return sum(costs[i] for i in sorted(indices))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .core import Problem, iter_bits
+from .core import Problem
 from .errors import InstanceError, LimitReachedError, UncoverableAtomsError
 from .ip import IpModel, Limits, _solve_for_tags
 
@@ -202,22 +202,22 @@ def build_gbgop_ip(inst: GbgopInstance, use_reduction: bool = False) -> IpModel:
     the caller gets the atoms instead of an opaque failure.
     """
     g = inst.grounding
+    pairs = g.pairs
+    atoms = g.atoms
     indices = _r_star(inst)[1] if use_reduction else _admissible(inst)
 
     model = IpModel(sense="min")
-    var_of = {i: model.add_pair_variable(g.pairs[i], tag=i) for i in indices}
+    var_of = {i: model.add_pair_variable(pairs[i], tag=i) for i in indices}
     model.objective = dict.fromkeys(var_of.values(), 1.0)
 
-    needed = _needed(inst)
     uncoverable = []
-    for atom_idx in iter_bits(needed):
-        bit = 1 << atom_idx
-        support = [var_of[i] for i in indices if g.effects[i] & bit]
-        if not support:
-            uncoverable.append(g.atoms[atom_idx])
+    for atom_idx, producers in g.producers(indices, _needed(inst)).items():
+        if not producers:
+            uncoverable.append(atoms[atom_idx])
             continue
-        a = g.atoms[atom_idx]
-        model.add_constraint({v: 1.0 for v in support}, ">=", 1.0,
+        a = atoms[atom_idx]
+        # variables were added in ascending pair order, so these ascend too
+        model.add_constraint([(var_of[i], 1.0) for i in producers], ">=", 1.0,
                              f"cover_{a.predicate}_{a.point.x}_{a.point.y}")
     if uncoverable:
         raise UncoverableAtomsError(uncoverable)

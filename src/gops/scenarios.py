@@ -207,7 +207,9 @@ def gen_random(*, seed: int, width: int = 1, height: int = 1, predicates: int = 
         candidate = rng.choice(all_atoms)
         if candidate not in theta_in and candidate not in s0:
             theta_out.add(candidate)
-    return GbgopInstance(grid=grid, predicates=pred_names, s0=s0, actions=rules,
+    inst = GbgopInstance(grid=grid, predicates=pred_names, s0=s0, actions=rules,
                          cost_model=cost_model, ics=ic_tuple,
                          budget=rng.choice((1.0, 1.5, 2.0, 3.0, 4.0)),
                          theta_in=frozenset(theta_in), theta_out=frozenset(theta_out))
+    inst.grounding = g  # built from the same parts, so the instance need not ground again
+    return inst

@@ -114,6 +114,9 @@ def _parse_action(value, path) -> ActionRule:
             if len(entry) != 2:
                 raise ParseError("type", "an effect entry is [[x, y], [atoms...]]", entry_path)
             point = _parse_point(entry[0], entry_path)
+            if point in table:
+                raise ParseError("duplicate", f"point {point} already has an effect entry",
+                                 entry_path)
             atoms = _expect(entry[1], list, entry_path, "an atom list")
             table[point] = frozenset(_parse_atom(a, f"{entry_path}[{j}]")
                                      for j, a in enumerate(atoms))
@@ -189,7 +192,10 @@ def _parse_document(text: str):
         entry = _expect(entry, list, entry_path, "a cost override")
         if len(entry) != 2:
             raise ParseError("type", "a cost override is [[action, [x, y]], cost]", entry_path)
-        overrides[_parse_pair(entry[0], entry_path)] = _expect(entry[1], float, entry_path, "a cost")
+        pair = _parse_pair(entry[0], entry_path)
+        if pair in overrides:
+            raise ParseError("duplicate", f"pair {pair} already has a cost override", entry_path)
+        overrides[pair] = _expect(entry[1], float, entry_path, "a cost")
     cost_model = CostModel(default_cost=_expect(cost_obj["default"], float,
                                                 "$.cost.default", "the default cost"),
                            state_rules=tuple(rules), overrides=overrides)
@@ -241,8 +247,11 @@ def _parse_document(text: str):
             entry = _expect(entry, list, entry_path, "a benefit override")
             if len(entry) != 2:
                 raise ParseError("type", "a benefit override is [[pred, [x, y]], value]", entry_path)
-            atom_overrides[_parse_atom(entry[0], entry_path)] = _expect(entry[1], float,
-                                                                        entry_path, "a benefit")
+            a = _parse_atom(entry[0], entry_path)
+            if a in atom_overrides:
+                raise ParseError("duplicate", f"atom {a} already has a benefit override",
+                                 entry_path)
+            atom_overrides[a] = _expect(entry[1], float, entry_path, "a benefit")
         _require_keys(problem, "$.problem", ("type", "k", "budget"))
         return BmgopInstance(grid=grid, predicates=predicates, s0=s0, actions=actions,
                              cost_model=cost_model,
@@ -399,7 +408,9 @@ class SolutionReport:
 
     def to_text(self) -> str:
         lines = [f"method: {self.method}", f"status: {self.status}"]
-        if self.status not in ("infeasible",):
+        if self.status == "limit_reached" and self.cardinality is None:
+            lines.append("solution: none found before the limit")
+        elif self.status != "infeasible":
             lines.append("pairs: " + " ".join(str(p) for p in self.pairs))
             if self.cardinality is not None:
                 lines.append(f"cardinality: {self.cardinality}")

@@ -7,6 +7,7 @@ the code paths they check.
 """
 
 import itertools
+import json
 from itertools import product
 
 from gops import (ActionPointPair, ActionRule, AndFormula, AtomFormula,
@@ -194,6 +195,39 @@ def monsat_count(atoms, clauses):
 
 
 # ---------------------------------------------------------------------------
+# Documents that repeat an entry the parser must refuse to overwrite.
+
+def _one_point_document(**changes):
+    doc = {
+        "format": "gop-instance", "version": 1,
+        "map": {"M": 1, "N": 0}, "predicates": ["g"], "state": [],
+        "actions": [{"name": "drop", "explicit": [[[0, 0], [["g", [0, 0]]]]]}],
+        "cost": {"default": 0.5, "rules": [], "overrides": []},
+        "ics": [],
+        "problem": {"type": "gbgop", "budget": 1.0, "theta_in": [], "theta_out": []},
+    }
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+# kind -> (document text, JSON path of the repeated entry)
+DUPLICATES = {
+    "explicit-point": (_one_point_document(actions=[{"name": "drop", "explicit": [
+        [[0, 0], [["g", [0, 0]]]], [[0, 0], [["g", [1, 0]]]]]}]),
+        "$.actions[0].explicit[1]"),
+    "cost-override": (_one_point_document(cost={
+        "default": 0.5, "rules": [],
+        "overrides": [[["drop", [0, 0]], 0.25], [["drop", [0, 0]], 0.75]]}),
+        "$.cost.overrides[1]"),
+    "benefit-override": (_one_point_document(
+        benefit={"per_predicate": {"g": 1.0},
+                 "overrides": [[["g", [0, 0]], 1.0], [["g", [0, 0]], 2.0]]},
+        problem={"type": "bmgop", "k": 1, "budget": 1.0}),
+        "$.benefit.overrides[1]"),
+}
+
+
+# ---------------------------------------------------------------------------
 # Tiny builders.
 
 def explicit_action(name, point, atoms):
@@ -238,3 +272,14 @@ def tiny_bmgop(**overrides):
     )
     defaults.update(overrides)
     return BmgopInstance(**defaults)
+
+
+# ---------------------------------------------------------------------------
+# Cover-row oracle: a per-atom scan of every pair, the definition the IP
+# builders' cover rows must equal.
+
+def cover_rows_by_scan(effects, indices, mask, n_atoms):
+    """Producing pair indices per atom of ``mask``, ascending on both: for
+    each atom, every pair of ``indices`` is tested for that atom's bit."""
+    return {a: [i for i in sorted(indices) if effects[i] >> a & 1]
+            for a in range(n_atoms) if mask >> a & 1}

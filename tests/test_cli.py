@@ -7,6 +7,8 @@ import pytest
 
 from gops.cli import main
 
+from helpers import DUPLICATES
+
 
 def run_cli(args, env_seed="1"):
     env = dict(os.environ, PYTHONHASHSEED=env_seed)
@@ -102,6 +104,17 @@ def test_non_finite_numbers_exit_2(tmp_path, field, literal, code):
         assert result.returncode == 2, result.stderr
         assert f"error[{code}]" in result.stderr
         assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("kind", sorted(DUPLICATES))
+def test_duplicate_entries_exit_2(tmp_path, kind):
+    text, path = DUPLICATES[kind]
+    doc = tmp_path / "duplicate.json"
+    doc.write_text(text)
+    result = run_cli(["validate", str(doc)])
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"error[duplicate]: {path}: ")
+    assert "Traceback" not in result.stderr
 
 
 def test_validate_bad_file_exit_2(tmp_path):
@@ -277,3 +290,15 @@ def test_cli_outputs_are_byte_identical_across_hash_seeds(campaign_files, tmp_pa
         second = run_cli(args, env_seed="202")
         assert first.stdout == second.stdout, args
         assert first.returncode == second.returncode
+
+
+def test_capped_run_without_an_assignment_says_so(campaign_files):
+    # the search stops before its first leaf, so there is no solution to list
+    _, bm = campaign_files
+    result = run_cli(["solve", str(bm), "--method", "ip", "--max-seconds", "2"])
+    assert result.returncode == 3
+    assert result.stdout == ("method: ip\nstatus: limit_reached\n"
+                             "solution: none found before the limit\n")
+    payload = json.loads(run_cli(["solve", str(bm), "--method", "ip", "--max-seconds", "2",
+                                  "--json"]).stdout)
+    assert payload["pairs"] == [] and payload["cardinality"] is None

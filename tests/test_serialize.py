@@ -5,7 +5,9 @@ import pytest
 from gops import (GbgopInstance, gen_campaign, gen_random, parse_instance,
                   serialize_instance, validate_gbgop)
 from gops.errors import InstanceError, ParseError
-from gops.serialize import report_for_bmgop, report_for_gbgop
+from gops.serialize import SolutionReport, report_for_bmgop, report_for_gbgop
+
+from helpers import DUPLICATES
 
 MINIMAL = {
     "format": "gop-instance",
@@ -124,6 +126,16 @@ def test_benefit_section_rules():
     assert err.value.code == "missing-key"
 
 
+@pytest.mark.parametrize("kind", sorted(DUPLICATES))
+def test_rejects_duplicate_entries_at_the_repeat(kind):
+    # a later entry must not silently replace an earlier one
+    text, path = DUPLICATES[kind]
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    assert err.value.code == "duplicate"
+    assert err.value.path == path
+
+
 def test_template_atoms_in_guards_parse():
     doc = json.loads(_doc())
     doc["actions"] = [{"name": "go", "effect": "g",
@@ -163,3 +175,17 @@ def test_solution_reports_revalidate():
     assert payload["benefit"] == 25.0
     assert payload["trace"] == "t.txt"
     assert "bound" in payload and payload["bound"] is not None
+
+
+def test_text_report_without_an_assignment():
+    capped = SolutionReport(method="ip", status="limit_reached")
+    assert capped.to_text() == ("method: ip\nstatus: limit_reached\n"
+                                "solution: none found before the limit\n")
+    # a capped run with an incumbent, and a genuine empty solution, list their pairs
+    incumbent = SolutionReport(method="exact", status="limit_reached", cardinality=0, cost=0.0)
+    assert incumbent.to_text() == ("method: exact\nstatus: limit_reached\npairs: \n"
+                                   "cardinality: 0\ncost: 0.0\nproven-optimal: no\n")
+    empty = SolutionReport(method="exact", status="optimal", cardinality=0, cost=0.0,
+                           proven_optimal=True)
+    assert empty.to_text() == ("method: exact\nstatus: optimal\npairs: \n"
+                               "cardinality: 0\ncost: 0.0\nproven-optimal: yes\n")
