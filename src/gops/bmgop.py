@@ -10,7 +10,7 @@ An exact subset-search solver and the exact integer program are provided
 for cross-checking and small instances.
 """
 
-import itertools
+import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -285,36 +285,48 @@ def build_bmgop_ip(inst: BmgopInstance) -> IpModel:
 
 
 def solve_bmgop_exact(inst: BmgopInstance, limits: Optional[Limits] = None) -> BmgopSolution:
-    """Exhaustive search over pair subsets of size at most ``k`` meeting
-    cost and integrity constraints; maximal benefit, ties to the canonical
-    first subset (by size, then lexicographic)."""
-    g = inst.grounding
-    n = len(g.pairs)
-    costs = g.costs
-    effects = g.effects
-    tick = (limits or Limits())._counter()
+    """Proven maximum-benefit selection of at most ``k`` pairs within the
+    budget and the integrity constraints; ties go to the smaller selection,
+    then to the lexicographically smaller one (by canonical pair index).
 
-    best_value = g.benefit_sum(g.s0_mask)
-    best_combo = ()
+    Depth-first branch-and-bound (``Grounding.search``) over the pairs that
+    add benefit to the initial state, largest gain first. The objective is
+    monotone and submodular, so a selection's benefit plus the ``k - size``
+    largest current gains of later pairs bounds all its extensions
+    (Nemhauser, Wolsey & Fisher 1978); they are searched only when that
+    bound could beat the best so far or tie it with fewer pairs. A limit
+    carries the best selection so far, not proven optimal.
+    """
+    g = inst.grounding
+    gain = [g.benefit_sum(e & ~g.s0_mask) for e in g.effects]
+    order = sorted((i for i, v in enumerate(gain) if v > 0), key=lambda i: (-gain[i], i))
+    # room for the rounding of the k + 2 sums of at most n_atoms terms in the bound test
+    slack = 2.0 ** -51 * sum(g.benefits) * (min(inst.k, len(order)) + 2) * (g.n_atoms + 1)
+    best_value, best = g.benefit_sum(g.s0_mask), []
+
+    def visit(chosen, mask, pos):
+        nonlocal best_value, best
+        value = g.benefit_sum(mask)
+        size = len(chosen)
+        if value > best_value or value == best_value and (size, sorted(chosen)) < (len(best), best):
+            best_value, best = value, sorted(chosen)
+        room = inst.k - size
+        top = []  # min-heap of the ``room`` largest current gains of later pairs
+        for j in order[pos:] if room else ():
+            if len(top) == room and gain[j] <= top[0]:
+                break  # later pairs gain no more than gain[j], now or after
+            heapq.heappush(top, g.benefit_sum(g.effects[j] & ~mask))
+            if len(top) > room:
+                heapq.heappop(top)
+        bound = value + sum(top) + slack
+        return bound > best_value or bound == best_value and size < len(best)
+
     try:
-        for t in range(1, min(inst.k, n) + 1):
-            for combo in itertools.combinations(range(n), t):
-                tick()
-                if sum(costs[i] for i in combo) > inst.budget:
-                    continue
-                if g.conflicts(combo):
-                    continue
-                mask = g.s0_mask
-                for i in combo:
-                    mask |= effects[i]
-                value = g.benefit_sum(mask)
-                if value > best_value:
-                    best_value = value
-                    best_combo = combo
+        g.search(order, inst.budget, inst.k, (limits or Limits())._counter(), visit)
     except LimitReachedError as err:
-        raise LimitReachedError(f"{err.message} at size {t}",
-                                best=_solution(inst, best_combo, None)) from None
-    return _solution(inst, best_combo, None)
+        err.best = _solution(inst, best, None)
+        raise
+    return _solution(inst, best, None)
 
 
 def solve_bmgop_ip(inst: BmgopInstance, limits: Optional[Limits] = None):

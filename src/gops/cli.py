@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 infeasible / no solution / failed bound,
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -34,10 +35,13 @@ def _limits(args) -> Limits:
 
 
 def _emit(args, payload: dict, text: str) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(text, end="")
+    try:
+        sys.stdout.write(json.dumps(payload, indent=2) + "\n" if args.json else text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone (``| head``): send the rest, and the flush at
+        # exit, nowhere, and end with the command's own exit code.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _cmd_validate(args) -> int:
@@ -53,9 +57,7 @@ def _cmd_solve(args) -> int:
     trace_path = None
     if args.method == "approx":
         if gbgop:
-            print("error[method]: no approximation method for goal-based instances",
-                  file=sys.stderr)
-            return EXIT_INPUT
+            raise GopsError("method", "no approximation method for goal-based instances")
         sol, trace = bmgop_compute(inst, delta=args.delta, condition_mode=args.condition)
         status = "feasible"
         trace_path = args.trace
@@ -78,9 +80,7 @@ def _cmd_solve(args) -> int:
 def _cmd_reduce(args) -> int:
     inst = _read_instance(args.file)
     if not isinstance(inst, GbgopInstance):
-        print("error[method]: the reduction is defined for goal-based instances",
-              file=sys.stderr)
-        return EXIT_INPUT
+        raise GopsError("method", "the reduction is defined for goal-based instances")
     r_star, stats = reduce_to_r_star(inst)
     payload = {"r_size": stats.r_size, "r_star_size": stats.r_star_size,
                "members": [[p.action, [p.point.x, p.point.y]] for p in r_star]}
@@ -103,8 +103,7 @@ def _cmd_emit_lp(args) -> int:
 def _cmd_count(args) -> int:
     inst = _read_instance(args.file)
     if not isinstance(inst, GbgopInstance):
-        print("error[method]: counting is defined for goal-based instances", file=sys.stderr)
-        return EXIT_INPUT
+        raise GopsError("method", "counting is defined for goal-based instances")
     count = count_gbgop_solutions(inst, cap=args.cap)
     _emit(args, {"count": count}, f"{count}\n")
     return EXIT_OK
@@ -148,9 +147,7 @@ def _cmd_bench(args) -> int:
     for path in paths:
         inst = parse_instance(path.read_text())
         if not isinstance(inst, BmgopInstance):
-            print(f"error[method]: {path.name} is not a benefit-maximizing instance",
-                  file=sys.stderr)
-            return EXIT_INPUT
+            raise GopsError("method", f"{path.name} is not a benefit-maximizing instance")
         suite.append((path.name, inst))
     try:
         report = bench_mod.run_bench(suite, delta=args.delta, limits=_limits(args))
@@ -162,10 +159,7 @@ def _cmd_bench(args) -> int:
         return EXIT_INFEASIBLE
     if args.output:
         Path(args.output).write_text(json.dumps(report.to_json(), indent=2) + "\n")
-    if args.json:
-        print(json.dumps(report.to_json(), indent=2))
-    else:
-        print(report.to_text(), end="")
+    _emit(args, report.to_json(), report.to_text())
     return EXIT_OK
 
 
@@ -251,14 +245,14 @@ def main(argv=None) -> int:
         return EXIT_INPUT if err.code else EXIT_OK
     try:
         return args.func(args)
-    except LimitReachedError as err:
+    except GopsError as err:
         print(f"error[{err.code}]: {err.message}", file=sys.stderr)
-        return EXIT_LIMIT
-    except (ParseError, GopsError) as err:
-        print(f"error[{err.code}]: {err.message}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_LIMIT if isinstance(err, LimitReachedError) else EXIT_INPUT
     except FileNotFoundError as err:
         print(f"error[no-such-file]: {err}", file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as err:
+        print(f"error[io]: {err}", file=sys.stderr)
         return EXIT_INPUT
     except json.JSONDecodeError as err:
         print(f"error[bad-json]: {err}", file=sys.stderr)

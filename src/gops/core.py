@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .errors import InstanceError
+from .errors import InstanceError, LimitReachedError
 
 
 class Point(NamedTuple):
@@ -729,6 +729,48 @@ class Grounding:
             if len(overlap) > 1:
                 out.append((pos, sorted(overlap)))
         return out
+
+    def search(self, candidates: Sequence[int], budget: float, max_size: int,
+               tick, visit) -> None:
+        """Depth-first walk over the subsets of pair indices ``candidates``
+        within ``budget``, ``max_size`` and the active integrity constraints.
+        Each is visited once, prefixes first and siblings in ``candidates``
+        order, by ``tick()`` and ``visit(chosen, mask, pos)`` (its pairs as
+        taken, ``s0_mask`` plus their effects, where extensions start), and
+        extended only if that returns true. A limit from ``tick`` is raised
+        again with the size reached. Costs add up in canonical order, as in
+        ``cost_sum``, so the budget test agrees with validation exactly."""
+        ascending = all(a < b for a, b in zip(candidates, candidates[1:]))
+        effects = [self.effects[i] for i in candidates]
+        costs = [self.costs[i] for i in candidates]
+        occupies = [sum(1 << j for j in self.pair_ics[i]) for i in candidates]
+        n = len(candidates)
+        chosen = []
+        try:
+            tick()
+            if not visit(chosen, self.s0_mask, 0) or max_size < 1:
+                return
+            # per subset being extended: remaining positions, cost, mask, occupancy
+            stack = [(iter(range(n)), 0.0, self.s0_mask, 0)]
+            while stack:
+                rest, cost, mask, occupied = stack[-1]
+                for j in rest:
+                    total = cost + costs[j] if ascending else self.cost_sum([*chosen, candidates[j]])
+                    if total > budget or occupied & occupies[j]:
+                        continue
+                    chosen.append(candidates[j])
+                    tick()
+                    grown = mask | effects[j]
+                    if visit(chosen, grown, j + 1) and len(chosen) < max_size and j + 1 < n:
+                        stack.append((iter(range(j + 1, n)), total, grown, occupied | occupies[j]))
+                        break
+                    chosen.pop()
+                else:
+                    stack.pop()
+                    if chosen:
+                        chosen.pop()
+        except LimitReachedError as err:
+            raise LimitReachedError(f"{err.message} at size {len(chosen)}") from None
 
     def _selection(self, indices):
         """(final-state mask, the solution fields both problem flavors

@@ -3,11 +3,10 @@ and forbidden atoms that must stay false, find the fewest action-point
 pairs that work within the cost budget and the integrity constraints.
 
 Provides solution validation, the dominance reduction of the admissible
-pair set, the covering integer program, an exact iterative-deepening
+pair set, the covering integer program, an exact branch-and-bound
 solver, and a guarded exhaustive solution counter.
 """
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -228,43 +227,40 @@ def build_gbgop_ip(inst: GbgopInstance, use_reduction: bool = False) -> IpModel:
 def solve_gbgop_exact(inst: GbgopInstance, limits: Optional[Limits] = None) -> Optional[GbgopSolution]:
     """Proven minimum-cardinality solution, or None when infeasible.
 
-    Iterative deepening over the reduced pair set: try every subset of
-    size 0, 1, ... in canonical order and return the first one that
-    validates. The reduction preserves at least one optimal solution, so
-    the first hit is a true minimum.
+    Depth-first branch-and-bound (``Grounding.search``) over the reduced
+    pair set in canonical order: a cover is kept when it is smaller than the
+    best so far, and a subset is extended only while its extensions could be
+    smaller and could still cover every goal. So the first minimum cover in
+    lexicographic order wins; the reduction keeps at least one optimum.
     """
     g = inst.grounding
     if g.s0_mask & inst.theta_out_mask:
         return None
     needed = _needed(inst)
-
     candidates = _r_star(inst)[1]
-    all_effects = g.union_effects(candidates)
-    if needed & ~all_effects:
-        return None  # some goal atom has no producer
+    suffix = _suffix_unions(g, candidates)
+    best = None
+    smaller_than = len(candidates) + 1  # a kept cover must have fewer pairs
 
-    tick = (limits or Limits())._counter()
-    effects = g.effects
-    costs = g.costs
-    budget = inst.budget
+    def visit(chosen, mask, pos):
+        nonlocal best, smaller_than
+        if not needed & ~mask:
+            if len(chosen) < smaller_than:
+                best = list(chosen)
+                smaller_than = len(chosen)
+            return False
+        return len(chosen) + 1 < smaller_than and not needed & ~(mask | suffix[pos])
 
-    try:
-        for t in range(len(candidates) + 1):
-            for combo in itertools.combinations(candidates, t):
-                tick()
-                if sum(costs[i] for i in combo) > budget:
-                    continue
-                mask = 0
-                for i in combo:
-                    mask |= effects[i]
-                if needed & ~mask:
-                    continue
-                if g.conflicts(combo):
-                    continue
-                return _solution(inst, combo)
-    except LimitReachedError as err:
-        raise LimitReachedError(f"{err.message} at cardinality {t}") from None
-    return None
+    g.search(candidates, inst.budget, len(candidates), (limits or Limits())._counter(), visit)
+    return None if best is None else _solution(inst, best)
+
+
+def _suffix_unions(g, candidates) -> list:
+    """suffix[t]: the union of the effects of ``candidates[t:]``."""
+    suffix = [0]
+    for i in reversed(candidates):
+        suffix.append(suffix[-1] | g.effects[i])
+    return suffix[::-1]
 
 
 def solve_gbgop_ip(inst: GbgopInstance, limits: Optional[Limits] = None):
@@ -303,44 +299,20 @@ def count_gbgop_solutions(inst: GbgopInstance, cap: Optional[int] = None) -> int
     # Pairs that produce a forbidden atom are never chosen, so only the
     # admissible ones branch.
     candidates = _admissible(inst)
-    m = len(candidates)
-    effects = g.effects
-    costs = g.costs
-    budget = inst.budget
-    pair_ics = g.pair_ics
-    n_ics = len(g.ic_s0)
-
     # Suffix unions let us abandon branches that can no longer cover.
-    suffix = [0] * (m + 1)
-    for t in range(m - 1, -1, -1):
-        suffix[t] = suffix[t + 1] | effects[candidates[t]]
-
+    suffix = _suffix_unions(g, candidates)
+    most = float("inf") if cap is None else cap
     count = 0
-    ic_counts = [0] * n_ics
 
-    def rec(t: int, cost: float, mask: int) -> None:
+    def visit(chosen, mask, pos):
         nonlocal count
-        if needed & ~(mask | suffix[t]):
-            return
-        if t == m:
-            if not needed & ~mask:
-                count += 1
-                if cap is not None and count > cap:
-                    raise LimitReachedError(f"solution count exceeded cap {cap}")
-            return
-        rec(t + 1, cost, mask)
-        i = candidates[t]
-        c2 = cost + costs[i]
-        if c2 > budget:
-            return
-        for j in pair_ics[i]:
-            if ic_counts[j] >= 1:
-                return
-        for j in pair_ics[i]:
-            ic_counts[j] += 1
-        rec(t + 1, c2, mask | effects[i])
-        for j in pair_ics[i]:
-            ic_counts[j] -= 1
+        if count > most or needed & ~(mask | suffix[pos]):
+            return False  # past the cap, the search winds down without extending
+        if not needed & ~mask:
+            count += 1
+        return True
 
-    rec(0, 0.0, 0)
+    g.search(candidates, inst.budget, len(candidates), lambda: None, visit)  # no limits
+    if count > most:
+        raise LimitReachedError(f"solution count exceeded cap {cap}")
     return count

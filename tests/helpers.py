@@ -151,15 +151,21 @@ def bmgop_feasible(inst, pairs):
 
 
 def brute_best_bmgop(inst):
-    """Exhaustive maximum benefit over all feasible pair subsets."""
+    """Exhaustive (maximum benefit, winning pair set) over all feasible pair
+    subsets, under the documented tie rule: the higher benefit, then the
+    smaller set, then the lexicographically first in canonical pair order."""
     all_pairs = [ActionPointPair(rule.name, p)
                  for rule in inst.actions for p in inst.grid.points()]
-    best = bmgop_benefit(inst, ())
+    best, best_combo = bmgop_benefit(inst, ()), ()
+    # sizes ascend and combinations come in lexicographic order, so keeping
+    # only strictly higher benefits applies the tie rule
     for t in range(1, min(inst.k, len(all_pairs)) + 1):
         for combo in itertools.combinations(all_pairs, t):
             if bmgop_feasible(inst, combo):
-                best = max(best, bmgop_benefit(inst, combo))
-    return best
+                value = bmgop_benefit(inst, combo)
+                if value > best:
+                    best, best_combo = value, combo
+    return best, frozenset(best_combo)
 
 
 # ---------------------------------------------------------------------------

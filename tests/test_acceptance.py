@@ -22,7 +22,7 @@ from gops import (ActionPointPair, ActionRule, BenefitModel, BmgopInstance,
                   solve_gbgop_exact, solve_gbgop_ip)
 from gops.encodings import CoverProblem, MonotoneCnf, encode_max_k_cover, encode_monsat
 
-from helpers import brute_min_gbgop, monsat_count
+from helpers import brute_best_bmgop, brute_min_gbgop, monsat_count
 
 
 def _passed(n, detail):
@@ -87,12 +87,15 @@ def test_criterion_3_reduction_preserves_minimum_cardinality():
         r_star, _ = reduce_to_r_star(inst)
         best_r = brute_min_gbgop(inst, r)
         best_r_star = brute_min_gbgop(inst, r_star)
+        exact = solve_gbgop_exact(inst)
         if best_r is None:
             assert best_r_star is None
+            assert exact is None
         else:
             feasible += 1
             assert best_r_star is not None
             assert len(best_r_star) == len(best_r)
+            assert exact.pairs == best_r_star
     elapsed = time.monotonic() - start
     assert elapsed < 120.0
     _passed(3, f"200 instances ({feasible} feasible), {elapsed:.1f}s")
@@ -113,12 +116,14 @@ def test_criterion_4_ip_matches_exhaustive_solvers():
             feasible += 1
             assert status == "optimal"
             assert via_ip.cardinality == exact.cardinality
+            assert exact.pairs == brute_min_gbgop(gb, reduce_to_r_star(gb)[0])
 
         bm = gen_random(seed=seed, problem="bmgop", **shape)
         ip_result = solve_branch_and_bound(build_bmgop_ip(bm))
         assert ip_result.status == "optimal"
         exact_bm = solve_bmgop_exact(bm)
         assert abs(ip_result.objective_value - exact_bm.achieved_benefit) <= 1e-9
+        assert (exact_bm.achieved_benefit, exact_bm.pairs) == brute_best_bmgop(bm)
     elapsed = time.monotonic() - start
     assert elapsed < 300.0
     _passed(4, f"100 goal instances ({feasible} feasible) + 100 benefit instances, {elapsed:.1f}s")

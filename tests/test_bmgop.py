@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from gops import (ActionPointPair, BenefitModel, CostModel, GroundAtom,
+from gops import (ActionPointPair, BenefitModel, CostModel, GridMap, GroundAtom,
                   IntegrityConstraint, Limits, Point, TRUE, approx_bound,
                   bmgop_compute, bound_applicable, build_bmgop_ip,
                   gen_campaign, gen_random,
@@ -104,8 +104,50 @@ def test_exact_matches_ip_and_bruteforce_on_random_instances():
         via_ip, status = solve_bmgop_ip(inst)
         assert status == "optimal"
         assert abs(exact.achieved_benefit - via_ip.achieved_benefit) <= 1e-9
-        assert exact.achieved_benefit == brute_best_bmgop(inst)
+        best, best_pairs = brute_best_bmgop(inst)
+        assert exact.achieved_benefit == best
+        assert exact.pairs == best_pairs
         assert validate_bmgop(inst, exact.pairs) == []
+
+
+def test_exact_keeps_a_tie_that_rounding_hides_from_the_bound():
+    # {x0, x1} and {x1, x2} both reach {a, c, d}, worth 0.1 + 0.3 + 0.7 = 1.1
+    # summed in atom order; {x0, x1} wins the tie lexicographically. The
+    # search meets x1 alone after {x2, x1}, and its bound, x1's 0.1 + 0.7
+    # plus x0's 0.3, rounds to 1.0999999999999999: below the incumbent.
+    inst = tiny_bmgop(
+        grid=GridMap(0, 0), predicates=("a", "b", "c", "d"),
+        actions=(explicit_action("x0", P00, [GroundAtom("c", P00)]),
+                 explicit_action("x1", P00, [GroundAtom("a", P00), GroundAtom("d", P00)]),
+                 explicit_action("x2", P00, [GroundAtom("c", P00), GroundAtom("d", P00)])),
+        benefit_model=BenefitModel(per_predicate={"a": 0.1, "b": 0.2, "c": 0.3, "d": 0.7}),
+        k=2)
+    sol = solve_bmgop_exact(inst)
+    assert sol.pairs == {ActionPointPair("x0", P00), ActionPointPair("x1", P00)}
+    assert (sol.achieved_benefit, sol.pairs) == brute_best_bmgop(inst)
+
+
+def test_exact_sums_costs_as_validate_does():
+    # the search takes C, A, B by gain: 0.1 + 0.7 + 0.4 is exactly 1.2 in that
+    # order, but 0.7 + 0.4 + 0.1 in canonical order is 1.2000000000000002
+    acts = tuple(explicit_action(name, P00, [GroundAtom(name.lower(), P00)]) for name in "ABC")
+    costs = {ActionPointPair("A", P00): 0.7, ActionPointPair("B", P00): 0.4,
+             ActionPointPair("C", P00): 0.1}
+    inst = tiny_bmgop(predicates=("a", "b", "c"), actions=acts,
+                      cost_model=CostModel(default_cost=0.5, overrides=costs),
+                      benefit_model=BenefitModel(per_predicate={"a": 2.0, "b": 1.0, "c": 3.0}),
+                      k=3, budget=1.2)
+    sol = solve_bmgop_exact(inst)
+    assert sol.pairs == {ActionPointPair("A", P00), ActionPointPair("C", P00)}
+    assert validate_bmgop(inst, sol.pairs) == []
+    assert (sol.achieved_benefit, sol.pairs) == brute_best_bmgop(inst)
+
+
+def test_exact_proves_the_campaign_optimum_under_the_node_cap():
+    inst = gen_campaign().bmgop
+    sol = solve_bmgop_exact(inst, limits=Limits(max_nodes=5000))
+    assert sol.achieved_benefit == 25
+    assert validate_bmgop(inst, sol.pairs) == []
 
 
 def test_ip_deeper_than_the_recursion_limit_ends_limit_reached():

@@ -268,6 +268,52 @@ def test_limit_reached_exit_3(campaign_files):
     assert "error[limit-reached]" in result.stderr
 
 
+def test_solve_exact_proves_the_campaign_optimum_under_the_node_cap(campaign_files):
+    _, bm = campaign_files
+    result = run_cli(["solve", str(bm), "--method", "exact", "--max-nodes", "5000", "--json"])
+    assert result.returncode == 0
+    payload = json.loads(result.stdout)
+    assert payload["status"] == "optimal" and payload["benefit"] == 25
+
+
+def test_reader_closing_the_pipe_ends_quietly_with_the_documented_code(tmp_path):
+    # 200 goal atoms, each made by its own action with a 1000-character name:
+    # the reduction keeps all 200 pairs and lists them in over 200 KB, more
+    # than a pipe holds, so the child is still writing when the pipe closes
+    n = 200
+    doc = {
+        "format": "gop-instance", "version": 1,
+        "map": {"M": 0, "N": 0}, "predicates": [f"e{i}" for i in range(n)], "state": [],
+        "actions": [{"name": f"{i:04d}" + "a" * 1000, "explicit": [[[0, 0], [[f"e{i}", [0, 0]]]]]}
+                    for i in range(n)],
+        "cost": {"default": 0.5, "rules": [], "overrides": []},
+        "ics": [],
+        "problem": {"type": "gbgop", "budget": 1.0,
+                    "theta_in": [[f"e{i}", [0, 0]] for i in range(n)], "theta_out": []},
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    child = subprocess.Popen([sys.executable, "-m", "gops", "reduce", str(path), "--json"],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert child.stdout.read(16) == b'{\n  "r_size": 20'
+    child.stdout.close()
+    stderr = child.stderr.read().decode()
+    assert child.wait() == 0
+    assert stderr == ""
+
+
+def test_io_errors_exit_2(campaign_files, tmp_path):
+    gb, _ = campaign_files
+    result = run_cli(["solve", str(tmp_path)])
+    assert result.returncode == 2
+    assert result.stderr.startswith("error[io]: ")
+    assert "Traceback" not in result.stderr
+    result = run_cli(["emit-lp", str(gb), "-o", str(tmp_path)])
+    assert result.returncode == 2
+    assert result.stderr.startswith("error[io]: ")
+    assert "Traceback" not in result.stderr
+
+
 def test_solve_ip_deeper_than_the_recursion_limit_exit_3(campaign_files):
     _, bm = campaign_files
     result = run_cli(["solve", str(bm), "--method", "ip", "--max-seconds", "2"])

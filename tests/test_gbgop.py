@@ -128,11 +128,14 @@ def test_reduction_preserves_optimum():
         r_star, _ = reduce_to_r_star(inst)
         best_r = brute_min_gbgop(inst, r)
         best_r_star = brute_min_gbgop(inst, r_star)
+        exact = solve_gbgop_exact(inst)
         if best_r is None:
             assert best_r_star is None
+            assert exact is None
         else:
             assert best_r_star is not None
             assert len(best_r_star) == len(best_r)
+            assert exact.pairs == best_r_star
 
 
 def test_build_ip_pre_satisfied_goals():
@@ -208,6 +211,7 @@ def test_exact_solver_matches_ip_on_random_instances():
         else:
             assert status == "optimal"
             assert via_ip.cardinality == exact.cardinality
+            assert exact.pairs == brute_min_gbgop(inst, reduce_to_r_star(inst)[0])
             assert validate_gbgop(inst, exact.pairs) == []
             assert validate_gbgop(inst, via_ip.pairs) == []
             # stored fields reproduce from the pairs

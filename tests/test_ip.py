@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -142,16 +143,19 @@ def _flat_model_bnb(limits):
     assert result.objective_value == 0.0
 
 
-def _singleton_cover_gbgop_exact(limits):
-    # the only cover takes all 14 singletons: 16383 smaller subsets come first
-    inst = encode_set_cover(CoverProblem(universe=tuple(range(14)),
-                                         families=tuple(frozenset({e}) for e in range(14))))
+def _ring_cover_gbgop_exact(limits):
+    # 20 families {e, e+1 mod 20} need 10 to cover, one more than the budget
+    # allows; the search visits 4842 subsets to prove that
+    inst = encode_set_cover(CoverProblem(universe=tuple(range(20)),
+                                         families=tuple(frozenset({e, (e + 1) % 20})
+                                                        for e in range(20))))
+    inst = dataclasses.replace(inst, budget=9.0)
     with pytest.raises(LimitReachedError, match="time budget exhausted"):
         solve_gbgop_exact(inst, limits=limits)
 
 
 def _singleton_max_cover_bmgop_exact(limits):
-    # 6195 subsets of at most 4 of 20 singletons
+    # 6195 subsets of at most 4 of 20 singletons, of which the search visits 6175
     inst = encode_max_k_cover(CoverProblem(universe=tuple(range(20)),
                                            families=tuple(frozenset({e}) for e in range(20)),
                                            k=4))
@@ -160,7 +164,7 @@ def _singleton_max_cover_bmgop_exact(limits):
     assert err.value.best is not None
 
 
-@pytest.mark.parametrize("run", [_flat_model_bnb, _singleton_cover_gbgop_exact,
+@pytest.mark.parametrize("run", [_flat_model_bnb, _ring_cover_gbgop_exact,
                                  _singleton_max_cover_bmgop_exact],
                          ids=["branch-and-bound", "gbgop-exact", "bmgop-exact"])
 def test_time_limit_ends_search_past_4096_nodes(run):
