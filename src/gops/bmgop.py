@@ -298,15 +298,17 @@ def solve_bmgop_exact(inst: BmgopInstance, limits: Optional[Limits] = None) -> B
     carries the best selection so far, not proven optimal.
     """
     g = inst.grounding
-    gain = [g.benefit_sum(e & ~g.s0_mask) for e in g.effects]
+    # the atoms with a non-zero benefit; summing over these alone gives the same floats
+    paying = sum(1 << i for i, b in enumerate(g.benefits) if b)
+    gain = [g.benefit_sum(e & paying & ~g.s0_mask) for e in g.effects]
     order = sorted((i for i, v in enumerate(gain) if v > 0), key=lambda i: (-gain[i], i))
     # room for the rounding of the k + 2 sums of at most n_atoms terms in the bound test
     slack = 2.0 ** -51 * sum(g.benefits) * (min(inst.k, len(order)) + 2) * (g.n_atoms + 1)
-    best_value, best = g.benefit_sum(g.s0_mask), []
+    best_value, best = g.benefit_sum(g.s0_mask & paying), []
 
     def visit(chosen, mask, pos):
         nonlocal best_value, best
-        value = g.benefit_sum(mask)
+        value = g.benefit_sum(mask & paying)
         size = len(chosen)
         if value > best_value or value == best_value and (size, sorted(chosen)) < (len(best), best):
             best_value, best = value, sorted(chosen)
@@ -315,7 +317,7 @@ def solve_bmgop_exact(inst: BmgopInstance, limits: Optional[Limits] = None) -> B
         for j in order[pos:] if room else ():
             if len(top) == room and gain[j] <= top[0]:
                 break  # later pairs gain no more than gain[j], now or after
-            heapq.heappush(top, g.benefit_sum(g.effects[j] & ~mask))
+            heapq.heappush(top, g.benefit_sum(g.effects[j] & paying & ~mask))
             if len(top) > room:
                 heapq.heappop(top)
         bound = value + sum(top) + slack

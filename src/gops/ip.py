@@ -6,6 +6,8 @@ models to an external solver.
 import re
 import time
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import sub
 from typing import Optional
 
 from .core import format_number
@@ -111,105 +113,97 @@ class Limits:
         return tick
 
 
-def solve_branch_and_bound(model: IpModel, limits: Optional[Limits] = None,
-                           use_bound: bool = True) -> IpAssignment:
+def solve_branch_and_bound(model: IpModel, limits: Optional[Limits] = None) -> IpAssignment:
     """Exact optimum of a binary model by depth-first search.
 
     Variables are fixed in model order, trying 1 first when maximizing and
-    0 first when minimizing. Two prunes keep the search honest but small:
-    a feasibility check (a <=-constraint whose smallest achievable
-    left-hand side already exceeds the bound, or a >=-constraint whose
-    largest achievable side falls short, kills the subtree) and an
-    optimistic objective bound (current value plus every still-improving
-    free coefficient). Both prunes are strict, so all optima stay
-    reachable and ties resolve to the lexicographically smallest
-    assignment vector. ``use_bound=False`` disables the objective prune.
+    0 first when minimizing, one ``tick`` per node. Every row is read as
+    ``<=`` (a ``>=`` row negated) and carries the smallest left-hand side
+    it can still reach; a fix that lifts that above the right-hand side
+    kills the subtree. A node whose objective plus every still-improving
+    free coefficient cannot reach the best so far is not expanded. Both
+    prunes are strict, so all optima stay reachable and ties resolve to
+    the lexicographically smallest assignment vector.
 
-    The search recurses once per variable. When the limits are hit, or
-    when a model has more variables than Python's recursion depth allows,
-    the search stops with status ``limit_reached`` and keeps its best
-    assignment so far, if any.
+    The search keeps an explicit stack, so depth is not limited. A fix
+    saves the row sums it raises and writes them back when the search
+    leaves it, so each sum depends only on the variables fixed so far,
+    added in model order: a budget row adds its costs as ``cost_sum`` does,
+    for any costs. (A row with negative terms, a ``>=`` row's included,
+    starts from their sum, so with non-integer terms its test can round
+    apart from a left-to-right sum of the chosen terms.) When the limits
+    are hit the search stops with status ``limit_reached`` and keeps its
+    best assignment so far, if any.
     """
     model.validate()
     n = len(model.variables)
-    m = len(model.constraints)
     maximize = model.sense == "max"
     obj = [model.objective.get(i, 0.0) for i in range(n)]
 
-    sense_le = [c.sense == "<=" for c in model.constraints]
-    rhs = [c.rhs for c in model.constraints]
-    touching = [[] for _ in range(n)]
-    fixed = [0.0] * m
-    free_min = [0.0] * m
-    free_max = [0.0] * m
+    rhs = [-c.rhs if c.sense == ">=" else c.rhs for c in model.constraints]
+    low = [0.0] * len(rhs)  # per row: the smallest left-hand side still reachable
+    moves = [([], []) for _ in range(n)]  # moves[i][v]: (row, raise) of fixing x_i = v
     for k, c in enumerate(model.constraints):
         for i, co in c.coeffs:
-            touching[i].append((k, co))
-            if co < 0:
-                free_min[k] += co
-            else:
-                free_max[k] += co
-
-    def constraint_ok(k: int) -> bool:
-        if sense_le[k]:
-            return fixed[k] + free_min[k] <= rhs[k]
-        return fixed[k] + free_max[k] >= rhs[k]
-
-    if not all(constraint_ok(k) for k in range(m)):
+            a = -co if c.sense == ">=" else co
+            if a > 0:
+                moves[i][1].append((k, a))
+            elif a < 0:
+                low[k] += a
+                moves[i][0].append((k, -a))
+    if any(lo > r for lo, r in zip(low, rhs)):
         return IpAssignment("infeasible", {}, None)
 
-    # Per-variable optimistic improvement; rest[d] bounds what depths >= d
-    # can still add to (max) or subtract from (min) the objective.
-    if maximize:
-        gain = [co if co > 0 else 0.0 for co in obj]
-    else:
-        gain = [co if co < 0 else 0.0 for co in obj]
+    # rest[d]: the most that fixing variables d.. can still add to (max) or
+    # subtract from (min) the objective
+    gain = [co if (co > 0 if maximize else co < 0) else 0.0 for co in obj]
+    rest = list(accumulate(gain, sub, initial=sum(gain)))
 
     order = (1, 0) if maximize else (0, 1)
     values = [0] * n
-    best_obj = None
-    best_vec = None
+    best_obj = best_vec = None
     tick = (limits or Limits())._counter()
 
-    def rec(depth: int, cur: float, rest: float) -> None:
+    def expand(depth: int, cur: float) -> bool:
+        """Count the node that fixed ``values[:depth]``, score it if it is a
+        leaf, and say whether its children are worth trying."""
         nonlocal best_obj, best_vec
         tick()
         if depth == n:
             total = cur + model.constant
             if best_obj is None or (total > best_obj if maximize else total < best_obj):
-                best_obj = total
-                best_vec = values.copy()
+                best_obj, best_vec = total, values.copy()
             elif total == best_obj and values < best_vec:
                 best_vec = values.copy()
-            return
-        if use_bound and best_obj is not None:
-            bound = cur + rest + model.constant
-            if maximize and bound < best_obj:
-                return
-            if not maximize and bound > best_obj:
-                return
-        touched = touching[depth]
-        for val in order:
-            values[depth] = val
-            for k, co in touched:
-                fixed[k] += co * val
-                if co < 0:
-                    free_min[k] -= co
-                else:
-                    free_max[k] -= co
-            if all(constraint_ok(k) for k, _ in touched):
-                rec(depth + 1, cur + obj[depth] * val, rest - gain[depth])
-            for k, co in touched:
-                fixed[k] -= co * val
-                if co < 0:
-                    free_min[k] += co
-                else:
-                    free_max[k] += co
+            return False
+        bound = cur + rest[depth] + model.constant
+        return best_obj is None or not (bound < best_obj if maximize else bound > best_obj)
 
     try:
-        rec(0, 0.0, sum(gain))
+        if expand(0, 0.0):
+            # per node being expanded (its depth is its stack position): the
+            # objective so far, the values left for its variable, and the
+            # row sums its current fix overwrote
+            stack = [(0.0, iter(order), [])]
+            while stack:
+                cur, untried, saved = stack[-1]
+                for k, old in saved:
+                    low[k] = old
+                val = next(untried, None)
+                if val is None:
+                    stack.pop()
+                    continue
+                depth = len(stack) - 1
+                values[depth] = val
+                raised = moves[depth][val]
+                saved[:] = [(k, low[k]) for k, _ in raised]
+                for k, r in raised:
+                    low[k] += r
+                child = cur + obj[depth] * val
+                if all(low[k] <= rhs[k] for k, _ in raised) and expand(depth + 1, child):
+                    stack.append((child, iter(order), []))
         status = "optimal" if best_vec is not None else "infeasible"
-    except (LimitReachedError, RecursionError):
+    except LimitReachedError:
         status = "limit_reached"
     if best_vec is None:
         return IpAssignment(status, {}, None)

@@ -151,11 +151,30 @@ def test_exact_proves_the_campaign_optimum_under_the_node_cap():
 
 
 def test_ip_deeper_than_the_recursion_limit_ends_limit_reached():
-    # 1,683 variables: one per pair and one per atom outside the initial state
+    # 1,683 variables: one per pair and one per atom outside the initial
+    # state; the first leaf is node 1,684, so the cap ends the search past it
     inst = gen_campaign().bmgop
-    sol, status = solve_bmgop_ip(inst, limits=Limits(max_seconds=2.0))
+    sol, status = solve_bmgop_ip(inst, limits=Limits(max_nodes=5000))
     assert status == "limit_reached"
-    assert sol is None or validate_bmgop(inst, sol.pairs) == []
+    assert sol is not None
+    assert validate_bmgop(inst, sol.pairs) == []
+
+
+def test_ip_agrees_with_exact_on_non_dyadic_costs():
+    # A (cost 0.1, benefit 1) and B (cost 0.3, benefit 2) under budget 0.3:
+    # B alone is the optimum, and the IP's budget row must still admit it
+    # after the search has tried and undone A
+    pa, pb = ActionPointPair("A", P00), ActionPointPair("B", P00)
+    inst = tiny_bmgop(grid=GridMap(0, 0),
+                      actions=(explicit_action("A", P00, [GroundAtom("a", P00)]),
+                               explicit_action("B", P00, [GroundAtom("b", P00)])),
+                      cost_model=CostModel(overrides={pa: 0.1, pb: 0.3}),
+                      k=2, budget=0.3)
+    via_ip, status = solve_bmgop_ip(inst)
+    assert status == "optimal"
+    assert (via_ip.pairs, via_ip.achieved_benefit) == ({pb}, 2.0)
+    exact = solve_bmgop_exact(inst)
+    assert (exact.pairs, exact.achieved_benefit) == (via_ip.pairs, via_ip.achieved_benefit)
 
 
 def test_exact_solver_limit_carries_best_so_far():

@@ -186,6 +186,29 @@ def test_solve_infeasible_exit_1(tmp_path):
     assert result.returncode == 1
 
 
+def test_solve_ip_agrees_with_exact_on_non_dyadic_costs(tmp_path):
+    # A (cost 0.1, benefit 1) and B (cost 0.3, benefit 2) under budget 0.3
+    doc = {
+        "format": "gop-instance", "version": 1,
+        "map": {"M": 0, "N": 0}, "predicates": ["a", "b"], "state": [],
+        "actions": [{"name": "A", "explicit": [[[0, 0], [["a", [0, 0]]]]]},
+                    {"name": "B", "explicit": [[[0, 0], [["b", [0, 0]]]]]}],
+        "cost": {"default": 0.0, "rules": [],
+                 "overrides": [[["A", [0, 0]], 0.1], [["B", [0, 0]], 0.3]]},
+        "benefit": {"per_predicate": {"a": 1.0, "b": 2.0}},
+        "ics": [],
+        "problem": {"type": "bmgop", "k": 2, "budget": 0.3},
+    }
+    path = tmp_path / "non_dyadic.json"
+    path.write_text(json.dumps(doc))
+    via_ip = run_cli(["solve", str(path), "--method", "ip"])
+    exact = run_cli(["solve", str(path), "--method", "exact"])
+    assert via_ip.returncode == exact.returncode == 0
+    assert "pairs: B@(0,0)\n" in via_ip.stdout
+    assert "benefit: 2.0\n" in via_ip.stdout
+    assert via_ip.stdout == exact.stdout.replace("method: exact", "method: ip")
+
+
 def test_solve_approx_on_gbgop_is_usage_error(campaign_files):
     gb, _ = campaign_files
     result = run_cli(["solve", str(gb), "--method", "approx"])
@@ -315,10 +338,11 @@ def test_io_errors_exit_2(campaign_files, tmp_path):
 
 
 def test_solve_ip_deeper_than_the_recursion_limit_exit_3(campaign_files):
+    # the first leaf is node 1,684 of the 1,683-variable program
     _, bm = campaign_files
-    result = run_cli(["solve", str(bm), "--method", "ip", "--max-seconds", "2"])
+    result = run_cli(["solve", str(bm), "--method", "ip", "--max-nodes", "5000"])
     assert result.returncode == 3
-    assert result.stdout.startswith("method: ip\nstatus: limit_reached\n")
+    assert result.stdout.startswith("method: ip\nstatus: limit_reached\npairs: ")
     assert "Traceback" not in result.stderr
 
 
@@ -339,12 +363,13 @@ def test_cli_outputs_are_byte_identical_across_hash_seeds(campaign_files, tmp_pa
 
 
 def test_capped_run_without_an_assignment_says_so(campaign_files):
-    # the search stops before its first leaf, so there is no solution to list
+    # a one-node cap stops at the root, before the first leaf, so there is
+    # no solution to list
     _, bm = campaign_files
-    result = run_cli(["solve", str(bm), "--method", "ip", "--max-seconds", "2"])
+    result = run_cli(["solve", str(bm), "--method", "ip", "--max-nodes", "1"])
     assert result.returncode == 3
     assert result.stdout == ("method: ip\nstatus: limit_reached\n"
                              "solution: none found before the limit\n")
-    payload = json.loads(run_cli(["solve", str(bm), "--method", "ip", "--max-seconds", "2",
+    payload = json.loads(run_cli(["solve", str(bm), "--method", "ip", "--max-nodes", "1",
                                   "--json"]).stdout)
     assert payload["pairs"] == [] and payload["cardinality"] is None

@@ -11,10 +11,12 @@ from gops.errors import InstanceError, LimitReachedError
 
 
 def exhaustive_optimum(model):
-    """Objective over all 2^n assignments; None when infeasible."""
+    """(optimal objective, lexicographically smallest optimal 0/1 vector)
+    over all 2^n assignments, each row summed left to right; None when
+    infeasible."""
     n = len(model.variables)
     best = None
-    for bits in itertools.product((0, 1), repeat=n):
+    for bits in itertools.product((0, 1), repeat=n):  # lexicographic order
         ok = True
         for c in model.constraints:
             lhs = sum(co * bits[i] for i, co in c.coeffs)
@@ -27,13 +29,21 @@ def exhaustive_optimum(model):
         if not ok:
             continue
         value = model.constant + sum(co * bits[i] for i, co in model.objective.items())
-        if best is None:
-            best = value
-        elif model.sense == "max":
-            best = max(best, value)
-        else:
-            best = min(best, value)
+        if best is None or (value > best[0] if model.sense == "max" else value < best[0]):
+            best = (value, bits)
     return best
+
+
+def assert_matches_exhaustive(model):
+    got = solve_branch_and_bound(model)
+    expected = exhaustive_optimum(model)
+    if expected is None:
+        assert got.status == "infeasible"
+    else:
+        value, bits = expected
+        assert got.status == "optimal"
+        assert got.objective_value == value
+        assert got.values == {v.name: b for v, b in zip(model.variables, bits)}
 
 
 def random_model(rng, n_vars=None):
@@ -83,25 +93,43 @@ def test_empty_model():
 def test_matches_exhaustive_enumeration():
     rng = random.Random(2024)
     for _ in range(120):
-        model = random_model(rng, n_vars=rng.randint(1, 11))
-        got = solve_branch_and_bound(model)
-        expected = exhaustive_optimum(model)
-        if expected is None:
-            assert got.status == "infeasible"
-        else:
-            assert got.status == "optimal"
-            assert got.objective_value == expected
+        assert_matches_exhaustive(random_model(rng, n_vars=rng.randint(1, 11)))
 
 
-def test_bound_pruning_changes_nothing():
-    rng = random.Random(99)
-    for _ in range(100):
-        model = random_model(rng, n_vars=rng.randint(1, 8))
-        fast = solve_branch_and_bound(model, use_bound=True)
-        slow = solve_branch_and_bound(model, use_bound=False)
-        assert fast.status == slow.status
-        assert fast.objective_value == slow.objective_value
-        assert fast.values == slow.values
+def test_budget_row_sums_do_not_drift():
+    # max 2x0 + 4x1 s.t. 0.1x0 + 0.3x1 <= 0.3: taking x1 alone gives 4. A
+    # row sum that undoes each fix by subtracting reads 0.1 + 0.3 - 0.3 - 0.1,
+    # a little above 0, once it is back at the root, and then x1 alone no
+    # longer fits.
+    model = IpModel(sense="max")
+    x0 = model.add_variable("x0")
+    x1 = model.add_variable("x1")
+    model.objective.update({x0: 2, x1: 4})
+    model.add_constraint({x0: 0.1, x1: 0.3}, "<=", 0.3, "budget")
+    result = solve_branch_and_bound(model)
+    assert (result.status, result.objective_value) == ("optimal", 4)
+    assert result.values == {"x0": 0, "x1": 1}
+
+
+NON_DYADIC_COSTS = (0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.9)
+
+
+def test_non_dyadic_budget_rows_match_exhaustive_enumeration():
+    # each budget bound is the sum of a random subset of its costs, taken
+    # in variable order, so some optimum sits exactly on it
+    rng = random.Random(17)
+    for t in range(2000):
+        n = rng.randint(1, 8)
+        model = IpModel(sense=("min", "max")[t % 2])
+        for i in range(n):
+            model.objective[model.add_variable(f"x{i}")] = rng.randint(-5, 5)
+        costs = {i: rng.choice(NON_DYADIC_COSTS) for i in range(n)}
+        chosen = sorted(rng.sample(range(n), rng.randint(0, n)))
+        model.add_constraint(costs, "<=", sum(costs[i] for i in chosen), "budget")
+        for j in range(rng.randint(0, 2) if n > 1 else 0):
+            a, b = rng.sample(range(n), 2)
+            model.add_constraint({a: 1.0, b: -1.0}, ">=", 0.0, f"cover{j}")
+        assert_matches_exhaustive(model)
 
 
 def test_ties_break_to_lexicographically_smallest():
@@ -267,13 +295,7 @@ def test_matches_exhaustive_on_larger_models():
     # spot checks at the 15-variable edge of the exhaustive-comparison claim
     rng = random.Random(31)
     for _ in range(2):
-        model = random_model(rng, n_vars=15)
-        got = solve_branch_and_bound(model)
-        expected = exhaustive_optimum(model)
-        if expected is None:
-            assert got.status == "infeasible"
-        else:
-            assert got.objective_value == expected
+        assert_matches_exhaustive(random_model(rng, n_vars=15))
 
 
 def test_emit_lp_sanitizes_names():
