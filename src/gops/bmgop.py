@@ -171,7 +171,7 @@ def bmgop_compute(inst: BmgopInstance, delta: float = 0.001,
         raise InstanceError("budget-range", "the greedy needs a positive budget")
 
     g = inst.grounding
-    n = len(g.pairs)
+    n = g.n_pairs
     m = len(g.ic_s0)
     k = inst.k
     budget = inst.budget
@@ -231,7 +231,7 @@ def bmgop_compute(inst: BmgopInstance, delta: float = 0.001,
         for i in pair_ics[best_j]:
             ic_w[i] *= step_ic
         trace.iterations.append(GreedyIteration(
-            index=len(order), chosen=g.pairs[best_j], ratio=best_ratio,
+            index=len(order), chosen=g.pair_at(best_j), ratio=best_ratio,
             gain=best_gain, w_prime=w_prime, w_dprime=w_dprime,
             ic_weights=tuple(ic_w), condition_value=condition()))
 

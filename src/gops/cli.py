@@ -149,17 +149,17 @@ def _cmd_bench(args) -> int:
         if not isinstance(inst, BmgopInstance):
             raise GopsError("method", f"{path.name} is not a benefit-maximizing instance")
         suite.append((path.name, inst))
+    violation = None
     try:
         report = bench_mod.run_bench(suite, delta=args.delta, limits=_limits(args))
     except BoundViolationError as err:
-        if args.output:
-            Path(args.output).write_text(json.dumps(err.report.to_json(), indent=2) + "\n")
-        print(err.report.to_text(), end="")
-        print(f"error[{err.code}]: {err.message}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        report, violation = err.report, err
     if args.output:
         Path(args.output).write_text(json.dumps(report.to_json(), indent=2) + "\n")
     _emit(args, report.to_json(), report.to_text())
+    if violation is not None:
+        print(f"error[{violation.code}]: {violation.message}", file=sys.stderr)
+        return EXIT_INFEASIBLE
     return EXIT_OK
 
 

@@ -23,7 +23,12 @@ benefit-maximizing instances subclass it and add only their objective.
 each guard is evaluated once into a point mask, a rule's effect at ``p``
 is the metric ball around ``p`` AND the target-guard mask (gated by bit
 ``p`` of the source-guard mask), and the result is shifted into the
-effect predicate's block of atom indices. The set-based functions
+effect predicate's block of atom indices. Atom and pair indices are
+arithmetic (block offset + ``y * (M + 1) + x``), so grounding keeps no
+per-atom or per-pair object tables: atoms and pairs are made only for the
+indices a caller asks about, and the full lists only on first use.
+``validate_instance_parts`` checks atom and pair sets in bulk, each
+distinct member once. The set-based functions
 (``satisfies``, ``action_effects``, ``appl``, ``cost_of``, ``benefit_of``,
 ``ground_ics_for_state``, ``check_ics``) are reference semantics only: no
 solver calls them, and the tests hold the tables and solvers equal to them.
@@ -32,6 +37,7 @@ solver calls them, and the tests hold the tables and solvers equal to them.
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import InstanceError, LimitReachedError
@@ -414,34 +420,89 @@ def format_number(x: float) -> str:
     return f"{x:.12g}"
 
 
+_FIRST = itemgetter(0)
+_SECOND = itemgetter(1)
+
+
+def _integral(v) -> Optional[int]:
+    """``v`` as an int when it equals one, else None. Equal numbers are one
+    dict key, so ``True``, ``1.0`` and ``numpy.int64(1)`` all name the
+    coordinate 1, as they would in a lookup keyed by ``Point(1, ...)``."""
+    try:
+        i = int(v)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return i if i == v else None
+
+
+def _point_index(grid: GridMap, point) -> Optional[int]:
+    """Row-major index of ``point`` on ``grid``, or None when it is not a
+    map point: off the map, or with a coordinate that equals no integer."""
+    x, y = point
+    if type(x) is not int or type(y) is not int:
+        x, y = _integral(x), _integral(y)
+        if x is None or y is None:
+            return None
+    if 0 <= x <= grid.width_bound and 0 <= y <= grid.height_bound:
+        return y * (grid.width_bound + 1) + x
+    return None
+
+
+def _on_map(points, grid: GridMap) -> bool:
+    """Whether every point is a map point (see ``_point_index``). Points
+    with plain int coordinates are checked from the extremes of each
+    coordinate."""
+    xs = list(map(_FIRST, points))
+    ys = list(map(_SECOND, points))
+    if not xs:
+        return True
+    if {*map(type, xs), *map(type, ys)} == {int}:
+        return (0 <= min(xs) and max(xs) <= grid.width_bound
+                and 0 <= min(ys) and max(ys) <= grid.height_bound)
+    return all(_point_index(grid, p) is not None for p in points)
+
+
+def _all_known(names: set, items, grid: GridMap) -> bool:
+    """Whether every (name, point) item, an atom or a pair, has a name in
+    ``names`` and a point on ``grid``."""
+    return names.issuperset(map(_FIRST, items)) and _on_map(list(map(_SECOND, items)), grid)
+
+
 def validate_instance_parts(grid: GridMap, predicates: Sequence[str], s0: State,
                             actions: Sequence[ActionRule], cost_model: CostModel,
                             ics: Sequence[IntegrityConstraint],
                             benefit_model: Optional[BenefitModel] = None) -> None:
-    """Cross-checks between the parts of an instance; raises InstanceError."""
+    """Cross-checks between the parts of an instance; raises InstanceError.
+
+    Atom and pair sets are checked in bulk, each distinct member once (an
+    action's effect sets as their union); only a set that fails is walked
+    member by member, to name the offender."""
     known = set()
     for name in predicates:
         if name in known:
             raise InstanceError("predicate-duplicate", f"duplicate predicate {name!r}")
         known.add(name)
 
-    def check_atom(a: GroundAtom, where: str):
-        if a.predicate not in known:
-            raise InstanceError("unknown-predicate", f"{where}: unknown predicate {a.predicate!r}")
-        if not grid.contains(a.point):
-            raise InstanceError("point-bounds", f"{where}: point {a.point} outside the map")
+    def check_atoms(atoms, where: str):
+        if _all_known(known, atoms, grid):
+            return
+        for a in atoms:
+            if a.predicate not in known:
+                raise InstanceError("unknown-predicate",
+                                    f"{where}: unknown predicate {a.predicate!r}")
+            if _point_index(grid, a.point) is None:
+                raise InstanceError("point-bounds", f"{where}: point {a.point} outside the map")
 
     def check_formula(f: Formula, where: str, require_ground: bool = False):
         for leaf in formula_atoms(f):
             if leaf.predicate not in known:
                 raise InstanceError("unknown-predicate", f"{where}: unknown predicate {leaf.predicate!r}")
-            if leaf.point is not None and not grid.contains(leaf.point):
+            if leaf.point is not None and _point_index(grid, leaf.point) is None:
                 raise InstanceError("point-bounds", f"{where}: point {leaf.point} outside the map")
             if require_ground and leaf.point is None:
                 raise InstanceError("ic-not-ground", f"{where}: template atom in a ground context")
 
-    for a in s0:
-        check_atom(a, "initial state")
+    check_atoms(s0, "initial state")
 
     action_names = set()
     for rule in actions:
@@ -449,11 +510,13 @@ def validate_instance_parts(grid: GridMap, predicates: Sequence[str], s0: State,
             raise InstanceError("action-duplicate", f"duplicate action {rule.name!r}")
         action_names.add(rule.name)
         if rule.explicit_effects is not None:
-            for p, effect in rule.explicit_effects.items():
-                if not grid.contains(p):
-                    raise InstanceError("point-bounds", f"action {rule.name!r}: point {p} outside the map")
-                for a in effect:
-                    check_atom(a, f"action {rule.name!r} effects")
+            table = rule.explicit_effects
+            if not _on_map(table.keys(), grid):
+                for p in table:
+                    if _point_index(grid, p) is None:
+                        raise InstanceError("point-bounds",
+                                            f"action {rule.name!r}: point {p} outside the map")
+            check_atoms(frozenset().union(*table.values()), f"action {rule.name!r} effects")
         else:
             if rule.effect_predicate not in known:
                 raise InstanceError("unknown-predicate",
@@ -461,14 +524,16 @@ def validate_instance_parts(grid: GridMap, predicates: Sequence[str], s0: State,
             check_formula(rule.source_guard, f"action {rule.name!r} source guard")
             check_formula(rule.target_guard, f"action {rule.name!r} target guard")
 
-    def check_pair(pair: ActionPointPair, where: str):
-        if pair.action not in action_names:
-            raise InstanceError("unknown-action", f"{where}: unknown action {pair.action!r}")
-        if not grid.contains(pair.point):
-            raise InstanceError("point-bounds", f"{where}: point {pair.point} outside the map")
+    def check_pairs(pairs, where: str):
+        if _all_known(action_names, pairs, grid):
+            return
+        for pair in pairs:
+            if pair.action not in action_names:
+                raise InstanceError("unknown-action", f"{where}: unknown action {pair.action!r}")
+            if _point_index(grid, pair.point) is None:
+                raise InstanceError("point-bounds", f"{where}: point {pair.point} outside the map")
 
-    for pair in cost_model.overrides:
-        check_pair(pair, "cost override")
+    check_pairs(cost_model.overrides, "cost override")
     for condition, _ in cost_model.state_rules:
         check_formula(condition, "cost rule")
 
@@ -476,17 +541,15 @@ def validate_instance_parts(grid: GridMap, predicates: Sequence[str], s0: State,
         for name in benefit_model.per_predicate:
             if name not in known:
                 raise InstanceError("unknown-predicate", f"benefit table: unknown predicate {name!r}")
-        for a in benefit_model.per_atom_overrides:
-            check_atom(a, "benefit override")
+        check_atoms(benefit_model.per_atom_overrides, "benefit override")
 
     for i, ic in enumerate(ics):
-        for pair in ic.pairs:
-            check_pair(pair, f"integrity constraint {i}")
+        check_pairs(ic.pairs, f"integrity constraint {i}")
         check_formula(ic.condition, f"integrity constraint {i}", require_ground=True)
 
 
-def _point_mask(formula: Formula, s0_mask: int, offsets: Mapping[str, int],
-                atom_index: Mapping[GroundAtom, int], full: int) -> int:
+def _point_mask(formula: Formula, s0_mask: int, offsets: Mapping[str, int], grid: GridMap,
+                full: int) -> int:
     """The points at which ``formula`` holds in the state ``s0_mask``, as a
     mask with one bit per point: the bitmask form of ``satisfies``.
 
@@ -497,29 +560,31 @@ def _point_mask(formula: Formula, s0_mask: int, offsets: Mapping[str, int],
     if isinstance(formula, TrueFormula):
         return full
     if isinstance(formula, AtomFormula):
+        offset = offsets.get(formula.predicate)
+        if offset is None:
+            return 0
         if formula.point is None:
-            offset = offsets.get(formula.predicate)
-            return 0 if offset is None else s0_mask >> offset & full
-        i = atom_index.get(GroundAtom(formula.predicate, formula.point))
-        return full if i is not None and s0_mask >> i & 1 else 0
+            return s0_mask >> offset & full
+        i = _point_index(grid, formula.point)
+        return full if i is not None and s0_mask >> offset + i & 1 else 0
     if isinstance(formula, NotFormula):
-        return full & ~_point_mask(formula.child, s0_mask, offsets, atom_index, full)
+        return full & ~_point_mask(formula.child, s0_mask, offsets, grid, full)
     if isinstance(formula, AndFormula):
         mask = full
         for c in formula.children:
-            mask &= _point_mask(c, s0_mask, offsets, atom_index, full)
+            mask &= _point_mask(c, s0_mask, offsets, grid, full)
         return mask
     if isinstance(formula, OrFormula):
         mask = 0
         for c in formula.children:
-            mask |= _point_mask(c, s0_mask, offsets, atom_index, full)
+            mask |= _point_mask(c, s0_mask, offsets, grid, full)
         return mask
     raise TypeError(f"not a formula node: {formula!r}")
 
 
 def _ball(grid: GridMap, metric: str, bound: float):
-    """Function from a point ``p`` to the point mask of the map points
-    within ``bound`` of ``p``.
+    """Function from a point index ``i`` to the point mask of the map
+    points within ``bound`` of point ``i``.
 
     The ball is one contiguous run of columns per row. The run's
     half-width at each row offset ``|dy|`` comes from ``within_distance``
@@ -549,17 +614,21 @@ def _ball(grid: GridMap, metric: str, bound: float):
             for h in set(half_widths)}
     rows = [(dy, runs[h]) for dy, h in enumerate(half_widths)]
 
-    def ball(p: Point) -> int:
+    def ball(i: int) -> int:
+        y, x = divmod(i, width)
         mask = 0
         for dy, run in rows:
-            segment = run[p.x]
-            if p.y >= dy:
-                mask |= segment << ((p.y - dy) * width)
-            if dy and p.y + dy <= last_row:
-                mask |= segment << ((p.y + dy) * width)
+            segment = run[x]
+            if y >= dy:
+                mask |= segment << ((y - dy) * width)
+            if dy and y + dy <= last_row:
+                mask |= segment << ((y + dy) * width)
         return mask
 
     return ball
+
+
+_OF_THIS_INSTANCE = {"unknown-atom": "a ground atom", "unknown-pair": "an action-point pair"}
 
 
 class Grounding:
@@ -568,6 +637,15 @@ class Grounding:
 
     Atom sets are integer bitmasks over canonical atom indices, which gives
     O(1) membership and fast union/difference in the solvers' inner loops.
+
+    Indices are arithmetic, not looked up: predicate ``k``'s atom at point
+    ``(x, y)`` has index ``k * n_points + y * (M + 1) + x``, and action
+    ``k``'s pair at ``(x, y)`` the same in the pair order. So grounding
+    builds no per-atom or per-pair objects: ``atom_at``/``pair_at`` and
+    ``mask_atoms`` make objects only for the indices they are asked for,
+    ``atoms_to_mask`` and ``pairs_to_indices`` check each input against the
+    map, and the full ``atoms``/``pairs`` lists are built on first use, for
+    the callers that need every one of them.
 
     Effects and costs are derived with mask algebra, never per pair:
 
@@ -592,41 +670,44 @@ class Grounding:
         self.grid = grid
         self.predicates = tuple(predicates)
         self.actions = tuple(actions)
-        self.points = points = grid.points()
-        n_points = len(points)
+        self.n_points = n_points = grid.n_points
+        self.n_atoms = n_points * len(self.predicates)
+        self.n_pairs = n_points * len(self.actions)
+        # where each predicate's atoms and each action's pairs start
+        self.atom_offsets = offsets = {pred: k * n_points
+                                       for k, pred in enumerate(self.predicates)}
+        self.pair_offsets = {rule.name: k * n_points for k, rule in enumerate(self.actions)}
+        self._atoms = self._pairs = None  # built on first use
 
-        self.atoms = [GroundAtom(pred, p) for pred in self.predicates for p in points]
-        self.atom_index = {a: i for i, a in enumerate(self.atoms)}
-        self.n_atoms = len(self.atoms)
-
-        self.pairs = [ActionPointPair(rule.name, p) for rule in self.actions for p in points]
-        self.pair_index = {p: i for i, p in enumerate(self.pairs)}
-
-        self.s0_mask = self.atoms_to_mask(s0)
-
-        offsets = {pred: k * n_points for k, pred in enumerate(self.predicates)}
+        self.s0 = frozenset(s0)
+        self.s0_mask = self.atoms_to_mask(self.s0)
         full = (1 << n_points) - 1
 
         def where(formula: Formula) -> int:
-            return _point_mask(formula, self.s0_mask, offsets, self.atom_index, full)
+            return _point_mask(formula, self.s0_mask, offsets, grid, full)
 
         self.effects = []
         for rule in self.actions:
+            row = [0] * n_points
             if rule.explicit_effects is not None:
-                table = rule.explicit_effects
-                self.effects += [self.atoms_to_mask(table.get(p, ())) for p in points]
+                for point, effect in rule.explicit_effects.items():
+                    i = _point_index(grid, point)
+                    if i is None:
+                        raise InstanceError("point-bounds", f"action {rule.name!r}: point "
+                                                            f"{point} outside the map")
+                    row[i] = self.atoms_to_mask(effect)
+                self.effects += row
                 continue
             source = where(rule.source_guard)
             target = where(rule.target_guard)
             shift = offsets[rule.effect_predicate]
-            row = [0] * n_points
             if rule.max_distance is None:
                 for i in iter_bits(source):
                     row[i] = target << shift
             else:
                 ball = _ball(grid, rule.metric, rule.max_distance)
                 for i in iter_bits(source):
-                    row[i] = (ball(points[i]) & target) << shift
+                    row[i] = (ball(i) & target) << shift
             self.effects += row
 
         point_costs = [cost_model.default_cost] * n_points
@@ -637,10 +718,10 @@ class Grounding:
                 point_costs[i] = value
             unresolved &= ~hit
         self.costs = point_costs * len(self.actions)
-        for pair, value in cost_model.overrides.items():
-            i = self.pair_index.get(pair)
-            if i is not None:
-                self.costs[i] = value
+        overrides = cost_model.overrides
+        for i, value in zip(self._indices(self.pair_offsets, overrides, "unknown-pair"),
+                            overrides.values()):
+            self.costs[i] = value
 
         if benefit_model is None:
             self.benefits = None
@@ -648,10 +729,10 @@ class Grounding:
             per_predicate = benefit_model.per_predicate
             self.benefits = [value for pred in self.predicates
                              for value in [per_predicate.get(pred, 0.0)] * n_points]
-            for a, value in benefit_model.per_atom_overrides.items():
-                i = self.atom_index.get(a)
-                if i is not None:
-                    self.benefits[i] = value
+            overrides = benefit_model.per_atom_overrides
+            for i, value in zip(self._indices(offsets, overrides, "unknown-atom"),
+                                overrides.values()):
+                self.benefits[i] = value
 
         # Constraints active in the initial state, as (position in ics, pair
         # index set); plus the inverse map from pair index to positions.
@@ -659,33 +740,81 @@ class Grounding:
         self.ic_s0 = []
         for pos, ic in enumerate(ics):
             if where(ic.condition):
-                members = frozenset(self.pair_index[p] for p in ic.pairs)
-                self.ic_s0.append((pos, members))
-        self.pair_ics = [()] * len(self.pairs)
+                self.ic_s0.append((pos, frozenset(self.pairs_to_indices(ic.pairs))))
+        self.pair_ics = [()] * self.n_pairs
         for j, (_, members) in enumerate(self.ic_s0):
             for i in members:
                 self.pair_ics[i] += (j,)
 
+    def _indices(self, offsets: Mapping[str, int], items: Iterable, code: str):
+        """Canonical index of each (name, point) item among the blocks that
+        ``offsets`` starts: ``offsets[name] + y * (M + 1) + x``. An item
+        whose name or point is not of this instance raises InstanceError
+        ``code``; the bounds test keeps ``x = M + 1`` from aliasing to the
+        next row. Coordinates that equal an int count as that int (see
+        ``_point_index``), as they would in a lookup keyed by atoms."""
+        grid = self.grid
+        last_x, last_y = grid.width_bound, grid.height_bound
+        width = last_x + 1
+        for item in items:
+            try:
+                name, point = item
+                offset = offsets.get(name)
+                x, y = point
+            except (TypeError, ValueError):
+                offset = None
+            if offset is not None:
+                if type(x) is int and type(y) is int and 0 <= x <= last_x and 0 <= y <= last_y:
+                    yield offset + y * width + x
+                    continue
+                i = _point_index(grid, point)
+                if i is not None:
+                    yield offset + i
+                    continue
+            raise InstanceError(code, f"not {_OF_THIS_INSTANCE[code]} of this instance: {item}")
+
     def atoms_to_mask(self, atoms: Iterable[GroundAtom]) -> int:
         mask = 0
-        index = self.atom_index
-        for a in atoms:
-            mask |= 1 << index[a]
+        for i in self._indices(self.atom_offsets, atoms, "unknown-atom"):
+            mask |= 1 << i
         return mask
 
-    def mask_atoms(self, mask: int) -> tuple:
-        atoms = self.atoms
-        return tuple(atoms[i] for i in iter_bits(mask))
-
     def pairs_to_indices(self, pairs: Iterable[ActionPointPair]) -> list:
-        index = self.pair_index
-        out = []
-        for p in pairs:
-            if p not in index:
-                raise InstanceError("unknown-pair", f"not an action-point pair of this instance: {p}")
-            out.append(index[p])
-        out.sort()
-        return out
+        return sorted(self._indices(self.pair_offsets, pairs, "unknown-pair"))
+
+    def _block_point(self, i: int) -> tuple:
+        """(block, point) of canonical atom or pair index ``i``: which
+        predicate's or action's block it is in, and where."""
+        k, rest = divmod(i, self.n_points)
+        y, x = divmod(rest, self.grid.width_bound + 1)
+        return k, Point(x, y)
+
+    def atom_at(self, i: int) -> GroundAtom:
+        """The ground atom of canonical index ``i``."""
+        k, point = self._block_point(i)
+        return GroundAtom(self.predicates[k], point)
+
+    def pair_at(self, i: int) -> ActionPointPair:
+        """The action-point pair of canonical index ``i``."""
+        k, point = self._block_point(i)
+        return ActionPointPair(self.actions[k].name, point)
+
+    def mask_atoms(self, mask: int) -> tuple:
+        return tuple(map(self.atom_at, iter_bits(mask)))
+
+    @property
+    def atoms(self) -> list:
+        """Every ground atom in canonical order, built on first use."""
+        if self._atoms is None:
+            self._atoms = enumerate_ground_atoms(self.grid, self.predicates)
+        return self._atoms
+
+    @property
+    def pairs(self) -> list:
+        """Every action-point pair in canonical order, built on first use."""
+        if self._pairs is None:
+            self._pairs = enumerate_pairs(self.grid, self.actions)
+        return self._pairs
 
     def union_effects(self, indices: Iterable[int]) -> int:
         mask = 0
@@ -774,13 +903,15 @@ class Grounding:
 
     def _selection(self, indices):
         """(final-state mask, the solution fields both problem flavors
-        share) for the selected pair indices."""
+        share) for the selected pair indices. The final state is the
+        initial one plus atoms made only for the bits the pairs add."""
         indices = sorted(indices)
         final_mask = self.s0_mask | self.union_effects(indices)
-        return final_mask, dict(pairs=frozenset(self.pairs[i] for i in indices),
+        return final_mask, dict(pairs=frozenset(map(self.pair_at, indices)),
                                 total_cost=self.cost_sum(indices),
                                 cardinality=len(indices),
-                                final_state=frozenset(self.mask_atoms(final_mask)))
+                                final_state=self.s0.union(
+                                    self.mask_atoms(final_mask & ~self.s0_mask)))
 
 
 @dataclass(eq=False)

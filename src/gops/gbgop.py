@@ -101,7 +101,7 @@ def _violations(inst: GbgopInstance, indices) -> list:
                              f"total cost {total} exceeds budget {inst.budget}"))
 
     for pos, overlap in g.conflicts(indices):
-        pairs = tuple(g.pairs[i] for i in overlap)
+        pairs = tuple(map(g.pair_at, overlap))
         out.append(Violation("ic-violated",
                              f"integrity constraint {pos} admits at most one of: "
                              + ", ".join(map(str, pairs)),
@@ -125,8 +125,7 @@ def _violations(inst: GbgopInstance, indices) -> list:
 
 def restricted_pairs(inst: GbgopInstance) -> list:
     """Pairs whose effects avoid every forbidden atom, canonical order."""
-    pairs = inst.grounding.pairs
-    return [pairs[i] for i in _admissible(inst)]
+    return list(map(inst.grounding.pair_at, _admissible(inst)))
 
 
 @dataclass(frozen=True)
@@ -157,9 +156,9 @@ def reduce_to_r_star(inst: GbgopInstance):
     member; a pair never dominates itself. Returns the kept pairs in
     canonical order plus (|R|, |R*|) stats. Quadratic scan.
     """
-    pairs = inst.grounding.pairs
     r_indices, kept = _r_star(inst)
-    return [pairs[i] for i in kept], ReductionStats(r_size=len(r_indices), r_star_size=len(kept))
+    return (list(map(inst.grounding.pair_at, kept)),
+            ReductionStats(r_size=len(r_indices), r_star_size=len(kept)))
 
 
 def _r_star(inst: GbgopInstance):
@@ -201,20 +200,18 @@ def build_gbgop_ip(inst: GbgopInstance, use_reduction: bool = False) -> IpModel:
     the caller gets the atoms instead of an opaque failure.
     """
     g = inst.grounding
-    pairs = g.pairs
-    atoms = g.atoms
     indices = _r_star(inst)[1] if use_reduction else _admissible(inst)
 
     model = IpModel(sense="min")
-    var_of = {i: model.add_pair_variable(pairs[i], tag=i) for i in indices}
+    var_of = {i: model.add_pair_variable(g.pair_at(i), tag=i) for i in indices}
     model.objective = dict.fromkeys(var_of.values(), 1.0)
 
     uncoverable = []
     for atom_idx, producers in g.producers(indices, _needed(inst)).items():
+        a = g.atom_at(atom_idx)
         if not producers:
-            uncoverable.append(atoms[atom_idx])
+            uncoverable.append(a)
             continue
-        a = atoms[atom_idx]
         # variables were added in ascending pair order, so these ascend too
         model.add_constraint([(var_of[i], 1.0) for i in producers], ">=", 1.0,
                              f"cover_{a.predicate}_{a.point.x}_{a.point.y}")
@@ -286,7 +283,7 @@ def count_gbgop_solutions(inst: GbgopInstance, cap: Optional[int] = None) -> int
     count (LimitReachedError) once exceeded.
     """
     g = inst.grounding
-    n = len(g.pairs)
+    n = g.n_pairs
     if n > 20:
         raise InstanceError(
             "count-guard",

@@ -196,7 +196,7 @@ def gen_random(*, seed: int, width: int = 1, height: int = 1, predicates: int = 
     # Bias goal atoms toward producible ones so a good share of instances
     # are feasible; leave some arbitrary picks to exercise infeasibility.
     g = Grounding(grid, pred_names, s0, rules, cost_model, ic_tuple)
-    producible = g.mask_atoms(g.union_effects(range(len(g.pairs))))
+    producible = g.mask_atoms(g.union_effects(range(g.n_pairs)))
     all_atoms = [GroundAtom(pred, p) for pred in pred_names for p in points]
     theta_in = set()
     for _ in range(rng.randint(1, 3)):

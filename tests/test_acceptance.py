@@ -51,7 +51,7 @@ def test_criterion_1_lambda_and_weight_trace():
     ic_pairs = scenario.bmgop.ics[0].pairs
     assert first.chosen in ic_pairs
     g = scenario.bmgop.grounding
-    assert g.costs[g.pair_index[first.chosen]] == 0.5
+    assert g.costs[g.pairs_to_indices([first.chosen])[0]] == 0.5
     assert abs(first.w_prime / 0.93 - 1) <= 0.02
     assert abs(first.w_dprime / 1.09 - 1) <= 0.02
     assert abs(first.ic_weights[0] / 2.35 - 1) <= 0.02

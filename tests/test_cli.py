@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+import gops.bench
+from gops import CoverProblem, encode_max_k_cover, serialize_instance
 from gops.cli import main
 
 from helpers import DUPLICATES
@@ -282,6 +284,26 @@ def test_bench_cli(tmp_path):
     payload = json.loads(report.read_text())
     assert len(payload["records"]) == 2
     assert all(r["within_bound"] for r in payload["records"])
+
+
+def test_bench_cli_json_report_on_a_bound_violation(tmp_path, monkeypatch, capsys):
+    # A guarantee above every possible ratio makes each record a violation:
+    # --json still prints the report as JSON, the error goes to stderr, and
+    # the exit code stays 1.
+    bench_dir = tmp_path / "suite"
+    bench_dir.mkdir()
+    inst = encode_max_k_cover(CoverProblem(universe=(1, 2, 3, 4),
+                                           families=(frozenset({1, 2}), frozenset({3, 4})), k=2))
+    (bench_dir / "inst0.json").write_text(serialize_instance(inst))
+    monkeypatch.setattr(gops.bench, "approx_bound", lambda inst, delta: 2.0)
+    report = tmp_path / "report.json"
+    assert main(["bench", str(bench_dir), "--json", "-o", str(report)]) == 1
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert payload == json.loads(report.read_text())
+    assert [(r["instance_id"], r["within_bound"]) for r in payload["records"]] == [
+        ("inst0.json", False)]
+    assert err.startswith("error[bound-violation]: ")
 
 
 def test_limit_reached_exit_3(campaign_files):

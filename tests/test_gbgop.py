@@ -215,8 +215,9 @@ def test_exact_solver_matches_ip_on_random_instances():
             assert validate_gbgop(inst, exact.pairs) == []
             assert validate_gbgop(inst, via_ip.pairs) == []
             # stored fields reproduce from the pairs
+            g = inst.grounding
             assert exact.total_cost == sum(
-                inst.grounding.costs[inst.grounding.pair_index[p]] for p in sorted(exact.pairs))
+                g.costs[g.pairs_to_indices([p])[0]] for p in sorted(exact.pairs))
 
 
 def test_monsat_minimal_solution():

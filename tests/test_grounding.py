@@ -2,14 +2,16 @@
 set-based reference builder, plus radius edge cases."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from gops import (ActionPointPair, ActionRule, BenefitModel, CostModel,
+from gops import (ActionPointPair, ActionRule, BenefitModel, BmgopInstance, CostModel,
                   GridMap, GroundAtom, Grounding, IntegrityConstraint, Point,
-                  TRUE, atom, check_ics, gen_campaign, gen_random, land, lnot,
-                  lor)
+                  TRUE, atom, check_ics, enumerate_ground_atoms, enumerate_pairs,
+                  gen_campaign, gen_random, land, lnot, lor)
 from gops.core import METRICS
+from gops.errors import InstanceError
 
 from helpers import random_formula, reference_grounding, reference_grounding_of
 
@@ -117,7 +119,7 @@ def test_radius_zero_yields_the_placement_point_where_the_target_holds(metric):
     rule = ActionRule(name="spot", effect_predicate="hit", target_guard=atom("ok"),
                       max_distance=0.0, metric=metric)
     g = Grounding(grid, ("ok", "hit"), s0, (rule,), CostModel(), ())
-    for i, p in enumerate(g.points):
+    for i, p in enumerate(grid.points()):
         expected = {GroundAtom("hit", p)} if GroundAtom("ok", p) in s0 else set()
         assert set(g.mask_atoms(g.effects[i])) == expected
 
@@ -126,7 +128,7 @@ def assert_conflicts_match_check_ics(inst, rng, rounds):
     """``Grounding.conflicts`` against the set-based ``check_ics`` on random
     selections, biased toward constraint members so that overlaps occur."""
     g = inst.grounding
-    members = sorted({g.pair_index[p] for ic in inst.ics for p in ic.pairs})
+    members = sorted(set(g.pairs_to_indices(p for ic in inst.ics for p in ic.pairs)))
     for _ in range(rounds):
         picked = set(rng.sample(range(len(g.pairs)), min(rng.randint(0, 4), len(g.pairs))))
         picked |= {i for i in members if rng.random() < 0.5}
@@ -136,7 +138,7 @@ def assert_conflicts_match_check_ics(inst, rng, rounds):
         assert ok == (not got)
         assert [inst.ics[pos] for pos, _ in got] == violated
         assert [overlap for _, overlap in got] == [
-            sorted(g.pair_index[p] for p in ic.pairs & chosen) for ic in violated]
+            g.pairs_to_indices(ic.pairs & chosen) for ic in violated]
 
 
 @pytest.mark.parametrize("flavor", ["gbgop", "bmgop"])
@@ -151,3 +153,109 @@ def test_random_corpus_conflicts_match_check_ics():
             inst = gen_random(seed=seed, width=seed % 4, height=seed % 3, actions=3,
                               ics=4, problem=flavor)
             assert_conflicts_match_check_ics(inst, rng, 20)
+
+
+def _corpus():
+    """The campaign and the random corpus of the reference tests above."""
+    scenario = gen_campaign()
+    yield scenario.gbgop
+    yield scenario.bmgop
+    for radius in (0, 1.5, None):
+        for size in range(0, 13, 3):
+            for width, height, flavor in ((size, size, "gbgop"), (size, 12 - size, "bmgop")):
+                yield gen_random(seed=31 * size + width, width=width, height=height,
+                                 predicates=3, actions=3, radius=radius, ics=2, problem=flavor)
+
+
+def test_index_arithmetic_round_trips_on_the_corpus():
+    rng = random.Random(5)
+    for inst in _corpus():
+        g = inst.grounding
+        grid = inst.grid
+        atoms = enumerate_ground_atoms(grid, inst.predicates)
+        pairs = enumerate_pairs(grid, inst.actions)
+        assert [g.atom_at(i) for i in range(g.n_atoms)] == atoms == g.atoms
+        assert [g.pair_at(i) for i in range(g.n_pairs)] == pairs == g.pairs
+        canonical = {a: i for i, a in enumerate(atoms)}
+        samples = [inst.s0, atoms, []] + [rng.sample(atoms, rng.randint(1, len(atoms)))
+                                          for _ in range(5)]
+        for x in samples:
+            assert g.mask_atoms(g.atoms_to_mask(x)) == tuple(sorted(set(x), key=canonical.get))
+        chosen = rng.sample(pairs, min(len(pairs), 6))
+        assert g.pairs_to_indices(chosen) == sorted(pairs.index(p) for p in chosen)
+
+
+@pytest.mark.parametrize("point", [(6, 0), (0, 4), (-1, 0), (0, -1), (6, 3), (7, 4)])
+def test_points_off_the_map_are_unknown_not_aliased(point):
+    # On a 6 x 4 lattice, (6, 0) would alias to (0, 1) by plain arithmetic.
+    grid = GridMap(5, 3)
+    rule = ActionRule(name="put", effect_predicate="hit")
+    g = Grounding(grid, ("ok", "hit"), frozenset(), (rule,), CostModel(), ())
+    with pytest.raises(InstanceError) as err:
+        g.pairs_to_indices([ActionPointPair("put", Point(*point))])
+    assert err.value.code == "unknown-pair"
+    with pytest.raises(InstanceError) as err:
+        g.atoms_to_mask([GroundAtom("ok", Point(*point))])
+    assert err.value.code == "unknown-atom"
+
+
+def test_unknown_names_and_shapes_are_instance_errors():
+    grid = GridMap(2, 2)
+    rule = ActionRule(name="put", effect_predicate="hit")
+    g = Grounding(grid, ("ok", "hit"), frozenset(), (rule,), CostModel(), ())
+    for pair in (ActionPointPair("take", Point(0, 0)), ActionPointPair("put", Point(0.5, 0)),
+                 "put@(0,0)", ("put",)):
+        with pytest.raises(InstanceError) as err:
+            g.pairs_to_indices([ActionPointPair("put", Point(1, 1)), pair])
+        assert err.value.code == "unknown-pair"
+    for a in (GroundAtom("miss", Point(0, 0)), GroundAtom("hit", Point(1, 0.5)),
+              GroundAtom("hit", Point("1", 0)), None):
+        with pytest.raises(InstanceError) as err:
+            g.atoms_to_mask([GroundAtom("hit", Point(1, 1)), a])
+        assert err.value.code == "unknown-atom"
+
+
+PARTS = ("s0", "explicit", "cost", "benefit", "ic", "guard")
+
+
+def _instance_with_x(part, x):
+    """A small benefit-maximizing instance where ``part`` puts its point at
+    (x, 0) and every other part uses (1, 0)."""
+    def at(p):
+        return Point(x if p == part else 1, 0)
+    return BmgopInstance(
+        grid=GridMap(2, 2), predicates=("ok", "hit"),
+        s0=frozenset({GroundAtom("ok", at("s0"))}),
+        actions=(ActionRule(name="put", explicit_effects={
+                     at("explicit"): frozenset({GroundAtom("hit", Point(0, 1))})}),
+                 ActionRule(name="near", effect_predicate="hit",
+                            source_guard=atom("ok", at("guard")), max_distance=1.0)),
+        cost_model=CostModel(overrides={ActionPointPair("put", at("cost")): 0.25}),
+        benefit_model=BenefitModel(per_predicate={"hit": 1.0},
+                                   per_atom_overrides={GroundAtom("hit", at("benefit")): 3.0}),
+        ics=(IntegrityConstraint(pairs=frozenset({ActionPointPair("put", at("ic")),
+                                                  ActionPointPair("near", Point(0, 0))}),
+                                 condition=atom("ok", Point(1, 0))),),
+        k=2, budget=1.0)
+
+
+@pytest.mark.parametrize("part", PARTS)
+@pytest.mark.parametrize("x", [True, 1.0, Fraction(1)], ids=repr)
+def test_coordinates_equal_to_an_int_ground_as_that_int(part, x):
+    # Equal numbers are one dict key, so a lookup keyed by Point(1, 0)
+    # finds Point(True, 0) or Point(1.0, 0); the index arithmetic agrees.
+    want = _instance_with_x(part, 1).grounding
+    got = _instance_with_x(part, x).grounding
+    for table in ("s0_mask", "effects", "costs", "benefits", "ic_s0", "pair_ics"):
+        assert getattr(got, table) == getattr(want, table), table
+    assert got.atoms_to_mask([GroundAtom("ok", Point(x, 0))]) == want.atoms_to_mask(
+        [GroundAtom("ok", Point(1, 0))])
+    assert got.pairs_to_indices([ActionPointPair("near", Point(0, x))]) == \
+        want.pairs_to_indices([ActionPointPair("near", Point(0, 1))]) == [want.n_points + 3]
+
+
+@pytest.mark.parametrize("part", PARTS)
+def test_coordinates_equal_to_no_int_fail_at_construction(part):
+    with pytest.raises(InstanceError) as err:
+        _instance_with_x(part, 0.5)
+    assert err.value.code == "point-bounds"
