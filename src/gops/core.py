@@ -28,10 +28,13 @@ arithmetic (block offset + ``y * (M + 1) + x``), so grounding keeps no
 per-atom or per-pair object tables: atoms and pairs are made only for the
 indices a caller asks about, and the full lists only on first use.
 ``validate_instance_parts`` checks atom and pair sets in bulk, each
-distinct member once. The set-based functions
-(``satisfies``, ``action_effects``, ``appl``, ``cost_of``, ``benefit_of``,
-``ground_ics_for_state``, ``check_ics``) are reference semantics only: no
-solver calls them, and the tests hold the tables and solvers equal to them.
+distinct member once. An explicit effect table parsed for the instance's
+own map and predicates (``EffectTable``) holds atom indices already:
+validation skips it and grounding sets its rows' bits directly. The
+set-based functions (``satisfies``, ``action_effects``, ``appl``,
+``cost_of``, ``benefit_of``, ``ground_ics_for_state``, ``check_ics``) are
+reference semantics only: no solver calls them, and the tests hold the
+tables and solvers equal to them.
 """
 
 import math
@@ -468,6 +471,87 @@ def _all_known(names: set, items, grid: GridMap) -> bool:
     return names.issuperset(map(_FIRST, items)) and _on_map(list(map(_SECOND, items)), grid)
 
 
+def _block_point(grid: GridMap, i: int) -> tuple:
+    """(block, point) of canonical atom or pair index ``i`` on ``grid``:
+    which predicate's or action's block it is in, and where."""
+    k, rest = divmod(i, grid.n_points)
+    y, x = divmod(rest, grid.width_bound + 1)
+    return k, Point(x, y)
+
+
+class EffectTable(Mapping):
+    """A read-only explicit effect table, point -> frozenset of GroundAtom,
+    stored as atom indices.
+
+    ``rows`` maps a point's row-major index on ``grid`` to the indices of
+    its effect atoms, numbered as ``Grounding`` numbers the atoms of
+    ``grid`` and ``predicates``: ``k * n_points + y * (M + 1) + x`` for
+    predicate ``k``. The store grows with the entries, not with the map,
+    and a point's atom set is built each time it is read. The table equals,
+    as a Mapping, the dict of frozensets it stands for. An instance on the
+    same grid and predicates validates and grounds it from the indices
+    alone (``_own_rows``); any other reads it through this interface."""
+
+    __slots__ = ("grid", "predicates", "rows")
+
+    def __init__(self, grid: GridMap, predicates: Sequence[str],
+                 rows: Mapping[int, Sequence[int]]):
+        self.grid = grid
+        self.predicates = tuple(predicates)
+        self.rows = dict(rows)
+        points = self.rows.keys()
+        atoms = [row for row in self.rows.values() if row]
+        n_atoms = grid.n_points * len(self.predicates)
+        if points and not (0 <= min(points) and max(points) < grid.n_points) \
+                or atoms and not (0 <= min(map(min, atoms)) and max(map(max, atoms)) < n_atoms):
+            raise InstanceError("point-bounds", "effect table entry outside the map or its atoms")
+
+    def __getitem__(self, point) -> frozenset:
+        try:
+            indices = self.rows[_point_index(self.grid, point)]
+        except (KeyError, TypeError, ValueError):
+            raise KeyError(point) from None
+        predicates = self.predicates
+        atoms = []
+        for i in indices:
+            k, p = _block_point(self.grid, i)
+            atoms.append(GroundAtom(predicates[k], p))
+        return frozenset(atoms)
+
+    def __iter__(self):
+        for i in self.rows:
+            yield _block_point(self.grid, i)[1]
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __repr__(self) -> str:
+        return f"EffectTable({dict(self)!r})"
+
+
+def _own_rows(table: Mapping, grid: GridMap, predicates: Sequence[str]) -> Optional[dict]:
+    """The rows of ``table`` when it is an EffectTable built for ``grid``
+    and ``predicates`` (its indices then are this instance's atom indices,
+    and its points and atoms this instance's own), else None."""
+    if type(table) is EffectTable and table.grid == grid and table.predicates == tuple(predicates):
+        return table.rows
+    return None
+
+
+def check_atoms(atoms, known: set, grid: GridMap, where: str) -> None:
+    """Raise InstanceError unless every atom names a predicate in ``known``
+    and a point on ``grid``. The set is checked in bulk; only one that
+    fails is walked atom by atom, to name the offender."""
+    if _all_known(known, atoms, grid):
+        return
+    for a in atoms:
+        if a.predicate not in known:
+            raise InstanceError("unknown-predicate",
+                                f"{where}: unknown predicate {a.predicate!r}")
+        if _point_index(grid, a.point) is None:
+            raise InstanceError("point-bounds", f"{where}: point {a.point} outside the map")
+
+
 def validate_instance_parts(grid: GridMap, predicates: Sequence[str], s0: State,
                             actions: Sequence[ActionRule], cost_model: CostModel,
                             ics: Sequence[IntegrityConstraint],
@@ -483,16 +567,6 @@ def validate_instance_parts(grid: GridMap, predicates: Sequence[str], s0: State,
             raise InstanceError("predicate-duplicate", f"duplicate predicate {name!r}")
         known.add(name)
 
-    def check_atoms(atoms, where: str):
-        if _all_known(known, atoms, grid):
-            return
-        for a in atoms:
-            if a.predicate not in known:
-                raise InstanceError("unknown-predicate",
-                                    f"{where}: unknown predicate {a.predicate!r}")
-            if _point_index(grid, a.point) is None:
-                raise InstanceError("point-bounds", f"{where}: point {a.point} outside the map")
-
     def check_formula(f: Formula, where: str, require_ground: bool = False):
         for leaf in formula_atoms(f):
             if leaf.predicate not in known:
@@ -502,7 +576,7 @@ def validate_instance_parts(grid: GridMap, predicates: Sequence[str], s0: State,
             if require_ground and leaf.point is None:
                 raise InstanceError("ic-not-ground", f"{where}: template atom in a ground context")
 
-    check_atoms(s0, "initial state")
+    check_atoms(s0, known, grid, "initial state")
 
     action_names = set()
     for rule in actions:
@@ -511,12 +585,15 @@ def validate_instance_parts(grid: GridMap, predicates: Sequence[str], s0: State,
         action_names.add(rule.name)
         if rule.explicit_effects is not None:
             table = rule.explicit_effects
+            if _own_rows(table, grid, predicates) is not None:
+                continue  # built from this instance's own map points and predicates
             if not _on_map(table.keys(), grid):
                 for p in table:
                     if _point_index(grid, p) is None:
                         raise InstanceError("point-bounds",
                                             f"action {rule.name!r}: point {p} outside the map")
-            check_atoms(frozenset().union(*table.values()), f"action {rule.name!r} effects")
+            check_atoms(frozenset().union(*table.values()), known, grid,
+                        f"action {rule.name!r} effects")
         else:
             if rule.effect_predicate not in known:
                 raise InstanceError("unknown-predicate",
@@ -541,7 +618,7 @@ def validate_instance_parts(grid: GridMap, predicates: Sequence[str], s0: State,
         for name in benefit_model.per_predicate:
             if name not in known:
                 raise InstanceError("unknown-predicate", f"benefit table: unknown predicate {name!r}")
-        check_atoms(benefit_model.per_atom_overrides, "benefit override")
+        check_atoms(benefit_model.per_atom_overrides, known, grid, "benefit override")
 
     for i, ic in enumerate(ics):
         check_pairs(ic.pairs, f"integrity constraint {i}")
@@ -657,7 +734,11 @@ class Grounding:
       shifted into the effect predicate's block of atom indices; without a
       distance bound the ball is the whole map;
     * a pair's cost is its override, else the value of the first cost rule
-      whose condition mask has bit ``p``, else the default.
+      whose condition mask has bit ``p``, else the default;
+    * an explicit table parsed for this instance's grid and predicates (an
+      ``EffectTable``) already holds atom indices, and each row's mask is
+      set from them; any other explicit table is read through its Mapping
+      interface, one ``atoms_to_mask`` per entry.
 
     The set-based functions (``satisfies``, ``action_effects``, ``cost_of``,
     ``benefit_of``) remain the reference semantics these tables must equal.
@@ -690,6 +771,15 @@ class Grounding:
         for rule in self.actions:
             row = [0] * n_points
             if rule.explicit_effects is not None:
+                rows = _own_rows(rule.explicit_effects, grid, self.predicates)
+                if rows is not None:
+                    for i, atoms in rows.items():
+                        mask = 0
+                        for j in atoms:
+                            mask |= 1 << j
+                        row[i] = mask
+                    self.effects += row
+                    continue
                 for point, effect in rule.explicit_effects.items():
                     i = _point_index(grid, point)
                     if i is None:
@@ -782,21 +872,14 @@ class Grounding:
     def pairs_to_indices(self, pairs: Iterable[ActionPointPair]) -> list:
         return sorted(self._indices(self.pair_offsets, pairs, "unknown-pair"))
 
-    def _block_point(self, i: int) -> tuple:
-        """(block, point) of canonical atom or pair index ``i``: which
-        predicate's or action's block it is in, and where."""
-        k, rest = divmod(i, self.n_points)
-        y, x = divmod(rest, self.grid.width_bound + 1)
-        return k, Point(x, y)
-
     def atom_at(self, i: int) -> GroundAtom:
         """The ground atom of canonical index ``i``."""
-        k, point = self._block_point(i)
+        k, point = _block_point(self.grid, i)
         return GroundAtom(self.predicates[k], point)
 
     def pair_at(self, i: int) -> ActionPointPair:
         """The action-point pair of canonical index ``i``."""
-        k, point = self._block_point(i)
+        k, point = _block_point(self.grid, i)
         return ActionPointPair(self.actions[k].name, point)
 
     def mask_atoms(self, mask: int) -> tuple:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .core import Problem
+from .core import Problem, check_atoms
 from .errors import InstanceError, LimitReachedError, UncoverableAtomsError
 from .ip import IpModel, Limits, _solve_for_tags
 
@@ -27,11 +27,9 @@ class GbgopInstance(Problem):
         self.theta_out = frozenset(self.theta_out)
         if self.theta_in & self.theta_out:
             raise InstanceError("goal-overlap", "theta_in and theta_out must be disjoint")
-        for a in self.theta_in | self.theta_out:
-            if a.predicate not in self.predicates:
-                raise InstanceError("unknown-predicate", f"goal atom {a}: unknown predicate")
-            if not self.grid.contains(a.point):
-                raise InstanceError("point-bounds", f"goal atom {a}: point outside the map")
+        known = set(self.predicates)
+        check_atoms(self.theta_in, known, self.grid, "goal atoms (theta_in)")
+        check_atoms(self.theta_out, known, self.grid, "forbidden atoms (theta_out)")
 
     @cached_property
     def theta_in_mask(self) -> int:

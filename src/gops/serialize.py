@@ -6,7 +6,12 @@ Parsing is strict: unknown keys are rejected, every error carries a code
 and the JSON path of the offender. Each point, atom and pair parser takes
 a well-formed entry on one inline shape check; only a malformed one goes
 through the step-by-step checks that name its error, and only then is its
-path built. Serialization is canonical (fixed key
+path built. An explicit effect table whose entries are all well formed and
+use only the document's predicates and map points is read straight into
+atom indices, the ones ``Grounding`` uses, and kept in a read-only
+``core.EffectTable`` with no ``GroundAtom`` made; any other table is
+parsed entry by entry as objects, so its errors keep their codes, paths
+and order. Serialization is canonical (fixed key
 order, atom lists in canonical order, shortest round-tripping numbers), so
 identical instances produce identical bytes and ``parse(serialize(x))``
 reproduces ``x``.
@@ -18,7 +23,7 @@ from typing import Optional
 
 from .bmgop import BmgopInstance
 from .core import (ActionPointPair, ActionRule, AndFormula, AtomFormula,
-                   BenefitModel, CostModel, Formula, GridMap, GroundAtom,
+                   BenefitModel, CostModel, EffectTable, Formula, GridMap, GroundAtom,
                    IntegrityConstraint, NotFormula, OrFormula, Point, TRUE,
                    TrueFormula)
 from .errors import ParseError
@@ -126,7 +131,50 @@ def _parse_formula(value, path) -> Formula:
     raise ParseError("bad-formula", f"unknown formula kind {key!r}", path)
 
 
-def _parse_action(value, path) -> ActionRule:
+def _effect_rows(entries: list, grid: GridMap, offsets: Optional[dict]) -> Optional[dict]:
+    """An explicit effect table as {point index: [atom index, ...]}, with
+    the indices ``Grounding`` gives for ``grid`` and the predicates whose
+    atom blocks start at ``offsets``. None unless every entry is a
+    well-formed [[x, y], [atoms...]] whose point and atoms lie on the map,
+    whose atoms name known predicates and whose point is not repeated; the
+    caller then parses the table as objects, which reports what is wrong as
+    before."""
+    if offsets is None:
+        return None
+    last_x, last_y = grid.width_bound, grid.height_bound
+    width = last_x + 1
+    rows = {}
+    for entry in entries:
+        if type(entry) is not list or len(entry) != 2:
+            return None
+        point, atoms = entry
+        if type(point) is not list or len(point) != 2 or type(atoms) is not list:
+            return None
+        x, y = point
+        if type(x) is not int or type(y) is not int \
+                or not (0 <= x <= last_x and 0 <= y <= last_y):
+            return None
+        i = y * width + x
+        if i in rows:
+            return None
+        row = rows[i] = []
+        for a in atoms:
+            if type(a) is not list or len(a) != 2:
+                return None
+            name, point = a
+            if type(name) is not str or type(point) is not list or len(point) != 2:
+                return None
+            offset = offsets.get(name)
+            x, y = point
+            if offset is None or type(x) is not int or type(y) is not int \
+                    or not (0 <= x <= last_x and 0 <= y <= last_y):
+                return None
+            row.append(offset + y * width + x)
+    return rows
+
+
+def _parse_action(value, path, grid: GridMap, predicates: tuple,
+                  offsets: Optional[dict]) -> ActionRule:
     value = _expect(value, dict, path, "an action")
     name = _expect(value.get("name"), str, f"{path}.name", "an action name") \
         if "name" in value else None
@@ -134,8 +182,11 @@ def _parse_action(value, path) -> ActionRule:
         raise ParseError("missing-key", "missing key 'name'", path)
     if "explicit" in value:
         _require_keys(value, path, ("name", "explicit"))
-        table = {}
         entries = _expect(value["explicit"], list, f"{path}.explicit", "an effect table")
+        rows = _effect_rows(entries, grid, offsets)
+        if rows is not None:
+            return ActionRule(name=name, explicit_effects=EffectTable(grid, predicates, rows))
+        table = {}
         for i, entry in enumerate(entries):
             entry_path = f"{path}.explicit[{i}]"
             entry = _expect(entry, list, entry_path, "an effect table entry")
@@ -199,7 +250,12 @@ def _parse_document(text: str):
     s0 = frozenset(_parse_named(GroundAtom, a, "$.state", i)
                    for i, a in enumerate(_expect(doc["state"], list, "$.state", "the state")))
 
-    actions = tuple(_parse_action(a, f"$.actions[{i}]")
+    # where each predicate's atom indices start; with a repeated name there
+    # are no such indices, and validation reports the repeat
+    offsets = {name: k * grid.n_points for k, name in enumerate(predicates)}
+    if len(offsets) < len(predicates):
+        offsets = None
+    actions = tuple(_parse_action(a, f"$.actions[{i}]", grid, predicates, offsets)
                     for i, a in enumerate(_expect(doc["actions"], list, "$.actions",
                                                   "the action list")))
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from gops import (ActionPointPair, ActionRule, BenefitModel, BmgopInstance, CostModel,
-                  GridMap, GroundAtom, Grounding, IntegrityConstraint, Point,
+                  GbgopInstance, GridMap, GroundAtom, Grounding, IntegrityConstraint, Point,
                   TRUE, atom, check_ics, enumerate_ground_atoms, enumerate_pairs,
                   gen_campaign, gen_random, land, lnot, lor)
 from gops.core import METRICS
@@ -215,15 +215,17 @@ def test_unknown_names_and_shapes_are_instance_errors():
         assert err.value.code == "unknown-atom"
 
 
-PARTS = ("s0", "explicit", "cost", "benefit", "ic", "guard")
+PARTS = ("s0", "explicit", "cost", "benefit", "ic", "guard", "theta_in", "theta_out")
+GOALS = ("theta_in", "theta_out")
 
 
 def _instance_with_x(part, x):
-    """A small benefit-maximizing instance where ``part`` puts its point at
-    (x, 0) and every other part uses (1, 0)."""
+    """A small instance where ``part`` puts its point at (x, 0) and every
+    other part uses (1, 0): goal-based when ``part`` is a goal set, else
+    benefit-maximizing."""
     def at(p):
         return Point(x if p == part else 1, 0)
-    return BmgopInstance(
+    shared = dict(
         grid=GridMap(2, 2), predicates=("ok", "hit"),
         s0=frozenset({GroundAtom("ok", at("s0"))}),
         actions=(ActionRule(name="put", explicit_effects={
@@ -231,12 +233,17 @@ def _instance_with_x(part, x):
                  ActionRule(name="near", effect_predicate="hit",
                             source_guard=atom("ok", at("guard")), max_distance=1.0)),
         cost_model=CostModel(overrides={ActionPointPair("put", at("cost")): 0.25}),
-        benefit_model=BenefitModel(per_predicate={"hit": 1.0},
-                                   per_atom_overrides={GroundAtom("hit", at("benefit")): 3.0}),
         ics=(IntegrityConstraint(pairs=frozenset({ActionPointPair("put", at("ic")),
                                                   ActionPointPair("near", Point(0, 0))}),
                                  condition=atom("ok", Point(1, 0))),),
-        k=2, budget=1.0)
+        budget=1.0)
+    if part in GOALS:
+        return GbgopInstance(**shared, theta_in=frozenset({GroundAtom("hit", at("theta_in"))}),
+                             theta_out=frozenset({GroundAtom("ok", at("theta_out"))}))
+    return BmgopInstance(
+        **shared, k=2,
+        benefit_model=BenefitModel(per_predicate={"hit": 1.0},
+                                   per_atom_overrides={GroundAtom("hit", at("benefit")): 3.0}))
 
 
 @pytest.mark.parametrize("part", PARTS)
@@ -244,10 +251,13 @@ def _instance_with_x(part, x):
 def test_coordinates_equal_to_an_int_ground_as_that_int(part, x):
     # Equal numbers are one dict key, so a lookup keyed by Point(1, 0)
     # finds Point(True, 0) or Point(1.0, 0); the index arithmetic agrees.
-    want = _instance_with_x(part, 1).grounding
-    got = _instance_with_x(part, x).grounding
+    want_inst, got_inst = _instance_with_x(part, 1), _instance_with_x(part, x)
+    want, got = want_inst.grounding, got_inst.grounding
     for table in ("s0_mask", "effects", "costs", "benefits", "ic_s0", "pair_ics"):
         assert getattr(got, table) == getattr(want, table), table
+    if part in GOALS:
+        assert got_inst.theta_in_mask == want_inst.theta_in_mask
+        assert got_inst.theta_out_mask == want_inst.theta_out_mask
     assert got.atoms_to_mask([GroundAtom("ok", Point(x, 0))]) == want.atoms_to_mask(
         [GroundAtom("ok", Point(1, 0))])
     assert got.pairs_to_indices([ActionPointPair("near", Point(0, x))]) == \
