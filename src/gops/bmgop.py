@@ -18,7 +18,7 @@ from typing import Optional
 from .core import (ActionPointPair, BenefitModel, Problem, format_number,
                    iter_bits)
 from .errors import InstanceError, LimitReachedError
-from .ip import IpModel, Limits, _solve_for_tags
+from .ip import IpModel, Limits, _lp_name, _solve_for_tags
 
 
 @dataclass(eq=False)
@@ -271,13 +271,13 @@ def build_bmgop_ip(inst: BmgopInstance) -> IpModel:
     outside_s0 = ((1 << g.n_atoms) - 1) & ~g.s0_mask
     for atom_idx, producers in g.producers(range(n), outside_s0).items():
         a = atoms[atom_idx]
-        y = model.add_variable(f"Y_{a.predicate}_{a.point.x}_{a.point.y}", tag=("atom", atom_idx))
+        y = model.add_variable(_lp_name("Y", a), tag=("atom", atom_idx))
         if benefits[atom_idx] != 0:
             model.objective[y] = benefits[atom_idx]
         # producers ascend and every X variable precedes y: already in variable order
         coeffs = [(x_of[i], 1.0) for i in producers]
         coeffs.append((y, -1.0))
-        model.add_constraint(coeffs, ">=", 0.0, f"cover_{a.predicate}_{a.point.x}_{a.point.y}")
+        model.add_constraint(coeffs, ">=", 0.0, _lp_name("cover", a))
 
     model.add_constraint({x_of[i]: 1.0 for i in range(n)}, "<=", float(inst.k), "card")
     model.add_packing_rows(inst, x_of)

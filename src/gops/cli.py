@@ -18,7 +18,7 @@ from .gbgop import (GbgopInstance, build_gbgop_ip, count_gbgop_solutions,
                     reduce_to_r_star, solve_gbgop_exact, solve_gbgop_ip)
 from .ip import Limits, emit_lp
 from .scenarios import gen_campaign, gen_random
-from .serialize import parse_instance, report_for, serialize_instance
+from .serialize import _item_json, parse_instance, report_for, serialize_instance
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -83,7 +83,7 @@ def _cmd_reduce(args) -> int:
         raise GopsError("method", "the reduction is defined for goal-based instances")
     r_star, stats = reduce_to_r_star(inst)
     payload = {"r_size": stats.r_size, "r_star_size": stats.r_star_size,
-               "members": [[p.action, [p.point.x, p.point.y]] for p in r_star]}
+               "members": [_item_json(p) for p in r_star]}
     text = [f"|R| = {stats.r_size}, |R*| = {stats.r_star_size}"]
     text += [str(p) for p in r_star]
     _emit(args, payload, "\n".join(text) + "\n")

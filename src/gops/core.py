@@ -89,7 +89,7 @@ class GridMap:
         return (self.width_bound + 1) * (self.height_bound + 1)
 
     def contains(self, p: Point) -> bool:
-        return 0 <= p.x <= self.width_bound and 0 <= p.y <= self.height_bound
+        return _point_index(self, p) is not None
 
     def points(self) -> list:
         """All points in canonical (row-major) order."""
@@ -538,18 +538,19 @@ def _own_rows(table: Mapping, grid: GridMap, predicates: Sequence[str]) -> Optio
     return None
 
 
-def check_atoms(atoms, known: set, grid: GridMap, where: str) -> None:
-    """Raise InstanceError unless every atom names a predicate in ``known``
-    and a point on ``grid``. The set is checked in bulk; only one that
-    fails is walked atom by atom, to name the offender."""
-    if _all_known(known, atoms, grid):
+def check_atoms(items, known: set, grid: GridMap, where: str,
+                code: str = "unknown-predicate") -> None:
+    """Raise InstanceError unless every (name, point) item, atom or pair,
+    has a name in ``known`` and a point on ``grid``; an unknown name raises
+    ``code`` ("unknown-predicate" or "unknown-action"). The set is checked
+    in bulk; only one that fails is walked item by item, to name it."""
+    if _all_known(known, items, grid):
         return
-    for a in atoms:
-        if a.predicate not in known:
-            raise InstanceError("unknown-predicate",
-                                f"{where}: unknown predicate {a.predicate!r}")
-        if _point_index(grid, a.point) is None:
-            raise InstanceError("point-bounds", f"{where}: point {a.point} outside the map")
+    for name, point in items:
+        if name not in known:
+            raise InstanceError(code, f"{where}: {code.replace('-', ' ')} {name!r}")
+        if _point_index(grid, point) is None:
+            raise InstanceError("point-bounds", f"{where}: point {point} outside the map")
 
 
 def validate_instance_parts(grid: GridMap, predicates: Sequence[str], s0: State,
@@ -558,9 +559,8 @@ def validate_instance_parts(grid: GridMap, predicates: Sequence[str], s0: State,
                             benefit_model: Optional[BenefitModel] = None) -> None:
     """Cross-checks between the parts of an instance; raises InstanceError.
 
-    Atom and pair sets are checked in bulk, each distinct member once (an
-    action's effect sets as their union); only a set that fails is walked
-    member by member, to name the offender."""
+    Atom and pair sets are checked in bulk by ``check_atoms``, each distinct
+    member once (an action's effect sets as their union)."""
     known = set()
     for name in predicates:
         if name in known:
@@ -587,11 +587,9 @@ def validate_instance_parts(grid: GridMap, predicates: Sequence[str], s0: State,
             table = rule.explicit_effects
             if _own_rows(table, grid, predicates) is not None:
                 continue  # built from this instance's own map points and predicates
-            if not _on_map(table.keys(), grid):
-                for p in table:
-                    if _point_index(grid, p) is None:
-                        raise InstanceError("point-bounds",
-                                            f"action {rule.name!r}: point {p} outside the map")
+            # the table's points are those of the action's pairs
+            check_atoms([(rule.name, p) for p in table], action_names, grid,
+                        f"action {rule.name!r}", "unknown-action")
             check_atoms(frozenset().union(*table.values()), known, grid,
                         f"action {rule.name!r} effects")
         else:
@@ -601,16 +599,7 @@ def validate_instance_parts(grid: GridMap, predicates: Sequence[str], s0: State,
             check_formula(rule.source_guard, f"action {rule.name!r} source guard")
             check_formula(rule.target_guard, f"action {rule.name!r} target guard")
 
-    def check_pairs(pairs, where: str):
-        if _all_known(action_names, pairs, grid):
-            return
-        for pair in pairs:
-            if pair.action not in action_names:
-                raise InstanceError("unknown-action", f"{where}: unknown action {pair.action!r}")
-            if _point_index(grid, pair.point) is None:
-                raise InstanceError("point-bounds", f"{where}: point {pair.point} outside the map")
-
-    check_pairs(cost_model.overrides, "cost override")
+    check_atoms(cost_model.overrides, action_names, grid, "cost override", "unknown-action")
     for condition, _ in cost_model.state_rules:
         check_formula(condition, "cost rule")
 
@@ -621,7 +610,7 @@ def validate_instance_parts(grid: GridMap, predicates: Sequence[str], s0: State,
         check_atoms(benefit_model.per_atom_overrides, known, grid, "benefit override")
 
     for i, ic in enumerate(ics):
-        check_pairs(ic.pairs, f"integrity constraint {i}")
+        check_atoms(ic.pairs, action_names, grid, f"integrity constraint {i}", "unknown-action")
         check_formula(ic.condition, f"integrity constraint {i}", require_ground=True)
 
 

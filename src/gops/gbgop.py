@@ -13,7 +13,7 @@ from typing import Optional
 
 from .core import Problem, check_atoms
 from .errors import InstanceError, LimitReachedError, UncoverableAtomsError
-from .ip import IpModel, Limits, _solve_for_tags
+from .ip import IpModel, Limits, _lp_name, _solve_for_tags
 
 
 @dataclass(eq=False)
@@ -211,8 +211,7 @@ def build_gbgop_ip(inst: GbgopInstance, use_reduction: bool = False) -> IpModel:
             uncoverable.append(a)
             continue
         # variables were added in ascending pair order, so these ascend too
-        model.add_constraint([(var_of[i], 1.0) for i in producers], ">=", 1.0,
-                             f"cover_{a.predicate}_{a.point.x}_{a.point.y}")
+        model.add_constraint([(var_of[i], 1.0) for i in producers], ">=", 1.0, _lp_name("cover", a))
     if uncoverable:
         raise UncoverableAtomsError(uncoverable)
     model.add_packing_rows(inst, var_of)

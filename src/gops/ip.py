@@ -14,6 +14,12 @@ from .core import format_number
 from .errors import InstanceError, LimitReachedError
 
 
+def _lp_name(prefix: str, item) -> str:
+    """The LP name ``<prefix>_<name>_<x>_<y>`` of an atom or a pair."""
+    name, point = item
+    return f"{prefix}_{name}_{point.x}_{point.y}"
+
+
 @dataclass(frozen=True)
 class IpVariable:
     name: str
@@ -49,7 +55,7 @@ class IpModel:
 
     def add_pair_variable(self, pair, tag: object) -> int:
         """The selection variable ``X_<action>_<x>_<y>`` of an action-point pair."""
-        return self.add_variable(f"X_{pair.action}_{pair.point.x}_{pair.point.y}", tag=tag)
+        return self.add_variable(_lp_name("X", pair), tag=tag)
 
     def add_packing_rows(self, inst, var_of) -> None:
         """The ``budget`` row over the selection variables ``var_of`` (pair

@@ -3,18 +3,19 @@ placement problem (map, predicates, initial state, actions, costs,
 benefits, integrity constraints, goal or benefit problem section).
 
 Parsing is strict: unknown keys are rejected, every error carries a code
-and the JSON path of the offender. Each point, atom and pair parser takes
-a well-formed entry on one inline shape check; only a malformed one goes
-through the step-by-step checks that name its error, and only then is its
-path built. An explicit effect table whose entries are all well formed and
-use only the document's predicates and map points is read straight into
-atom indices, the ones ``Grounding`` uses, and kept in a read-only
-``core.EffectTable`` with no ``GroundAtom`` made; any other table is
-parsed entry by entry as objects, so its errors keep their codes, paths
-and order. Serialization is canonical (fixed key
-order, atom lists in canonical order, shortest round-tripping numbers), so
-identical instances produce identical bytes and ``parse(serialize(x))``
-reproduces ``x``.
+and the JSON path of the offender. Each entry shape has one reader, for
+atoms and pairs alike: a point, a [name, [x, y]] item, a set of items, an
+override table of [item, value] entries. A well-formed point or item
+passes one inline shape check; only a malformed one goes through the
+step-by-step checks that name its error, and only then is its path built.
+An explicit effect table whose entries are all well formed and use only
+the document's predicates and map points is read straight into the atom
+indices ``Grounding`` uses and kept in a read-only ``core.EffectTable``,
+with no ``GroundAtom`` made; any other table is parsed entry by entry as
+objects, so its errors keep their codes, paths and order. Serialization
+is canonical (fixed key order, atoms and pairs in one canonical order,
+shortest round-tripping numbers), so identical instances produce
+identical bytes and ``parse(serialize(x))`` reproduces ``x``.
 """
 
 import json
@@ -110,6 +111,33 @@ def _parse_named(kind, value, path, index=None):
     return kind(_expect(value[0], str, path, name_what), _parse_point(value[1], path))
 
 
+def _parse_set(kind, value, path, what) -> frozenset:
+    """The ``kind`` items of the [name, [x, y]] list ``value`` at ``path``,
+    as a frozenset; ``what`` names the list in its type error."""
+    return frozenset(_parse_named(kind, item, path, i)
+                     for i, item in enumerate(_expect(value, list, path, what)))
+
+
+def _parse_overrides(kind, section: dict, what: str) -> dict:
+    """{``kind`` item: value} from the [[name, [x, y]], value] entries of
+    the ``overrides`` list of section ``what`` ("cost" or "benefit"); an
+    item given twice raises ``duplicate`` at the repeat."""
+    path = f"$.{what}.overrides"
+    table = {}
+    for i, entry in enumerate(_expect(section.get("overrides", []), list, path,
+                                      f"{what} overrides")):
+        entry_path = f"{path}[{i}]"
+        entry = _expect(entry, list, entry_path, f"a {what} override")
+        if len(entry) != 2:
+            raise ParseError("type", f"a {what} override is [[{_NAMED[kind][1]}, [x, y]], {what}]",
+                             entry_path)
+        item = _parse_named(kind, entry[0], entry_path)
+        if item in table:
+            raise ParseError("duplicate", f"{item} already has a {what} override", entry_path)
+        table[item] = _expect(entry[1], float, entry_path, f"a {what}")
+    return table
+
+
 def _parse_formula(value, path) -> Formula:
     if value == "true":
         return TRUE
@@ -120,8 +148,7 @@ def _parse_formula(value, path) -> Formula:
     if key == "atom":
         if isinstance(body, str):
             return AtomFormula(body, None)
-        a = _parse_named(GroundAtom, body, f"{path}.atom")
-        return AtomFormula(a.predicate, a.point)
+        return AtomFormula(*_parse_named(GroundAtom, body, f"{path}.atom"))
     if key == "not":
         return NotFormula(_parse_formula(body, f"{path}.not"))
     if key in ("and", "or"):
@@ -196,9 +223,7 @@ def _parse_action(value, path, grid: GridMap, predicates: tuple,
             if point in table:
                 raise ParseError("duplicate", f"point {point} already has an effect entry",
                                  entry_path)
-            atoms = _expect(entry[1], list, entry_path, "an atom list")
-            table[point] = frozenset(_parse_named(GroundAtom, a, entry_path, j)
-                                     for j, a in enumerate(atoms))
+            table[point] = _parse_set(GroundAtom, entry[1], entry_path, "an atom list")
         return ActionRule(name=name, explicit_effects=table)
     _require_keys(value, path, ("name", "effect", "source_guard", "target_guard"),
                   optional=("max_distance", "metric"))
@@ -247,8 +272,7 @@ def _parse_document(text: str):
                        for i, p in enumerate(_expect(doc["predicates"], list, "$.predicates",
                                                      "the predicate list")))
 
-    s0 = frozenset(_parse_named(GroundAtom, a, "$.state", i)
-                   for i, a in enumerate(_expect(doc["state"], list, "$.state", "the state")))
+    s0 = _parse_set(GroundAtom, doc["state"], "$.state", "the state")
 
     # where each predicate's atom indices start; with a repeated name there
     # are no such indices, and validation reports the repeat
@@ -269,17 +293,7 @@ def _parse_document(text: str):
             raise ParseError("type", "a cost rule is [condition, cost]", entry_path)
         rules.append((_parse_formula(entry[0], entry_path),
                       _expect(entry[1], float, entry_path, "a cost")))
-    overrides = {}
-    for i, entry in enumerate(_expect(cost_obj.get("overrides", []), list,
-                                      "$.cost.overrides", "cost overrides")):
-        entry_path = f"$.cost.overrides[{i}]"
-        entry = _expect(entry, list, entry_path, "a cost override")
-        if len(entry) != 2:
-            raise ParseError("type", "a cost override is [[action, [x, y]], cost]", entry_path)
-        pair = _parse_named(ActionPointPair, entry[0], entry_path)
-        if pair in overrides:
-            raise ParseError("duplicate", f"pair {pair} already has a cost override", entry_path)
-        overrides[pair] = _expect(entry[1], float, entry_path, "a cost")
+    overrides = _parse_overrides(ActionPointPair, cost_obj, "cost")
     cost_model = CostModel(default_cost=_expect(cost_obj["default"], float,
                                                 "$.cost.default", "the default cost"),
                            state_rules=tuple(rules), overrides=overrides)
@@ -289,10 +303,7 @@ def _parse_document(text: str):
         entry_path = f"$.ics[{i}]"
         entry = _expect(entry, dict, entry_path, "an integrity constraint")
         _require_keys(entry, entry_path, ("pairs", "condition"))
-        pairs_path = f"{entry_path}.pairs"
-        pairs = frozenset(_parse_named(ActionPointPair, p, pairs_path, j)
-                          for j, p in enumerate(_expect(entry["pairs"], list,
-                                                        pairs_path, "a pair list")))
+        pairs = _parse_set(ActionPointPair, entry["pairs"], f"{entry_path}.pairs", "a pair list")
         ics.append(IntegrityConstraint(
             pairs=pairs, condition=_parse_formula(entry["condition"], f"{entry_path}.condition")))
     ics = tuple(ics)
@@ -305,12 +316,9 @@ def _parse_document(text: str):
             raise ParseError("unknown-key", "goal-based documents take no benefit section",
                              "$.benefit")
         _require_keys(problem, "$.problem", ("type", "budget", "theta_in", "theta_out"))
-        theta_in = frozenset(_parse_named(GroundAtom, a, "$.problem.theta_in", i)
-                             for i, a in enumerate(_expect(problem["theta_in"], list,
-                                                           "$.problem.theta_in", "goal atoms")))
-        theta_out = frozenset(_parse_named(GroundAtom, a, "$.problem.theta_out", i)
-                              for i, a in enumerate(_expect(problem["theta_out"], list,
-                                                            "$.problem.theta_out", "forbidden atoms")))
+        theta_in = _parse_set(GroundAtom, problem["theta_in"], "$.problem.theta_in", "goal atoms")
+        theta_out = _parse_set(GroundAtom, problem["theta_out"], "$.problem.theta_out",
+                               "forbidden atoms")
         return GbgopInstance(grid=grid, predicates=predicates, s0=s0, actions=actions,
                              cost_model=cost_model, ics=ics,
                              budget=_expect(problem["budget"], float, "$.problem.budget", "the budget"),
@@ -325,18 +333,7 @@ def _parse_document(text: str):
                         "$.benefit.per_predicate", "the per-predicate table")
         for name, v in table.items():
             per_predicate[name] = _expect(v, float, f"$.benefit.per_predicate.{name}", "a benefit")
-        atom_overrides = {}
-        for i, entry in enumerate(_expect(benefit_obj.get("overrides", []), list,
-                                          "$.benefit.overrides", "benefit overrides")):
-            entry_path = f"$.benefit.overrides[{i}]"
-            entry = _expect(entry, list, entry_path, "a benefit override")
-            if len(entry) != 2:
-                raise ParseError("type", "a benefit override is [[pred, [x, y]], value]", entry_path)
-            a = _parse_named(GroundAtom, entry[0], entry_path)
-            if a in atom_overrides:
-                raise ParseError("duplicate", f"atom {a} already has a benefit override",
-                                 entry_path)
-            atom_overrides[a] = _expect(entry[1], float, entry_path, "a benefit")
+        atom_overrides = _parse_overrides(GroundAtom, benefit_obj, "benefit")
         _require_keys(problem, "$.problem", ("type", "k", "budget"))
         return BmgopInstance(grid=grid, predicates=predicates, s0=s0, actions=actions,
                              cost_model=cost_model,
@@ -350,19 +347,13 @@ def _parse_document(text: str):
 # ---------------------------------------------------------------------------
 # Serialization
 
-def _atom_key(inst):
-    pred_pos = {p: i for i, p in enumerate(inst.predicates)}
+def _item_key(grid: GridMap, names):
+    """The canonical sort key of (name, point) items, atoms or pairs: the
+    name's position in ``names``, then the point's row-major index."""
+    position = {name: i for i, name in enumerate(names)}
 
-    def key(a: GroundAtom):
-        return (pred_pos[a.predicate], inst.grid.point_index(a.point))
-    return key
-
-
-def _pair_key(inst):
-    action_pos = {rule.name: i for i, rule in enumerate(inst.actions)}
-
-    def key(p: ActionPointPair):
-        return (action_pos[p.action], inst.grid.point_index(p.point))
+    def key(item):
+        return position[item[0]], grid.point_index(item[1])
     return key
 
 
@@ -370,12 +361,9 @@ def _point_json(p: Point):
     return [p.x, p.y]
 
 
-def _atom_json(a: GroundAtom):
-    return [a.predicate, _point_json(a.point)]
-
-
-def _pair_json(p: ActionPointPair):
-    return [p.action, _point_json(p.point)]
+def _item_json(item):
+    """An atom or a pair as [name, [x, y]]."""
+    return [item[0], _point_json(item[1])]
 
 
 def formula_to_json(f: Formula):
@@ -384,7 +372,7 @@ def formula_to_json(f: Formula):
     if isinstance(f, AtomFormula):
         if f.point is None:
             return {"atom": f.predicate}
-        return {"atom": [f.predicate, _point_json(f.point)]}
+        return {"atom": _item_json((f.predicate, f.point))}
     if isinstance(f, NotFormula):
         return {"not": formula_to_json(f.child)}
     if isinstance(f, AndFormula):
@@ -398,7 +386,7 @@ def _action_json(rule: ActionRule, atom_key):
     if rule.explicit_effects is not None:
         entries = sorted(rule.explicit_effects.items(), key=lambda kv: (kv[0].y, kv[0].x))
         return {"name": rule.name,
-                "explicit": [[_point_json(p), [_atom_json(a) for a in sorted(es, key=atom_key)]]
+                "explicit": [[_point_json(p), [_item_json(a) for a in sorted(es, key=atom_key)]]
                              for p, es in entries]}
     out = {"name": rule.name, "effect": rule.effect_predicate,
            "source_guard": formula_to_json(rule.source_guard),
@@ -411,43 +399,40 @@ def _action_json(rule: ActionRule, atom_key):
 
 def instance_to_json(inst) -> dict:
     """Canonical JSON object for an instance (either kind)."""
-    atom_key = _atom_key(inst)
-    pair_key = _pair_key(inst)
+    atom_key = _item_key(inst.grid, inst.predicates)
+    pair_key = _item_key(inst.grid, [rule.name for rule in inst.actions])
     doc = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "map": {"M": inst.grid.width_bound, "N": inst.grid.height_bound},
         "predicates": list(inst.predicates),
-        "state": [_atom_json(a) for a in sorted(inst.s0, key=atom_key)],
+        "state": [_item_json(a) for a in sorted(inst.s0, key=atom_key)],
         "actions": [_action_json(rule, atom_key) for rule in inst.actions],
         "cost": {
             "default": inst.cost_model.default_cost,
             "rules": [[formula_to_json(cond), value]
                       for cond, value in inst.cost_model.state_rules],
-            "overrides": [[_pair_json(p), v]
-                          for p, v in sorted(inst.cost_model.overrides.items(),
-                                             key=lambda kv: pair_key(kv[0]))],
+            "overrides": [[_item_json(p), v] for p, v in sorted(
+                inst.cost_model.overrides.items(), key=lambda kv: pair_key(kv[0]))],
         },
     }
     if isinstance(inst, BmgopInstance):
-        pred_pos = {p: i for i, p in enumerate(inst.predicates)}
         doc["benefit"] = {
             "per_predicate": {name: inst.benefit_model.per_predicate[name]
                               for name in sorted(inst.benefit_model.per_predicate,
-                                                 key=pred_pos.__getitem__)},
-            "overrides": [[_atom_json(a), v]
-                          for a, v in sorted(inst.benefit_model.per_atom_overrides.items(),
-                                             key=lambda kv: atom_key(kv[0]))],
+                                                 key=inst.predicates.index)},
+            "overrides": [[_item_json(a), v] for a, v in sorted(
+                inst.benefit_model.per_atom_overrides.items(), key=lambda kv: atom_key(kv[0]))],
         }
-    doc["ics"] = [{"pairs": [_pair_json(p) for p in sorted(ic.pairs, key=pair_key)],
+    doc["ics"] = [{"pairs": [_item_json(p) for p in sorted(ic.pairs, key=pair_key)],
                    "condition": formula_to_json(ic.condition)}
                   for ic in inst.ics]
     if isinstance(inst, GbgopInstance):
         doc["problem"] = {
             "type": "gbgop",
             "budget": inst.budget,
-            "theta_in": [_atom_json(a) for a in sorted(inst.theta_in, key=atom_key)],
-            "theta_out": [_atom_json(a) for a in sorted(inst.theta_out, key=atom_key)],
+            "theta_in": [_item_json(a) for a in sorted(inst.theta_in, key=atom_key)],
+            "theta_out": [_item_json(a) for a in sorted(inst.theta_out, key=atom_key)],
         }
     else:
         doc["problem"] = {"type": "bmgop", "k": inst.k, "budget": inst.budget}
@@ -481,7 +466,7 @@ class SolutionReport:
         return {
             "method": self.method,
             "status": self.status,
-            "pairs": [_pair_json(p) for p in self.pairs],
+            "pairs": [_item_json(p) for p in self.pairs],
             "cardinality": self.cardinality,
             "cost": self.cost,
             "benefit": self.benefit,
@@ -519,7 +504,8 @@ def report_for(method: str, status: str, sol, inst, trace_path: Optional[str] = 
     if sol is None:
         return SolutionReport(method=method, status=status, diagnostics=tuple(diagnostics))
     return SolutionReport(
-        method=method, status=status, pairs=tuple(sorted(sol.pairs, key=_pair_key(inst))),
+        method=method, status=status,
+        pairs=tuple(sorted(sol.pairs, key=_item_key(inst.grid, [r.name for r in inst.actions]))),
         cardinality=sol.cardinality, cost=sol.total_cost,
         benefit=getattr(sol, "achieved_benefit", None),
         proven_optimal=status == "optimal", bound=getattr(sol, "reported_bound", None),

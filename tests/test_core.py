@@ -256,6 +256,10 @@ def test_grid_bounds():
     assert grid.contains(Point(2, 3))
     assert not grid.contains(Point(3, 0))
     assert not grid.contains(Point(0, -1))
+    # a point is on the map when its coordinates equal lattice integers
+    assert not grid.contains(Point(0.5, 0))
+    assert grid.contains(Point(1.0, 0))
+    assert grid.contains(Point(True, 0))
     with pytest.raises(InstanceError):
         GridMap(-1, 0)
 

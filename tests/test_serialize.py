@@ -189,3 +189,59 @@ def test_text_report_without_an_assignment():
                            proven_optimal=True)
     assert empty.to_text() == ("method: exact\nstatus: optimal\npairs: \n"
                                "cardinality: 0\ncost: 0.0\nproven-optimal: yes\n")
+
+
+# a guard, a cost rule and a constraint condition in every documented
+# formula form, nested: and, or, not, template and ground atoms, "true"
+NESTED = {
+    "format": "gop-instance",
+    "version": 1,
+    "map": {"M": 2, "N": 1},
+    "predicates": ["p", "q"],
+    "state": [["p", [0, 0]], ["p", [2, 1]], ["q", [1, 0]]],
+    "actions": [{"name": "go", "effect": "q",
+                 "source_guard": {"or": [{"and": [{"atom": "p"}, {"not": {"atom": "q"}}]},
+                                         {"atom": ["q", [1, 0]]}]},
+                 "target_guard": {"and": ["true", {"not": {"or": [{"atom": "q"}]}}]},
+                 "max_distance": 1.5, "metric": "euclidean"}],
+    "cost": {"default": 0.5,
+             "rules": [[{"and": [{"atom": "p"}, {"or": [{"atom": ["q", [1, 0]]},
+                                                        {"not": "true"}]}]}, 0.25],
+                       [{"or": [{"not": {"atom": "p"}}, {"and": []}]}, 0.75]],
+             "overrides": []},
+    "ics": [{"pairs": [["go", [0, 0]], ["go", [2, 1]]],
+             "condition": {"or": [{"not": {"atom": ["q", [0, 0]]}},
+                                  {"and": [{"atom": ["p", [2, 1]]}, {"or": []}]}]}}],
+    "problem": {"type": "gbgop", "budget": 2.0,
+                "theta_in": [["q", [2, 1]]], "theta_out": []},
+}
+
+
+def test_nested_formulas_round_trip_and_ground_alike():
+    inst = parse_instance(json.dumps(NESTED))
+    text = serialize_instance(inst)
+    assert json.loads(text)["actions"][0]["source_guard"] == NESTED["actions"][0]["source_guard"]
+    assert json.loads(text)["cost"]["rules"] == NESTED["cost"]["rules"]
+    assert json.loads(text)["ics"][0]["condition"] == NESTED["ics"][0]["condition"]
+    again = parse_instance(text)
+    assert serialize_instance(again) == text
+    g, h = inst.grounding, again.grounding
+    for table in ("s0_mask", "effects", "costs", "ic_s0", "pair_ics"):
+        assert getattr(g, table) == getattr(h, table), table
+    assert any(g.effects) and g.ic_s0  # the guards and the condition are not vacuous
+    assert len(set(g.costs)) == 2
+
+
+@pytest.mark.parametrize("formula, code, path", [
+    ({"and": [], "or": []}, "bad-formula", "$.actions[0].target_guard"),
+    ({"xor": []}, "bad-formula", "$.actions[0].target_guard"),
+    ({"and": 5}, "type", "$.actions[0].target_guard.and"),
+    ({"not": {"or": ["true", {"nand": []}]}}, "bad-formula",
+     "$.actions[0].target_guard.not.or[1]"),
+])
+def test_malformed_formula_codes_and_paths(formula, code, path):
+    doc = json.loads(json.dumps(NESTED))
+    doc["actions"][0]["target_guard"] = formula
+    with pytest.raises(ParseError) as err:
+        parse_instance(json.dumps(doc))
+    assert (err.value.code, err.value.path) == (code, path)
