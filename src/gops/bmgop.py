@@ -15,8 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import (ActionPointPair, BenefitModel, Problem, format_number,
-                   iter_bits)
+from .core import ActionPointPair, BenefitModel, Problem, format_number
 from .errors import InstanceError, LimitReachedError
 from .ip import IpModel, Limits, _lp_name, _solve_for_tags
 
@@ -63,7 +62,9 @@ class GreedyTrace:
 
     Weights and the loop-condition value in each record are the values
     after that iteration's update, i.e. what the next loop test sees.
-    ``op_count`` counts candidate gain evaluations.
+    ``op_count`` counts candidate gain evaluations: each pair once, then
+    each re-evaluation of a stale heap top (see ``bmgop_compute``). That
+    is never more than rescanning every unpicked pair before each pick.
     """
 
     delta: float
@@ -157,6 +158,15 @@ def bmgop_compute(inst: BmgopInstance, delta: float = 0.001,
     picked (their ratio is undefined); ratio ties break to the canonical
     smallest pair.
 
+    Gains are evaluated lazily (Minoux 1978; CELF, Leskovec et al. 2007):
+    every pair is evaluated once into a heap keyed by ``(ratio, index)``,
+    and after a pick only the heap top is evaluated again, until a pair
+    evaluated since that pick is on top. A pick raises every weight and
+    never raises a gain (benefits are non-negative, and float sums and
+    products are monotone), so a stale key is a lower bound on the current
+    one, and the top is the pair a rescan of every pair would pick, ties
+    included. Gains are ``Grounding.benefit_sum`` of the atoms a pair adds.
+
     If the assembled set is invalid, the repair step keeps either the
     prefix or the last pick, whichever has the larger objective; if that
     still is not valid, picks are dropped in reverse insertion order until
@@ -188,7 +198,6 @@ def bmgop_compute(inst: BmgopInstance, delta: float = 0.001,
     effects = g.effects
     costs = g.costs
     pair_ics = g.pair_ics
-    benefits = g.benefits
 
     def condition():
         if condition_mode == "weighted":
@@ -196,44 +205,44 @@ def bmgop_compute(inst: BmgopInstance, delta: float = 0.001,
         return w_prime + w_dprime + sum(ic_w)
 
     cur_mask = g.s0_mask
-    in_sol = [False] * n
     order = []  # insertion order of picked pair indices
 
-    while condition() <= lam and len(order) < n:
-        best_ratio = None
-        best_j = -1
-        best_gain = 0.0
-        for j in range(n):
-            if in_sol[j]:
-                continue
-            trace.op_count += 1
-            new = effects[j] & ~cur_mask
-            if not new:
-                continue
-            gain = sum(benefits[i] for i in iter_bits(new))
-            if gain <= 0.0:
-                continue
-            numerator = w_prime + w_dprime * costs[j]
-            for i in pair_ics[j]:
-                numerator += ic_w[i]
-            ratio = numerator / gain
-            if best_ratio is None or ratio < best_ratio:
-                best_ratio = ratio
-                best_j = j
-                best_gain = gain
-        if best_j < 0:
-            break
-        in_sol[best_j] = True
+    def evaluate(j):
+        """Pair ``j``'s (ratio, j, gain, picks so far), or None without gain."""
+        trace.op_count += 1
+        gain = g.benefit_sum(effects[j] & ~cur_mask)
+        if gain <= 0.0:
+            return None
+        numerator = w_prime + w_dprime * costs[j]
+        for i in pair_ics[j]:
+            numerator += ic_w[i]
+        return numerator / gain, j, gain, len(order)
+
+    # a pair without gain never regains it, so it leaves the heap for good
+    cond = condition()
+    heap = [entry for entry in map(evaluate, range(n)) if entry] if cond <= lam else []
+    heapq.heapify(heap)
+    while heap and cond <= lam:
+        ratio, best_j, gain, stamp = heap[0]
+        if stamp < len(order):  # stale: evaluate again, then look at the top anew
+            entry = evaluate(best_j)
+            if entry:
+                heapq.heapreplace(heap, entry)
+            else:
+                heapq.heappop(heap)
+            continue
+        heapq.heappop(heap)
         order.append(best_j)
         cur_mask |= effects[best_j]
         w_prime *= step_prime
         w_dprime *= lam ** (costs[best_j] / budget)
         for i in pair_ics[best_j]:
             ic_w[i] *= step_ic
+        cond = condition()
         trace.iterations.append(GreedyIteration(
-            index=len(order), chosen=g.pair_at(best_j), ratio=best_ratio,
-            gain=best_gain, w_prime=w_prime, w_dprime=w_dprime,
-            ic_weights=tuple(ic_w), condition_value=condition()))
+            index=len(order), chosen=g.pair_at(best_j), ratio=ratio,
+            gain=gain, w_prime=w_prime, w_dprime=w_dprime,
+            ic_weights=tuple(ic_w), condition_value=cond))
 
     if order and _violations(inst, order):
         last = order[-1]

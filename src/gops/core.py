@@ -567,14 +567,12 @@ def validate_instance_parts(grid: GridMap, predicates: Sequence[str], s0: State,
             raise InstanceError("predicate-duplicate", f"duplicate predicate {name!r}")
         known.add(name)
 
-    def check_formula(f: Formula, where: str, require_ground: bool = False):
+    def check_formula(f: Formula, where: str):
         for leaf in formula_atoms(f):
             if leaf.predicate not in known:
                 raise InstanceError("unknown-predicate", f"{where}: unknown predicate {leaf.predicate!r}")
             if leaf.point is not None and _point_index(grid, leaf.point) is None:
                 raise InstanceError("point-bounds", f"{where}: point {leaf.point} outside the map")
-            if require_ground and leaf.point is None:
-                raise InstanceError("ic-not-ground", f"{where}: template atom in a ground context")
 
     check_atoms(s0, known, grid, "initial state")
 
@@ -611,7 +609,7 @@ def validate_instance_parts(grid: GridMap, predicates: Sequence[str], s0: State,
 
     for i, ic in enumerate(ics):
         check_atoms(ic.pairs, action_names, grid, f"integrity constraint {i}", "unknown-action")
-        check_formula(ic.condition, f"integrity constraint {i}", require_ground=True)
+        check_formula(ic.condition, f"integrity constraint {i}")  # ground: see IntegrityConstraint
 
 
 def _point_mask(formula: Formula, s0_mask: int, offsets: Mapping[str, int], grid: GridMap,
@@ -729,6 +727,10 @@ class Grounding:
       set from them; any other explicit table is read through its Mapping
       interface, one ``atoms_to_mask`` per entry.
 
+    Benefits are grouped the same way: each predicate's block plus the
+    overridden atoms give ``benefit_classes``, one atom mask per distinct
+    benefit, over which ``benefit_sum`` counts bits instead of walking them.
+
     The set-based functions (``satisfies``, ``action_effects``, ``cost_of``,
     ``benefit_of``) remain the reference semantics these tables must equal.
     """
@@ -803,15 +805,18 @@ class Grounding:
             self.costs[i] = value
 
         if benefit_model is None:
-            self.benefits = None
+            self.benefits = self.benefit_classes = None
         else:
             per_predicate = benefit_model.per_predicate
-            self.benefits = [value for pred in self.predicates
-                             for value in [per_predicate.get(pred, 0.0)] * n_points]
+            block_values = [per_predicate.get(pred, 0.0) for pred in self.predicates]
+            self.benefits = [value for value in block_values for _ in range(n_points)]
             overrides = benefit_model.per_atom_overrides
+            overridden = set()
             for i, value in zip(self._indices(offsets, overrides, "unknown-atom"),
                                 overrides.values()):
                 self.benefits[i] = value
+                overridden.add(i)
+            self.benefit_classes = self._benefit_classes(block_values, overridden)
 
         # Constraints active in the initial state, as (position in ics, pair
         # index set); plus the inverse map from pair index to positions.
@@ -915,9 +920,53 @@ class Grounding:
         costs = self.costs
         return sum(costs[i] for i in sorted(indices))
 
+    def _benefit_classes(self, block_values: Sequence, overridden: set) -> Optional[list]:
+        """``(value, mask)`` per distinct benefit, from the predicates' blocks
+        and the overridden atoms; None unless every partial sum of benefits
+        is exact.
+
+        Classes are keyed by value and by whether it is a float, so ``1``
+        and ``1.0`` stay apart and a ``0.0`` class is kept: a popcount sum
+        then has the bit loop's type as well as its value. Every float is
+        dyadic; with ``2 ** -e`` the finest step among the benefits, every
+        partial sum is exact when ``sum(b * 2 ** e) < 2 ** 53``."""
+        n_points = self.n_points
+        block = (1 << n_points) - 1
+        free = ~sum(1 << i for i in overridden)
+        items = [(value, (block << k * n_points) & free) for k, value in enumerate(block_values)]
+        items += [(self.benefits[i], 1 << i) for i in overridden]
+        values, masks = {}, {}
+        for value, mask in items:
+            if type(value) not in (int, float, bool):
+                return None
+            key = (type(value) is float, value)
+            values.setdefault(key, value)
+            masks[key] = masks.get(key, 0) | mask
+        ratios = {key: value.as_integer_ratio() for key, value in values.items()}
+        e = max((den.bit_length() for _, den in ratios.values()), default=1) - 1  # den = 2 ** d
+        scaled = sum(num * ((1 << e) // den) * masks[key].bit_count()
+                     for key, (num, den) in ratios.items())
+        if scaled >= 1 << 53:
+            return None
+        return [(values[key], mask) for key, mask in masks.items() if mask]
+
     def benefit_sum(self, mask: int) -> float:
-        benefits = self.benefits
-        return sum(benefits[i] for i in iter_bits(mask))
+        """Summed benefit of the atoms of ``mask``: the sum over its set bits
+        in ascending order. When that sum is exact (``benefit_classes`` is
+        not None) it is taken by popcount, ``sum(value * popcount(mask &
+        members))`` over the classes the mask meets, which gives the same
+        number of the same type; otherwise (benefits such as 0.1) the bits
+        are summed in order."""
+        classes = self.benefit_classes
+        if classes is None:
+            benefits = self.benefits
+            return sum(benefits[i] for i in iter_bits(mask))
+        total = 0
+        for value, members in classes:
+            count = (mask & members).bit_count()
+            if count:
+                total += value * count
+        return total
 
     def conflicts(self, indices) -> list:
         """(position in ics, chosen members in ascending order) for each

@@ -3,18 +3,22 @@
 Everything here recomputes results from definitions (exhaustive
 enumeration, truth tables, direct set arithmetic) without touching the
 solvers' grounding/bitmask machinery, so the oracles stay independent of
-the code paths they check.
+the code paths they check. The one exception is ``eager_bmgop_compute``,
+the greedy's former full rescan, kept as the oracle of its lazy form.
 """
 
 import itertools
 import json
+import math
 from itertools import product
 
 from gops import (ActionPointPair, ActionRule, AndFormula, AtomFormula,
                   BenefitModel, CostModel, GridMap, GroundAtom, NotFormula,
                   OrFormula, Point, TRUE, TrueFormula, action_effects, appl,
                   atom, benefit_of, cost_of, lnot, satisfies)
-from gops.core import formula_atoms
+from gops.bmgop import (GreedyIteration, GreedyTrace, _benefit, _solution,
+                        _violations, approx_bound, bound_applicable)
+from gops.core import formula_atoms, iter_bits
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +170,94 @@ def brute_best_bmgop(inst):
                 if value > best:
                     best, best_combo = value, combo
     return best, frozenset(best_combo)
+
+
+# ---------------------------------------------------------------------------
+# Greedy oracle: the multiplicative-weights greedy as a full rescan of every
+# unpicked pair before each pick, gains summed bit by bit.
+
+def eager_bmgop_compute(inst, delta=0.001, condition_mode="weighted"):
+    """What ``bmgop_compute`` returns, for valid arguments, computed by
+    rescanning every unpicked pair before each pick; ``op_count`` counts
+    the rescans' gain evaluations."""
+    g = inst.grounding
+    n = g.n_pairs
+    m = len(g.ic_s0)
+    k = inst.k
+    budget = inst.budget
+
+    lam = math.exp(2.0 - delta) * (2.0 + m)
+    w_prime = 1.0 / k
+    w_dprime = 1.0 / budget
+    ic_w = [1.0 / (2.0 - delta)] * m
+    step_prime = lam ** (1.0 / k)
+    step_ic = lam ** (1.0 / (2.0 - delta))
+
+    trace = GreedyTrace(delta=delta, lam=lam, mode=condition_mode, ic_count=m)
+    effects, costs, pair_ics, benefits = g.effects, g.costs, g.pair_ics, g.benefits
+
+    def condition():
+        if condition_mode == "weighted":
+            return k * w_prime + budget * w_dprime + (2.0 - delta) * sum(ic_w)
+        return w_prime + w_dprime + sum(ic_w)
+
+    cur_mask = g.s0_mask
+    in_sol = [False] * n
+    order = []
+
+    while condition() <= lam and len(order) < n:
+        best_ratio = None
+        best_j = -1
+        best_gain = 0.0
+        for j in range(n):
+            if in_sol[j]:
+                continue
+            trace.op_count += 1
+            new = effects[j] & ~cur_mask
+            if not new:
+                continue
+            gain = sum(benefits[i] for i in iter_bits(new))
+            if gain <= 0.0:
+                continue
+            numerator = w_prime + w_dprime * costs[j]
+            for i in pair_ics[j]:
+                numerator += ic_w[i]
+            ratio = numerator / gain
+            if best_ratio is None or ratio < best_ratio:
+                best_ratio = ratio
+                best_j = j
+                best_gain = gain
+        if best_j < 0:
+            break
+        in_sol[best_j] = True
+        order.append(best_j)
+        cur_mask |= effects[best_j]
+        w_prime *= step_prime
+        w_dprime *= lam ** (costs[best_j] / budget)
+        for i in pair_ics[best_j]:
+            ic_w[i] *= step_ic
+        trace.iterations.append(GreedyIteration(
+            index=len(order), chosen=g.pair_at(best_j), ratio=best_ratio,
+            gain=best_gain, w_prime=w_prime, w_dprime=w_dprime,
+            ic_weights=tuple(ic_w), condition_value=condition()))
+
+    if order and _violations(inst, order):
+        last = order[-1]
+        if _benefit(inst, order[:-1]) >= _benefit(inst, [last]):
+            order = order[:-1]
+            trace.fixup = "drop-last"
+        else:
+            order = [last]
+            trace.fixup = "keep-last"
+        dropped = 0
+        while order and _violations(inst, order):
+            order.pop()
+            dropped += 1
+        if dropped:
+            trace.fixup += f"+forced-drop({dropped})"
+
+    bound = approx_bound(inst, delta) if bound_applicable(inst, delta) else None
+    return _solution(inst, order, bound), trace
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Differential tests of ``Grounding``'s mask-algebra tables against the
 set-based reference builder, plus radius edge cases."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from gops import (ActionPointPair, ActionRule, BenefitModel, BmgopInstance, Cost
                   GbgopInstance, GridMap, GroundAtom, Grounding, IntegrityConstraint, Point,
                   TRUE, atom, check_ics, enumerate_ground_atoms, enumerate_pairs,
                   gen_campaign, gen_random, land, lnot, lor)
-from gops.core import METRICS
+from gops.core import METRICS, iter_bits
 from gops.errors import InstanceError
 
 from helpers import random_formula, reference_grounding, reference_grounding_of
@@ -269,3 +270,80 @@ def test_coordinates_equal_to_no_int_fail_at_construction(part):
     with pytest.raises(InstanceError) as err:
         _instance_with_x(part, 0.5)
     assert err.value.code == "point-bounds"
+
+
+# ---------------------------------------------------------------------------
+# benefit_sum by class popcount against the bit loop
+
+def _bit_loop(g, mask):
+    return sum(g.benefits[i] for i in iter_bits(mask))
+
+
+def _benefit_grounding(per_predicate, overrides=None, width=1):
+    grid = GridMap(width, 0)
+    predicates = ("a", "b", "c")
+    return Grounding(grid, predicates, frozenset(), (), CostModel(), (),
+                     BenefitModel(per_predicate=per_predicate,
+                                  per_atom_overrides=overrides or {}))
+
+
+def assert_sums_match_bit_loop(g):
+    """Every mask over the (few) atoms sums to the bit loop's value and type."""
+    for mask in range(1 << g.n_atoms):
+        got, want = g.benefit_sum(mask), _bit_loop(g, mask)
+        assert repr(got) == repr(want), (mask, got, want)
+
+
+def test_zero_benefits_sum_to_float_zero_not_int():
+    g = _benefit_grounding({})
+    assert [value for value, _ in g.benefit_classes] == [0.0]
+    assert repr(g.benefit_sum(0b11)) == "0.0" and repr(g.benefit_sum(0)) == "0"
+    assert_sums_match_bit_loop(g)
+
+
+def test_int_and_float_of_equal_value_stay_apart():
+    g = _benefit_grounding({"a": 1, "b": 1.0, "c": 2},
+                           {GroundAtom("c", Point(1, 0)): 1.0, GroundAtom("a", Point(0, 0)): 0})
+    assert sorted(map(repr, (v for v, _ in g.benefit_classes))) == ["0", "1", "1.0", "2"]
+    assert repr(g.benefit_sum(0b000011)) == "1"  # a(0,0) is 0 and a(1,0) is 1
+    assert repr(g.benefit_sum(0b001010)) == "2.0"  # a(1,0) is 1, b(1,0) is 1.0
+    assert_sums_match_bit_loop(g)
+
+
+@pytest.mark.parametrize("values", [{"a": 0.1, "b": 0.3}, {"a": 0.7, "c": 1},
+                                    {"a": Fraction(1, 2)}], ids=repr)
+def test_inexact_or_non_float_benefits_keep_the_bit_loop(values):
+    g = _benefit_grounding(values)
+    assert g.benefit_classes is None
+    assert_sums_match_bit_loop(g)
+
+
+@pytest.mark.parametrize("c, exact", [(2.0 ** 51 - 1, True), (2.0 ** 51 - 0.5, False)])
+def test_the_exactness_bound_is_two_to_the_53_in_the_finest_step(c, exact):
+    # one point: a = 0.5 makes the finest step 2 ** -1, so the scaled total
+    # is 1 + 2 ** 52 + 2 * c: 2 ** 53 - 1, then 2 ** 53
+    g = _benefit_grounding({"a": 0.5, "b": 2.0 ** 51, "c": c}, width=0)
+    assert (1 + 2 ** 52 + int(2 * c) < 2 ** 53) == exact
+    assert (g.benefit_classes is not None) == exact
+    assert_sums_match_bit_loop(g)
+
+
+def test_benefit_classes_partition_the_atoms_by_value_and_type():
+    rng = random.Random(3)
+    for _ in range(30):
+        inst = gen_random(seed=rng.randrange(2 ** 32), width=rng.randint(0, 4),
+                          height=rng.randint(0, 4), problem="bmgop")
+        atoms = enumerate_ground_atoms(inst.grid, inst.predicates)
+        overrides = {a: rng.choice((0, 0.0, 1, 1.0, 2.5)) for a in rng.sample(atoms, 3)}
+        g = dataclasses.replace(inst, benefit_model=BenefitModel(
+            inst.benefit_model.per_predicate, overrides)).grounding
+        seen = 0
+        for value, members in g.benefit_classes:
+            assert members and not members & seen
+            seen |= members
+            assert {(type(g.benefits[i]), g.benefits[i]) for i in iter_bits(members)} == \
+                {(type(value), value)}
+        assert seen == (1 << g.n_atoms) - 1
+        for _ in range(20):
+            mask = rng.getrandbits(g.n_atoms)
+            assert repr(g.benefit_sum(mask)) == repr(_bit_loop(g, mask))
