@@ -308,7 +308,7 @@ def solve_bmgop_exact(inst: BmgopInstance, limits: Optional[Limits] = None) -> B
     """
     g = inst.grounding
     # the atoms with a non-zero benefit; summing over these alone gives the same floats
-    paying = sum(1 << i for i, b in enumerate(g.benefits) if b)
+    paying = int("0" + "".join(["1" if b else "0" for b in reversed(g.benefits)]), 2)
     gain = [g.benefit_sum(e & paying & ~g.s0_mask) for e in g.effects]
     order = sorted((i for i, v in enumerate(gain) if v > 0), key=lambda i: (-gain[i], i))
     # room for the rounding of the k + 2 sums of at most n_atoms terms in the bound test

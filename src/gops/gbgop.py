@@ -150,9 +150,10 @@ def reduce_to_r_star(inst: GbgopInstance):
     occurring in no extra active constraints and covering at least the
     same outstanding goal atoms.
 
-    Mutually dominating (equivalent) pairs keep only their canonical-first
-    member; a pair never dominates itself. Returns the kept pairs in
-    canonical order plus (|R|, |R*|) stats. Quadratic scan.
+    Pairs with the same key (cost, active constraints, outstanding goal
+    atoms covered) are equivalent, so only the canonical first of each key
+    is kept, and only when no other key dominates it. Returns the kept
+    pairs in canonical order plus (|R|, |R*|) stats.
     """
     r_indices, kept = _r_star(inst)
     return (list(map(inst.grounding.pair_at, kept)),
@@ -160,30 +161,26 @@ def reduce_to_r_star(inst: GbgopInstance):
 
 
 def _r_star(inst: GbgopInstance):
-    """(indices of R, indices of R*), both in canonical order."""
+    """(indices of R, indices of R*), both in canonical order. One pass keeps
+    each key's first pair; dominance is then tested between distinct keys."""
     g = inst.grounding
     needed = _needed(inst)
     r_indices = _admissible(inst)
-    costs = g.costs
-    q_sets = [frozenset(g.pair_ics[i]) for i in r_indices]
-    affs = [g.effects[i] & needed for i in r_indices]
+    costs, effects, pair_ics = g.costs, g.effects, g.pair_ics
+    first = {}
+    for i in r_indices:  # pair_ics entries ascend, so equal sets give equal keys
+        first.setdefault((costs[i], pair_ics[i], effects[i] & needed), i)
+    keys = [(c, frozenset(q), f) for c, q, f in first]
 
     kept = []
-    n = len(r_indices)
-    for a in range(n):
-        dominated = False
-        ca, qa, fa = costs[r_indices[a]], q_sets[a], affs[a]
-        for b in range(n):
-            if b == a:
-                continue
-            cb, qb, fb = costs[r_indices[b]], q_sets[b], affs[b]
-            if cb <= ca and qb <= qa and fa & ~fb == 0:
-                equivalent = cb == ca and qb == qa and fa == fb
-                if not equivalent or b < a:
-                    dominated = True
-                    break
-        if not dominated:
-            kept.append(r_indices[a])
+    for a, i in zip(keys, first.values()):
+        ca, qa, fa = a
+        for b in keys:
+            if b is not a and b[0] <= ca and b[1] <= qa and not fa & ~b[2]:
+                break
+        else:
+            kept.append(i)
+    kept.sort()
     return r_indices, kept
 
 

@@ -124,6 +124,8 @@ def gen_random(*, seed: int, width: int = 1, height: int = 1, predicates: int = 
     Benefits and costs are dyadic rationals so float sums stay exact.
     Guard rails reject sizes beyond desk scale.
     """
+    if predicates < 1 or actions < 1:
+        raise InstanceError("gen-guard", "need at least one predicate and one action")
     grid = GridMap(width, height)
     if grid.n_points > MAX_POINTS:
         raise InstanceError("gen-guard", f"too many points ({grid.n_points} > {MAX_POINTS})")

@@ -5,6 +5,8 @@ enumeration, truth tables, direct set arithmetic) without touching the
 solvers' grounding/bitmask machinery, so the oracles stay independent of
 the code paths they check. The one exception is ``eager_bmgop_compute``,
 the greedy's former full rescan, kept as the oracle of its lazy form.
+``quadratic_r_star`` is the dominance reduction's former scan of every
+admissible pair against every other, run on the reference grounding.
 """
 
 import itertools
@@ -102,6 +104,47 @@ def reference_grounding_of(inst):
     return reference_grounding(inst.grid, inst.predicates, inst.s0, inst.actions,
                                inst.cost_model, inst.ics,
                                getattr(inst, "benefit_model", None))
+
+
+# ---------------------------------------------------------------------------
+# Reduction oracle: the dominance test between every two admissible pairs.
+
+def quadratic_r_star(inst):
+    """(indices of R, indices of R*) of a goal-based instance, both in
+    canonical order, from the reference grounding: a pair is dropped when
+    another pair costs no more, is in no extra active constraint and
+    covers at least its outstanding goal atoms; of mutually dominating
+    pairs only the canonical first stays."""
+    ref = reference_grounding_of(inst)
+    atoms = [GroundAtom(pred, p) for pred in inst.predicates for p in inst.grid.points()]
+
+    def to_mask(atom_set):
+        return sum(1 << i for i, a in enumerate(atoms) if a in atom_set)
+
+    needed = to_mask(inst.theta_in - inst.s0)
+    out_mask = to_mask(inst.theta_out)
+    r_indices = [i for i, eff in enumerate(ref["effects"]) if not eff & out_mask]
+    costs = ref["costs"]
+    q_sets = [frozenset(ref["pair_ics"][i]) for i in r_indices]
+    affs = [ref["effects"][i] & needed for i in r_indices]
+
+    kept = []
+    n = len(r_indices)
+    for a in range(n):
+        dominated = False
+        ca, qa, fa = costs[r_indices[a]], q_sets[a], affs[a]
+        for b in range(n):
+            if b == a:
+                continue
+            cb, qb, fb = costs[r_indices[b]], q_sets[b], affs[b]
+            if cb <= ca and qb <= qa and fa & ~fb == 0:
+                equivalent = cb == ca and qb == qa and fa == fb
+                if not equivalent or b < a:
+                    dominated = True
+                    break
+        if not dominated:
+            kept.append(r_indices[a])
+    return r_indices, kept
 
 
 # ---------------------------------------------------------------------------

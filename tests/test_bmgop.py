@@ -96,6 +96,15 @@ def test_exact_solver_k_zero_returns_empty():
     assert sol.achieved_benefit == 1.0
 
 
+def test_exact_solver_on_an_instance_without_atoms():
+    inst = tiny_bmgop(predicates=(), actions=(explicit_action("noop", P00, []),),
+                      benefit_model=BenefitModel(per_predicate={}))
+    assert inst.grounding.n_atoms == 0
+    sol = solve_bmgop_exact(inst)
+    assert sol.pairs == frozenset()
+    assert sol.achieved_benefit == 0
+
+
 def test_exact_matches_ip_and_bruteforce_on_random_instances():
     for seed in range(40):
         inst = gen_random(seed=seed, width=1, height=1, predicates=3,

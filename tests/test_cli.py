@@ -267,6 +267,16 @@ def test_gen_random_cli_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("size", ["--predicates", "--actions"])
+def test_gen_random_cli_rejects_zero_sizes_exit_2(tmp_path, size):
+    out = tmp_path / "inst.json"
+    result = run_cli(["gen", "random", "--seed", "0", size, "0", "-o", str(out)])
+    assert result.returncode == 2
+    assert result.stderr.startswith("error[gen-guard]: ")
+    assert "Traceback" not in result.stderr
+    assert not out.exists()
+
+
 def test_bench_cli(tmp_path):
     bench_dir = tmp_path / "suite"
     bench_dir.mkdir()

@@ -1,0 +1,136 @@
+"""The dominance reduction R -> R*: held equal to the every-pair-against-
+every-pair oracle on generated, encoded and hand-built instances, and its
+outputs pinned by a golden digest."""
+
+import hashlib
+import random
+
+import pytest
+
+from gops import (ActionPointPair, CostModel, GroundAtom,
+                  IntegrityConstraint, Point, TRUE, gen_campaign, gen_random,
+                  reduce_to_r_star)
+from gops.encodings import CoverProblem, encode_set_cover
+from gops.gbgop import _r_star
+
+from helpers import explicit_action, quadratic_r_star, tiny_gbgop
+
+P00, P10 = Point(0, 0), Point(1, 0)
+
+# (width, height, predicates, actions, radius, ics): one-point maps, strips
+# and small squares, with up to four integrity constraints
+SHAPES = ((0, 0, 3, 3, 1.0, 1), (0, 0, 2, 4, 0.0, 3), (3, 2, 3, 3, 1.5, 2),
+          (4, 4, 2, 4, 2.0, 4))
+
+
+def random_corpus(seeds):
+    for seed in seeds:
+        for width, height, predicates, actions, radius, ics in SHAPES:
+            yield gen_random(seed=seed, width=width, height=height, predicates=predicates,
+                             actions=actions, radius=radius, ics=ics)
+
+
+def set_cover(rng, universe, families, family_size):
+    """A set-cover encoding of random families over ``range(universe)``."""
+    elements = tuple(range(universe))
+    return encode_set_cover(CoverProblem(elements, tuple(
+        frozenset(rng.sample(elements, rng.randint(*family_size))) for _ in range(families))))
+
+
+def repeated_family_cover(rng):
+    """Set cover whose families are drawn with repetition from a small pool
+    plus subsets of pool members, so many pairs share one key."""
+    elements = tuple(range(8))
+    pool = [frozenset(rng.sample(elements, rng.randint(1, 5))) for _ in range(4)]
+    fams = [rng.choice(pool) for _ in range(20)]
+    fams += [frozenset(rng.sample(sorted(f), rng.randint(1, len(f)))) for f in pool]
+    fams.append(frozenset(elements))
+    rng.shuffle(fams)
+    return encode_set_cover(CoverProblem(elements, tuple(fams)))
+
+
+# ---------------------------------------------------------------------------
+# Differential: the keyed reduction against the quadratic oracle.
+
+def test_reduction_equals_the_quadratic_oracle_on_the_campaign():
+    inst = gen_campaign().gbgop
+    assert _r_star(inst) == quadratic_r_star(inst)
+
+
+def test_reduction_equals_the_quadratic_oracle_on_generated_instances():
+    overrides = out_goals = multi_ic = 0
+    for inst in random_corpus(range(150)):
+        assert _r_star(inst) == quadratic_r_star(inst)
+        overrides += bool(inst.cost_model.overrides)
+        out_goals += bool(inst.theta_out)
+        multi_ic += len(inst.ics) > 1
+    # the corpus exercises what the key is made of
+    assert overrides and out_goals and multi_ic
+
+
+def test_reduction_equals_the_quadratic_oracle_on_repeated_families():
+    rng = random.Random(5)
+    for _ in range(200):
+        inst = repeated_family_cover(rng)
+        r, kept = _r_star(inst)
+        assert (r, kept) == quadratic_r_star(inst)
+        assert len(kept) < len(r)
+
+
+def test_only_dominator_later_in_canonical_order():
+    a00, b10 = GroundAtom("a", P00), GroundAtom("b", P10)
+    # mk_a is canonical first and covers a subset at a higher cost
+    inst = tiny_gbgop(actions=(explicit_action("mk_a", P00, [a00]),
+                               explicit_action("mk_ab", P00, [a00, b10])),
+                      cost_model=CostModel(default_cost=0.5,
+                                           overrides={ActionPointPair("mk_a", P00): 1.0}),
+                      theta_in=frozenset({a00, b10}))
+    r_star, stats = reduce_to_r_star(inst)
+    assert r_star == [ActionPointPair("mk_ab", P00)]
+    assert stats.r_size == 8
+    assert _r_star(inst) == quadratic_r_star(inst)
+
+
+@pytest.mark.parametrize("constrained", ["first", "second"])
+def test_pairs_that_differ_only_in_their_constraint_set(constrained):
+    a00 = GroundAtom("a", P00)
+    one, two = ActionPointPair("m1", P00), ActionPointPair("m2", P00)
+    tied = one if constrained == "first" else two
+    # the constraint's other member makes nothing, so only `tied` is in
+    # an extra active constraint
+    ic = IntegrityConstraint(pairs=frozenset({tied, ActionPointPair("m1", P10)}),
+                             condition=TRUE)
+    inst = tiny_gbgop(actions=(explicit_action("m1", P00, [a00]),
+                               explicit_action("m2", P00, [a00])),
+                      ics=(ic,), theta_in=frozenset({a00}))
+    r_star, _ = reduce_to_r_star(inst)
+    assert r_star == [two if tied is one else one]
+    assert _r_star(inst) == quadratic_r_star(inst)
+
+
+# ---------------------------------------------------------------------------
+# Golden digest of what reduce_to_r_star returns.
+
+def reduction_text(inst):
+    r_star, stats = reduce_to_r_star(inst)
+    members = " ".join(f"{p.action}@{p.point.x},{p.point.y}" for p in r_star)
+    return f"{stats.r_size} {stats.r_star_size}: {members}\n"
+
+
+def test_reduction_outputs_golden_digest():
+    # Pins R* and (|R|, |R*|) of the campaign, a generated corpus and
+    # set-cover encodings shaped like the benchmark's `reduce` instances
+    # (universe 60, 300 families of 6-12 elements); the digest is over the
+    # texts in that order.
+    campaign = gen_campaign().gbgop
+    assert reduction_text(campaign).startswith("561 7: ")
+    digest = hashlib.sha256(reduction_text(campaign).encode())
+    for seed in range(40):
+        for width, height, actions, radius, ics in ((0, 0, 3, 1.0, 1), (3, 2, 3, 1.5, 2),
+                                                    (8, 8, 3, 3.0, 2), (12, 5, 4, 0.0, 3)):
+            inst = gen_random(seed=seed, width=width, height=height, actions=actions,
+                              radius=radius, ics=ics)
+            digest.update(reduction_text(inst).encode())
+    for j in range(6):
+        digest.update(reduction_text(set_cover(random.Random(j), 60, 300, (6, 12))).encode())
+    assert digest.hexdigest() == "f4d206cc62ef75048c7c559bbf221d254ef912b201e804c6e69ec8e1eb2aa9f2"
