@@ -12,10 +12,10 @@ for cross-checking and small instances.
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .core import ActionPointPair, BenefitModel, Problem, format_number
+from .core import ActionPointPair, BenefitModel, Problem, Solution, format_number
 from .errors import InstanceError, LimitReachedError
 from .ip import IpModel, Limits, _lp_name, _solve_for_tags
 
@@ -34,14 +34,7 @@ class BmgopInstance(Problem):
         return self.benefit_model
 
 
-@dataclass(frozen=True)
-class BmgopSolution:
-    pairs: frozenset
-    total_cost: float
-    cardinality: int
-    final_state: frozenset
-    achieved_benefit: float
-    reported_bound: Optional[float] = None
+BmgopSolution = Solution
 
 
 @dataclass(frozen=True)
@@ -136,13 +129,6 @@ def bound_applicable(inst: BmgopInstance, delta: float = 0.001) -> bool:
 def _check_delta(delta: float) -> None:
     if not 0.0 < delta < 1.0:
         raise InstanceError("delta-range", f"delta must lie strictly in (0, 1), got {delta}")
-
-
-def _solution(inst: BmgopInstance, indices, bound: Optional[float]) -> BmgopSolution:
-    g = inst.grounding
-    final_mask, fields = g._selection(indices)
-    return BmgopSolution(**fields, achieved_benefit=g.benefit_sum(final_mask),
-                         reported_bound=bound)
 
 
 def bmgop_compute(inst: BmgopInstance, delta: float = 0.001,
@@ -260,7 +246,7 @@ def bmgop_compute(inst: BmgopInstance, delta: float = 0.001,
             trace.fixup += f"+forced-drop({dropped})"
 
     bound = approx_bound(inst, delta) if bound_applicable(inst, delta) else None
-    return _solution(inst, order, bound), trace
+    return replace(g._selection(order), reported_bound=bound), trace
 
 
 def build_bmgop_ip(inst: BmgopInstance) -> IpModel:
@@ -335,9 +321,9 @@ def solve_bmgop_exact(inst: BmgopInstance, limits: Optional[Limits] = None) -> B
     try:
         g.search(order, inst.budget, inst.k, (limits or Limits())._counter(), visit)
     except LimitReachedError as err:
-        err.best = _solution(inst, best, None)
+        err.best = g._selection(best)
         raise
-    return _solution(inst, best, None)
+    return g._selection(best)
 
 
 def solve_bmgop_ip(inst: BmgopInstance, limits: Optional[Limits] = None):
@@ -345,4 +331,4 @@ def solve_bmgop_ip(inst: BmgopInstance, limits: Optional[Limits] = None):
     tags, status = _solve_for_tags(build_bmgop_ip(inst), limits)
     if tags is None:
         return None, status
-    return _solution(inst, [i for kind, i in tags if kind == "pair"], None), status
+    return inst.grounding._selection([i for kind, i in tags if kind == "pair"]), status

@@ -142,7 +142,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    paths = sorted(Path(args.directory).glob("*.json"))
+    # iterdir, unlike glob, fails on a missing path or one that is not a directory
+    paths = sorted(p for p in Path(args.directory).iterdir() if p.match("*.json"))
     suite = []
     for path in paths:
         inst = parse_instance(path.read_text())

@@ -26,21 +26,23 @@ is the metric ball around ``p`` AND the target-guard mask (gated by bit
 effect predicate's block of atom indices. Atom and pair indices are
 arithmetic (block offset + ``y * (M + 1) + x``), so grounding keeps no
 per-atom or per-pair object tables: atoms and pairs are made only for the
-indices a caller asks about, and the full lists only on first use.
-``validate_instance_parts`` checks atom and pair sets in bulk, each
-distinct member once. An explicit effect table parsed for the instance's
-own map and predicates (``EffectTable``) holds atom indices already:
-validation skips it and grounding sets its rows' bits directly. The
-set-based functions (``satisfies``, ``action_effects``, ``appl``,
-``cost_of``, ``benefit_of``, ``ground_ics_for_state``, ``check_ics``) are
-reference semantics only: no solver calls them, and the tests hold the
-tables and solvers equal to them.
+indices a caller asks about, and the full lists only on first use. One
+indexer, ``item_indices`` (over ``GridMap.point_index``), turns (name,
+point) items into those indices for every reader: validation
+(``check_atoms``), grounding's lookups and override tables, and the
+document parser's effect-table reader. Each item is indexed once per
+set it is in; of several bad items, the least by ``repr`` is named. An
+explicit effect table parsed for the instance's own map and predicates
+(``EffectTable``) holds atom indices already: validation skips it and
+grounding sets its rows' bits directly. The set-based functions
+(``satisfies``, ``action_effects``, ``appl``, ``cost_of``, ``benefit_of``,
+``ground_ics_for_state``, ``check_ics``) are reference semantics only: no
+solver calls them, and the tests hold the tables and solvers equal to them.
 """
 
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import InstanceError, LimitReachedError
@@ -89,7 +91,7 @@ class GridMap:
         return (self.width_bound + 1) * (self.height_bound + 1)
 
     def contains(self, p: Point) -> bool:
-        return _point_index(self, p) is not None
+        return self.point_index(p) is not None
 
     def points(self) -> list:
         """All points in canonical (row-major) order."""
@@ -97,8 +99,19 @@ class GridMap:
                 for y in range(self.height_bound + 1)
                 for x in range(self.width_bound + 1)]
 
-    def point_index(self, p: Point) -> int:
-        return p.y * (self.width_bound + 1) + p.x
+    def point_index(self, p: Point) -> Optional[int]:
+        """Row-major index of ``p``, or None when it is not a map point: off
+        the map, or with a coordinate that equals no integer (one that does,
+        such as ``True`` or ``1.0``, counts as that integer; see
+        ``_integral``)."""
+        x, y = p
+        if type(x) is not int or type(y) is not int:
+            x, y = _integral(x), _integral(y)
+            if x is None or y is None:
+                return None
+        if 0 <= x <= self.width_bound and 0 <= y <= self.height_bound:
+            return y * (self.width_bound + 1) + x
+        return None
 
     def box_around(self, p: Point, radius: float) -> list:
         """In-bounds points of the axis-aligned box of the given radius,
@@ -423,10 +436,6 @@ def format_number(x: float) -> str:
     return f"{x:.12g}"
 
 
-_FIRST = itemgetter(0)
-_SECOND = itemgetter(1)
-
-
 def _integral(v) -> Optional[int]:
     """``v`` as an int when it equals one, else None. Equal numbers are one
     dict key, so ``True``, ``1.0`` and ``numpy.int64(1)`` all name the
@@ -438,37 +447,33 @@ def _integral(v) -> Optional[int]:
     return i if i == v else None
 
 
-def _point_index(grid: GridMap, point) -> Optional[int]:
-    """Row-major index of ``point`` on ``grid``, or None when it is not a
-    map point: off the map, or with a coordinate that equals no integer."""
-    x, y = point
-    if type(x) is not int or type(y) is not int:
-        x, y = _integral(x), _integral(y)
-        if x is None or y is None:
-            return None
-    if 0 <= x <= grid.width_bound and 0 <= y <= grid.height_bound:
-        return y * (grid.width_bound + 1) + x
-    return None
+def block_offsets(names: Iterable[str], grid: GridMap) -> dict:
+    """Where each name's block of canonical indices starts on ``grid``: the
+    atoms of the ``k``-th predicate, or the pairs of the ``k``-th action,
+    are ``k * n_points`` onward, in row-major point order."""
+    n_points = grid.n_points
+    return {name: k * n_points for k, name in enumerate(names)}
 
 
-def _on_map(points, grid: GridMap) -> bool:
-    """Whether every point is a map point (see ``_point_index``). Points
-    with plain int coordinates are checked from the extremes of each
-    coordinate."""
-    xs = list(map(_FIRST, points))
-    ys = list(map(_SECOND, points))
-    if not xs:
-        return True
-    if {*map(type, xs), *map(type, ys)} == {int}:
-        return (0 <= min(xs) and max(xs) <= grid.width_bound
-                and 0 <= min(ys) and max(ys) <= grid.height_bound)
-    return all(_point_index(grid, p) is not None for p in points)
-
-
-def _all_known(names: set, items, grid: GridMap) -> bool:
-    """Whether every (name, point) item, an atom or a pair, has a name in
-    ``names`` and a point on ``grid``."""
-    return names.issuperset(map(_FIRST, items)) and _on_map(list(map(_SECOND, items)), grid)
+def item_indices(items: Iterable, offsets: Mapping[str, int], grid: GridMap, error) -> list:
+    """The canonical index of each (name, point) item, atom or pair, in
+    order: ``offsets[name] + grid.point_index(point)``, with ``offsets``
+    from ``block_offsets``. Every reader of atoms and pairs indexes them
+    here. Items without an index (an unknown name, a point off the map, no
+    (name, point) shape) are collected, and ``error(item)`` is raised for
+    the least of them by ``repr``, so the item named does not depend on the
+    iteration order of a set."""
+    point_index = grid.point_index
+    out, bad = [], []
+    for item in items:
+        try:
+            name, point = item
+            out.append(offsets[name] + point_index(point))
+        except (KeyError, TypeError, ValueError):
+            bad.append(item)
+    if bad:
+        raise error(min(bad, key=repr))
+    return out
 
 
 def _block_point(grid: GridMap, i: int) -> tuple:
@@ -508,7 +513,7 @@ class EffectTable(Mapping):
 
     def __getitem__(self, point) -> frozenset:
         try:
-            indices = self.rows[_point_index(self.grid, point)]
+            indices = self.rows[self.grid.point_index(point)]
         except (KeyError, TypeError, ValueError):
             raise KeyError(point) from None
         predicates = self.predicates
@@ -538,19 +543,20 @@ def _own_rows(table: Mapping, grid: GridMap, predicates: Sequence[str]) -> Optio
     return None
 
 
-def check_atoms(items, known: set, grid: GridMap, where: str,
+def check_atoms(items, offsets: Mapping[str, int], grid: GridMap, where: str,
                 code: str = "unknown-predicate") -> None:
     """Raise InstanceError unless every (name, point) item, atom or pair,
-    has a name in ``known`` and a point on ``grid``; an unknown name raises
-    ``code`` ("unknown-predicate" or "unknown-action"). The set is checked
-    in bulk; only one that fails is walked item by item, to name it."""
-    if _all_known(known, items, grid):
-        return
-    for name, point in items:
-        if name not in known:
-            raise InstanceError(code, f"{where}: {code.replace('-', ' ')} {name!r}")
-        if _point_index(grid, point) is None:
-            raise InstanceError("point-bounds", f"{where}: point {point} outside the map")
+    has a name in ``offsets`` and a point on ``grid``: an unknown name
+    raises ``code`` ("unknown-predicate" or "unknown-action"), a point off
+    the map "point-bounds". One pass through ``item_indices``, which names
+    the least bad item."""
+    def error(item):
+        name, point = item
+        if name not in offsets:
+            return InstanceError(code, f"{where}: {code.replace('-', ' ')} {name!r}")
+        return InstanceError("point-bounds", f"{where}: point {point} outside the map")
+
+    item_indices(items, offsets, grid, error)
 
 
 def validate_instance_parts(grid: GridMap, predicates: Sequence[str], s0: State,
@@ -559,23 +565,25 @@ def validate_instance_parts(grid: GridMap, predicates: Sequence[str], s0: State,
                             benefit_model: Optional[BenefitModel] = None) -> None:
     """Cross-checks between the parts of an instance; raises InstanceError.
 
-    Atom and pair sets are checked in bulk by ``check_atoms``, each distinct
-    member once (an action's effect sets as their union)."""
-    known = set()
+    Atom and pair sets are checked item by item by ``check_atoms`` (an
+    action's effect sets entry by entry)."""
+    seen = set()
     for name in predicates:
-        if name in known:
+        if name in seen:
             raise InstanceError("predicate-duplicate", f"duplicate predicate {name!r}")
-        known.add(name)
+        seen.add(name)
+    known = block_offsets(predicates, grid)
 
     def check_formula(f: Formula, where: str):
         for leaf in formula_atoms(f):
             if leaf.predicate not in known:
                 raise InstanceError("unknown-predicate", f"{where}: unknown predicate {leaf.predicate!r}")
-            if leaf.point is not None and _point_index(grid, leaf.point) is None:
+            if leaf.point is not None and grid.point_index(leaf.point) is None:
                 raise InstanceError("point-bounds", f"{where}: point {leaf.point} outside the map")
 
     check_atoms(s0, known, grid, "initial state")
 
+    action_offsets = block_offsets([rule.name for rule in actions], grid)
     action_names = set()
     for rule in actions:
         if rule.name in action_names:
@@ -586,9 +594,9 @@ def validate_instance_parts(grid: GridMap, predicates: Sequence[str], s0: State,
             if _own_rows(table, grid, predicates) is not None:
                 continue  # built from this instance's own map points and predicates
             # the table's points are those of the action's pairs
-            check_atoms([(rule.name, p) for p in table], action_names, grid,
+            check_atoms([(rule.name, p) for p in table], action_offsets, grid,
                         f"action {rule.name!r}", "unknown-action")
-            check_atoms(frozenset().union(*table.values()), known, grid,
+            check_atoms([a for effect in table.values() for a in effect], known, grid,
                         f"action {rule.name!r} effects")
         else:
             if rule.effect_predicate not in known:
@@ -597,7 +605,7 @@ def validate_instance_parts(grid: GridMap, predicates: Sequence[str], s0: State,
             check_formula(rule.source_guard, f"action {rule.name!r} source guard")
             check_formula(rule.target_guard, f"action {rule.name!r} target guard")
 
-    check_atoms(cost_model.overrides, action_names, grid, "cost override", "unknown-action")
+    check_atoms(cost_model.overrides, action_offsets, grid, "cost override", "unknown-action")
     for condition, _ in cost_model.state_rules:
         check_formula(condition, "cost rule")
 
@@ -608,7 +616,7 @@ def validate_instance_parts(grid: GridMap, predicates: Sequence[str], s0: State,
         check_atoms(benefit_model.per_atom_overrides, known, grid, "benefit override")
 
     for i, ic in enumerate(ics):
-        check_atoms(ic.pairs, action_names, grid, f"integrity constraint {i}", "unknown-action")
+        check_atoms(ic.pairs, action_offsets, grid, f"integrity constraint {i}", "unknown-action")
         check_formula(ic.condition, f"integrity constraint {i}")  # ground: see IntegrityConstraint
 
 
@@ -629,7 +637,7 @@ def _point_mask(formula: Formula, s0_mask: int, offsets: Mapping[str, int], grid
             return 0
         if formula.point is None:
             return s0_mask >> offset & full
-        i = _point_index(grid, formula.point)
+        i = grid.point_index(formula.point)
         return full if i is not None and s0_mask >> offset + i & 1 else 0
     if isinstance(formula, NotFormula):
         return full & ~_point_mask(formula.child, s0_mask, offsets, grid, full)
@@ -695,6 +703,21 @@ def _ball(grid: GridMap, metric: str, bound: float):
 _OF_THIS_INSTANCE = {"unknown-atom": "a ground atom", "unknown-pair": "an action-point pair"}
 
 
+@dataclass(frozen=True)
+class Solution:
+    """A selection of action-point pairs and what it reaches. For a
+    benefit-maximizing instance it also holds the benefit achieved and the
+    guarantee the method reports, when one applies; both stay None for a
+    goal-based one."""
+
+    pairs: frozenset
+    total_cost: float
+    cardinality: int
+    final_state: frozenset
+    achieved_benefit: Optional[float] = None
+    reported_bound: Optional[float] = None
+
+
 class Grounding:
     """Canonical index tables plus frozen per-pair effect, cost and benefit
     caches for one instance. Built once, then read-only.
@@ -707,9 +730,9 @@ class Grounding:
     ``k``'s pair at ``(x, y)`` the same in the pair order. So grounding
     builds no per-atom or per-pair objects: ``atom_at``/``pair_at`` and
     ``mask_atoms`` make objects only for the indices they are asked for,
-    ``atoms_to_mask`` and ``pairs_to_indices`` check each input against the
-    map, and the full ``atoms``/``pairs`` lists are built on first use, for
-    the callers that need every one of them.
+    ``atoms_to_mask`` and ``pairs_to_indices`` index their inputs with
+    ``item_indices``, and the full ``atoms``/``pairs`` lists are built on
+    first use, for the callers that need every one of them.
 
     Effects and costs are derived with mask algebra, never per pair:
 
@@ -745,10 +768,8 @@ class Grounding:
         self.n_points = n_points = grid.n_points
         self.n_atoms = n_points * len(self.predicates)
         self.n_pairs = n_points * len(self.actions)
-        # where each predicate's atoms and each action's pairs start
-        self.atom_offsets = offsets = {pred: k * n_points
-                                       for k, pred in enumerate(self.predicates)}
-        self.pair_offsets = {rule.name: k * n_points for k, rule in enumerate(self.actions)}
+        self.atom_offsets = offsets = block_offsets(self.predicates, grid)
+        self.pair_offsets = block_offsets([rule.name for rule in self.actions], grid)
         self._atoms = self._pairs = None  # built on first use
 
         self.s0 = frozenset(s0)
@@ -772,7 +793,7 @@ class Grounding:
                     self.effects += row
                     continue
                 for point, effect in rule.explicit_effects.items():
-                    i = _point_index(grid, point)
+                    i = grid.point_index(point)
                     if i is None:
                         raise InstanceError("point-bounds", f"action {rule.name!r}: point "
                                                             f"{point} outside the map")
@@ -830,32 +851,12 @@ class Grounding:
             for i in members:
                 self.pair_ics[i] += (j,)
 
-    def _indices(self, offsets: Mapping[str, int], items: Iterable, code: str):
-        """Canonical index of each (name, point) item among the blocks that
-        ``offsets`` starts: ``offsets[name] + y * (M + 1) + x``. An item
-        whose name or point is not of this instance raises InstanceError
-        ``code``; the bounds test keeps ``x = M + 1`` from aliasing to the
-        next row. Coordinates that equal an int count as that int (see
-        ``_point_index``), as they would in a lookup keyed by atoms."""
-        grid = self.grid
-        last_x, last_y = grid.width_bound, grid.height_bound
-        width = last_x + 1
-        for item in items:
-            try:
-                name, point = item
-                offset = offsets.get(name)
-                x, y = point
-            except (TypeError, ValueError):
-                offset = None
-            if offset is not None:
-                if type(x) is int and type(y) is int and 0 <= x <= last_x and 0 <= y <= last_y:
-                    yield offset + y * width + x
-                    continue
-                i = _point_index(grid, point)
-                if i is not None:
-                    yield offset + i
-                    continue
-            raise InstanceError(code, f"not {_OF_THIS_INSTANCE[code]} of this instance: {item}")
+    def _indices(self, offsets: Mapping[str, int], items: Iterable, code: str) -> list:
+        """``item_indices`` of (name, point) items among the blocks that
+        ``offsets`` starts; one not of this instance raises InstanceError
+        ``code``."""
+        return item_indices(items, offsets, self.grid, lambda item: InstanceError(
+            code, f"not {_OF_THIS_INSTANCE[code]} of this instance: {item}"))
 
     def atoms_to_mask(self, atoms: Iterable[GroundAtom]) -> int:
         mask = 0
@@ -1022,17 +1023,17 @@ class Grounding:
         except LimitReachedError as err:
             raise LimitReachedError(f"{err.message} at size {len(chosen)}") from None
 
-    def _selection(self, indices):
-        """(final-state mask, the solution fields both problem flavors
-        share) for the selected pair indices. The final state is the
-        initial one plus atoms made only for the bits the pairs add."""
+    def _selection(self, indices) -> Solution:
+        """The solution of the selected pair indices. Its final state is the
+        initial one plus atoms made only for the bits the pairs add; its
+        benefit is filled in when this grounding has benefits."""
         indices = sorted(indices)
         final_mask = self.s0_mask | self.union_effects(indices)
-        return final_mask, dict(pairs=frozenset(map(self.pair_at, indices)),
-                                total_cost=self.cost_sum(indices),
-                                cardinality=len(indices),
-                                final_state=self.s0.union(
-                                    self.mask_atoms(final_mask & ~self.s0_mask)))
+        return Solution(pairs=frozenset(map(self.pair_at, indices)),
+                        total_cost=self.cost_sum(indices), cardinality=len(indices),
+                        final_state=self.s0.union(self.mask_atoms(final_mask & ~self.s0_mask)),
+                        achieved_benefit=None if self.benefits is None
+                        else self.benefit_sum(final_mask))
 
 
 @dataclass(eq=False)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .core import Problem, check_atoms
+from .core import Problem, Solution, block_offsets, check_atoms
 from .errors import InstanceError, LimitReachedError, UncoverableAtomsError
 from .ip import IpModel, Limits, _lp_name, _solve_for_tags
 
@@ -27,7 +27,7 @@ class GbgopInstance(Problem):
         self.theta_out = frozenset(self.theta_out)
         if self.theta_in & self.theta_out:
             raise InstanceError("goal-overlap", "theta_in and theta_out must be disjoint")
-        known = set(self.predicates)
+        known = block_offsets(self.predicates, self.grid)
         check_atoms(self.theta_in, known, self.grid, "goal atoms (theta_in)")
         check_atoms(self.theta_out, known, self.grid, "forbidden atoms (theta_out)")
 
@@ -40,12 +40,7 @@ class GbgopInstance(Problem):
         return self.grounding.atoms_to_mask(self.theta_out)
 
 
-@dataclass(frozen=True)
-class GbgopSolution:
-    pairs: frozenset
-    total_cost: float
-    final_state: frozenset
-    cardinality: int
+GbgopSolution = Solution
 
 
 @dataclass(frozen=True)
@@ -54,10 +49,6 @@ class Violation:
     message: str
     atoms: tuple = ()
     pairs: tuple = ()
-
-
-def _solution(inst: GbgopInstance, indices) -> GbgopSolution:
-    return GbgopSolution(**inst.grounding._selection(indices)[1])
 
 
 def _needed(inst: GbgopInstance) -> int:
@@ -142,7 +133,7 @@ def probe_feasibility(inst: GbgopInstance) -> Optional[GbgopSolution]:
     candidate = _admissible(inst)
     if _violations(inst, candidate):
         return None
-    return _solution(inst, candidate)
+    return inst.grounding._selection(candidate)
 
 
 def reduce_to_r_star(inst: GbgopInstance):
@@ -243,7 +234,7 @@ def solve_gbgop_exact(inst: GbgopInstance, limits: Optional[Limits] = None) -> O
         return len(chosen) + 1 < smaller_than and not needed & ~(mask | suffix[pos])
 
     g.search(candidates, inst.budget, len(candidates), (limits or Limits())._counter(), visit)
-    return None if best is None else _solution(inst, best)
+    return None if best is None else g._selection(best)
 
 
 def _suffix_unions(g, candidates) -> list:
@@ -265,7 +256,7 @@ def solve_gbgop_ip(inst: GbgopInstance, limits: Optional[Limits] = None):
     chosen, status = _solve_for_tags(model, limits)
     if chosen is None:
         return None, status
-    return _solution(inst, chosen), status
+    return inst.grounding._selection(chosen), status
 
 
 def count_gbgop_solutions(inst: GbgopInstance, cap: Optional[int] = None) -> int:

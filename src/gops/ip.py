@@ -97,8 +97,19 @@ class IpAssignment:
 
 @dataclass(frozen=True)
 class Limits:
+    """Node and time budget of one search; None is no limit. A negative
+    or NaN value, which no count or clock reading would pass, is refused."""
+
     max_nodes: Optional[int] = None
     max_seconds: Optional[float] = None
+
+    def __post_init__(self):
+        if self.max_nodes is not None and not self.max_nodes >= 0:
+            raise InstanceError("limit-range",
+                                f"max_nodes {self.max_nodes} is not a non-negative number")
+        if self.max_seconds is not None and not self.max_seconds >= 0:
+            raise InstanceError("limit-range",
+                                f"max_seconds {self.max_seconds} is not a non-negative number")
 
     def _counter(self):
         """Start the clock for one search; returns a function to call once

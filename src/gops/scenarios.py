@@ -126,6 +126,8 @@ def gen_random(*, seed: int, width: int = 1, height: int = 1, predicates: int = 
     """
     if predicates < 1 or actions < 1:
         raise InstanceError("gen-guard", "need at least one predicate and one action")
+    if ics < 0:
+        raise InstanceError("gen-guard", "the number of integrity constraints is negative")
     grid = GridMap(width, height)
     if grid.n_points > MAX_POINTS:
         raise InstanceError("gen-guard", f"too many points ({grid.n_points} > {MAX_POINTS})")

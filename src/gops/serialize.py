@@ -9,13 +9,16 @@ override table of [item, value] entries. A well-formed point or item
 passes one inline shape check; only a malformed one goes through the
 step-by-step checks that name its error, and only then is its path built.
 An explicit effect table whose entries are all well formed and use only
-the document's predicates and map points is read straight into the atom
-indices ``Grounding`` uses and kept in a read-only ``core.EffectTable``,
-with no ``GroundAtom`` made; any other table is parsed entry by entry as
-objects, so its errors keep their codes, paths and order. Serialization
-is canonical (fixed key order, atoms and pairs in one canonical order,
-shortest round-tripping numbers), so identical instances produce
-identical bytes and ``parse(serialize(x))`` reproduces ``x``.
+the document's predicates and map points is read straight into atom
+indices by the indexer ``Grounding`` and validation share
+(``core.item_indices``) and kept in a read-only ``core.EffectTable``, with
+no ``GroundAtom`` made. The indexer takes ``true`` and ``1.0`` as the
+coordinate 1, as Python callers may; a table with such a coordinate, or
+any other table, is parsed entry by entry as objects, so its errors keep
+their codes, paths and order. Serialization is canonical (fixed key
+order, atoms and pairs in one canonical order, shortest round-tripping
+numbers), so identical instances produce identical bytes and
+``parse(serialize(x))`` reproduces ``x``.
 """
 
 import json
@@ -26,7 +29,7 @@ from .bmgop import BmgopInstance
 from .core import (ActionPointPair, ActionRule, AndFormula, AtomFormula,
                    BenefitModel, CostModel, EffectTable, Formula, GridMap, GroundAtom,
                    IntegrityConstraint, NotFormula, OrFormula, Point, TRUE,
-                   TrueFormula)
+                   TrueFormula, block_offsets, item_indices)
 from .errors import ParseError
 from .gbgop import GbgopInstance
 
@@ -159,45 +162,28 @@ def _parse_formula(value, path) -> Formula:
 
 
 def _effect_rows(entries: list, grid: GridMap, offsets: Optional[dict]) -> Optional[dict]:
-    """An explicit effect table as {point index: [atom index, ...]}, with
-    the indices ``Grounding`` gives for ``grid`` and the predicates whose
-    atom blocks start at ``offsets``. None unless every entry is a
-    well-formed [[x, y], [atoms...]] whose point and atoms lie on the map,
-    whose atoms name known predicates and whose point is not repeated; the
-    caller then parses the table as objects, which reports what is wrong as
-    before."""
+    """An explicit effect table as {point index: [atom index, ...]}, each
+    row from ``core.item_indices`` over the atom blocks that start at
+    ``offsets``. None unless every entry is a well-formed [[x, y], [atoms...]]
+    whose point and atoms lie on the map, whose atoms name known predicates
+    and whose point is not repeated; the caller then parses the table as
+    objects, which reports what is wrong as before."""
     if offsets is None:
         return None
-    last_x, last_y = grid.width_bound, grid.height_bound
-    width = last_x + 1
     rows = {}
-    for entry in entries:
-        if type(entry) is not list or len(entry) != 2:
-            return None
-        point, atoms = entry
-        if type(point) is not list or len(point) != 2 or type(atoms) is not list:
-            return None
-        x, y = point
-        if type(x) is not int or type(y) is not int \
-                or not (0 <= x <= last_x and 0 <= y <= last_y):
-            return None
-        i = y * width + x
-        if i in rows:
-            return None
-        row = rows[i] = []
-        for a in atoms:
-            if type(a) is not list or len(a) != 2:
+    try:
+        for point, atoms in entries:
+            i = grid.point_index(point)
+            if i is None or i in rows or type(atoms) is not list:
                 return None
-            name, point = a
-            if type(name) is not str or type(point) is not list or len(point) != 2:
-                return None
-            offset = offsets.get(name)
-            x, y = point
-            if offset is None or type(x) is not int or type(y) is not int \
-                    or not (0 <= x <= last_x and 0 <= y <= last_y):
-                return None
-            row.append(offset + y * width + x)
-    return rows
+            rows[i] = item_indices(atoms, offsets, grid, ValueError)
+    except (TypeError, ValueError):  # not a well-formed table of this document's atoms
+        return None
+    # the indexer reads true and 1.0 as 1, but the format's coordinates are integers
+    not_int = [x for (x, y), _ in entries if type(x) is not int or type(y) is not int]
+    not_int += [x for _, atoms in entries for _, (x, y) in atoms
+                if type(x) is not int or type(y) is not int]
+    return None if not_int else rows
 
 
 def _parse_action(value, path, grid: GridMap, predicates: tuple,
@@ -276,7 +262,7 @@ def _parse_document(text: str):
 
     # where each predicate's atom indices start; with a repeated name there
     # are no such indices, and validation reports the repeat
-    offsets = {name: k * grid.n_points for k, name in enumerate(predicates)}
+    offsets = block_offsets(predicates, grid)
     if len(offsets) < len(predicates):
         offsets = None
     actions = tuple(_parse_action(a, f"$.actions[{i}]", grid, predicates, offsets)
@@ -507,8 +493,8 @@ def report_for(method: str, status: str, sol, inst, trace_path: Optional[str] = 
         method=method, status=status,
         pairs=tuple(sorted(sol.pairs, key=_item_key(inst.grid, [r.name for r in inst.actions]))),
         cardinality=sol.cardinality, cost=sol.total_cost,
-        benefit=getattr(sol, "achieved_benefit", None),
-        proven_optimal=status == "optimal", bound=getattr(sol, "reported_bound", None),
+        benefit=sol.achieved_benefit,
+        proven_optimal=status == "optimal", bound=sol.reported_bound,
         trace_path=trace_path, diagnostics=tuple(diagnostics))
 
 

@@ -12,14 +12,15 @@ admissible pair against every other, run on the reference grounding.
 import itertools
 import json
 import math
+from dataclasses import replace
 from itertools import product
 
 from gops import (ActionPointPair, ActionRule, AndFormula, AtomFormula,
                   BenefitModel, CostModel, GridMap, GroundAtom, NotFormula,
                   OrFormula, Point, TRUE, TrueFormula, action_effects, appl,
                   atom, benefit_of, cost_of, lnot, satisfies)
-from gops.bmgop import (GreedyIteration, GreedyTrace, _benefit, _solution,
-                        _violations, approx_bound, bound_applicable)
+from gops.bmgop import (GreedyIteration, GreedyTrace, _benefit, _violations,
+                        approx_bound, bound_applicable)
 from gops.core import formula_atoms, iter_bits
 
 
@@ -300,7 +301,7 @@ def eager_bmgop_compute(inst, delta=0.001, condition_mode="weighted"):
             trace.fixup += f"+forced-drop({dropped})"
 
     bound = approx_bound(inst, delta) if bound_applicable(inst, delta) else None
-    return _solution(inst, order, bound), trace
+    return replace(g._selection(order), reported_bound=bound), trace
 
 
 # ---------------------------------------------------------------------------

@@ -267,10 +267,12 @@ def test_gen_random_cli_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-@pytest.mark.parametrize("size", ["--predicates", "--actions"])
-def test_gen_random_cli_rejects_zero_sizes_exit_2(tmp_path, size):
+@pytest.mark.parametrize("size, value", [pytest.param("--predicates", "0", id="--predicates"),
+                                         pytest.param("--actions", "0", id="--actions"),
+                                         pytest.param("--ics", "-1", id="--ics")])
+def test_gen_random_cli_rejects_zero_sizes_exit_2(tmp_path, size, value):
     out = tmp_path / "inst.json"
-    result = run_cli(["gen", "random", "--seed", "0", size, "0", "-o", str(out)])
+    result = run_cli(["gen", "random", "--seed", "0", size, value, "-o", str(out)])
     assert result.returncode == 2
     assert result.stderr.startswith("error[gen-guard]: ")
     assert "Traceback" not in result.stderr
@@ -294,6 +296,17 @@ def test_bench_cli(tmp_path):
     payload = json.loads(report.read_text())
     assert len(payload["records"]) == 2
     assert all(r["within_bound"] for r in payload["records"])
+
+
+@pytest.mark.parametrize("kind, code", [("missing", "no-such-file"), ("file", "io")])
+def test_bench_cli_without_a_directory_exit_2(tmp_path, kind, code):
+    path = tmp_path / "suite"
+    if kind == "file":
+        path.write_text("{}")
+    result = run_cli(["bench", str(path)])
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"error[{code}]: ")
+    assert result.stdout == ""
 
 
 def test_bench_cli_json_report_on_a_bound_violation(tmp_path, monkeypatch, capsys):
@@ -321,6 +334,17 @@ def test_limit_reached_exit_3(campaign_files):
     result = run_cli(["solve", str(bm), "--method", "exact", "--max-nodes", "10"])
     assert result.returncode == 3
     assert "error[limit-reached]" in result.stderr
+
+
+@pytest.mark.parametrize("limit", [["--max-seconds", "nan"], ["--max-seconds", "-1"],
+                                   ["--max-nodes", "-1"]], ids=" ".join)
+def test_out_of_range_limits_exit_2(campaign_files, limit):
+    # a later --max-nodes overrides 5000, which only ends a run that takes a bad limit
+    _, bm = campaign_files
+    result = run_cli(["solve", str(bm), "--method", "ip", "--max-nodes", "5000", *limit])
+    assert result.returncode == 2
+    assert result.stderr.startswith("error[limit-range]: ")
+    assert result.stdout == ""
 
 
 def test_solve_exact_proves_the_campaign_optimum_under_the_node_cap(campaign_files):
@@ -392,6 +416,38 @@ def test_cli_outputs_are_byte_identical_across_hash_seeds(campaign_files, tmp_pa
         second = run_cli(args, env_seed="202")
         assert first.stdout == second.stdout, args
         assert first.returncode == second.returncode
+
+
+_ONE_POINT = {
+    "format": "gop-instance", "version": 1,
+    "map": {"M": 1, "N": 1}, "predicates": ["g"], "state": [],
+    "actions": [{"name": "act", "effect": "g", "source_guard": "true", "target_guard": "true"}],
+    "cost": {"default": 0.5}, "ics": [],
+    "problem": {"type": "gbgop", "budget": 1.0, "theta_in": [], "theta_out": []},
+}
+
+# part -> (its new value, the error): sets with several bad items, each named
+# by the least bad item in repr order
+MULTI_FAULTS = {
+    "state": ({"state": [[f"q{i}", [0, 0]] for i in (3, 1, 0, 2)]},
+              "error[unknown-predicate]: initial state: unknown predicate 'q0'"),
+    "theta_in": ({"problem": dict(_ONE_POINT["problem"],
+                                  theta_in=[["g", [x, 0]] for x in (4, 2, 3)])},
+                 "error[point-bounds]: goal atoms (theta_in): point (2,0) outside the map"),
+    "ic": ({"ics": [{"pairs": [[f"z{i}", [0, 0]] for i in (2, 0, 1)], "condition": "true"}]},
+           "error[unknown-action]: integrity constraint 0: unknown action 'z0'"),
+}
+
+
+@pytest.mark.parametrize("part", sorted(MULTI_FAULTS))
+def test_validate_names_the_same_bad_item_under_every_hash_seed(tmp_path, part):
+    # a set is walked in hash order, which changes with the hash seed
+    change, message = MULTI_FAULTS[part]
+    path = tmp_path / "faults.json"
+    path.write_text(json.dumps(dict(_ONE_POINT, **change)))
+    results = {(r.returncode, r.stderr)
+               for r in (run_cli(["validate", str(path)], env_seed=str(seed)) for seed in range(1, 7))}
+    assert results == {(2, message + "\n")}
 
 
 def test_capped_run_without_an_assignment_says_so(campaign_files):

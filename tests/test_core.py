@@ -264,6 +264,16 @@ def test_grid_bounds():
         GridMap(-1, 0)
 
 
+def test_point_index_is_none_off_the_map_not_aliased():
+    # on a 5 x 5 lattice, (5, 0) would alias to (0, 1) by plain arithmetic
+    grid = GridMap(4, 4)
+    assert [grid.point_index(Point(x, 0)) for x in (0, 4)] == [0, 4]
+    assert grid.point_index(Point(0, 1)) == 5
+    assert grid.point_index(Point(True, 1.0)) == 6
+    for p in ((5, 0), (0, 5), (-1, 0), (0, -1), (0.5, 0)):
+        assert grid.point_index(Point(*p)) is None
+
+
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
 def test_non_finite_distance_and_benefit_rejected(value):
     with pytest.raises(InstanceError) as err:

@@ -10,7 +10,8 @@ import pytest
 from gops import (ActionPointPair, ActionRule, BenefitModel, BmgopInstance, CostModel,
                   GbgopInstance, GridMap, GroundAtom, Grounding, IntegrityConstraint, Point,
                   TRUE, atom, check_ics, enumerate_ground_atoms, enumerate_pairs,
-                  gen_campaign, gen_random, land, lnot, lor)
+                  gen_campaign, gen_random, land, lnot, lor, objective_f, validate_bmgop,
+                  validate_gbgop)
 from gops.core import METRICS, iter_bits
 from gops.errors import InstanceError
 
@@ -214,6 +215,29 @@ def test_unknown_names_and_shapes_are_instance_errors():
         with pytest.raises(InstanceError) as err:
             g.atoms_to_mask([GroundAtom("hit", Point(1, 1)), a])
         assert err.value.code == "unknown-atom"
+
+
+def test_lookups_name_the_least_bad_item_in_any_order():
+    # a solution set is walked in hash order, which changes with the hash
+    # seed; reversing a list stands in for that
+    shared = dict(grid=GridMap(2, 2), predicates=("ok", "hit"), s0=frozenset(),
+                  actions=(ActionRule(name="put", effect_predicate="hit"),),
+                  cost_model=CostModel(), ics=(), budget=1.0)
+    gb = GbgopInstance(**shared, theta_in=frozenset(), theta_out=frozenset())
+    bm = BmgopInstance(**shared, k=1, benefit_model=BenefitModel())
+    good_pair, good_atom = ActionPointPair("put", Point(1, 1)), GroundAtom("ok", Point(1, 1))
+    bad_pairs = [ActionPointPair("take", Point(0, 0)), ActionPointPair("put", Point(3, 0)),
+                 ActionPointPair("cut", Point(1, 1))]
+    bad_atoms = [GroundAtom("ok", Point(0, 5)), GroundAtom("miss", Point(0, 0))]
+    lookups = [(bad_pairs, good_pair, "an action-point pair", "cut@(1,1)", call) for call in (
+                   gb.grounding.pairs_to_indices, lambda x: validate_gbgop(gb, x),
+                   lambda x: validate_bmgop(bm, x), lambda x: objective_f(bm, x))]
+    lookups.append((bad_atoms, good_atom, "a ground atom", "miss(0,0)", gb.grounding.atoms_to_mask))
+    for bad, good, what, least, call in lookups:
+        for items in (bad, bad[::-1], [good, *bad]):
+            with pytest.raises(InstanceError) as err:
+                call(items)
+            assert err.value.message == f"not {what} of this instance: {least}"
 
 
 PARTS = ("s0", "explicit", "cost", "benefit", "ic", "guard", "theta_in", "theta_out")

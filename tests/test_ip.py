@@ -200,6 +200,16 @@ def test_time_limit_ends_search_past_4096_nodes(run):
     run(Limits(max_seconds=0.0))
 
 
+def test_limits_refuse_negative_and_nan_values():
+    for bad in ({"max_nodes": -1}, {"max_nodes": float("nan")}, {"max_seconds": -0.5},
+                {"max_seconds": float("nan")}):
+        with pytest.raises(InstanceError) as err:
+            Limits(**bad)
+        assert err.value.code == "limit-range"
+    Limits(max_nodes=0, max_seconds=0.0)
+    Limits(max_seconds=float("inf"))
+
+
 def test_validate_rejects_bad_models():
     model = IpModel(sense="max")
     model.add_variable("x")

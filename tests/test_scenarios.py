@@ -137,7 +137,7 @@ def test_gen_random_guards():
         gen_random(seed=0, width=40, height=40, predicates=2, actions=4)
     with pytest.raises(InstanceError):
         gen_random(seed=0, problem="other")
-    for sizes in ({"predicates": 0}, {"actions": 0}):
+    for sizes in ({"predicates": 0}, {"actions": 0}, {"ics": -1}):
         with pytest.raises(InstanceError) as err:
             gen_random(seed=0, **sizes)
         assert err.value.code == "gen-guard"
