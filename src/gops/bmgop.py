@@ -30,9 +30,6 @@ class BmgopInstance(Problem):
         if not isinstance(self.k, int) or self.k < 0:
             raise InstanceError("k-range", "k must be a non-negative integer")
 
-    def _benefit_model(self) -> BenefitModel:
-        return self.benefit_model
-
 
 BmgopSolution = Solution
 

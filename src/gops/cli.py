@@ -24,6 +24,7 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_INPUT = 2
 EXIT_LIMIT = 3
+_ERROR_EXITS = {BoundViolationError: EXIT_INFEASIBLE, LimitReachedError: EXIT_LIMIT}
 
 
 def _read_instance(path: str):
@@ -53,8 +54,9 @@ def _cmd_validate(args) -> int:
 
 def _cmd_solve(args) -> int:
     inst = _read_instance(args.file)
+    limits = _limits(args)  # checked for every method, though approx runs unlimited
     gbgop = isinstance(inst, GbgopInstance)
-    trace_path = None
+    trace_path = limit = None
     if args.method == "approx":
         if gbgop:
             raise GopsError("method", "no approximation method for goal-based instances")
@@ -64,12 +66,17 @@ def _cmd_solve(args) -> int:
         if trace_path:
             Path(trace_path).write_text(trace.to_text())
     elif args.method == "exact":
-        sol = (solve_gbgop_exact if gbgop else solve_bmgop_exact)(inst, limits=_limits(args))
-        status = "optimal" if sol is not None else "infeasible"
+        try:
+            sol = (solve_gbgop_exact if gbgop else solve_bmgop_exact)(inst, limits=limits)
+            status = "optimal" if sol is not None else "infeasible"
+        except LimitReachedError as err:
+            sol, status, limit = err.best, "limit_reached", err
     else:
-        sol, status = (solve_gbgop_ip if gbgop else solve_bmgop_ip)(inst, limits=_limits(args))
+        sol, status = (solve_gbgop_ip if gbgop else solve_bmgop_ip)(inst, limits=limits)
     report = report_for(args.method, status, sol, inst, trace_path=trace_path)
     _emit(args, report.to_json(), report.to_text())
+    if limit is not None:
+        raise limit  # main prints it and exits 3
     if report.status == "infeasible":
         return EXIT_INFEASIBLE
     if report.status == "limit_reached":
@@ -150,17 +157,18 @@ def _cmd_bench(args) -> int:
         if not isinstance(inst, BmgopInstance):
             raise GopsError("method", f"{path.name} is not a benefit-maximizing instance")
         suite.append((path.name, inst))
-    violation = None
+    failure = None
     try:
         report = bench_mod.run_bench(suite, delta=args.delta, limits=_limits(args))
     except BoundViolationError as err:
-        report, violation = err.report, err
+        report, failure = err.report, err
+    except LimitReachedError as err:
+        report, failure = err.best, err  # the records of the instances finished
     if args.output:
         Path(args.output).write_text(json.dumps(report.to_json(), indent=2) + "\n")
     _emit(args, report.to_json(), report.to_text())
-    if violation is not None:
-        print(f"error[{violation.code}]: {violation.message}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    if failure is not None:
+        raise failure
     return EXIT_OK
 
 
@@ -248,7 +256,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except GopsError as err:
         print(f"error[{err.code}]: {err.message}", file=sys.stderr)
-        return EXIT_LIMIT if isinstance(err, LimitReachedError) else EXIT_INPUT
+        return _ERROR_EXITS.get(type(err), EXIT_INPUT)
     except FileNotFoundError as err:
         print(f"error[no-such-file]: {err}", file=sys.stderr)
         return EXIT_INPUT

@@ -18,6 +18,8 @@ represent atom sets as integer bitmasks over the canonical atom indices.
 initial state, actions, cost model, integrity constraints and budget,
 their validation, and the cached ``Grounding``. The goal-based and
 benefit-maximizing instances subclass it and add only their objective.
+``validate_instance_parts`` and ``Grounding`` both take the Problem; the
+grounding repeats none of validation's checks.
 
 ``Grounding`` builds those bitmask tables without visiting point pairs:
 each guard is evaluated once into a point mask, a rule's effect at ``p``
@@ -559,14 +561,13 @@ def check_atoms(items, offsets: Mapping[str, int], grid: GridMap, where: str,
     item_indices(items, offsets, grid, error)
 
 
-def validate_instance_parts(grid: GridMap, predicates: Sequence[str], s0: State,
-                            actions: Sequence[ActionRule], cost_model: CostModel,
-                            ics: Sequence[IntegrityConstraint],
-                            benefit_model: Optional[BenefitModel] = None) -> None:
-    """Cross-checks between the parts of an instance; raises InstanceError.
+def validate_instance_parts(problem: "Problem") -> None:
+    """Cross-checks between the parts of ``problem``; raises InstanceError.
 
     Atom and pair sets are checked item by item by ``check_atoms`` (an
     action's effect sets entry by entry)."""
+    grid, predicates, actions = problem.grid, problem.predicates, problem.actions
+    cost_model, benefit_model = problem.cost_model, getattr(problem, "benefit_model", None)
     seen = set()
     for name in predicates:
         if name in seen:
@@ -581,7 +582,7 @@ def validate_instance_parts(grid: GridMap, predicates: Sequence[str], s0: State,
             if leaf.point is not None and grid.point_index(leaf.point) is None:
                 raise InstanceError("point-bounds", f"{where}: point {leaf.point} outside the map")
 
-    check_atoms(s0, known, grid, "initial state")
+    check_atoms(problem.s0, known, grid, "initial state")
 
     action_offsets = block_offsets([rule.name for rule in actions], grid)
     action_names = set()
@@ -615,7 +616,7 @@ def validate_instance_parts(grid: GridMap, predicates: Sequence[str], s0: State,
                 raise InstanceError("unknown-predicate", f"benefit table: unknown predicate {name!r}")
         check_atoms(benefit_model.per_atom_overrides, known, grid, "benefit override")
 
-    for i, ic in enumerate(ics):
+    for i, ic in enumerate(problem.ics):
         check_atoms(ic.pairs, action_offsets, grid, f"integrity constraint {i}", "unknown-action")
         check_formula(ic.condition, f"integrity constraint {i}")  # ground: see IntegrityConstraint
 
@@ -632,13 +633,10 @@ def _point_mask(formula: Formula, s0_mask: int, offsets: Mapping[str, int], grid
     if isinstance(formula, TrueFormula):
         return full
     if isinstance(formula, AtomFormula):
-        offset = offsets.get(formula.predicate)
-        if offset is None:
-            return 0
+        offset = offsets[formula.predicate]
         if formula.point is None:
             return s0_mask >> offset & full
-        i = grid.point_index(formula.point)
-        return full if i is not None and s0_mask >> offset + i & 1 else 0
+        return full if s0_mask >> offset + grid.point_index(formula.point) & 1 else 0
     if isinstance(formula, NotFormula):
         return full & ~_point_mask(formula.child, s0_mask, offsets, grid, full)
     if isinstance(formula, AndFormula):
@@ -720,7 +718,8 @@ class Solution:
 
 class Grounding:
     """Canonical index tables plus frozen per-pair effect, cost and benefit
-    caches for one instance. Built once, then read-only.
+    caches for one validated ``Problem``, whose checks it does not repeat:
+    building raises nothing. Built once, then read-only.
 
     Atom sets are integer bitmasks over canonical atom indices, which gives
     O(1) membership and fast union/difference in the solvers' inner loops.
@@ -748,7 +747,7 @@ class Grounding:
     * an explicit table parsed for this instance's grid and predicates (an
       ``EffectTable``) already holds atom indices, and each row's mask is
       set from them; any other explicit table is read through its Mapping
-      interface, one ``atoms_to_mask`` per entry.
+      interface, each entry's atoms indexed by ``item_indices``.
 
     Benefits are grouped the same way: each predicate's block plus the
     overridden atoms give ``benefit_classes``, one atom mask per distinct
@@ -758,13 +757,10 @@ class Grounding:
     ``benefit_of``) remain the reference semantics these tables must equal.
     """
 
-    def __init__(self, grid: GridMap, predicates: Sequence[str], s0: State,
-                 actions: Sequence[ActionRule], cost_model: CostModel,
-                 ics: Sequence[IntegrityConstraint],
-                 benefit_model: Optional[BenefitModel] = None):
-        self.grid = grid
-        self.predicates = tuple(predicates)
-        self.actions = tuple(actions)
+    def __init__(self, problem: "Problem"):
+        self.grid = grid = problem.grid
+        self.predicates = problem.predicates
+        self.actions = problem.actions
         self.n_points = n_points = grid.n_points
         self.n_atoms = n_points * len(self.predicates)
         self.n_pairs = n_points * len(self.actions)
@@ -772,7 +768,7 @@ class Grounding:
         self.pair_offsets = block_offsets([rule.name for rule in self.actions], grid)
         self._atoms = self._pairs = None  # built on first use
 
-        self.s0 = frozenset(s0)
+        self.s0 = problem.s0
         self.s0_mask = self.atoms_to_mask(self.s0)
         full = (1 << n_points) - 1
 
@@ -782,22 +778,17 @@ class Grounding:
         self.effects = []
         for rule in self.actions:
             row = [0] * n_points
-            if rule.explicit_effects is not None:
-                rows = _own_rows(rule.explicit_effects, grid, self.predicates)
-                if rows is not None:
-                    for i, atoms in rows.items():
-                        mask = 0
-                        for j in atoms:
-                            mask |= 1 << j
-                        row[i] = mask
-                    self.effects += row
-                    continue
-                for point, effect in rule.explicit_effects.items():
-                    i = grid.point_index(point)
-                    if i is None:
-                        raise InstanceError("point-bounds", f"action {rule.name!r}: point "
-                                                            f"{point} outside the map")
-                    row[i] = self.atoms_to_mask(effect)
+            table = rule.explicit_effects
+            if table is not None:
+                rows = _own_rows(table, grid, self.predicates)
+                if rows is None:  # any other Mapping: index its entries
+                    rows = {grid.point_index(point): self._indices(offsets, effect, "unknown-atom")
+                            for point, effect in table.items()}
+                for i, atoms in rows.items():
+                    mask = 0
+                    for j in atoms:
+                        mask |= 1 << j
+                    row[i] = mask
                 self.effects += row
                 continue
             source = where(rule.source_guard)
@@ -812,19 +803,20 @@ class Grounding:
                     row[i] = (ball(i) & target) << shift
             self.effects += row
 
-        point_costs = [cost_model.default_cost] * n_points
+        point_costs = [problem.cost_model.default_cost] * n_points
         unresolved = full
-        for condition, value in cost_model.state_rules:
+        for condition, value in problem.cost_model.state_rules:
             hit = where(condition) & unresolved
             for i in iter_bits(hit):
                 point_costs[i] = value
             unresolved &= ~hit
         self.costs = point_costs * len(self.actions)
-        overrides = cost_model.overrides
+        overrides = problem.cost_model.overrides
         for i, value in zip(self._indices(self.pair_offsets, overrides, "unknown-pair"),
                             overrides.values()):
             self.costs[i] = value
 
+        benefit_model = getattr(problem, "benefit_model", None)  # a flavour's own part
         if benefit_model is None:
             self.benefits = self.benefit_classes = None
         else:
@@ -843,7 +835,7 @@ class Grounding:
         # index set); plus the inverse map from pair index to positions.
         # Conditions are ground, so their point mask is all points or none.
         self.ic_s0 = []
-        for pos, ic in enumerate(ics):
+        for pos, ic in enumerate(problem.ics):
             if where(ic.condition):
                 self.ic_s0.append((pos, frozenset(self.pairs_to_indices(ic.pairs))))
         self.pair_ics = [()] * self.n_pairs
@@ -1041,7 +1033,8 @@ class Problem:
     """The parts of an instance both problem flavours share, normalised to
     tuples and frozensets and validated on construction, with their
     ``Grounding`` built on first use. Subclasses add their objective's
-    fields and checks after calling ``__post_init__``."""
+    fields and checks after calling ``__post_init__``; a flavour's benefit
+    table, its ``benefit_model``, is validated and grounded here too."""
 
     grid: GridMap
     predicates: tuple
@@ -1056,16 +1049,10 @@ class Problem:
         self.s0 = frozenset(self.s0)
         self.actions = tuple(self.actions)
         self.ics = tuple(self.ics)
-        validate_instance_parts(self.grid, self.predicates, self.s0, self.actions,
-                                self.cost_model, self.ics, self._benefit_model())
+        validate_instance_parts(self)
         if not (0 <= self.budget < math.inf):
             raise InstanceError("budget-range", "budget must be a finite non-negative number")
 
-    def _benefit_model(self) -> Optional[BenefitModel]:
-        """The benefit table to validate and ground, for flavours with one."""
-        return None
-
     @cached_property
     def grounding(self) -> Grounding:
-        return Grounding(self.grid, self.predicates, self.s0, self.actions,
-                         self.cost_model, self.ics, self._benefit_model())
+        return Grounding(self)

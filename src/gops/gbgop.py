@@ -213,7 +213,8 @@ def solve_gbgop_exact(inst: GbgopInstance, limits: Optional[Limits] = None) -> O
     pair set in canonical order: a cover is kept when it is smaller than the
     best so far, and a subset is extended only while its extensions could be
     smaller and could still cover every goal. So the first minimum cover in
-    lexicographic order wins; the reduction keeps at least one optimum.
+    lexicographic order wins; the reduction keeps at least one optimum. A
+    limit carries the smallest cover so far, if any, not proven minimal.
     """
     g = inst.grounding
     if g.s0_mask & inst.theta_out_mask:
@@ -233,7 +234,11 @@ def solve_gbgop_exact(inst: GbgopInstance, limits: Optional[Limits] = None) -> O
             return False
         return len(chosen) + 1 < smaller_than and not needed & ~(mask | suffix[pos])
 
-    g.search(candidates, inst.budget, len(candidates), (limits or Limits())._counter(), visit)
+    try:
+        g.search(candidates, inst.budget, len(candidates), (limits or Limits())._counter(), visit)
+    except LimitReachedError as err:
+        err.best = None if best is None else g._selection(best)
+        raise
     return None if best is None else g._selection(best)
 
 
@@ -265,8 +270,10 @@ def count_gbgop_solutions(inst: GbgopInstance, cap: Optional[int] = None) -> int
     Refuses instances with more than 20 action-point pairs: the count is
     #P-hard and, beyond desk scale, not even usefully approximable, so the
     guard is a hard precondition rather than a tunable. ``cap`` aborts the
-    count (LimitReachedError) once exceeded.
+    count (LimitReachedError) once exceeded; a negative one is refused.
     """
+    if cap is not None and not cap >= 0:
+        raise InstanceError("limit-range", f"cap {cap} is not a non-negative number")
     g = inst.grounding
     n = g.n_pairs
     if n > 20:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .bmgop import BmgopInstance
 from .core import (ActionPointPair, ActionRule, BenefitModel, CostModel,
-                   GridMap, GroundAtom, Grounding, IntegrityConstraint, Point,
+                   GridMap, GroundAtom, IntegrityConstraint, Point, Problem,
                    TRUE, atom, lnot)
 from .errors import InstanceError
 from .gbgop import GbgopInstance
@@ -199,7 +199,7 @@ def gen_random(*, seed: int, width: int = 1, height: int = 1, predicates: int = 
 
     # Bias goal atoms toward producible ones so a good share of instances
     # are feasible; leave some arbitrary picks to exercise infeasibility.
-    g = Grounding(grid, pred_names, s0, rules, cost_model, ic_tuple)
+    g = Problem(grid, pred_names, s0, rules, cost_model, ic_tuple, budget=0.0).grounding
     producible = g.mask_atoms(g.union_effects(range(g.n_pairs)))
     all_atoms = [GroundAtom(pred, p) for pred in pred_names for p in points]
     theta_in = set()
@@ -215,5 +215,5 @@ def gen_random(*, seed: int, width: int = 1, height: int = 1, predicates: int = 
                          cost_model=cost_model, ics=ic_tuple,
                          budget=rng.choice((1.0, 1.5, 2.0, 3.0, 4.0)),
                          theta_in=frozenset(theta_in), theta_out=frozenset(theta_out))
-    inst.grounding = g  # built from the same parts, so the instance need not ground again
+    inst.grounding = g  # same parts, and grounding reads no budget: no second grounding
     return inst

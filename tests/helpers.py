@@ -7,6 +7,7 @@ the code paths they check. The one exception is ``eager_bmgop_compute``,
 the greedy's former full rescan, kept as the oracle of its lazy form.
 ``quadratic_r_star`` is the dominance reduction's former scan of every
 admissible pair against every other, run on the reference grounding.
+``ground`` is a builder, not an oracle: it grounds loose instance parts.
 """
 
 import itertools
@@ -16,12 +17,12 @@ from dataclasses import replace
 from itertools import product
 
 from gops import (ActionPointPair, ActionRule, AndFormula, AtomFormula,
-                  BenefitModel, CostModel, GridMap, GroundAtom, NotFormula,
-                  OrFormula, Point, TRUE, TrueFormula, action_effects, appl,
-                  atom, benefit_of, cost_of, lnot, satisfies)
+                  BenefitModel, BmgopInstance, CostModel, GridMap, GroundAtom,
+                  Grounding, NotFormula, OrFormula, Point, TRUE, TrueFormula,
+                  action_effects, appl, atom, benefit_of, cost_of, lnot, satisfies)
 from gops.bmgop import (GreedyIteration, GreedyTrace, _benefit, _violations,
                         approx_bound, bound_applicable)
-from gops.core import formula_atoms, iter_bits
+from gops.core import Problem, formula_atoms, iter_bits
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +372,17 @@ DUPLICATES = {
 
 # ---------------------------------------------------------------------------
 # Tiny builders.
+
+def ground(grid, predicates, s0, actions, cost_model, ics, benefit_model=None):
+    """``Grounding`` of the validated instance of these parts: a plain
+    Problem, or a BmgopInstance when a benefit model is given. Grounding
+    reads neither the budget nor ``k``, so both are 0."""
+    parts = dict(grid=grid, predicates=predicates, s0=s0, actions=actions,
+                 cost_model=cost_model, ics=ics, budget=0.0)
+    if benefit_model is None:
+        return Grounding(Problem(**parts))
+    return Grounding(BmgopInstance(**parts, benefit_model=benefit_model, k=0))
+
 
 def explicit_action(name, point, atoms):
     return ActionRule(name=name, explicit_effects={point: frozenset(atoms)})

@@ -6,7 +6,8 @@ import sys
 import pytest
 
 import gops.bench
-from gops import CoverProblem, encode_max_k_cover, serialize_instance
+from gops import (ActionPointPair, CoverProblem, Point, encode_max_k_cover, parse_instance,
+                  serialize_instance, validate_bmgop, validate_gbgop)
 from gops.cli import main
 
 from helpers import DUPLICATES
@@ -329,6 +330,24 @@ def test_bench_cli_json_report_on_a_bound_violation(tmp_path, monkeypatch, capsy
     assert err.startswith("error[bound-violation]: ")
 
 
+def test_bench_cli_under_a_limit_writes_its_partial_report(tmp_path, campaign_files):
+    # the small cover finishes within 50 nodes, the campaign (302) does not
+    _, bm = campaign_files
+    bench_dir = tmp_path / "suite"
+    bench_dir.mkdir()
+    small = encode_max_k_cover(CoverProblem(universe=(1, 2, 3, 4),
+                                            families=(frozenset({1, 2}), frozenset({3, 4})), k=2))
+    (bench_dir / "a_small.json").write_text(serialize_instance(small))
+    (bench_dir / "campaign_bmgop.json").write_text(bm.read_text())
+    report = tmp_path / "report.json"
+    result = run_cli(["bench", str(bench_dir), "--max-nodes", "50", "-o", str(report)])
+    assert result.returncode == 3
+    assert result.stderr.startswith("error[limit-reached]: ")
+    assert "timings:" in result.stdout and "a_small.json" in result.stdout
+    payload = json.loads(report.read_text())
+    assert [r["instance_id"] for r in payload["records"]] == ["a_small.json"]
+
+
 def test_limit_reached_exit_3(campaign_files):
     _, bm = campaign_files
     result = run_cli(["solve", str(bm), "--method", "exact", "--max-nodes", "10"])
@@ -336,15 +355,38 @@ def test_limit_reached_exit_3(campaign_files):
     assert "error[limit-reached]" in result.stderr
 
 
-@pytest.mark.parametrize("limit", [["--max-seconds", "nan"], ["--max-seconds", "-1"],
-                                   ["--max-nodes", "-1"]], ids=" ".join)
-def test_out_of_range_limits_exit_2(campaign_files, limit):
+@pytest.mark.parametrize("method, limit", [
+    pytest.param("ip", ["--max-seconds", "nan"], id="--max-seconds nan"),
+    pytest.param("ip", ["--max-seconds", "-1"], id="--max-seconds -1"),
+    pytest.param("ip", ["--max-nodes", "-1"], id="--max-nodes -1"),
+    pytest.param("approx", ["--max-nodes", "-5"], id="approx --max-nodes -5"),
+    pytest.param("approx", ["--max-seconds", "nan"], id="approx --max-seconds nan")])
+def test_out_of_range_limits_exit_2(campaign_files, method, limit):
     # a later --max-nodes overrides 5000, which only ends a run that takes a bad limit
     _, bm = campaign_files
-    result = run_cli(["solve", str(bm), "--method", "ip", "--max-nodes", "5000", *limit])
+    result = run_cli(["solve", str(bm), "--method", method, "--max-nodes", "5000", *limit])
     assert result.returncode == 2
     assert result.stderr.startswith("error[limit-range]: ")
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize("variant, cap", [("gbgop", 30), ("bmgop", 100)])
+def test_solve_exact_at_a_limit_reports_its_best_so_far(campaign_files, variant, cap):
+    # gbgop proves its optimum at node 66 and finds its first cover at 7;
+    # bmgop needs 302 nodes
+    gb, bm = campaign_files
+    path = gb if variant == "gbgop" else bm
+    result = run_cli(["solve", str(path), "--method", "exact", "--max-nodes", str(cap),
+                      "--json"])
+    assert result.returncode == 3
+    assert result.stderr.startswith("error[limit-reached]: node budget exhausted")
+    payload = json.loads(result.stdout)
+    assert payload["status"] == "limit_reached" and payload["proven_optimal"] is False
+    inst = parse_instance(path.read_text())
+    pairs = {ActionPointPair(name, Point(*xy)) for name, xy in payload["pairs"]}
+    assert len(pairs) == payload["cardinality"] > 0
+    check = validate_gbgop if variant == "gbgop" else validate_bmgop
+    assert check(inst, pairs) == []
 
 
 def test_solve_exact_proves_the_campaign_optimum_under_the_node_cap(campaign_files):

@@ -4,7 +4,7 @@ import pytest
 
 from gops import (ActionPointPair, CostModel, GridMap, GroundAtom,
                   IntegrityConstraint, Limits, Point, TRUE, build_gbgop_ip,
-                  count_gbgop_solutions, emit_lp, gen_random,
+                  count_gbgop_solutions, emit_lp, gen_campaign, gen_random,
                   probe_feasibility, reduce_to_r_star, restricted_pairs,
                   solve_branch_and_bound, solve_gbgop_exact, solve_gbgop_ip,
                   validate_gbgop)
@@ -286,9 +286,26 @@ def test_count_guard_and_cap():
     small = tiny_gbgop(cost_model=CostModel(default_cost=0.0))
     with pytest.raises(LimitReachedError):
         count_gbgop_solutions(small, cap=3)  # all 256 subsets are valid
+    with pytest.raises(InstanceError) as err:
+        count_gbgop_solutions(small, cap=-1)
+    assert err.value.code == "limit-range"
 
 
 def test_gbgop_ip_emits_lp():
     inst = tiny_gbgop(theta_in=frozenset({GroundAtom("a", P00)}))
     text = emit_lp(build_gbgop_ip(inst))
     assert "Minimize" in text and "budget:" in text and text.endswith("End\n")
+
+
+def test_exact_solver_limit_carries_a_valid_cover_so_far():
+    # the campaign search finds its first cover at node 7 and proves the
+    # optimum (3 pairs) at node 66; at 30 nodes it holds a larger cover
+    inst = gen_campaign().gbgop
+    with pytest.raises(LimitReachedError) as err:
+        solve_gbgop_exact(inst, limits=Limits(max_nodes=30))
+    best = err.value.best
+    assert best is not None and best.cardinality > 3
+    assert validate_gbgop(inst, best.pairs) == []
+    with pytest.raises(LimitReachedError) as err:
+        solve_gbgop_exact(inst, limits=Limits(max_nodes=1))
+    assert err.value.best is None  # no cover yet

@@ -8,14 +8,14 @@ from fractions import Fraction
 import pytest
 
 from gops import (ActionPointPair, ActionRule, BenefitModel, BmgopInstance, CostModel,
-                  GbgopInstance, GridMap, GroundAtom, Grounding, IntegrityConstraint, Point,
+                  GbgopInstance, GridMap, GroundAtom, IntegrityConstraint, Point,
                   TRUE, atom, check_ics, enumerate_ground_atoms, enumerate_pairs,
                   gen_campaign, gen_random, land, lnot, lor, objective_f, validate_bmgop,
                   validate_gbgop)
 from gops.core import METRICS, iter_bits
 from gops.errors import InstanceError
 
-from helpers import random_formula, reference_grounding, reference_grounding_of
+from helpers import ground, random_formula, reference_grounding, reference_grounding_of
 
 FIELDS = ("s0_mask", "effects", "costs", "benefits", "ic_s0", "pair_ics")
 
@@ -88,7 +88,7 @@ def test_nested_guards_match_reference_at_edges_and_corners(metric):
              GridMap(5, 4), GridMap(7, 7))
     for seed in range(4 * len(grids)):
         parts = _guard_instance(seed, metric, grids[seed % len(grids)])
-        assert_matches_reference(Grounding(*parts), reference_grounding(*parts))
+        assert_matches_reference(ground(*parts), reference_grounding(*parts))
 
 
 def _open_map_rules(grid, radius, metric):
@@ -98,7 +98,7 @@ def _open_map_rules(grid, radius, metric):
     rules = (ActionRule(name="near", effect_predicate="seen", max_distance=radius,
                         metric=metric, **guards),
              ActionRule(name="far", effect_predicate="seen", **guards))
-    return Grounding(grid, ("wall", "seen"), s0, rules, CostModel(), ())
+    return ground(grid, ("wall", "seen"), s0, rules, CostModel(), ())
 
 
 @pytest.mark.parametrize("metric", METRICS)
@@ -120,7 +120,7 @@ def test_radius_zero_yields_the_placement_point_where_the_target_holds(metric):
                     GroundAtom("ok", Point(2, 1)), GroundAtom("ok", Point(3, 1))})
     rule = ActionRule(name="spot", effect_predicate="hit", target_guard=atom("ok"),
                       max_distance=0.0, metric=metric)
-    g = Grounding(grid, ("ok", "hit"), s0, (rule,), CostModel(), ())
+    g = ground(grid, ("ok", "hit"), s0, (rule,), CostModel(), ())
     for i, p in enumerate(grid.points()):
         expected = {GroundAtom("hit", p)} if GroundAtom("ok", p) in s0 else set()
         assert set(g.mask_atoms(g.effects[i])) == expected
@@ -192,7 +192,7 @@ def test_points_off_the_map_are_unknown_not_aliased(point):
     # On a 6 x 4 lattice, (6, 0) would alias to (0, 1) by plain arithmetic.
     grid = GridMap(5, 3)
     rule = ActionRule(name="put", effect_predicate="hit")
-    g = Grounding(grid, ("ok", "hit"), frozenset(), (rule,), CostModel(), ())
+    g = ground(grid, ("ok", "hit"), frozenset(), (rule,), CostModel(), ())
     with pytest.raises(InstanceError) as err:
         g.pairs_to_indices([ActionPointPair("put", Point(*point))])
     assert err.value.code == "unknown-pair"
@@ -204,7 +204,7 @@ def test_points_off_the_map_are_unknown_not_aliased(point):
 def test_unknown_names_and_shapes_are_instance_errors():
     grid = GridMap(2, 2)
     rule = ActionRule(name="put", effect_predicate="hit")
-    g = Grounding(grid, ("ok", "hit"), frozenset(), (rule,), CostModel(), ())
+    g = ground(grid, ("ok", "hit"), frozenset(), (rule,), CostModel(), ())
     for pair in (ActionPointPair("take", Point(0, 0)), ActionPointPair("put", Point(0.5, 0)),
                  "put@(0,0)", ("put",)):
         with pytest.raises(InstanceError) as err:
@@ -306,9 +306,9 @@ def _bit_loop(g, mask):
 def _benefit_grounding(per_predicate, overrides=None, width=1):
     grid = GridMap(width, 0)
     predicates = ("a", "b", "c")
-    return Grounding(grid, predicates, frozenset(), (), CostModel(), (),
-                     BenefitModel(per_predicate=per_predicate,
-                                  per_atom_overrides=overrides or {}))
+    return ground(grid, predicates, frozenset(), (), CostModel(), (),
+                  BenefitModel(per_predicate=per_predicate,
+                               per_atom_overrides=overrides or {}))
 
 
 def assert_sums_match_bit_loop(g):

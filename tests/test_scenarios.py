@@ -2,11 +2,13 @@ import hashlib
 
 import pytest
 
-from gops import (ActionPointPair, GroundAtom, Grounding, Point, bmgop_compute, cost_of,
+from gops import (ActionPointPair, GroundAtom, Point, bmgop_compute, cost_of,
                   benefit_of, gen_campaign, gen_random, reduce_to_r_star,
                   restricted_pairs, satisfies, atom, serialize_instance,
                   validate_gbgop)
 from gops.errors import InstanceError
+
+from helpers import ground
 
 
 @pytest.fixture(scope="module")
@@ -149,8 +151,8 @@ def test_gen_random_gbgop_hands_its_grounding_to_the_instance():
         inst = gen_random(seed=seed, width=5, height=4, actions=3, radius=1.5, ics=2)
         assert "grounding" in vars(inst)
         g = inst.grounding
-        fresh = Grounding(inst.grid, inst.predicates, inst.s0, inst.actions,
-                          inst.cost_model, inst.ics)
+        fresh = ground(inst.grid, inst.predicates, inst.s0, inst.actions,
+                       inst.cost_model, inst.ics)
         for name in ("atoms", "pairs", "s0_mask", "effects", "costs", "benefits",
                      "ic_s0", "pair_ics"):
             assert getattr(g, name) == getattr(fresh, name), name
