@@ -12,11 +12,12 @@ for cross-checking and small instances.
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .core import ActionPointPair, BenefitModel, Problem, Solution, format_number
-from .errors import InstanceError, LimitReachedError
+from .errors import InstanceError
 from .ip import IpModel, Limits, _lp_name, _solve_for_tags
 
 
@@ -29,6 +30,8 @@ class BmgopInstance(Problem):
         super().__post_init__()
         if not isinstance(self.k, int) or self.k < 0:
             raise InstanceError("k-range", "k must be a non-negative integer")
+        if self.k > sys.float_info.max:  # the greedy and the program take it as a float
+            raise InstanceError("k-range", "k is too large for a float")
 
 
 BmgopSolution = Solution
@@ -315,11 +318,7 @@ def solve_bmgop_exact(inst: BmgopInstance, limits: Optional[Limits] = None) -> B
         bound = value + sum(top) + slack
         return bound > best_value or bound == best_value and size < len(best)
 
-    try:
-        g.search(order, inst.budget, inst.k, (limits or Limits())._counter(), visit)
-    except LimitReachedError as err:
-        err.best = g._selection(best)
-        raise
+    g.search(order, inst.budget, inst.k, limits, visit, lambda: best)
     return g._selection(best)
 
 

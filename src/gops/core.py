@@ -43,6 +43,7 @@ solver calls them, and the tests hold the tables and solvers equal to them.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -719,7 +720,8 @@ class Solution:
 class Grounding:
     """Canonical index tables plus frozen per-pair effect, cost and benefit
     caches for one validated ``Problem``, whose checks it does not repeat:
-    building raises nothing. Built once, then read-only.
+    building raises only ``map-size``, for more points or atoms than a mask
+    has bits (``sys.maxsize``). Built once, then read-only.
 
     Atom sets are integer bitmasks over canonical atom indices, which gives
     O(1) membership and fast union/difference in the solvers' inner loops.
@@ -764,6 +766,8 @@ class Grounding:
         self.n_points = n_points = grid.n_points
         self.n_atoms = n_points * len(self.predicates)
         self.n_pairs = n_points * len(self.actions)
+        if max(n_points, self.n_atoms) > sys.maxsize:
+            raise InstanceError("map-size", f"{n_points} points are too many for one bit mask")
         self.atom_offsets = offsets = block_offsets(self.predicates, grid)
         self.pair_offsets = block_offsets([rule.name for rule in self.actions], grid)
         self._atoms = self._pairs = None  # built on first use
@@ -974,15 +978,18 @@ class Grounding:
         return out
 
     def search(self, candidates: Sequence[int], budget: float, max_size: int,
-               tick, visit) -> None:
+               limits, visit, best=lambda: None) -> None:
         """Depth-first walk over the subsets of pair indices ``candidates``
         within ``budget``, ``max_size`` and the active integrity constraints.
         Each is visited once, prefixes first and siblings in ``candidates``
-        order, by ``tick()`` and ``visit(chosen, mask, pos)`` (its pairs as
-        taken, ``s0_mask`` plus their effects, where extensions start), and
-        extended only if that returns true. A limit from ``tick`` is raised
-        again with the size reached. Costs add up in canonical order, as in
+        order, by ``visit(chosen, mask, pos)`` (its pairs as taken,
+        ``s0_mask`` plus their effects, where extensions start), and
+        extended only if that returns true. Each visit is one node against
+        ``limits`` (None: no limit); a limit is raised with the size reached
+        and, as its ``best``, the selection of ``best()``, the driver's best
+        pair indices so far (or None). Costs add up in canonical order, as in
         ``cost_sum``, so the budget test agrees with validation exactly."""
+        tick = (lambda: None) if limits is None else limits._counter()
         ascending = all(a < b for a, b in zip(candidates, candidates[1:]))
         effects = [self.effects[i] for i in candidates]
         costs = [self.costs[i] for i in candidates]
@@ -1013,7 +1020,9 @@ class Grounding:
                     if chosen:
                         chosen.pop()
         except LimitReachedError as err:
-            raise LimitReachedError(f"{err.message} at size {len(chosen)}") from None
+            found = best()
+            raise LimitReachedError(f"{err.message} at size {len(chosen)}",
+                                    None if found is None else self._selection(found)) from None
 
     def _selection(self, indices) -> Solution:
         """The solution of the selected pair indices. Its final state is the

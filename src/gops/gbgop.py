@@ -74,15 +74,8 @@ def validate_gbgop(inst: GbgopInstance, sol) -> list:
 
 def _violations(inst: GbgopInstance, indices) -> list:
     g = inst.grounding
-    out = []
-
-    inherent = g.s0_mask & inst.theta_out_mask
-    if inherent:
-        atoms = g.mask_atoms(inherent)
-        out.append(Violation("initial-forbidden",
-                             "forbidden atoms already hold in the initial state "
-                             "(no action deletes atoms): " + ", ".join(map(str, atoms)),
-                             atoms=atoms))
+    inherent = _initially_forbidden(inst)
+    out = [inherent] if inherent else []
 
     total = g.cost_sum(indices)
     if total > inst.budget:
@@ -97,19 +90,26 @@ def _violations(inst: GbgopInstance, indices) -> list:
                              pairs=pairs))
 
     final_mask = g.s0_mask | g.union_effects(indices)
-    missing = inst.theta_in_mask & ~final_mask
-    if missing:
-        atoms = g.mask_atoms(missing)
-        out.append(Violation("goal-missing",
-                             "goal atoms not achieved: " + ", ".join(map(str, atoms)),
-                             atoms=atoms))
-    produced = inst.theta_out_mask & final_mask & ~g.s0_mask
-    if produced:
-        atoms = g.mask_atoms(produced)
-        out.append(Violation("goal-forbidden",
-                             "forbidden atoms produced: " + ", ".join(map(str, atoms)),
-                             atoms=atoms))
+    out += filter(None, [
+        _atom_violation(g, "goal-missing", "goal atoms not achieved",
+                        inst.theta_in_mask & ~final_mask),
+        _atom_violation(g, "goal-forbidden", "forbidden atoms produced",
+                        inst.theta_out_mask & final_mask & ~g.s0_mask)])
     return out
+
+
+def _initially_forbidden(inst: GbgopInstance) -> Optional[Violation]:
+    """The violation of every selection when forbidden atoms hold initially."""
+    g = inst.grounding
+    return _atom_violation(g, "initial-forbidden", "forbidden atoms already hold in the "
+                           "initial state (no action deletes atoms)",
+                           g.s0_mask & inst.theta_out_mask)
+
+
+def _atom_violation(g, code: str, what: str, mask: int) -> Optional[Violation]:
+    """A violation that names the atoms of ``mask``, or None when it has none."""
+    atoms = g.mask_atoms(mask)
+    return Violation(code, f"{what}: " + ", ".join(map(str, atoms)), atoms=atoms) if atoms else None
 
 
 def restricted_pairs(inst: GbgopInstance) -> list:
@@ -181,11 +181,14 @@ def build_gbgop_ip(inst: GbgopInstance, use_reduction: bool = False) -> IpModel:
     coverage constraint per outstanding goal atom, the cost budget, and
     one at-most-one constraint per active integrity constraint.
 
-    Raises UncoverableAtomsError when some outstanding goal atom has no
-    producing pair at all; the program would be trivially infeasible and
-    the caller gets the atoms instead of an opaque failure.
+    Raises InstanceError ``initial-forbidden`` when forbidden atoms hold
+    initially, and UncoverableAtomsError when an outstanding goal atom has
+    no producer, instead of returning a trivially infeasible program.
     """
     g = inst.grounding
+    inherent = _initially_forbidden(inst)
+    if inherent:
+        raise InstanceError(inherent.code, inherent.message)
     indices = _r_star(inst)[1] if use_reduction else _admissible(inst)
 
     model = IpModel(sense="min")
@@ -217,7 +220,7 @@ def solve_gbgop_exact(inst: GbgopInstance, limits: Optional[Limits] = None) -> O
     limit carries the smallest cover so far, if any, not proven minimal.
     """
     g = inst.grounding
-    if g.s0_mask & inst.theta_out_mask:
+    if _initially_forbidden(inst):
         return None
     needed = _needed(inst)
     candidates = _r_star(inst)[1]
@@ -234,11 +237,7 @@ def solve_gbgop_exact(inst: GbgopInstance, limits: Optional[Limits] = None) -> O
             return False
         return len(chosen) + 1 < smaller_than and not needed & ~(mask | suffix[pos])
 
-    try:
-        g.search(candidates, inst.budget, len(candidates), (limits or Limits())._counter(), visit)
-    except LimitReachedError as err:
-        err.best = None if best is None else g._selection(best)
-        raise
+    g.search(candidates, inst.budget, len(candidates), limits, visit, lambda: best)
     return None if best is None else g._selection(best)
 
 
@@ -252,8 +251,10 @@ def _suffix_unions(g, candidates) -> list:
 
 def solve_gbgop_ip(inst: GbgopInstance, limits: Optional[Limits] = None):
     """Solve via the covering program over the reduced pair set. Returns
-    (solution or None, status); status is the underlying assignment
-    status, with uncoverable goal atoms reported as plain infeasibility."""
+    (solution or None, status); status is the underlying assignment status,
+    with initially forbidden or uncoverable goal atoms as infeasibility."""
+    if _initially_forbidden(inst):
+        return None, "infeasible"
     try:
         model = build_gbgop_ip(inst, use_reduction=True)
     except UncoverableAtomsError:
@@ -274,16 +275,16 @@ def count_gbgop_solutions(inst: GbgopInstance, cap: Optional[int] = None) -> int
     """
     if cap is not None and not cap >= 0:
         raise InstanceError("limit-range", f"cap {cap} is not a non-negative number")
-    g = inst.grounding
-    n = g.n_pairs
+    n = inst.grid.n_points * len(inst.actions)  # before grounding, which may be vast
     if n > 20:
         raise InstanceError(
             "count-guard",
             f"refusing to count over {n} action-point pairs (limit 20): exact "
             "solution counting is #P-hard and effectively inapproximable, so "
             "enumeration cost is unavoidable")
-    if g.s0_mask & inst.theta_out_mask:
+    if _initially_forbidden(inst):
         return 0
+    g = inst.grounding
     needed = _needed(inst)
     # Pairs that produce a forbidden atom are never chosen, so only the
     # admissible ones branch.
@@ -301,7 +302,7 @@ def count_gbgop_solutions(inst: GbgopInstance, cap: Optional[int] = None) -> int
             count += 1
         return True
 
-    g.search(candidates, inst.budget, len(candidates), lambda: None, visit)  # no limits
+    g.search(candidates, inst.budget, len(candidates), None, visit)
     if count > most:
         raise LimitReachedError(f"solution count exceeded cap {cap}")
     return count

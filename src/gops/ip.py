@@ -112,8 +112,9 @@ class Limits:
                                 f"max_seconds {self.max_seconds} is not a non-negative number")
 
     def _counter(self):
-        """Start the clock for one search; returns a function to call once
-        per search node. It raises LimitReachedError on the node after the
+        """Start the clock for one search (``Grounding.search`` and
+        ``solve_branch_and_bound`` start one per run); returns a function to
+        call once per node. It raises LimitReachedError on the node after the
         ``max_nodes``-th, and once ``max_seconds`` have passed (the clock is
         read every 4096 nodes)."""
         max_nodes = self.max_nodes
@@ -242,59 +243,48 @@ def _solve_for_tags(model: IpModel, limits: Optional[Limits]):
 _NAME_RE = re.compile(r"[^A-Za-z0-9_]")
 
 
-def _sanitize_names(variables) -> list:
-    seen = {}
-    out = []
-    for v in variables:
-        name = _NAME_RE.sub("_", v.name)
-        if not name or name[0].isdigit() or name[0] in "eE.":
-            name = "v_" + name
-        if name in seen:
-            seen[name] += 1
-            name = f"{name}_{seen[name]}"
-        seen.setdefault(name, 0)
-        out.append(name)
-    return out
+def _unique(names) -> list:
+    """``names`` in order, a repeat taking the first free ``_<n>`` suffix."""
+    taken = {}  # insertion-ordered
+    for name in names:
+        unique, n = name, 0
+        while unique in taken:
+            n += 1
+            unique = f"{name}_{n}"
+        taken[unique] = None
+    return list(taken)
 
 
 def _expr(terms, names, constant: float = 0.0) -> str:
     parts = []
-    for i, co in terms:
+    for i, co in [*terms, (None, constant)]:  # the constant is one more signed piece
         if co == 0:
             continue
         mag = abs(co)
-        piece = names[i] if mag == 1 else f"{format_number(mag)} {names[i]}"
-        if not parts:
-            parts.append(piece if co > 0 else f"- {piece}")
+        piece = format_number(mag) if i is None else names[i] if mag == 1 else f"{format_number(mag)} {names[i]}"
+        if co > 0:
+            parts.append(f"+ {piece}" if parts else piece)
         else:
-            parts.append(f"+ {piece}" if co > 0 else f"- {piece}")
-    if constant != 0:
-        value = format_number(abs(constant))
-        if not parts:
-            parts.append(value if constant > 0 else f"- {value}")
-        else:
-            parts.append(f"+ {value}" if constant > 0 else f"- {value}")
-    return " ".join(parts) if parts else "0"
+            parts.append(f"- {piece}")
+    return " ".join(parts) or "0"
 
 
 def emit_lp(model: IpModel) -> str:
     """CPLEX-style LP text. Byte-identical for identical models: terms in
-    variable order, coefficients at up to 12 significant digits, names
-    sanitized to ``[A-Za-z0-9_]``."""
+    variable order, coefficients at up to 12 significant digits. Names and
+    labels are sanitized to ``[A-Za-z0-9_]``, with a ``v_`` prefix on an
+    empty name or one that starts like a number and ``c`` for an empty
+    label, then made unique by ``_unique``."""
     model.validate()
-    names = _sanitize_names(model.variables)
+    names = _unique("v_" + name if not name or name[0] in "0123456789eE" else name
+                    for name in [_NAME_RE.sub("_", v.name) for v in model.variables])
+    labels = _unique(_NAME_RE.sub("_", c.label) or "c" for c in model.constraints)
     lines = ["\\ binary integer program"]
     lines.append("Maximize" if model.sense == "max" else "Minimize")
     obj_terms = sorted(model.objective.items())
     lines.append(" obj: " + _expr(obj_terms, names, model.constant))
     lines.append("Subject To")
-    seen_labels = {}
-    for c in model.constraints:
-        label = _NAME_RE.sub("_", c.label) or "c"
-        if label in seen_labels:
-            seen_labels[label] += 1
-            label = f"{label}_{seen_labels[label]}"
-        seen_labels.setdefault(label, 0)
+    for label, c in zip(labels, model.constraints):
         lines.append(f" {label}: {_expr(c.coeffs, names)} {c.sense} {format_number(c.rhs)}")
     lines.append("Binary")
     for name in names:

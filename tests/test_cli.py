@@ -503,3 +503,67 @@ def test_capped_run_without_an_assignment_says_so(campaign_files):
     payload = json.loads(run_cli(["solve", str(bm), "--method", "ip", "--max-nodes", "1",
                                   "--json"]).stdout)
     assert payload["pairs"] == [] and payload["cardinality"] is None
+
+
+def test_ip_and_emit_lp_refuse_initially_forbidden_atoms(tmp_path):
+    # the goal a(1,0) has a producer, but the forbidden a(0,0) already holds
+    doc = {
+        "format": "gop-instance", "version": 1,
+        "map": {"M": 1, "N": 0}, "predicates": ["a"], "state": [["a", [0, 0]]],
+        "actions": [{"name": "mk", "explicit": [[[1, 0], [["a", [1, 0]]]]]}],
+        "cost": {"default": 0.5, "rules": [], "overrides": []},
+        "ics": [],
+        "problem": {"type": "gbgop", "budget": 1,
+                    "theta_in": [["a", [1, 0]]], "theta_out": [["a", [0, 0]]]},
+    }
+    path = tmp_path / "forbidden.json"
+    path.write_text(json.dumps(doc))
+    for method in ("exact", "ip"):
+        result = run_cli(["solve", str(path), "--method", method])
+        assert result.returncode == 1
+        assert result.stdout.startswith(f"method: {method}\nstatus: infeasible\n")
+    result = run_cli(["emit-lp", str(path), "-o", str(tmp_path / "model.lp")])
+    assert result.returncode == 2
+    assert result.stderr == ("error[initial-forbidden]: forbidden atoms already hold in the "
+                             "initial state (no action deletes atoms): a(0,0)\n")
+    assert not (tmp_path / "model.lp").exists()
+
+
+def test_k_beyond_float_range_exit_2(campaign_files, tmp_path):
+    _, bm = campaign_files
+    doc = json.loads(bm.read_text())
+    doc["problem"]["k"] = 10 ** 400
+    path = tmp_path / "huge_k.json"
+    path.write_text(json.dumps(doc))
+    for args in (["solve", str(path), "--method", "approx"],
+                 ["solve", str(path), "--method", "ip"],
+                 ["emit-lp", str(path), "-o", str(tmp_path / "model.lp")]):
+        result = run_cli(args)
+        assert result.returncode == 2
+        assert result.stderr == "error[k-range]: k is too large for a float\n"
+
+
+def test_a_map_too_wide_to_ground_exit_2(tmp_path):
+    # validation indexes only the listed items; grounding needs a bit per
+    # point, so the solvers refuse the map instead of overflowing
+    doc = {
+        "format": "gop-instance", "version": 1,
+        "map": {"M": 10 ** 20, "N": 0}, "predicates": ["g"], "state": [],
+        "actions": [{"name": "mk", "explicit": [[[0, 0], [["g", [0, 0]]]]]}],
+        "cost": {"default": 0.5, "rules": [], "overrides": []},
+        "ics": [],
+        "problem": {"type": "gbgop", "budget": 1.0,
+                    "theta_in": [["g", [0, 0]]], "theta_out": []},
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(["validate", str(path)]).returncode == 0
+    for args in (["solve", str(path)], ["reduce", str(path)],
+                 ["emit-lp", str(path), "-o", str(tmp_path / "model.lp")]):
+        result = run_cli(args)
+        assert result.returncode == 2
+        assert result.stderr.startswith("error[map-size]: ")
+        assert result.stderr.count("\n") == 1
+    result = run_cli(["count", str(path)])
+    assert result.returncode == 2
+    assert result.stderr.startswith("error[count-guard]: ")

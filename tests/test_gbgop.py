@@ -47,6 +47,31 @@ def test_validate_inherently_infeasible():
     assert "initial-forbidden" in codes
 
 
+def test_initially_forbidden_atoms_make_every_method_infeasible():
+    # mk_b covers the goal, but a(0,0) is forbidden and already holds
+    a00 = GroundAtom("a", P00)
+    inst = tiny_gbgop(s0=frozenset({a00}), theta_out=frozenset({a00}),
+                      theta_in=frozenset({GroundAtom("b", P10)}))
+    for use_reduction in (False, True):
+        with pytest.raises(InstanceError) as err:
+            build_gbgop_ip(inst, use_reduction=use_reduction)
+        assert err.value.code == "initial-forbidden"
+        assert err.value.message.endswith(": a(0,0)")
+    assert solve_gbgop_ip(inst) == (None, "infeasible")
+    assert count_gbgop_solutions(inst) == 0
+
+
+def test_exact_solver_returns_early_on_initially_forbidden_atoms():
+    # the answer comes before any search: not even a zero-node limit is met
+    a00 = GroundAtom("a", P00)
+    inst = tiny_gbgop(s0=frozenset({a00}), theta_out=frozenset({a00}),
+                      theta_in=frozenset({GroundAtom("b", P10)}))
+    assert solve_gbgop_exact(inst, limits=Limits(max_nodes=0)) is None
+    feasible = tiny_gbgop(theta_in=frozenset({GroundAtom("b", P10)}))
+    with pytest.raises(LimitReachedError):
+        solve_gbgop_exact(feasible, limits=Limits(max_nodes=0))
+
+
 def test_validate_agrees_with_condition_oracle():
     rng = random.Random(11)
     for seed in range(40):
@@ -289,6 +314,14 @@ def test_count_guard_and_cap():
     with pytest.raises(InstanceError) as err:
         count_gbgop_solutions(small, cap=-1)
     assert err.value.code == "limit-range"
+
+
+def test_count_guard_refuses_before_grounding():
+    inst = tiny_gbgop(grid=GridMap(4, 2))  # 15 points, 30 pairs
+    with pytest.raises(InstanceError) as err:
+        count_gbgop_solutions(inst)
+    assert err.value.code == "count-guard"
+    assert "grounding" not in inst.__dict__
 
 
 def test_gbgop_ip_emits_lp():

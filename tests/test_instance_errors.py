@@ -113,6 +113,8 @@ GOLDEN = {
         (BMGOP, ("problem", "budget"), -1.0, "budget must be a finite non-negative number"),
     ("k-range", "bmgop"):
         (BMGOP, ("problem", "k"), -1, "k must be a non-negative integer"),
+    ("k-range", "bmgop, beyond float range"):
+        (BMGOP, ("problem", "k"), 10 ** 400, "k is too large for a float"),
     ("distance-negative", "action"):
         (GBGOP, ("actions", 1, "max_distance"), -1.0, "action 'r': negative max_distance"),
 }

@@ -315,3 +315,61 @@ def test_emit_lp_sanitizes_names():
     text = emit_lp(model)
     assert "X_a__0_0_" in text
     assert "@" not in text.replace("\\", "")
+
+
+def _lp_names(text):
+    """(row labels, Binary section names) of an LP text."""
+    rows = text.split("Subject To\n")[1].split("Binary\n")[0].splitlines()
+    binary = text.split("Binary\n")[1].split("End\n")[0].splitlines()
+    return [row.split(":")[0].strip() for row in rows], [name.strip() for name in binary]
+
+
+COLLIDING_BMGOP = {
+    # "a-b" sanitizes to "a_b", and X_a_b_0_0's first suffix is taken by a_b_0's pair at (0,1)
+    "format": "gop-instance", "version": 1,
+    "map": {"M": 0, "N": 1}, "predicates": ["q"], "state": [],
+    "actions": [{"name": "a_b_0", "explicit": [[[0, 1], [["q", [0, 1]]]]]},
+                {"name": "a-b", "explicit": [[[0, 0], [["q", [0, 0]]]]]},
+                {"name": "a_b", "explicit": [[[0, 0], [["q", [0, 0]]]]]}],
+    "cost": {"default": 0.5, "rules": [], "overrides": []},
+    "benefit": {"per_predicate": {"q": 1}},
+    "ics": [],
+    "problem": {"type": "bmgop", "k": 1, "budget": 1},
+}
+
+
+def test_emit_lp_never_gives_two_variables_one_name():
+    import json
+
+    from gops import build_bmgop_ip, parse_instance
+    model = build_bmgop_ip(parse_instance(json.dumps(COLLIDING_BMGOP)))
+    labels, names = _lp_names(emit_lp(model))
+    assert len(names) == len(model.variables) == len(set(names))
+    assert len(labels) == len(model.constraints) == len(set(labels))
+    assert names[:6] == ["X_a_b_0_0_0", "X_a_b_0_0_1", "X_a_b_0_0", "X_a_b_0_1",
+                         "X_a_b_0_0_2", "X_a_b_0_1_1"]
+
+
+def test_emit_lp_never_gives_two_rows_one_label():
+    # the empty label falls back to "c", whose first suffix "c_1" is taken
+    model = IpModel(sense="min")
+    x = model.add_variable("x")
+    for label in ("c_1", "c", "", "c", "c-1"):
+        model.add_constraint({x: 1.0}, "<=", 1.0, label)
+    labels, names = _lp_names(emit_lp(model))
+    assert labels == ["c_1", "c", "c_2", "c_3", "c_1_1"]
+    assert names == ["x"]
+
+
+def test_emit_lp_signs_the_constant_like_a_term():
+    model = IpModel(sense="min", constant=-1.5)
+    x = model.add_variable("x")
+    y = model.add_variable("y")
+    model.objective.update({x: -2.0, y: 1.0})
+    assert " obj: - 2 x + y - 1.5\n" in emit_lp(model)
+    model.objective.clear()
+    assert " obj: - 1.5\n" in emit_lp(model)
+    model.constant = 0.25
+    assert " obj: 0.25\n" in emit_lp(model)
+    model.constant = 0.0
+    assert " obj: 0\n" in emit_lp(model)
