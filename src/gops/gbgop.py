@@ -7,8 +7,10 @@ pair set, the covering integer program, an exact branch-and-bound
 solver, and a guarded exhaustive solution counter.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Optional
 
 from .core import Problem, Solution, block_offsets, check_atoms
@@ -143,7 +145,11 @@ def reduce_to_r_star(inst: GbgopInstance):
 
     Pairs with the same key (cost, active constraints, outstanding goal
     atoms covered) are equivalent, so only the canonical first of each key
-    is kept, and only when no other key dominates it. Returns the kept
+    is kept, and only when no other key dominates it. Dominance between the
+    distinct keys is tested bit-parallel, one bit per key in ascending cost
+    order: a key's candidate dominators are the keys up to its cost, minus
+    itself and the keys in a constraint outside its own set, ANDed with the
+    keys covering each of its atoms until none is left. Returns the kept
     pairs in canonical order plus (|R|, |R*|) stats.
     """
     r_indices, kept = _r_star(inst)
@@ -152,8 +158,19 @@ def reduce_to_r_star(inst: GbgopInstance):
 
 
 def _r_star(inst: GbgopInstance):
-    """(indices of R, indices of R*), both in canonical order. One pass keeps
-    each key's first pair; dominance is then tested between distinct keys."""
+    """(indices of R, indices of R*), both in canonical order.
+
+    One pass keeps each key's first pair. The distinct keys are then
+    numbered in ascending cost order, bit j standing for key j, and one
+    pass builds a mask of keys per active constraint and per outstanding
+    goal atom covered (indexed by the atom's low bit). Key j's candidate
+    dominators start as the keys costing no more, itself excluded (cost
+    prefix); the masks of the constraints outside its own set are cleared
+    (constraint exclusion); the cover mask of each of its atoms is ANDed in
+    (cover AND), stopping once no candidate is left (early exit). Distinct
+    keys never dominate each other both ways, so key j's pair is kept
+    exactly when no candidate remains.
+    """
     g = inst.grounding
     needed = _needed(inst)
     r_indices = _admissible(inst)
@@ -161,16 +178,31 @@ def _r_star(inst: GbgopInstance):
     first = {}
     for i in r_indices:  # pair_ics entries ascend, so equal sets give equal keys
         first.setdefault((costs[i], pair_ics[i], effects[i] & needed), i)
-    keys = [(c, frozenset(q), f) for c, q, f in first]
+    keys = sorted(first, key=itemgetter(0))
+    key_costs = [c for c, _, _ in keys]
+
+    in_ic, covering = {}, {}  # constraint / atom low bit -> mask of keys
+    for j, (_, q, f) in enumerate(keys):
+        bit = 1 << j
+        for k in q:
+            in_ic[k] = in_ic.get(k, 0) | bit
+        while f:
+            low = f & -f
+            covering[low] = covering.get(low, 0) | bit
+            f ^= low
 
     kept = []
-    for a, i in zip(keys, first.values()):
-        ca, qa, fa = a
-        for b in keys:
-            if b is not a and b[0] <= ca and b[1] <= qa and not fa & ~b[2]:
-                break
-        else:
-            kept.append(i)
+    for j, (c, q, f) in enumerate(keys):
+        dominators = ((1 << bisect_right(key_costs, c)) - 1) & ~(1 << j)
+        for k, mask in in_ic.items():
+            if k not in q:
+                dominators &= ~mask
+        while f and dominators:
+            low = f & -f
+            dominators &= covering[low]
+            f ^= low
+        if not dominators:
+            kept.append(first[keys[j]])
     kept.sort()
     return r_indices, kept
 

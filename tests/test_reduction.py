@@ -4,14 +4,16 @@ outputs pinned by a golden digest."""
 
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gops import (ActionPointPair, CostModel, GroundAtom,
+from gops import (ActionPointPair, CostModel, GridMap, GroundAtom,
                   IntegrityConstraint, Point, TRUE, gen_campaign, gen_random,
                   reduce_to_r_star)
 from gops.encodings import CoverProblem, encode_set_cover
-from gops.gbgop import _r_star
+from gops.gbgop import _admissible, _needed, _r_star
 
 from helpers import explicit_action, quadratic_r_star, tiny_gbgop
 
@@ -47,6 +49,37 @@ def repeated_family_cover(rng):
     fams.append(frozenset(elements))
     rng.shuffle(fams)
     return encode_set_cover(CoverProblem(elements, tuple(fams)))
+
+
+def family(i):
+    """The pair of a set-cover encoding that places family ``i``."""
+    return ActionPointPair(f"a{i}", P00)
+
+
+def priced_cover(universe, families, costs=(), ics=(), held=()):
+    """Set-cover encoding of ``families`` over ``range(universe)`` where
+    family i costs ``costs[i]`` (1.0 past the end), each group of family
+    indices in ``ics`` is an always-active integrity constraint, and the
+    goal atoms of the elements in ``held`` hold initially."""
+    inst = encode_set_cover(CoverProblem(tuple(range(universe)),
+                                         tuple(map(frozenset, families))))
+    return replace(inst,
+                   cost_model=CostModel(default_cost=1.0, overrides={
+                       family(i): c for i, c in enumerate(costs)}),
+                   ics=tuple(IntegrityConstraint(pairs=frozenset(map(family, group)))
+                             for group in ics),
+                   s0=frozenset(GroundAtom(f"g_{e}", P00) for e in held))
+
+
+def kept_families(inst):
+    """R* as family numbers, asserting first that it equals the oracle's."""
+    assert _r_star(inst) == quadratic_r_star(inst)
+    return [int(p.action[1:]) for p in reduce_to_r_star(inst)[0]]
+
+
+def distinct_keys(inst):
+    g, needed = inst.grounding, _needed(inst)
+    return {(g.costs[i], g.pair_ics[i], g.effects[i] & needed) for i in _admissible(inst)}
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +139,76 @@ def test_pairs_that_differ_only_in_their_constraint_set(constrained):
     r_star, _ = reduce_to_r_star(inst)
     assert r_star == [two if tied is one else one]
     assert _r_star(inst) == quadratic_r_star(inst)
+
+
+# ---------------------------------------------------------------------------
+# The key masks: cost prefix, constraint exclusion, cover AND, early exit.
+
+def test_equal_costs_on_both_sides_of_the_cost_prefix():
+    # family 1 dominates family 0 at the same cost and sorts after it; the
+    # 0.6 keys lie past family 1's prefix, and family 3 is dominated by an
+    # equal-cost key before it
+    inst = priced_cover(4, [{0}, {0, 1}, {0, 1, 2}, {2}, {3}, {3}],
+                        costs=[0.5, 0.5, 0.6, 0.6, 0.4, 0.4])
+    assert kept_families(inst) == [1, 2, 4]
+
+
+def test_float_costs_compare_exactly():
+    # 0.1 + 0.2 > 0.3, so family 1 covers more than family 0 but does not
+    # dominate it; family 2 has family 1's cost and is dominated by it
+    inst = priced_cover(3, [{0}, {0, 1, 2}, {1}, {2}], costs=[0.3, 0.1 + 0.2, 0.1 + 0.2, 0.1])
+    assert kept_families(inst) == [0, 1, 3]
+    assert kept_families(priced_cover(3, [{0}, {0, 1, 2}], costs=[0.3, 0.3])) == [1]
+
+
+def test_pairs_that_cover_no_outstanding_goal_atom():
+    # the free empty family is kept, the priced one is dominated by it
+    inst = priced_cover(2, [set(), {0}, set(), {0, 1}], costs=[0.0, 0.5, 0.5, 0.5])
+    assert kept_families(inst) == [0, 3]
+
+
+def test_goals_that_all_hold_initially_leave_pairs_by_cost_and_constraints():
+    # every key covers nothing: the constrained family 1 is the cheapest,
+    # family 3 is kept for its smaller constraint set, the rest cost more
+    inst = priced_cover(2, [{0}, {1}, {0, 1}, {1}], costs=[0.3, 0.1, 0.4, 0.2],
+                        ics=[(1, 2)], held=(0, 1))
+    assert kept_families(inst) == [1, 3]
+
+
+def test_no_admissible_pair():
+    a00 = GroundAtom("a", P00)
+    inst = tiny_gbgop(grid=GridMap(0, 0), actions=(explicit_action("mk_a", P00, [a00]),),
+                      theta_out=frozenset({a00}))
+    r_star, stats = reduce_to_r_star(inst)
+    assert (r_star, stats.r_size, stats.r_star_size) == ([], 0, 0)
+    assert _r_star(inst) == quadratic_r_star(inst) == ([], [])
+
+
+def test_keys_beyond_a_machine_word_over_several_constraints():
+    rng = random.Random(16)
+    families = [rng.sample(range(30), rng.randint(1, 8)) for _ in range(120)]
+    costs = [rng.choice((0.1, 0.2, 0.3, 0.5, 1.0)) for _ in families]
+    ics = [rng.sample(range(120), 25) for _ in range(4)]
+    inst = priced_cover(30, families, costs, ics)
+    assert len(distinct_keys(inst)) > 64
+    kept = kept_families(inst)
+    # the constraints keep pairs that their dominators' extra constraints
+    # would otherwise have dropped
+    assert len(kept) > len(kept_families(replace(inst, ics=())))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_reduction_equals_the_quadratic_oracle_on_priced_covers(data):
+    universe = data.draw(st.integers(1, 6))
+    elements = st.sets(st.integers(0, universe - 1))
+    families = data.draw(st.lists(elements, min_size=1, max_size=12))
+    n = len(families)
+    costs = data.draw(st.lists(st.sampled_from((0.0, 0.1, 0.2, 0.3, 0.1 + 0.2, 0.5, 1.0)),
+                               max_size=n))
+    ics = data.draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1), max_size=3))
+    held = data.draw(elements)
+    kept_families(priced_cover(universe, families, costs, ics, held))
 
 
 # ---------------------------------------------------------------------------
