@@ -28,15 +28,18 @@ is the metric ball around ``p`` AND the target-guard mask (gated by bit
 effect predicate's block of atom indices. Atom and pair indices are
 arithmetic (block offset + ``y * (M + 1) + x``), so grounding keeps no
 per-atom or per-pair object tables: atoms and pairs are made only for the
-indices a caller asks about, and the full lists only on first use. One
-indexer, ``item_indices`` (over ``GridMap.point_index``), turns (name,
-point) items into those indices for every reader: validation
-(``check_atoms``), grounding's lookups and override tables, and the
-document parser's effect-table reader. Each item is indexed once per
-set it is in; of several bad items, the least by ``repr`` is named. An
-explicit effect table parsed for the instance's own map and predicates
-(``EffectTable``) holds atom indices already: validation skips it and
-grounding sets its rows' bits directly. The set-based functions
+indices a caller asks about, and the full lists only on first use. Two
+indexers, side by side here so the index formula lives in one module,
+turn (name, point) items into those indices. ``item_indices`` is lenient
+and goes item by item, for items built in code: validation
+(``check_atoms``) and grounding's lookups and override tables. Each item
+is indexed once per set it is in; of several bad items, the least by
+``repr`` is named. ``table_rows`` is strict and goes table by table, for
+the document parser: it reads an explicit effect table in one pass, or
+gives up so the parser can name the error. An explicit effect table
+parsed for the instance's own map and predicates (``EffectTable``) holds
+atom indices already: validation skips it and grounding sets its rows'
+bits directly. The set-based functions
 (``satisfies``, ``action_effects``, ``appl``, ``cost_of``, ``benefit_of``,
 ``ground_ics_for_state``, ``check_ics``) are reference semantics only: no
 solver calls them, and the tests hold the tables and solvers equal to them.
@@ -461,22 +464,61 @@ def block_offsets(names: Iterable[str], grid: GridMap) -> dict:
 def item_indices(items: Iterable, offsets: Mapping[str, int], grid: GridMap, error) -> list:
     """The canonical index of each (name, point) item, atom or pair, in
     order: ``offsets[name] + grid.point_index(point)``, with ``offsets``
-    from ``block_offsets``. Every reader of atoms and pairs indexes them
-    here. Items without an index (an unknown name, a point off the map, no
-    (name, point) shape) are collected, and ``error(item)`` is raised for
-    the least of them by ``repr``, so the item named does not depend on the
-    iteration order of a set."""
+    from ``block_offsets``. This is the lenient indexer, for items built in
+    code: a point of two in-range ``int`` coordinates is indexed inline, and
+    any other goes through ``point_index``, which takes a coordinate equal
+    to an integer (``True``, ``1.0``) as that integer. Items without an
+    index (an unknown name, a point off the map, no (name, point) shape)
+    are collected, and ``error(item)`` is raised for the least of them by
+    ``repr``, so the item named does not depend on the iteration order of a
+    set."""
     point_index = grid.point_index
+    last_x, last_y = grid.width_bound, grid.height_bound
+    width = last_x + 1
     out, bad = [], []
     for item in items:
         try:
-            name, point = item
-            out.append(offsets[name] + point_index(point))
+            name, (x, y) = item
+            if type(x) is int and type(y) is int and 0 <= x <= last_x and 0 <= y <= last_y:
+                out.append(offsets[name] + y * width + x)
+            else:
+                out.append(offsets[name] + point_index((x, y)))
         except (KeyError, TypeError, ValueError):
             bad.append(item)
     if bad:
         raise error(min(bad, key=repr))
     return out
+
+
+def table_rows(entries: Iterable, offsets: Mapping[str, int], grid: GridMap) -> Optional[dict]:
+    """An explicit effect table of ``[[x, y], [[name, [x, y]], ...]]``
+    entries, as read from a document, in one pass: {point index: [atom
+    index, ...]}, indexed as ``item_indices`` does with ``offsets``. This
+    is the strict indexer, for documents, whose coordinates are integers:
+    it takes a coordinate only if it is an in-range ``int``. None at the
+    first entry that is not such a well-formed entry of a known name, or
+    whose point repeats an earlier one; the caller then reads the table
+    entry by entry, which names what is wrong."""
+    last_x, last_y = grid.width_bound, grid.height_bound
+    width = last_x + 1
+    rows = {}
+    try:
+        for (x, y), atoms in entries:
+            if not (type(x) is int and type(y) is int and 0 <= x <= last_x and 0 <= y <= last_y
+                    and type(atoms) is list):
+                return None
+            i = y * width + x
+            if i in rows:
+                return None
+            row = rows[i] = []
+            for name, (x, y) in atoms:
+                if not (type(x) is int and type(y) is int and 0 <= x <= last_x
+                        and 0 <= y <= last_y):
+                    return None
+                row.append(offsets[name] + y * width + x)
+    except (KeyError, TypeError, ValueError):
+        return None
+    return rows
 
 
 def _block_point(grid: GridMap, i: int) -> tuple:
@@ -664,6 +706,13 @@ def _ball(grid: GridMap, metric: str, bound: float):
     are the ones ``action_effects`` has. Offsets also stop at the map's
     extent, so a radius larger than the map costs no more than one as
     large as the map.
+
+    With ``R`` the largest row offset, each column ``x`` has one stack: the
+    runs around ``x`` for rows ``-R..R``, as a mask of ``2R + 1`` map rows.
+    The ball around ``(x, y)`` is that stack moved to start at row
+    ``y - R``, with the rows above row 0 shifted out and those below the
+    map masked off: one shift and one AND per point. The stacks hold one
+    mask per column, each no larger than one ball.
     """
     origin = Point(0, 0)
     reach = math.floor(bound)
@@ -677,24 +726,24 @@ def _ball(grid: GridMap, metric: str, bound: float):
             break  # the metrics are monotone in |dy| too
         half_widths.append(dx)
     width = grid.width_bound + 1
-    last_row = grid.height_bound
     last_col = grid.width_bound
-    # runs[h][x]: the row mask of the columns within h of column x
-    runs = {h: [((1 << (min(last_col, x + h) - max(0, x - h) + 1)) - 1) << max(0, x - h)
-                for x in range(width)]
-            for h in set(half_widths)}
-    rows = [(dy, runs[h]) for dy, h in enumerate(half_widths)]
+    full = (1 << grid.n_points) - 1
+    r = len(half_widths) - 1
+    stack_widths = half_widths[:0:-1] + half_widths  # of rows -R..R
+    stacks = []
+    for x in range(width):
+        stack = 0
+        for row, h in enumerate(stack_widths):
+            low = max(0, x - h)
+            stack |= ((1 << (min(last_col, x + h) - low + 1)) - 1) << (row * width + low)
+        stacks.append(stack)
 
     def ball(i: int) -> int:
         y, x = divmod(i, width)
-        mask = 0
-        for dy, run in rows:
-            segment = run[x]
-            if y >= dy:
-                mask |= segment << ((y - dy) * width)
-            if dy and y + dy <= last_row:
-                mask |= segment << ((y + dy) * width)
-        return mask
+        top = (y - r) * width
+        if top >= 0:
+            return stacks[x] << top & full
+        return stacks[x] >> -top & full
 
     return ball
 
@@ -741,9 +790,10 @@ class Grounding:
       evaluated once into a point mask, one bit per map point in row-major
       order (``_point_mask``);
     * a rule-form action placed at ``p`` whose source mask has bit ``p``
-      gets the metric ball around ``p`` (``_ball``) AND the target mask,
-      shifted into the effect predicate's block of atom indices; without a
-      distance bound the ball is the whole map;
+      gets the metric ball around ``p`` AND the target mask, shifted into
+      the effect predicate's block of atom indices; ``_ball`` makes each
+      ball with one shift of a per-column mask, and without a distance
+      bound the ball is the whole map;
     * a pair's cost is its override, else the value of the first cost rule
       whose condition mask has bit ``p``, else the default;
     * an explicit table parsed for this instance's grid and predicates (an

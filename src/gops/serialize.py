@@ -8,14 +8,16 @@ atoms and pairs alike: a point, a [name, [x, y]] item, a set of items, an
 override table of [item, value] entries. A well-formed point or item
 passes one inline shape check; only a malformed one goes through the
 step-by-step checks that name its error, and only then is its path built.
-An explicit effect table whose entries are all well formed and use only
-the document's predicates and map points is read straight into atom
-indices by the indexer ``Grounding`` and validation share
-(``core.item_indices``) and kept in a read-only ``core.EffectTable``, with
-no ``GroundAtom`` made. The indexer takes ``true`` and ``1.0`` as the
-coordinate 1, as Python callers may; a table with such a coordinate, or
-any other table, is parsed entry by entry as objects, so its errors keep
-their codes, paths and order. Serialization is canonical (fixed key
+An explicit effect table is read in one pass by ``core.table_rows``, the
+strict indexer beside the one ``Grounding`` and validation use
+(``core.item_indices``): when every entry is well formed, with integer
+coordinates on the map and only the document's predicates, and no point
+repeats, the table becomes atom indices in a read-only
+``core.EffectTable``, with no ``GroundAtom`` made. ``table_rows`` gives
+up at the first entry that does not fit (a ``true`` or ``1.0``
+coordinate among them, which Python callers may use but the format does
+not), and the table is then parsed entry by entry as objects, so its
+errors keep their codes, paths and order. Serialization is canonical (fixed key
 order, atoms and pairs in one canonical order, shortest round-tripping
 numbers), so identical instances produce identical bytes and
 ``parse(serialize(x))`` reproduces ``x``.
@@ -29,7 +31,7 @@ from .bmgop import BmgopInstance
 from .core import (ActionPointPair, ActionRule, AndFormula, AtomFormula,
                    BenefitModel, CostModel, EffectTable, Formula, GridMap, GroundAtom,
                    IntegrityConstraint, NotFormula, OrFormula, Point, TRUE,
-                   TrueFormula, block_offsets, item_indices)
+                   TrueFormula, block_offsets, table_rows)
 from .errors import ParseError
 from .gbgop import GbgopInstance
 
@@ -161,31 +163,6 @@ def _parse_formula(value, path) -> Formula:
     raise ParseError("bad-formula", f"unknown formula kind {key!r}", path)
 
 
-def _effect_rows(entries: list, grid: GridMap, offsets: Optional[dict]) -> Optional[dict]:
-    """An explicit effect table as {point index: [atom index, ...]}, each
-    row from ``core.item_indices`` over the atom blocks that start at
-    ``offsets``. None unless every entry is a well-formed [[x, y], [atoms...]]
-    whose point and atoms lie on the map, whose atoms name known predicates
-    and whose point is not repeated; the caller then parses the table as
-    objects, which reports what is wrong as before."""
-    if offsets is None:
-        return None
-    rows = {}
-    try:
-        for point, atoms in entries:
-            i = grid.point_index(point)
-            if i is None or i in rows or type(atoms) is not list:
-                return None
-            rows[i] = item_indices(atoms, offsets, grid, ValueError)
-    except (TypeError, ValueError):  # not a well-formed table of this document's atoms
-        return None
-    # the indexer reads true and 1.0 as 1, but the format's coordinates are integers
-    not_int = [x for (x, y), _ in entries if type(x) is not int or type(y) is not int]
-    not_int += [x for _, atoms in entries for _, (x, y) in atoms
-                if type(x) is not int or type(y) is not int]
-    return None if not_int else rows
-
-
 def _parse_action(value, path, grid: GridMap, predicates: tuple,
                   offsets: Optional[dict]) -> ActionRule:
     value = _expect(value, dict, path, "an action")
@@ -196,7 +173,7 @@ def _parse_action(value, path, grid: GridMap, predicates: tuple,
     if "explicit" in value:
         _require_keys(value, path, ("name", "explicit"))
         entries = _expect(value["explicit"], list, f"{path}.explicit", "an effect table")
-        rows = _effect_rows(entries, grid, offsets)
+        rows = None if offsets is None else table_rows(entries, offsets, grid)
         if rows is not None:
             return ActionRule(name=name, explicit_effects=EffectTable(grid, predicates, rows))
         table = {}

@@ -7,7 +7,8 @@ the code paths they check. The one exception is ``eager_bmgop_compute``,
 the greedy's former full rescan, kept as the oracle of its lazy form.
 ``quadratic_r_star`` is the dominance reduction's former scan of every
 admissible pair against every other, run on the reference grounding.
-``ground`` is a builder, not an oracle: it grounds loose instance parts.
+``ground`` is a builder, not an oracle: it grounds loose instance parts;
+``golden_corpus`` is an input corpus, the one the serialize golden pins.
 """
 
 import itertools
@@ -19,7 +20,8 @@ from itertools import product
 from gops import (ActionPointPair, ActionRule, AndFormula, AtomFormula,
                   BenefitModel, BmgopInstance, CostModel, GridMap, GroundAtom,
                   Grounding, NotFormula, OrFormula, Point, TRUE, TrueFormula,
-                  action_effects, appl, atom, benefit_of, cost_of, lnot, satisfies)
+                  action_effects, appl, atom, benefit_of, cost_of, gen_random, lnot,
+                  satisfies)
 from gops.bmgop import (GreedyIteration, GreedyTrace, _benefit, _violations,
                         approx_bound, bound_applicable)
 from gops.core import Problem, formula_atoms, iter_bits
@@ -382,6 +384,18 @@ def ground(grid, predicates, s0, actions, cost_model, ics, benefit_model=None):
     if benefit_model is None:
         return Grounding(Problem(**parts))
     return Grounding(BmgopInstance(**parts, benefit_model=benefit_model, k=0))
+
+
+def golden_corpus():
+    """The ``gen_random`` instances behind the serialize golden digest: 40
+    seeds, four size settings, both flavours, in seed, setting, flavour
+    order."""
+    for seed in range(40):
+        for width, height, actions, radius, ics in ((0, 0, 3, 1.0, 1), (3, 2, 3, 1.5, 2),
+                                                    (8, 8, 3, 3.0, 2), (12, 5, 4, 0.0, 3)):
+            for problem in ("gbgop", "bmgop"):
+                yield gen_random(seed=seed, width=width, height=height, actions=actions,
+                                 radius=radius, ics=ics, problem=problem)
 
 
 def explicit_action(name, point, atoms):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from gops import (ActionPointPair, ActionRule, BenefitModel, CostModel,
                   action_effects, appl, atom, benefit_of, check_ics, cost_of,
                   enumerate_ground_atoms, enumerate_pairs,
                   ground_ics_for_state, land, lnot, lor, satisfies)
+from gops.core import block_offsets, item_indices
 from gops.errors import InstanceError
 
 from helpers import random_formula, truth_table_satisfies
@@ -272,6 +274,54 @@ def test_point_index_is_none_off_the_map_not_aliased():
     assert grid.point_index(Point(True, 1.0)) == 6
     for p in ((5, 0), (0, 5), (-1, 0), (0, -1), (0.5, 0)):
         assert grid.point_index(Point(*p)) is None
+
+
+class _Bad(Exception):
+    pass
+
+
+def _indices_by_point_index(items, offsets, grid):
+    """``item_indices``'s outcome by ``GridMap.point_index`` alone: (the
+    indices, ()) or, when some item has no index, (None, (least bad item
+    by ``repr``,))."""
+    out, bad = [], []
+    for item in items:
+        try:
+            name, point = item
+            out.append(offsets[name] + grid.point_index(point))
+        except (KeyError, TypeError, ValueError):
+            bad.append(item)
+    return (None, (min(bad, key=repr),)) if bad else (out, ())
+
+
+def _indices_or_bad(items, offsets, grid):
+    try:
+        return item_indices(items, offsets, grid, _Bad), ()
+    except _Bad as err:
+        return None, err.args
+
+
+def test_item_indices_agree_with_point_index_on_every_coordinate():
+    grid = GridMap(3, 2)
+    offsets = block_offsets(("a", "b"), grid)
+    values = (0, 2, True, False, 1.0, Fraction(1), -1, grid.width_bound + 1,
+              grid.height_bound + 1, 2 ** 70, -2 ** 70, 0.5, "1", None)
+    points = [(1, 1, 1), [1, 1, 1], (1,), [], None, "ab", 5]
+    for v in values:
+        for w in (0, 2):
+            points += [Point(v, w), Point(w, v), [v, w], [w, v]]
+    items = [(name, p) for name in ("a", "b", "z") for p in points]
+    items += [None, ("a",), ("a", (1, 1), 0), "a"]
+    for item in items:
+        assert _indices_or_bad([item], offsets, grid) == \
+            _indices_by_point_index([item], offsets, grid), item
+    good = [item for item in items if not _indices_by_point_index([item], offsets, grid)[1]]
+    assert 50 < len(good) < len(items) - 50
+    for some in (good, items, items[::-1]):
+        assert _indices_or_bad(some, offsets, grid) == \
+            _indices_by_point_index(some, offsets, grid)
+    assert item_indices([("b", Point(3, 2)), ("b", [3, 2]), ("a", (True, 1.0))], offsets, grid,
+                        _Bad) == [23, 23, 5]
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])

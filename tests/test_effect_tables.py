@@ -1,9 +1,10 @@
 """Explicit effect tables parsed into atom indices (``EffectTable``).
 
 Differential tests hold a parsed table equal, as a Mapping, to the dict of
-frozensets it was serialized from, and its grounding equal to the one the
-dict gives. Fallback tests hold every table the index path does not take
-to the error codes of the object path, and a table reused on another map
+frozensets it was serialized from and to the one the object path parses
+from the same document, and its grounding equal to the one the dict
+gives. Fallback tests hold every table the index path does not take
+to the error code and JSON path (or message) of the object path, and a table reused on another map
 or predicate order to its Mapping interface."""
 
 import json
@@ -12,10 +13,12 @@ import random
 import pytest
 
 from gops import (ActionRule, CostModel, GbgopInstance, GridMap, GroundAtom,
-                  Point, gen_campaign, gen_random, parse_instance, serialize_instance)
+                  Point, gen_campaign, gen_random, parse_instance, serialize, serialize_instance)
 from gops.core import EffectTable
 from gops.encodings import CoverProblem, encode_max_k_cover, encode_set_cover
 from gops.errors import InstanceError, ParseError
+
+from helpers import golden_corpus
 
 GROUNDING_TABLES = ("s0_mask", "effects", "costs", "benefits", "ic_s0", "pair_ics")
 
@@ -72,6 +75,29 @@ def test_parsed_tables_equal_the_serialized_dicts(index):
         assert getattr(parsed.grounding, name) == getattr(inst.grounding, name), name
 
 
+def test_the_table_reader_matches_the_object_path(monkeypatch):
+    # the campaign and the serialize golden's corpus, read once by the
+    # table reader and once entry by entry as objects
+    scenario = gen_campaign()
+    texts = [serialize_instance(inst)
+             for inst in (scenario.gbgop, scenario.bmgop, *golden_corpus())]
+    read = [parse_instance(text) for text in texts]
+    monkeypatch.setattr(serialize, "table_rows", lambda entries, offsets, grid: None)
+    tables = 0
+    for text, inst in zip(texts, read):
+        objects = parse_instance(text)
+        for rule, again in zip(inst.actions, objects.actions):
+            if again.explicit_effects is None:
+                continue
+            assert type(rule.explicit_effects) is EffectTable
+            assert type(again.explicit_effects) is dict
+            assert rule.explicit_effects == again.explicit_effects
+            tables += 1
+        for name in GROUNDING_TABLES:
+            assert getattr(inst.grounding, name) == getattr(objects.grounding, name), name
+    assert tables > len(texts)
+
+
 def test_the_corpus_has_explicit_tables_on_every_rung():
     sizes = {inst.grid.width_bound for inst in CORPUS
              if any(rule.explicit_effects for rule in inst.actions)}
@@ -105,28 +131,53 @@ def _set(change):
     return edit
 
 
-# case -> (document change, error class, code); recorded from the object
-# path, which parsed every table before the index path existed
+# case -> (document change, error class, code, where): where is the JSON
+# path of a ParseError and the message of an InstanceError, which has no
+# path; recorded from the object path, which parsed every table before the
+# index path existed
 FALLBACKS = {
     "unknown-predicate": (_set(lambda d: _explicit(d)[1][1].append(["c", [0, 0]])),
-                          InstanceError, "unknown-predicate"),
+                          InstanceError, "unknown-predicate",
+                          "action 'e' effects: unknown predicate 'c'"),
     "off-map-point": (_set(lambda d: _explicit(d).append([[0, 3], []])),
-                      InstanceError, "point-bounds"),
+                      InstanceError, "point-bounds", "action 'e': point (0,3) outside the map"),
+    "off-map-point-x": (_set(lambda d: _explicit(d).append([[3, 0], []])),
+                        InstanceError, "point-bounds", "action 'e': point (3,0) outside the map"),
+    "negative-point": (_set(lambda d: _explicit(d)[1][0].__setitem__(0, -1)),
+                       InstanceError, "point-bounds", "action 'e': point (-1,2) outside the map"),
+    "huge-coordinate": (_set(lambda d: _explicit(d)[1][0].__setitem__(0, 2 ** 70)),
+                        InstanceError, "point-bounds",
+                        f"action 'e': point ({2 ** 70},2) outside the map"),
     "off-map-atom": (_set(lambda d: _explicit(d)[0][1].append(["a", [-1, 0]])),
-                     InstanceError, "point-bounds"),
+                     InstanceError, "point-bounds",
+                     "action 'e' effects: point (-1,0) outside the map"),
     "x-is-M-plus-1": (_set(lambda d: _explicit(d)[1][1].append(["a", [3, 0]])),
-                      InstanceError, "point-bounds"),
+                      InstanceError, "point-bounds",
+                      "action 'e' effects: point (3,0) outside the map"),
+    "huge-atom-coordinate": (_set(lambda d: _explicit(d)[0][1][0][1].__setitem__(1, 2 ** 70)),
+                             InstanceError, "point-bounds",
+                             f"action 'e' effects: point (1,{2 ** 70}) outside the map"),
     "repeated-point": (_set(lambda d: _explicit(d).append([[0, 0], [["a", [0, 0]]]])),
-                       ParseError, "duplicate"),
+                       ParseError, "duplicate", "$.actions[0].explicit[2]"),
     "repeated-predicate": (_set(lambda d: d["predicates"].append("a")),
-                           InstanceError, "predicate-duplicate"),
+                           InstanceError, "predicate-duplicate", "duplicate predicate 'a'"),
     "true-coordinate": (_set(lambda d: _explicit(d)[1][0].__setitem__(0, True)),
-                        ParseError, "type"),
+                        ParseError, "type", "$.actions[0].explicit[1]"),
+    "float-coordinate": (_set(lambda d: _explicit(d)[1][0].__setitem__(1, 2.0)),
+                         ParseError, "type", "$.actions[0].explicit[1]"),
     "true-atom-coordinate": (_set(lambda d: _explicit(d)[1][1][0][1].__setitem__(1, True)),
-                             ParseError, "type"),
+                             ParseError, "type", "$.actions[0].explicit[1][0]"),
+    "float-atom-coordinate": (_set(lambda d: _explicit(d)[0][1][1][1].__setitem__(0, 2.0)),
+                              ParseError, "type", "$.actions[0].explicit[0][1]"),
+    "three-element-atom-point": (_set(lambda d: _explicit(d)[0][1][1].__setitem__(1, [2, 0, 0])),
+                                 ParseError, "type", "$.actions[0].explicit[0][1]"),
+    "row-not-a-list": (_set(lambda d: _explicit(d).append([[2, 2], 5])),
+                       ParseError, "type", "$.actions[0].explicit[2]"),
+    "entry-not-a-list": (_set(lambda d: _explicit(d).append(5)),
+                         ParseError, "type", "$.actions[0].explicit[2]"),
     # parse errors come before instance errors, whichever entry is first
     "off-map-then-malformed": (_set(lambda d: _explicit(d).extend([[[0, 3], []], [[2, 2], 5]])),
-                               ParseError, "type"),
+                               ParseError, "type", "$.actions[0].explicit[3]"),
 }
 
 
@@ -137,10 +188,11 @@ def _document(change=None):
 
 @pytest.mark.parametrize("case", sorted(FALLBACKS))
 def test_tables_off_the_mask_path_raise_the_object_paths_error(case):
-    change, kind, code = FALLBACKS[case]
+    change, kind, code, where = FALLBACKS[case]
     with pytest.raises(kind) as err:
         parse_instance(_document(change))
     assert type(err.value) is kind and err.value.code == code
+    assert (err.value.path if kind is ParseError else err.value.message) == where
 
 
 def test_an_empty_atom_list_parses_to_an_empty_effect():

@@ -12,7 +12,7 @@ from gops import (ActionPointPair, ActionRule, BenefitModel, BmgopInstance, Cost
                   TRUE, atom, check_ics, enumerate_ground_atoms, enumerate_pairs,
                   gen_campaign, gen_random, land, lnot, lor, objective_f, validate_bmgop,
                   validate_gbgop)
-from gops.core import METRICS, iter_bits
+from gops.core import METRICS, _ball, iter_bits, within_distance
 from gops.errors import InstanceError
 
 from helpers import ground, random_formula, reference_grounding, reference_grounding_of
@@ -89,6 +89,19 @@ def test_nested_guards_match_reference_at_edges_and_corners(metric):
     for seed in range(4 * len(grids)):
         parts = _guard_instance(seed, metric, grids[seed % len(grids)])
         assert_matches_reference(ground(*parts), reference_grounding(*parts))
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("width, height", [(1, 1), (1, 9), (9, 1), (17, 11)])
+def test_balls_are_the_box_points_within_distance(metric, width, height):
+    grid = GridMap(width - 1, height - 1)
+    points = grid.points()
+    for radius in (0, 0.5, 1, 1.5, 2.9, 3, grid.width_bound + grid.height_bound + 5, 1e300):
+        ball = _ball(grid, metric, radius)
+        for i, p in enumerate(points):
+            want = sum(1 << grid.point_index(q) for q in grid.box_around(p, radius)
+                       if within_distance(metric, p, q, radius))
+            assert ball(i) == want, (radius, p)
 
 
 def _open_map_rules(grid, radius, metric):

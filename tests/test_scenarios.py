@@ -8,7 +8,7 @@ from gops import (ActionPointPair, GroundAtom, Point, bmgop_compute, cost_of,
                   validate_gbgop)
 from gops.errors import InstanceError
 
-from helpers import ground
+from helpers import golden_corpus, ground
 
 
 @pytest.fixture(scope="module")
@@ -110,13 +110,8 @@ def test_gen_random_corpus_golden_digest():
     # changes to how it computes them; the digest is over the documents in
     # seed, parameter, flavour order.
     digest = hashlib.sha256()
-    for seed in range(40):
-        for width, height, actions, radius, ics in ((0, 0, 3, 1.0, 1), (3, 2, 3, 1.5, 2),
-                                                    (8, 8, 3, 3.0, 2), (12, 5, 4, 0.0, 3)):
-            for problem in ("gbgop", "bmgop"):
-                inst = gen_random(seed=seed, width=width, height=height, actions=actions,
-                                  radius=radius, ics=ics, problem=problem)
-                digest.update(serialize_instance(inst).encode())
+    for inst in golden_corpus():
+        digest.update(serialize_instance(inst).encode())
     assert digest.hexdigest() == "f40c6dd8a49fc591b52db3ad8b1934d70c3dced15c2d215d2e0f21e9485d9304"
 
 
