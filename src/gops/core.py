@@ -465,24 +465,17 @@ def item_indices(items: Iterable, offsets: Mapping[str, int], grid: GridMap, err
     """The canonical index of each (name, point) item, atom or pair, in
     order: ``offsets[name] + grid.point_index(point)``, with ``offsets``
     from ``block_offsets``. This is the lenient indexer, for items built in
-    code: a point of two in-range ``int`` coordinates is indexed inline, and
-    any other goes through ``point_index``, which takes a coordinate equal
-    to an integer (``True``, ``1.0``) as that integer. Items without an
-    index (an unknown name, a point off the map, no (name, point) shape)
-    are collected, and ``error(item)`` is raised for the least of them by
-    ``repr``, so the item named does not depend on the iteration order of a
-    set."""
+    code: ``point_index`` takes a coordinate equal to an integer (``True``,
+    ``1.0``) as that integer. Items without an index (an unknown name, a
+    point off the map, no (name, point) shape) are collected, and
+    ``error(item)`` is raised for the least of them by ``repr``, so the
+    item named does not depend on the iteration order of a set."""
     point_index = grid.point_index
-    last_x, last_y = grid.width_bound, grid.height_bound
-    width = last_x + 1
     out, bad = [], []
     for item in items:
         try:
-            name, (x, y) = item
-            if type(x) is int and type(y) is int and 0 <= x <= last_x and 0 <= y <= last_y:
-                out.append(offsets[name] + y * width + x)
-            else:
-                out.append(offsets[name] + point_index((x, y)))
+            name, point = item
+            out.append(offsets[name] + point_index(point))
         except (KeyError, TypeError, ValueError):
             bad.append(item)
     if bad:
@@ -711,8 +704,11 @@ def _ball(grid: GridMap, metric: str, bound: float):
     runs around ``x`` for rows ``-R..R``, as a mask of ``2R + 1`` map rows.
     The ball around ``(x, y)`` is that stack moved to start at row
     ``y - R``, with the rows above row 0 shifted out and those below the
-    map masked off: one shift and one AND per point. The stacks hold one
-    mask per column, each no larger than one ball.
+    map masked off: one shift and one AND per point. A column's stack is
+    built, by halving its rows, the first time a point in that column asks
+    for its ball, and kept: a rule with sources in ``c`` columns holds
+    ``c`` stacks of ``(2R + 1) * (M + 1)`` bits, so a sparse rule pays for
+    the columns it uses and a dense one builds each stack once.
     """
     origin = Point(0, 0)
     reach = math.floor(bound)
@@ -730,20 +726,27 @@ def _ball(grid: GridMap, metric: str, bound: float):
     full = (1 << grid.n_points) - 1
     r = len(half_widths) - 1
     stack_widths = half_widths[:0:-1] + half_widths  # of rows -R..R
-    stacks = []
-    for x in range(width):
-        stack = 0
-        for row, h in enumerate(stack_widths):
+    stacks = {}
+
+    def rows(x: int, lo: int, hi: int) -> int:
+        # stack rows lo..hi-1 of column x, from row lo; halving keeps the
+        # ORs to about log2(2R + 1) passes over the stack's bits
+        if hi - lo == 1:
+            h = stack_widths[lo]
             low = max(0, x - h)
-            stack |= ((1 << (min(last_col, x + h) - low + 1)) - 1) << (row * width + low)
-        stacks.append(stack)
+            return ((1 << (min(last_col, x + h) - low + 1)) - 1) << low
+        mid = (lo + hi) // 2
+        return rows(x, lo, mid) | rows(x, mid, hi) << (mid - lo) * width
 
     def ball(i: int) -> int:
         y, x = divmod(i, width)
+        stack = stacks.get(x)
+        if stack is None:
+            stack = stacks[x] = rows(x, 0, len(stack_widths))
         top = (y - r) * width
         if top >= 0:
-            return stacks[x] << top & full
-        return stacks[x] >> -top & full
+            return stack << top & full
+        return stack >> -top & full
 
     return ball
 

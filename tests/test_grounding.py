@@ -104,6 +104,27 @@ def test_balls_are_the_box_points_within_distance(metric, width, height):
             assert ball(i) == want, (radius, p)
 
 
+@pytest.mark.parametrize("metric", METRICS)
+def test_one_source_on_a_wide_map_at_a_large_radius(metric):
+    # Stacks are built per column on demand, so one source on a wide map
+    # costs about one ball; the same column is asked for at several rows.
+    grid = GridMap(1999, 4)
+    rule = ActionRule(name="far", effect_predicate="hit", source_guard=atom("src"),
+                      max_distance=1500.5, metric=metric)
+    for source in (Point(1000, 2), Point(0, 4), Point(1999, 0)):
+        s0 = frozenset({GroundAtom("src", source)})
+        g = ground(grid, ("src", "hit"), s0, (rule,), CostModel(), ())
+        want = {GroundAtom("hit", q) for q in grid.box_around(source, 1500.5)
+                if within_distance(metric, source, q, 1500.5)}
+        assert set(g.mask_atoms(g.effects[grid.point_index(source)])) == want
+        assert sum(map(bool, g.effects)) == 1
+    ball = _ball(grid, metric, 3)
+    for p in (Point(1000, 2), Point(1000, 0), Point(1000, 4), Point(0, 4), Point(1000, 2)):
+        want = sum(1 << grid.point_index(q) for q in grid.box_around(p, 3)
+                   if within_distance(metric, p, q, 3))
+        assert ball(grid.point_index(p)) == want, p
+
+
 def _open_map_rules(grid, radius, metric):
     s0 = frozenset(GroundAtom("wall", Point(x, y)) for x in range(0, grid.width_bound, 3)
                    for y in range(0, grid.height_bound, 4))
