@@ -14,11 +14,12 @@ import heapq
 import math
 import sys
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import Optional
 
 from .core import ActionPointPair, BenefitModel, Problem, Solution, format_number
 from .errors import InstanceError
-from .ip import IpModel, Limits, _lp_name, _solve_for_tags
+from .ip import IpModel, Limits, _solve_for_tags
 
 
 @dataclass(eq=False)
@@ -253,29 +254,32 @@ def build_bmgop_ip(inst: BmgopInstance) -> IpModel:
     """Exact program: a selection variable per pair, an indicator variable
     per atom outside the initial state, benefit-weighted indicators in the
     objective (initial-state benefit enters as a constant), and linking,
-    cardinality, budget and integrity packing constraints."""
+    cardinality, budget and integrity packing constraints.
+
+    Variable ``i`` selects pair ``i``. Names and labels are made from the
+    canonical indices (``Grounding.pair_names``/``atom_names``), and the
+    map's pairs and atoms are never built as objects."""
     g = inst.grounding
-    pairs = g.pairs
-    atoms = g.atoms
     benefits = g.benefits
-    n = len(pairs)
+    n = g.n_pairs
     model = IpModel(sense="max")
-    x_of = {i: model.add_pair_variable(pair, tag=("pair", i)) for i, pair in enumerate(pairs)}
+    x_vars = model.add_variables(g.pair_names("X", range(n)), zip(repeat("pair"), range(n)))
 
     model.constant = g.benefit_sum(g.s0_mask)
     outside_s0 = ((1 << g.n_atoms) - 1) & ~g.s0_mask
-    for atom_idx, producers in g.producers(range(n), outside_s0).items():
-        a = atoms[atom_idx]
-        y = model.add_variable(_lp_name("Y", a), tag=("atom", atom_idx))
+    covers = g.producers(range(n), outside_s0)
+    y_vars = model.add_variables(g.atom_names("Y", covers), zip(repeat("atom"), covers))
+    for y, atom_idx, producers, label in zip(y_vars, covers, covers.values(),
+                                             g.atom_names("cover", covers)):
         if benefits[atom_idx] != 0:
             model.objective[y] = benefits[atom_idx]
         # producers ascend and every X variable precedes y: already in variable order
-        coeffs = [(x_of[i], 1.0) for i in producers]
+        coeffs = [(i, 1.0) for i in producers]
         coeffs.append((y, -1.0))
-        model.add_constraint(coeffs, ">=", 0.0, _lp_name("cover", a))
+        model.add_constraint(coeffs, ">=", 0.0, label)
 
-    model.add_constraint({x_of[i]: 1.0 for i in range(n)}, "<=", float(inst.k), "card")
-    model.add_packing_rows(inst, x_of)
+    model.add_constraint([(i, 1.0) for i in x_vars], "<=", float(inst.k), "card")
+    model.add_packing_rows(inst, dict(zip(x_vars, x_vars)))
     return model
 
 

@@ -688,17 +688,39 @@ def _point_mask(formula: Formula, s0_mask: int, offsets: Mapping[str, int], grid
     raise TypeError(f"not a formula node: {formula!r}")
 
 
+def _half_widths(grid: GridMap, metric: str, bound: float) -> list:
+    """The half-width of the ball of radius ``bound`` at each row offset
+    ``dy = 0, 1, ...``: the largest ``dx`` inside the box of
+    ``GridMap.box_around`` with ``(dx, dy)`` within ``bound`` of the origin,
+    by ``within_distance`` itself, so the float comparisons and the
+    candidates are the ones ``action_effects`` has. The list stops at the
+    first offset with no point in the ball, or at the map's extent.
+
+    Every metric is monotone in ``|dx|`` and ``|dy|``, so half-widths never
+    grow with ``dy``: each row's scan walks down from the previous row's
+    width, and the whole scan makes O(W + R) distance calls, not O(W * R).
+    """
+    origin = Point(0, 0)
+    reach = math.floor(bound)
+    dx = min(grid.width_bound, reach)
+    out = []
+    for dy in range(min(grid.height_bound, reach) + 1):
+        while dx >= 0 and not within_distance(metric, origin, Point(dx, dy), bound):
+            dx -= 1
+        if dx < 0:
+            break
+        out.append(dx)
+    return out
+
+
 def _ball(grid: GridMap, metric: str, bound: float):
     """Function from a point index ``i`` to the point mask of the map
     points within ``bound`` of point ``i``.
 
-    The ball is one contiguous run of columns per row. The run's
-    half-width at each row offset ``|dy|`` comes from ``within_distance``
-    on the offset itself, called once per offset inside the box of
-    ``GridMap.box_around``, so the float comparisons and the candidates
-    are the ones ``action_effects`` has. Offsets also stop at the map's
-    extent, so a radius larger than the map costs no more than one as
-    large as the map.
+    The ball is one contiguous run of columns per row, of the half-width
+    that ``_half_widths`` gives for the row offset ``|dy|``. Offsets stop
+    at the map's extent, so a radius larger than the map costs no more
+    than one as large as the map.
 
     With ``R`` the largest row offset, each column ``x`` has one stack: the
     runs around ``x`` for rows ``-R..R``, as a mask of ``2R + 1`` map rows.
@@ -710,17 +732,7 @@ def _ball(grid: GridMap, metric: str, bound: float):
     ``c`` stacks of ``(2R + 1) * (M + 1)`` bits, so a sparse rule pays for
     the columns it uses and a dense one builds each stack once.
     """
-    origin = Point(0, 0)
-    reach = math.floor(bound)
-    max_dx = min(grid.width_bound, reach)
-    half_widths = []
-    for dy in range(min(grid.height_bound, reach) + 1):
-        dx = -1
-        while dx < max_dx and within_distance(metric, origin, Point(dx + 1, dy), bound):
-            dx += 1
-        if dx < 0:
-            break  # the metrics are monotone in |dy| too
-        half_widths.append(dx)
+    half_widths = _half_widths(grid, metric, bound)
     width = grid.width_bound + 1
     last_col = grid.width_bound
     full = (1 << grid.n_points) - 1
@@ -783,9 +795,10 @@ class Grounding:
     ``k``'s pair at ``(x, y)`` the same in the pair order. So grounding
     builds no per-atom or per-pair objects: ``atom_at``/``pair_at`` and
     ``mask_atoms`` make objects only for the indices they are asked for,
-    ``atoms_to_mask`` and ``pairs_to_indices`` index their inputs with
-    ``item_indices``, and the full ``atoms``/``pairs`` lists are built on
-    first use, for the callers that need every one of them.
+    ``atom_names``/``pair_names`` make the integer programs' names from the
+    indices alone, ``atoms_to_mask`` and ``pairs_to_indices`` index their
+    inputs with ``item_indices``, and the full ``atoms``/``pairs`` lists are
+    built on first use, for the callers that need every one of them.
 
     Effects and costs are derived with mask algebra, never per pair:
 
@@ -929,6 +942,24 @@ class Grounding:
     def mask_atoms(self, mask: int) -> tuple:
         return tuple(map(self.atom_at, iter_bits(mask)))
 
+    def atom_names(self, prefix: str, indices: Iterable[int]) -> list:
+        """``<prefix>_<predicate>_<x>_<y>`` of each canonical atom index."""
+        return self._names(prefix, self.predicates, indices)
+
+    def pair_names(self, prefix: str, indices: Iterable[int]) -> list:
+        """``<prefix>_<action>_<x>_<y>`` of each canonical pair index."""
+        return self._names(prefix, [rule.name for rule in self.actions], indices)
+
+    def _names(self, prefix: str, blocks: Sequence[str], indices: Iterable[int]) -> list:
+        # the arithmetic of ``_block_point``, with no item built: index i is
+        # in block i // n_points, at x = i % (M + 1) (n_points is a multiple
+        # of M + 1) and y = i % n_points // (M + 1)
+        n_points, width = self.n_points, self.grid.width_bound + 1
+        heads = [f"{prefix}_{name}_" for name in blocks]
+        xs = [f"{x}_" for x in range(width)]
+        ys = [str(y) for y in range(self.grid.height_bound + 1)]
+        return [heads[i // n_points] + xs[i % width] + ys[i % n_points // width] for i in indices]
+
     @property
     def atoms(self) -> list:
         """Every ground atom in canonical order, built on first use."""
@@ -961,9 +992,10 @@ class Grounding:
         effects = self.effects
         for i in sorted(indices):
             hit = effects[i] & mask
-            if hit:  # most pairs miss a small mask; skip their bit loop
-                for a in iter_bits(hit):
-                    out[a].append(i)
+            while hit:  # most pairs miss a small mask and skip the loop
+                low = hit & -hit
+                out[low.bit_length() - 1].append(i)
+                hit ^= low
         return out
 
     def cost_sum(self, indices: Iterable[int]) -> float:

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .core import Problem, Solution, block_offsets, check_atoms
 from .errors import InstanceError, LimitReachedError, UncoverableAtomsError
-from .ip import IpModel, Limits, _lp_name, _solve_for_tags
+from .ip import IpModel, Limits, _solve_for_tags
 
 
 @dataclass(eq=False)
@@ -211,7 +211,9 @@ def build_gbgop_ip(inst: GbgopInstance, use_reduction: bool = False) -> IpModel:
     """Covering program: one binary variable per admissible pair (reduced
     set when asked), minimize the number of selected pairs subject to one
     coverage constraint per outstanding goal atom, the cost budget, and
-    one at-most-one constraint per active integrity constraint.
+    one at-most-one constraint per active integrity constraint. Names and
+    labels are made from the canonical indices (``Grounding.pair_names``/
+    ``atom_names``), with no pair or atom object built.
 
     Raises InstanceError ``initial-forbidden`` when forbidden atoms hold
     initially, and UncoverableAtomsError when an outstanding goal atom has
@@ -224,19 +226,16 @@ def build_gbgop_ip(inst: GbgopInstance, use_reduction: bool = False) -> IpModel:
     indices = _r_star(inst)[1] if use_reduction else _admissible(inst)
 
     model = IpModel(sense="min")
-    var_of = {i: model.add_pair_variable(g.pair_at(i), tag=i) for i in indices}
+    var_of = dict(zip(indices, model.add_variables(g.pair_names("X", indices), indices)))
     model.objective = dict.fromkeys(var_of.values(), 1.0)
 
-    uncoverable = []
-    for atom_idx, producers in g.producers(indices, _needed(inst)).items():
-        a = g.atom_at(atom_idx)
-        if not producers:
-            uncoverable.append(a)
-            continue
-        # variables were added in ascending pair order, so these ascend too
-        model.add_constraint([(var_of[i], 1.0) for i in producers], ">=", 1.0, _lp_name("cover", a))
+    covers = g.producers(indices, _needed(inst))
+    uncoverable = [g.atom_at(a) for a, producers in covers.items() if not producers]
     if uncoverable:
         raise UncoverableAtomsError(uncoverable)
+    for label, producers in zip(g.atom_names("cover", covers), covers.values()):
+        # variables were added in ascending pair order, so these ascend too
+        model.add_constraint([(var_of[i], 1.0) for i in producers], ">=", 1.0, label)
     model.add_packing_rows(inst, var_of)
     return model
 

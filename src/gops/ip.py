@@ -6,22 +6,15 @@ models to an external solver.
 import re
 import time
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import sub
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import format_number
 from .errors import InstanceError, LimitReachedError
 
 
-def _lp_name(prefix: str, item) -> str:
-    """The LP name ``<prefix>_<name>_<x>_<y>`` of an atom or a pair."""
-    name, point = item
-    return f"{prefix}_{name}_{point.x}_{point.y}"
-
-
-@dataclass(frozen=True)
-class IpVariable:
+class IpVariable(NamedTuple):
     name: str
     tag: object = None  # opaque payload, e.g. a pair or atom index
 
@@ -36,7 +29,12 @@ class IpConstraint:
 
 @dataclass
 class IpModel:
-    """A linear objective and linear constraints over binary variables."""
+    """A linear objective and linear constraints over binary variables.
+
+    The paper's builders add their variables in bulk (``add_variables``),
+    named from canonical indices by ``Grounding.pair_names``/``atom_names``.
+    ``validate`` checks a model; ``solve_branch_and_bound`` and ``emit_lp``
+    both run it first."""
 
     sense: str  # "min" or "max"
     variables: list = field(default_factory=list)
@@ -48,25 +46,30 @@ class IpModel:
         self.variables.append(IpVariable(name, tag))
         return len(self.variables) - 1
 
+    def add_variables(self, names, tags) -> range:
+        """One variable per name, tagged by the matching item of ``tags``;
+        returns their indices."""
+        start = len(self.variables)
+        self.variables += map(tuple.__new__, repeat(IpVariable), zip(names, tags))
+        return range(start, len(self.variables))
+
     def add_constraint(self, coeffs, sense: str, rhs: float, label: str) -> None:
         if isinstance(coeffs, dict):
             coeffs = sorted(coeffs.items())
         self.constraints.append(IpConstraint(tuple(coeffs), sense, rhs, label))
 
-    def add_pair_variable(self, pair, tag: object) -> int:
-        """The selection variable ``X_<action>_<x>_<y>`` of an action-point pair."""
-        return self.add_variable(_lp_name("X", pair), tag=tag)
-
     def add_packing_rows(self, inst, var_of) -> None:
         """The ``budget`` row over the selection variables ``var_of`` (pair
-        index -> variable) of a problem instance, then one ``ic_<pos>`` row
-        per constraint active in its initial state with members among them."""
+        index -> variable, both ascending in insertion order) of a problem
+        instance, then one ``ic_<pos>`` row per constraint active in its
+        initial state with members among them."""
         g = inst.grounding
-        self.add_constraint({v: g.costs[i] for i, v in var_of.items()}, "<=", inst.budget, "budget")
+        costs = g.costs
+        self.add_constraint([(v, costs[i]) for i, v in var_of.items()], "<=", inst.budget, "budget")
         for pos, members in g.ic_s0:
             present = sorted(members & var_of.keys())
             if present:
-                self.add_constraint({var_of[i]: 1.0 for i in present}, "<=", 1.0, f"ic_{pos}")
+                self.add_constraint([(var_of[i], 1.0) for i in present], "<=", 1.0, f"ic_{pos}")
 
     def validate(self) -> None:
         if self.sense not in ("min", "max"):
@@ -244,7 +247,10 @@ _NAME_RE = re.compile(r"[^A-Za-z0-9_]")
 
 
 def _unique(names) -> list:
-    """``names`` in order, a repeat taking the first free ``_<n>`` suffix."""
+    """``names`` (a list) in order, a repeat taking the first free ``_<n>``
+    suffix."""
+    if len(set(names)) == len(names):
+        return names
     taken = {}  # insertion-ordered
     for name in names:
         unique, n = name, 0
@@ -255,39 +261,51 @@ def _unique(names) -> list:
     return list(taken)
 
 
-def _expr(terms, names, constant: float = 0.0) -> str:
-    parts = []
-    for i, co in [*terms, (None, constant)]:  # the constant is one more signed piece
-        if co == 0:
-            continue
+class _Signed(dict):
+    """Coefficient -> the signed text written before a variable's name:
+    ``"+ "``, ``"- "``, ``"+ 2.5 "``; each distinct coefficient is worked
+    out once per model."""
+
+    def __missing__(self, co) -> str:
         mag = abs(co)
-        piece = format_number(mag) if i is None else names[i] if mag == 1 else f"{format_number(mag)} {names[i]}"
-        if co > 0:
-            parts.append(f"+ {piece}" if parts else piece)
-        else:
-            parts.append(f"- {piece}")
-    return " ".join(parts) or "0"
+        text = self[co] = ("+ " if co > 0 else "- ") + ("" if mag == 1 else f"{format_number(mag)} ")
+        return text
+
+
+def _expr(terms, names, signed: _Signed, constant: float = 0.0) -> str:
+    pieces = [signed[co] + names[i] for i, co in terms if co]
+    if constant:  # one more signed piece, without a name
+        pieces.append(("+ " if constant > 0 else "- ") + format_number(abs(constant)))
+    text = " ".join(pieces)
+    return text[2:] if text.startswith("+ ") else text or "0"
 
 
 def emit_lp(model: IpModel) -> str:
     """CPLEX-style LP text. Byte-identical for identical models: terms in
-    variable order, coefficients at up to 12 significant digits. Names and
-    labels are sanitized to ``[A-Za-z0-9_]``, with a ``v_`` prefix on an
-    empty name or one that starts like a number and ``c`` for an empty
-    label, then made unique by ``_unique``."""
+    variable order, coefficients at up to 12 significant digits, zero
+    terms left out. Names and labels are sanitized to ``[A-Za-z0-9_]``,
+    with a ``v_`` prefix on an empty name or one that starts like a number
+    and ``c`` for an empty label, then made unique by ``_unique``.
+
+    The model is validated first. Each distinct coefficient's signed text
+    is made once (``_Signed``), so equal coefficients must print alike, as
+    equal ints, floats and bools do."""
     model.validate()
-    names = _unique("v_" + name if not name or name[0] in "0123456789eE" else name
-                    for name in [_NAME_RE.sub("_", v.name) for v in model.variables])
-    labels = _unique(_NAME_RE.sub("_", c.label) or "c" for c in model.constraints)
+    raw = [v.name for v in model.variables]
+    if _NAME_RE.search("".join(raw)):
+        raw = [_NAME_RE.sub("_", name) for name in raw]
+    names = _unique(["v_" + name if not name or name[0] in "0123456789eE" else name
+                     for name in raw])
+    labels = _unique([_NAME_RE.sub("_", c.label) or "c" for c in model.constraints])
+    signed = _Signed()
     lines = ["\\ binary integer program"]
     lines.append("Maximize" if model.sense == "max" else "Minimize")
     obj_terms = sorted(model.objective.items())
-    lines.append(" obj: " + _expr(obj_terms, names, model.constant))
+    lines.append(" obj: " + _expr(obj_terms, names, signed, model.constant))
     lines.append("Subject To")
     for label, c in zip(labels, model.constraints):
-        lines.append(f" {label}: {_expr(c.coeffs, names)} {c.sense} {format_number(c.rhs)}")
+        lines.append(f" {label}: {_expr(c.coeffs, names, signed)} {c.sense} {format_number(c.rhs)}")
     lines.append("Binary")
-    for name in names:
-        lines.append(f" {name}")
+    lines += [" " + name for name in names]
     lines.append("End")
     return "\n".join(lines) + "\n"

@@ -7,6 +7,9 @@ the code paths they check. The one exception is ``eager_bmgop_compute``,
 the greedy's former full rescan, kept as the oracle of its lazy form.
 ``quadratic_r_star`` is the dominance reduction's former scan of every
 admissible pair against every other, run on the reference grounding.
+``lp_name`` and ``reference_emit_lp`` are the IP builders' former naming
+of atom and pair objects and ``emit_lp``'s former term-by-term text, and
+``per_row_half_widths`` the ball's former row-by-row half-width scan.
 ``ground`` is a builder, not an oracle: it grounds loose instance parts;
 ``golden_corpus`` is an input corpus, the one the serialize golden pins.
 """
@@ -14,6 +17,7 @@ admissible pair against every other, run on the reference grounding.
 import itertools
 import json
 import math
+import re
 from dataclasses import replace
 from itertools import product
 
@@ -24,7 +28,7 @@ from gops import (ActionPointPair, ActionRule, AndFormula, AtomFormula,
                   satisfies)
 from gops.bmgop import (GreedyIteration, GreedyTrace, _benefit, _violations,
                         approx_bound, bound_applicable)
-from gops.core import Problem, formula_atoms, iter_bits
+from gops.core import Problem, format_number, formula_atoms, iter_bits, within_distance
 
 
 # ---------------------------------------------------------------------------
@@ -451,3 +455,79 @@ def cover_rows_by_scan(effects, indices, mask, n_atoms):
     each atom, every pair of ``indices`` is tested for that atom's bit."""
     return {a: [i for i in sorted(indices) if effects[i] >> a & 1]
             for a in range(n_atoms) if mask >> a & 1}
+
+
+# ---------------------------------------------------------------------------
+# IP naming and LP text oracles: the object path and the term-by-term
+# emitter that the index-arithmetic names and the cached signed prefixes
+# of ``gops.ip.emit_lp`` replaced.
+
+def lp_name(prefix, item):
+    """The LP name ``<prefix>_<name>_<x>_<y>`` of an atom or a pair object."""
+    name, point = item
+    return f"{prefix}_{name}_{point.x}_{point.y}"
+
+
+def _reference_unique(names):
+    taken = {}
+    for name in names:
+        unique, n = name, 0
+        while unique in taken:
+            n += 1
+            unique = f"{name}_{n}"
+        taken[unique] = None
+    return list(taken)
+
+
+def _reference_expr(terms, names, constant=0.0):
+    parts = []
+    for i, co in [*terms, (None, constant)]:  # the constant is one more signed piece
+        if co == 0:
+            continue
+        mag = abs(co)
+        piece = format_number(mag) if i is None else names[i] if mag == 1 else f"{format_number(mag)} {names[i]}"
+        if co > 0:
+            parts.append(f"+ {piece}" if parts else piece)
+        else:
+            parts.append(f"- {piece}")
+    return " ".join(parts) or "0"
+
+
+def reference_emit_lp(model):
+    """LP text of ``model``, every term signed and formatted on its own."""
+    model.validate()
+    bad = re.compile(r"[^A-Za-z0-9_]")
+    names = _reference_unique("v_" + name if not name or name[0] in "0123456789eE" else name
+                              for name in [bad.sub("_", v.name) for v in model.variables])
+    labels = _reference_unique(bad.sub("_", c.label) or "c" for c in model.constraints)
+    lines = ["\\ binary integer program"]
+    lines.append("Maximize" if model.sense == "max" else "Minimize")
+    lines.append(" obj: " + _reference_expr(sorted(model.objective.items()), names, model.constant))
+    lines.append("Subject To")
+    for label, c in zip(labels, model.constraints):
+        lines.append(f" {label}: {_reference_expr(c.coeffs, names)} {c.sense} {format_number(c.rhs)}")
+    lines.append("Binary")
+    for name in names:
+        lines.append(f" {name}")
+    lines.append("End")
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Ball half-width oracle: each row offset scanned from dx = 0 up.
+
+def per_row_half_widths(grid, metric, bound):
+    """Half-width of the ball at each row offset, each row scanned on its
+    own from ``dx = 0`` until a point falls outside ``bound``."""
+    origin = Point(0, 0)
+    reach = math.floor(bound)
+    max_dx = min(grid.width_bound, reach)
+    out = []
+    for dy in range(min(grid.height_bound, reach) + 1):
+        dx = -1
+        while dx < max_dx and within_distance(metric, origin, Point(dx + 1, dy), bound):
+            dx += 1
+        if dx < 0:
+            break
+        out.append(dx)
+    return out

@@ -12,10 +12,12 @@ from gops import (ActionPointPair, ActionRule, BenefitModel, BmgopInstance, Cost
                   TRUE, atom, check_ics, enumerate_ground_atoms, enumerate_pairs,
                   gen_campaign, gen_random, land, lnot, lor, objective_f, validate_bmgop,
                   validate_gbgop)
-from gops.core import METRICS, _ball, iter_bits, within_distance
+from gops import core
+from gops.core import METRICS, _ball, _half_widths, iter_bits, within_distance
 from gops.errors import InstanceError
 
-from helpers import ground, random_formula, reference_grounding, reference_grounding_of
+from helpers import (ground, per_row_half_widths, random_formula, reference_grounding,
+                     reference_grounding_of)
 
 FIELDS = ("s0_mask", "effects", "costs", "benefits", "ic_s0", "pair_ics")
 
@@ -102,6 +104,37 @@ def test_balls_are_the_box_points_within_distance(metric, width, height):
             want = sum(1 << grid.point_index(q) for q in grid.box_around(p, radius)
                        if within_distance(metric, p, q, radius))
             assert ball(i) == want, (radius, p)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_half_widths_equal_the_per_row_scan(metric):
+    # square, strip and one-row/one-column maps; radii integral and
+    # fractional, inside the map, at its extent and beyond it
+    grids = (GridMap(0, 0), GridMap(9, 9), GridMap(40, 3), GridMap(3, 40),
+             GridMap(0, 12), GridMap(12, 0), GridMap(30, 30))
+    radii = (0, 0.5, 1, 1.5, 2, 2.9, 3, 4.75, 7, 7.1, 12, 12.5, 29.99, 30, 40, 41.3, 1e300)
+    for grid in grids:
+        for radius in radii:
+            assert _half_widths(grid, metric, radius) == per_row_half_widths(grid, metric, radius), \
+                (grid, radius)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_half_widths_scan_each_column_once(metric, monkeypatch):
+    # each row offset costs one call plus one per column the width shrinks,
+    # so a map-sized radius stays near W + R calls instead of W * R
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return within_distance(*args)
+
+    monkeypatch.setattr(core, "within_distance", counted)
+    grid = GridMap(999, 999)
+    widths = _half_widths(grid, metric, 1000)
+    assert len(widths) == 1000 and widths[0] == 999
+    assert calls <= grid.width_bound + grid.height_bound + 2
 
 
 @pytest.mark.parametrize("metric", METRICS)

@@ -9,6 +9,8 @@ from gops import (CoverProblem, IpModel, Limits, emit_lp, encode_max_k_cover,
                   solve_gbgop_exact)
 from gops.errors import InstanceError, LimitReachedError
 
+from helpers import reference_emit_lp
+
 
 def exhaustive_optimum(model):
     """(optimal objective, lexicographically smallest optimal 0/1 vector)
@@ -373,3 +375,45 @@ def test_emit_lp_signs_the_constant_like_a_term():
     assert " obj: 0.25\n" in emit_lp(model)
     model.constant = 0.0
     assert " obj: 0\n" in emit_lp(model)
+
+
+# coefficients, constants and right-hand sides: zeros of every kind, ones
+# of every type, fractions, tiny and huge magnitudes, infinities and NaN
+LP_VALUES = (0, -0.0, 0.0, False, 1, True, 1.0, -1, -1.0, 2, 2.0, 0.5, -0.25, 1 / 3, -2.675,
+             1e-13, -1e-13, 1e20, -1e20, 10 ** 20, 123456789.123456, float("inf"),
+             float("-inf"), float("nan"))
+# names and labels that sanitize, start like a number, are empty or
+# collide once sanitized or suffixed (variable names are distinct as given,
+# which ``validate`` requires; labels may repeat)
+LP_NAMES = ("x", "x_1", "a-b", "a_b", "a b", "", "1x", "e5", "E", "_", "X_a_0_0",
+            "Y_g@(0,0)", "y.z", "c", "c_1", "cover_g_0_0")
+
+
+def random_lp_model(rng):
+    model = IpModel(sense=rng.choice(("min", "max")), constant=rng.choice(LP_VALUES))
+    n = rng.randint(0, 12)
+    for name in rng.sample(LP_NAMES, n):
+        model.add_variable(name)
+    for i in rng.sample(range(n), rng.randint(0, n)):
+        model.objective[i] = rng.choice(LP_VALUES)
+    for _ in range(rng.randint(0, 8)):
+        terms = sorted(rng.sample(range(n), rng.randint(0, n)))
+        coeffs = [(i, rng.choice(LP_VALUES)) for i in terms]
+        model.add_constraint(coeffs, rng.choice(("<=", ">=")), rng.choice(LP_VALUES),
+                             rng.choice(LP_NAMES))
+    return model
+
+
+def test_emit_lp_equals_the_term_by_term_reference():
+    rng = random.Random(2024)
+    for _ in range(3000):
+        model = random_lp_model(rng)
+        assert emit_lp(model) == reference_emit_lp(model)
+
+
+def test_emit_lp_equals_the_reference_on_the_paper_programs():
+    from gops import build_bmgop_ip, build_gbgop_ip, gen_campaign
+    campaign = gen_campaign()
+    for model in (build_bmgop_ip(campaign.bmgop), build_gbgop_ip(campaign.gbgop),
+                  build_gbgop_ip(campaign.gbgop, use_reduction=True)):
+        assert emit_lp(model) == reference_emit_lp(model)

@@ -2,14 +2,15 @@
 corpus, and each row held equal to a per-atom scan of every pair."""
 
 import hashlib
+import random
 
 import pytest
 
-from gops import (GbgopInstance, UncoverableAtomsError, build_bmgop_ip,
-                  build_gbgop_ip, emit_lp, gen_campaign, gen_random)
+from gops import (ActionRule, CostModel, GbgopInstance, GridMap, UncoverableAtomsError,
+                  build_bmgop_ip, build_gbgop_ip, emit_lp, gen_campaign, gen_random)
 from gops.gbgop import _admissible, _needed, _r_star
 
-from helpers import cover_rows_by_scan
+from helpers import cover_rows_by_scan, ground, lp_name
 
 # (width, height, actions, radius, ics): square and strip maps up to 12x12
 SIZES = ((0, 0, 3, 1.0, 1), (3, 2, 3, 1.5, 2), (8, 8, 3, 3.0, 2), (12, 12, 3, 2.0, 3))
@@ -93,3 +94,44 @@ def test_gbgop_cover_rows_equal_the_per_atom_scan():
             assert cover_rows(build_gbgop_ip(inst, use_reduction=use_reduction)) == [
                 (cover_label(g.atoms[a]), [(i, 1.0) for i in producers])
                 for a, producers in expected.items()]
+
+
+@pytest.mark.parametrize("width_bound, height_bound", [(0, 5), (5, 0), (7, 2), (2, 7), (12, 3)])
+def test_index_names_equal_the_object_names(width_bound, height_bound):
+    # non-square and one-column maps, so names with x and y swapped differ
+    grid = GridMap(width_bound, height_bound)
+    actions = tuple(ActionRule(name=name, effect_predicate="p") for name in ("a", "b-c", "d"))
+    g = ground(grid, ("p", "q_1"), frozenset(), actions, CostModel(), ())
+    rng = random.Random(width_bound * 31 + height_bound)
+    pairs = list(range(g.n_pairs))
+    atoms = list(range(g.n_atoms))
+    for prefix in ("X", "Y", "cover"):
+        for indices in (pairs, rng.sample(pairs, len(pairs) // 2)):
+            want = [lp_name(prefix, g.pair_at(i)) for i in indices]
+            assert g.pair_names(prefix, indices) == want
+            assert want == [lp_name(prefix, g.pairs[i]) for i in indices]
+        for indices in (atoms, rng.sample(atoms, len(atoms) // 2)):
+            want = [lp_name(prefix, g.atom_at(i)) for i in indices]
+            assert g.atom_names(prefix, indices) == want
+            assert want == [lp_name(prefix, g.atoms[i]) for i in indices]
+
+
+def test_program_variable_names_equal_the_object_names():
+    # cover labels are checked against the atom objects by the cover-row tests
+    for inst in cover_instances():
+        g = inst.grounding
+        if isinstance(inst, GbgopInstance):
+            models = []
+            for use_reduction in (False, True):
+                try:
+                    models.append(build_gbgop_ip(inst, use_reduction=use_reduction))
+                except UncoverableAtomsError:
+                    pass
+            for model in models:
+                assert [v.name for v in model.variables] == [
+                    lp_name("X", g.pairs[v.tag]) for v in model.variables]
+        else:
+            objects = {"pair": ("X", g.pairs), "atom": ("Y", g.atoms)}
+            variables = build_bmgop_ip(inst).variables
+            assert [v.name for v in variables] == [
+                lp_name(objects[kind][0], objects[kind][1][i]) for kind, i in (v.tag for v in variables)]
