@@ -28,18 +28,18 @@ is the metric ball around ``p`` AND the target-guard mask (gated by bit
 effect predicate's block of atom indices. Atom and pair indices are
 arithmetic (block offset + ``y * (M + 1) + x``), so grounding keeps no
 per-atom or per-pair object tables: atoms and pairs are made only for the
-indices a caller asks about, and the full lists only on first use. Two
+indices a caller asks about, and the full lists only on first use. Three
 indexers, side by side here so the index formula lives in one module,
 turn (name, point) items into those indices. ``item_indices`` is lenient
 and goes item by item, for items built in code: validation
 (``check_atoms``) and grounding's lookups and override tables. Each item
 is indexed once per set it is in; of several bad items, the least by
-``repr`` is named. ``table_rows`` is strict and goes table by table, for
-the document parser: it reads an explicit effect table in one pass, or
-gives up so the parser can name the error. An explicit effect table
-parsed for the instance's own map and predicates (``EffectTable``) holds
-atom indices already: validation skips it and grounding sets its rows'
-bits directly. The set-based functions
+``repr`` is named. ``strict_indices`` (the initial state) and
+``table_rows`` (an explicit effect table) are strict and go list by
+list, for the document parser: each reads its list in one pass, or gives
+up so the parser can name the error. What they read is kept as atom
+indices in a read-only view, an ``AtomSet`` or an ``EffectTable``, that
+validation skips and grounding reads bit by bit. The set-based functions
 (``satisfies``, ``action_effects``, ``appl``, ``cost_of``, ``benefit_of``,
 ``ground_ics_for_state``, ``check_ics``) are reference semantics only: no
 solver calls them, and the tests hold the tables and solvers equal to them.
@@ -47,6 +47,7 @@ solver calls them, and the tests hold the tables and solvers equal to them.
 
 import math
 import sys
+from collections.abc import Set
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -435,6 +436,14 @@ def iter_bits(mask: int):
         mask ^= low
 
 
+def _mask(indices: Iterable[int]) -> int:
+    """The bitmask with the bits of ``indices`` set."""
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
+
+
 def format_number(x: float) -> str:
     """Up to 12 significant digits; integral values print without a dot."""
     if x == 0:
@@ -481,6 +490,26 @@ def item_indices(items: Iterable, offsets: Mapping[str, int], grid: GridMap, err
     if bad:
         raise error(min(bad, key=repr))
     return out
+
+
+def strict_indices(items: Iterable, offsets: Mapping[str, int],
+                   grid: GridMap) -> Optional[frozenset]:
+    """The frozenset of canonical indices of a document's ``[[name, [x,
+    y]], ...]`` list (its initial state), indexed as ``item_indices`` does,
+    in one pass. Strict: a coordinate must be an in-range ``int``. None at
+    the first item that is not a well-formed item of a known name; the
+    caller then reads the list item by item, which names the error."""
+    last_x, last_y = grid.width_bound, grid.height_bound
+    width = last_x + 1
+    out = []
+    try:
+        for name, (x, y) in items:
+            if not (type(x) is int and type(y) is int and 0 <= x <= last_x and 0 <= y <= last_y):
+                return None
+            out.append(offsets[name] + y * width + x)
+    except (KeyError, TypeError, ValueError):
+        return None
+    return frozenset(out)
 
 
 def table_rows(entries: Iterable, offsets: Mapping[str, int], grid: GridMap) -> Optional[dict]:
@@ -533,7 +562,8 @@ class EffectTable(Mapping):
     and a point's atom set is built each time it is read. The table equals,
     as a Mapping, the dict of frozensets it stands for. An instance on the
     same grid and predicates validates and grounds it from the indices
-    alone (``_own_rows``); any other reads it through this interface."""
+    alone (``_own_rows``); any other reads it through this interface. The
+    constructor copies and range-checks ``rows``; ``_read`` does not."""
 
     __slots__ = ("grid", "predicates", "rows")
 
@@ -548,6 +578,13 @@ class EffectTable(Mapping):
         if points and not (0 <= min(points) and max(points) < grid.n_points) \
                 or atoms and not (0 <= min(map(min, atoms)) and max(map(max, atoms)) < n_atoms):
             raise InstanceError("point-bounds", "effect table entry outside the map or its atoms")
+
+    @classmethod
+    def _read(cls, grid: GridMap, predicates: tuple, rows: dict) -> "EffectTable":
+        """The table of rows that ``table_rows`` read, and so checked."""
+        table = object.__new__(cls)
+        table.grid, table.predicates, table.rows = grid, predicates, rows
+        return table
 
     def __getitem__(self, point) -> frozenset:
         try:
@@ -581,6 +618,71 @@ def _own_rows(table: Mapping, grid: GridMap, predicates: Sequence[str]) -> Optio
     return None
 
 
+class AtomSet(Set):
+    """A read-only set of GroundAtom, stored as a frozenset of atom indices
+    on ``grid`` and ``predicates``, numbered as in ``EffectTable``.
+    Membership is index arithmetic; iteration builds atoms in index order.
+    It equals and hashes as the frozenset of its atoms, and set operations
+    with frozensets give frozensets. An instance on the same grid and
+    predicates validates and grounds it from the indices alone
+    (``_own_atoms``). The constructor range-checks ``indices``; ``_read``,
+    for indices already checked, does not."""
+
+    __slots__ = ("grid", "predicates", "indices")
+
+    def __init__(self, grid: GridMap, predicates: Sequence[str], indices: Iterable[int]):
+        self.grid = grid
+        self.predicates = tuple(predicates)
+        self.indices = frozenset(indices)
+        if self.indices and not (0 <= min(self.indices)
+                                 and max(self.indices) < grid.n_points * len(self.predicates)):
+            raise InstanceError("point-bounds", "atom index outside the map or its predicates")
+
+    @classmethod
+    def _read(cls, grid: GridMap, predicates: tuple, indices: frozenset) -> "AtomSet":
+        atoms = object.__new__(cls)
+        atoms.grid, atoms.predicates, atoms.indices = grid, predicates, indices
+        return atoms
+
+    @classmethod
+    def _from_iterable(cls, it) -> frozenset:
+        return frozenset(it)
+
+    def __contains__(self, item) -> bool:
+        # only a (name, (x, y)) tuple can equal an atom
+        if not (isinstance(item, tuple) and len(item) == 2 and isinstance(item[1], tuple)):
+            return False
+        name, point = item
+        try:
+            k = self.predicates.index(name)
+            i = self.grid.point_index(point)
+        except ValueError:  # not a predicate, or not two coordinates
+            return False
+        return i is not None and k * self.grid.n_points + i in self.indices
+
+    def __iter__(self):
+        predicates = self.predicates
+        for i in sorted(self.indices):
+            k, point = _block_point(self.grid, i)
+            yield GroundAtom(predicates[k], point)
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    __hash__ = Set._hash
+
+    def __repr__(self) -> str:
+        return f"AtomSet({{{', '.join(map(repr, self))}}})"
+
+
+def _own_atoms(atoms: Set, grid: GridMap, predicates: Sequence[str]) -> Optional[frozenset]:
+    """The indices of ``atoms`` when it is an AtomSet built for ``grid``
+    and ``predicates``, else None."""
+    if type(atoms) is AtomSet and atoms.grid == grid and atoms.predicates == tuple(predicates):
+        return atoms.indices
+    return None
+
+
 def check_atoms(items, offsets: Mapping[str, int], grid: GridMap, where: str,
                 code: str = "unknown-predicate") -> None:
     """Raise InstanceError unless every (name, point) item, atom or pair,
@@ -601,7 +703,9 @@ def validate_instance_parts(problem: "Problem") -> None:
     """Cross-checks between the parts of ``problem``; raises InstanceError.
 
     Atom and pair sets are checked item by item by ``check_atoms`` (an
-    action's effect sets entry by entry)."""
+    action's effect sets entry by entry), except an initial state or
+    effect table of this instance's own indices (``_own_atoms``,
+    ``_own_rows``)."""
     grid, predicates, actions = problem.grid, problem.predicates, problem.actions
     cost_model, benefit_model = problem.cost_model, getattr(problem, "benefit_model", None)
     seen = set()
@@ -618,7 +722,8 @@ def validate_instance_parts(problem: "Problem") -> None:
             if leaf.point is not None and grid.point_index(leaf.point) is None:
                 raise InstanceError("point-bounds", f"{where}: point {leaf.point} outside the map")
 
-    check_atoms(problem.s0, known, grid, "initial state")
+    if _own_atoms(problem.s0, grid, predicates) is None:
+        check_atoms(problem.s0, known, grid, "initial state")
 
     action_offsets = block_offsets([rule.name for rule in actions], grid)
     action_names = set()
@@ -776,7 +881,7 @@ class Solution:
     pairs: frozenset
     total_cost: float
     cardinality: int
-    final_state: frozenset
+    final_state: Set
     achieved_benefit: Optional[float] = None
     reported_bound: Optional[float] = None
 
@@ -798,7 +903,9 @@ class Grounding:
     ``atom_names``/``pair_names`` make the integer programs' names from the
     indices alone, ``atoms_to_mask`` and ``pairs_to_indices`` index their
     inputs with ``item_indices``, and the full ``atoms``/``pairs`` lists are
-    built on first use, for the callers that need every one of them.
+    built on first use, for the callers that need every one of them. An
+    initial state of this instance's own indices (an ``AtomSet``) gives
+    ``s0_mask`` from them, and solutions a final ``AtomSet``.
 
     Effects and costs are derived with mask algebra, never per pair:
 
@@ -839,7 +946,8 @@ class Grounding:
         self._atoms = self._pairs = None  # built on first use
 
         self.s0 = problem.s0
-        self.s0_mask = self.atoms_to_mask(self.s0)
+        indices = _own_atoms(self.s0, grid, self.predicates)
+        self.s0_mask = self.atoms_to_mask(self.s0) if indices is None else _mask(indices)
         full = (1 << n_points) - 1
 
         def where(formula: Formula) -> int:
@@ -921,10 +1029,7 @@ class Grounding:
             code, f"not {_OF_THIS_INSTANCE[code]} of this instance: {item}"))
 
     def atoms_to_mask(self, atoms: Iterable[GroundAtom]) -> int:
-        mask = 0
-        for i in self._indices(self.atom_offsets, atoms, "unknown-atom"):
-            mask |= 1 << i
-        return mask
+        return _mask(self._indices(self.atom_offsets, atoms, "unknown-atom"))
 
     def pairs_to_indices(self, pairs: Iterable[ActionPointPair]) -> list:
         return sorted(self._indices(self.pair_offsets, pairs, "unknown-pair"))
@@ -1111,13 +1216,21 @@ class Grounding:
 
     def _selection(self, indices) -> Solution:
         """The solution of the selected pair indices. Its final state is the
-        initial one plus atoms made only for the bits the pairs add; its
+        initial one plus the bits the pairs add (an AtomSet when the initial
+        state is one; else atoms are made only for the added bits); its
         benefit is filled in when this grounding has benefits."""
         indices = sorted(indices)
         final_mask = self.s0_mask | self.union_effects(indices)
+        added = final_mask & ~self.s0_mask
+        s0_indices = _own_atoms(self.s0, self.grid, self.predicates)
+        if s0_indices is None:
+            final_state = self.s0.union(self.mask_atoms(added))
+        else:
+            final_state = AtomSet._read(self.grid, self.predicates,
+                                        s0_indices.union(iter_bits(added)))
         return Solution(pairs=frozenset(map(self.pair_at, indices)),
                         total_cost=self.cost_sum(indices), cardinality=len(indices),
-                        final_state=self.s0.union(self.mask_atoms(final_mask & ~self.s0_mask)),
+                        final_state=final_state,
                         achieved_benefit=None if self.benefits is None
                         else self.benefit_sum(final_mask))
 
@@ -1128,11 +1241,13 @@ class Problem:
     tuples and frozensets and validated on construction, with their
     ``Grounding`` built on first use. Subclasses add their objective's
     fields and checks after calling ``__post_init__``; a flavour's benefit
-    table, its ``benefit_model``, is validated and grounded here too."""
+    table, its ``benefit_model``, is validated and grounded here too.
+    ``s0`` is kept as it is when it is an AtomSet of this grid and these
+    predicates, and made a frozenset otherwise."""
 
     grid: GridMap
     predicates: tuple
-    s0: frozenset
+    s0: Set
     actions: tuple
     cost_model: CostModel
     ics: tuple
@@ -1140,7 +1255,8 @@ class Problem:
 
     def __post_init__(self):
         self.predicates = tuple(self.predicates)
-        self.s0 = frozenset(self.s0)
+        if _own_atoms(self.s0, self.grid, self.predicates) is None:
+            self.s0 = frozenset(self.s0)
         self.actions = tuple(self.actions)
         self.ics = tuple(self.ics)
         validate_instance_parts(self)

@@ -8,16 +8,17 @@ atoms and pairs alike: a point, a [name, [x, y]] item, a set of items, an
 override table of [item, value] entries. A well-formed point or item
 passes one inline shape check; only a malformed one goes through the
 step-by-step checks that name its error, and only then is its path built.
-An explicit effect table is read in one pass by ``core.table_rows``, the
-strict indexer beside the one ``Grounding`` and validation use
-(``core.item_indices``): when every entry is well formed, with integer
-coordinates on the map and only the document's predicates, and no point
-repeats, the table becomes atom indices in a read-only
-``core.EffectTable``, with no ``GroundAtom`` made. ``table_rows`` gives
-up at the first entry that does not fit (a ``true`` or ``1.0``
-coordinate among them, which Python callers may use but the format does
-not), and the table is then parsed entry by entry as objects, so its
-errors keep their codes, paths and order. Serialization is canonical (fixed key
+The initial state is read in one pass by ``core.strict_indices`` and each
+explicit effect table by ``core.table_rows``, the strict indexers beside
+the one ``Grounding`` and validation use (``core.item_indices``): when
+every item is well formed, with integer coordinates on the map and only
+the document's predicates (and, in a table, no point repeats), the state
+becomes atom indices in a read-only ``core.AtomSet`` and the table in a
+read-only ``core.EffectTable``, with no ``GroundAtom`` made. A strict
+indexer gives up at the first item that does not fit (a ``true`` or
+``1.0`` coordinate among them, which Python callers may use but the
+format does not), and the list is then parsed item by item as objects,
+so its errors keep their codes, paths and order. Serialization is canonical (fixed key
 order, atoms and pairs in one canonical order, shortest round-tripping
 numbers), so identical instances produce identical bytes and
 ``parse(serialize(x))`` reproduces ``x``.
@@ -28,10 +29,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bmgop import BmgopInstance
-from .core import (ActionPointPair, ActionRule, AndFormula, AtomFormula,
+from .core import (ActionPointPair, ActionRule, AndFormula, AtomFormula, AtomSet,
                    BenefitModel, CostModel, EffectTable, Formula, GridMap, GroundAtom,
                    IntegrityConstraint, NotFormula, OrFormula, Point, TRUE,
-                   TrueFormula, block_offsets, table_rows)
+                   TrueFormula, block_offsets, strict_indices, table_rows)
 from .errors import ParseError
 from .gbgop import GbgopInstance
 
@@ -175,7 +176,7 @@ def _parse_action(value, path, grid: GridMap, predicates: tuple,
         entries = _expect(value["explicit"], list, f"{path}.explicit", "an effect table")
         rows = None if offsets is None else table_rows(entries, offsets, grid)
         if rows is not None:
-            return ActionRule(name=name, explicit_effects=EffectTable(grid, predicates, rows))
+            return ActionRule(name=name, explicit_effects=EffectTable._read(grid, predicates, rows))
         table = {}
         for i, entry in enumerate(entries):
             entry_path = f"{path}.explicit[{i}]"
@@ -235,13 +236,16 @@ def _parse_document(text: str):
                        for i, p in enumerate(_expect(doc["predicates"], list, "$.predicates",
                                                      "the predicate list")))
 
-    s0 = _parse_set(GroundAtom, doc["state"], "$.state", "the state")
-
     # where each predicate's atom indices start; with a repeated name there
     # are no such indices, and validation reports the repeat
     offsets = block_offsets(predicates, grid)
     if len(offsets) < len(predicates):
         offsets = None
+
+    state = _expect(doc["state"], list, "$.state", "the state")
+    indices = None if offsets is None else strict_indices(state, offsets, grid)
+    s0 = _parse_set(GroundAtom, state, "$.state", "the state") if indices is None \
+        else AtomSet._read(grid, predicates, indices)
     actions = tuple(_parse_action(a, f"$.actions[{i}]", grid, predicates, offsets)
                     for i, a in enumerate(_expect(doc["actions"], list, "$.actions",
                                                   "the action list")))

@@ -1,11 +1,15 @@
-"""Explicit effect tables parsed into atom indices (``EffectTable``).
+"""Explicit effect tables and initial states parsed into atom indices
+(``EffectTable``, ``AtomSet``).
 
 Differential tests hold a parsed table equal, as a Mapping, to the dict of
 frozensets it was serialized from and to the one the object path parses
 from the same document, and its grounding equal to the one the dict
-gives. Fallback tests hold every table the index path does not take
-to the error code and JSON path (or message) of the object path, and a table reused on another map
-or predicate order to its Mapping interface."""
+gives; and a parsed initial state equal, as a set, to the frozenset the
+object path parses, with the same hash, canonical iteration, ``s0_mask``
+and solution final states. Fallback tests hold every table or state the
+index path does not take to the error code and JSON path (or message) of
+the object path, and a table or state reused on another map or predicate
+order to its Mapping or Set interface."""
 
 import json
 import random
@@ -14,8 +18,9 @@ import pytest
 
 from gops import (ActionRule, CostModel, GbgopInstance, GridMap, GroundAtom,
                   Point, gen_campaign, gen_random, parse_instance, serialize, serialize_instance)
-from gops.core import EffectTable
-from gops.encodings import CoverProblem, encode_max_k_cover, encode_set_cover
+from gops.core import AtomSet, EffectTable
+from gops.encodings import (CoverProblem, MonotoneCnf, encode_max_k_cover, encode_monsat,
+                            encode_set_cover)
 from gops.errors import InstanceError, ParseError
 
 from helpers import golden_corpus
@@ -239,8 +244,9 @@ def test_effect_tables_hold_only_rows_of_their_map_and_predicates():
     grid = GridMap(1, 1)  # 4 points, 2 predicates: 8 atoms
     EffectTable(grid, ("a", "b"), {0: [0], 3: [7], 2: []})
     for rows in ({4: [1]}, {-1: [1]}, {0: [8]}, {0: [-1]}):
-        with pytest.raises(InstanceError):
+        with pytest.raises(InstanceError) as err:
             EffectTable(grid, ("a", "b"), rows)
+        assert err.value.code == "point-bounds"
     table = EffectTable(grid, ("a", "b"), {3: [7, 0, 7]})
     assert table == {Point(1, 1): frozenset({GroundAtom("a", Point(0, 0)),
                                              GroundAtom("b", Point(1, 1))})}
@@ -257,3 +263,187 @@ def test_a_table_on_a_huge_map_parses_in_the_size_of_its_entries():
     table = parse_instance(json.dumps(doc)).actions[0].explicit_effects
     assert type(table) is EffectTable
     assert table[Point(*last)] == frozenset({GroundAtom("b", Point(*last))})
+
+
+# ---------------------------------------------------------------------------
+# Initial states (``AtomSet``)
+
+def _canonical(inst):
+    """The canonical sort key of an instance's atoms: predicate, then row."""
+    return lambda a: (inst.predicates.index(a.predicate), a.point.y, a.point.x)
+
+
+def _state_corpus():
+    """The campaign, the serialize golden's corpus and the one-point
+    encodings, whose states are empty."""
+    scenario = gen_campaign()
+    yield scenario.gbgop
+    yield scenario.bmgop
+    yield from golden_corpus()
+    for seed in range(2):
+        yield encode_set_cover(_cover_problem(seed))
+        yield encode_max_k_cover(_cover_problem(seed, k=3))
+    yield encode_monsat(MonotoneCnf(("x0", "x1", "x2"), (frozenset({"x0", "x1"}),
+                                                         frozenset({"x2"}))))
+
+
+def test_the_state_reader_matches_the_object_path(monkeypatch):
+    texts = [serialize_instance(inst) for inst in _state_corpus()]
+    read = [parse_instance(text) for text in texts]
+    monkeypatch.setattr(serialize, "strict_indices", lambda items, offsets, grid: None)
+    for text, inst in zip(texts, read):
+        oracle = parse_instance(text)
+        got, want = inst.s0, oracle.s0
+        assert type(got) is AtomSet and type(want) is frozenset
+        assert got == want and want == got
+        assert len(got) == len(want) and hash(got) == hash(want)
+        assert list(got) == sorted(want, key=_canonical(inst))
+        g, h = inst.grounding, oracle.grounding
+        assert g.s0_mask == h.s0_mask
+        for picked in ((), range(min(3, g.n_pairs)), range(g.n_pairs)):
+            final, plain = g._selection(picked), h._selection(picked)
+            assert type(final.final_state) is AtomSet and type(plain.final_state) is frozenset
+            assert final == plain
+            assert hash(final.final_state) == hash(plain.final_state)
+            assert list(final.final_state) == sorted(plain.final_state, key=_canonical(inst))
+
+
+def test_the_state_corpus_has_atoms_on_every_size():
+    sizes = {inst.grid.n_points for inst in _state_corpus() if inst.s0}
+    assert {1, 12, 78, 81} <= sizes
+
+
+def _state(change):
+    """A change to BASE's state, made two atoms long first, so the item
+    changed is not the first."""
+    def edit(doc):
+        doc["state"] = [["a", [0, 0]], ["b", [2, 1]]]
+        change(doc["state"])
+        return doc
+    return edit
+
+
+# case -> (state change, error class, code, where), as in FALLBACKS;
+# recorded from the object path, which parsed every state before the
+# index path existed
+STATE_FALLBACKS = {
+    "true-coordinate": (_state(lambda s: s[1][1].__setitem__(0, True)),
+                        ParseError, "type", "$.state[1]"),
+    "float-coordinate": (_state(lambda s: s[1][1].__setitem__(1, 1.0)),
+                         ParseError, "type", "$.state[1]"),
+    "negative-coordinate": (_state(lambda s: s[1][1].__setitem__(0, -1)),
+                            InstanceError, "point-bounds",
+                            "initial state: point (-1,1) outside the map"),
+    "x-is-M-plus-1": (_state(lambda s: s[1][1].__setitem__(0, 3)),
+                      InstanceError, "point-bounds", "initial state: point (3,1) outside the map"),
+    "huge-coordinate": (_state(lambda s: s[1][1].__setitem__(1, 2 ** 70)),
+                        InstanceError, "point-bounds",
+                        f"initial state: point (2,{2 ** 70}) outside the map"),
+    "unknown-predicate": (_state(lambda s: s[1].__setitem__(0, "c")),
+                          InstanceError, "unknown-predicate",
+                          "initial state: unknown predicate 'c'"),
+    "three-element-point": (_state(lambda s: s[1].__setitem__(1, [2, 1, 0])),
+                            ParseError, "type", "$.state[1]"),
+    "item-not-a-list": (_state(lambda s: s.__setitem__(1, "b")),
+                        ParseError, "type", "$.state[1]"),
+    "state-not-a-list": (_set(lambda d: d.__setitem__("state", {})),
+                         ParseError, "type", "$.state"),
+    # parse errors come before instance errors, wherever they are
+    "off-map-then-malformed": (_set(lambda d: (_state(lambda s: s[1][1].__setitem__(0, 3))(d),
+                                               _explicit(d).append(5))),
+                               ParseError, "type", "$.actions[0].explicit[2]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STATE_FALLBACKS))
+def test_states_off_the_index_path_raise_the_object_paths_error(case):
+    change, kind, code, where = STATE_FALLBACKS[case]
+    with pytest.raises(kind) as err:
+        parse_instance(_document(change))
+    assert type(err.value) is kind and err.value.code == code
+    assert (err.value.path if kind is ParseError else err.value.message) == where
+
+
+def test_a_repeated_state_atom_parses_as_one():
+    once = parse_instance(_document(_state(lambda s: None))).s0
+    twice = parse_instance(_document(_state(lambda s: s.append(["b", [2, 1]])))).s0
+    assert type(twice) is AtomSet
+    assert twice == once and len(twice) == 2 and list(twice) == list(once)
+
+
+def test_a_parsed_state_is_a_read_only_set_that_acts_as_its_frozenset():
+    atoms = parse_instance(_document(_state(lambda s: None))).s0
+    plain = frozenset(atoms)
+    assert type(atoms) is AtomSet and not hasattr(atoms, "add")
+    a00, b21 = GroundAtom("a", Point(0, 0)), GroundAtom("b", Point(2, 1))
+    assert list(atoms) == [a00, b21] and plain == {a00, b21}
+    # members in every form a frozenset takes them in, and non-members
+    for item in (a00, ("a", (0, 0)), GroundAtom("a", Point(0.0, 0)), GroundAtom("b", Point(2, True)),
+                 GroundAtom("b", Point(0, 0)), GroundAtom("a", Point(3, 0)),
+                 GroundAtom("c", Point(0, 0)), Point(1.0, 0), None, "a", ("a", (0, 0, 0))):
+        assert (item in atoms) == (item in plain), item
+    for item in (["a", [0, 0]], ("a", [0, 0]), GroundAtom(["a"], Point(0, 0))):
+        assert item not in atoms  # a frozenset raises TypeError on these
+    other = frozenset({a00, GroundAtom("b", Point(0, 2))})
+    for got, want in ((atoms | other, plain | other), (other | atoms, other | plain),
+                      (atoms & other, plain & other), (other & atoms, other & plain),
+                      (atoms - other, plain - other), (other - atoms, other - plain),
+                      (atoms ^ other, plain ^ other), (other ^ atoms, other ^ plain)):
+        assert type(got) is frozenset and got == want
+    assert atoms == plain and plain == atoms and atoms != other and other != atoms
+    assert hash(atoms) == hash(plain) and {atoms: 1}[plain] == 1
+    assert atoms <= plain | other and atoms < plain | other and not atoms < plain
+    assert repr(atoms) == f"AtomSet({{{a00!r}, {b21!r}}})"
+
+
+def _with_state(s0, grid, predicates):
+    return GbgopInstance(grid=grid, predicates=predicates, s0=s0, actions=(),
+                         cost_model=CostModel(), ics=(), budget=1.0,
+                         theta_in=frozenset(), theta_out=frozenset())
+
+
+def test_a_state_is_kept_as_indices_only_by_an_instance_of_its_map_and_predicates():
+    atoms = parse_instance(_document(_state(lambda s: None))).s0
+    grid, predicates = atoms.grid, atoms.predicates
+    assert _with_state(atoms, grid, predicates).s0 is atoms
+    built = AtomSet(grid, list(predicates), [0, 9 + 5, 0])  # a(0,0), b(2,1)
+    assert built == atoms and _with_state(built, grid, predicates).s0 is built
+    for grid, predicates in ((GridMap(2, 2), ("b", "a")), (GridMap(3, 2), ("a", "b")),
+                             (GridMap(2, 4), ("a", "b")), (GridMap(2, 2), ("a", "b", "c"))):
+        inst = _with_state(atoms, grid, predicates)
+        assert type(inst.s0) is frozenset and inst.s0 == atoms
+        want = _with_state(frozenset(atoms), grid, predicates).grounding
+        assert inst.grounding.s0_mask == want.s0_mask
+
+
+def test_a_state_that_does_not_fit_another_map_fails_validation():
+    atoms = parse_instance(_document(_state(lambda s: None))).s0
+    for grid, predicates, code in ((GridMap(1, 2), ("a", "b"), "point-bounds"),
+                                   (GridMap(2, 0), ("a", "b"), "point-bounds"),
+                                   (GridMap(2, 2), ("a",), "unknown-predicate")):
+        with pytest.raises(InstanceError) as err:
+            _with_state(atoms, grid, predicates)
+        assert err.value.code == code
+
+
+def test_atom_sets_hold_only_atoms_of_their_map_and_predicates():
+    grid = GridMap(1, 1)  # 4 points, 2 predicates: 8 atoms
+    assert AtomSet(grid, ("a", "b"), [7, 0]) == {GroundAtom("a", Point(0, 0)),
+                                                 GroundAtom("b", Point(1, 1))}
+    assert AtomSet(grid, ("a", "b"), ()) == frozenset()
+    for indices in ([8], [-1], [0, 8]):
+        with pytest.raises(InstanceError) as err:
+            AtomSet(grid, ("a", "b"), indices)
+        assert err.value.code == "point-bounds"
+
+
+def test_a_state_on_a_huge_map_parses_in_the_size_of_its_entries():
+    # 10^12 points: the state keeps one index per atom, not a bit per point
+    doc = json.loads(_document())
+    doc["map"] = {"M": 10 ** 6 - 1, "N": 10 ** 6 - 1}
+    last = [10 ** 6 - 1, 10 ** 6 - 1]
+    doc["state"] = [["b", last], ["a", [0, 0]]]
+    atoms = parse_instance(json.dumps(doc)).s0
+    assert type(atoms) is AtomSet and len(atoms) == 2
+    assert list(atoms) == [GroundAtom("a", Point(0, 0)), GroundAtom("b", Point(*last))]
+    assert GroundAtom("b", Point(*last)) in atoms and GroundAtom("a", Point(*last)) not in atoms
