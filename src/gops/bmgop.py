@@ -14,7 +14,7 @@ import heapq
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from itertools import repeat
+from itertools import compress, repeat
 from typing import Optional
 
 from .core import ActionPointPair, BenefitModel, Problem, Solution, format_number
@@ -56,9 +56,10 @@ class GreedyTrace:
 
     Weights and the loop-condition value in each record are the values
     after that iteration's update, i.e. what the next loop test sees.
-    ``op_count`` counts candidate gain evaluations: each pair once, then
-    each re-evaluation of a stale heap top (see ``bmgop_compute``). That
-    is never more than rescanning every unpicked pair before each pick.
+    ``op_count`` counts candidate gain evaluations: once each pair that
+    adds an atom outside the initial state, then each re-evaluation of a
+    stale heap top (see ``bmgop_compute``). That is never more than
+    rescanning every unpicked pair before each pick.
     """
 
     delta: float
@@ -146,7 +147,8 @@ def bmgop_compute(inst: BmgopInstance, delta: float = 0.001,
     smallest pair.
 
     Gains are evaluated lazily (Minoux 1978; CELF, Leskovec et al. 2007):
-    every pair is evaluated once into a heap keyed by ``(ratio, index)``,
+    every pair that adds an atom outside the initial state (no other has
+    a gain) is evaluated once into a heap keyed by ``(ratio, index)``,
     and after a pick only the heap top is evaluated again, until a pair
     evaluated since that pick is on top. A pick raises every weight and
     never raises a gain (benefits are non-negative, and float sums and
@@ -205,9 +207,12 @@ def bmgop_compute(inst: BmgopInstance, delta: float = 0.001,
             numerator += ic_w[i]
         return numerator / gain, j, gain, len(order)
 
-    # a pair without gain never regains it, so it leaves the heap for good
+    # a pair without gain never regains it, so it leaves the heap for good;
+    # one that adds no atom outside s0 has none and is not evaluated
     cond = condition()
-    heap = [entry for entry in map(evaluate, range(n)) if entry] if cond <= lam else []
+    fresh = ((1 << g.n_atoms) - 1) & ~cur_mask
+    heap = [entry for entry in map(evaluate, compress(range(n), map(fresh.__and__, effects)))
+            if entry] if cond <= lam else []
     heapq.heapify(heap)
     while heap and cond <= lam:
         ratio, best_j, gain, stamp = heap[0]

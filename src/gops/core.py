@@ -36,10 +36,11 @@ and goes item by item, for items built in code: validation
 is indexed once per set it is in; of several bad items, the least by
 ``repr`` is named. ``strict_indices`` (the initial state) and
 ``table_rows`` (an explicit effect table) are strict and go list by
-list, for the document parser: each reads its list in one pass, or gives
-up so the parser can name the error. What they read is kept as atom
-indices in a read-only view, an ``AtomSet`` or an ``EffectTable``, that
-validation skips and grounding reads bit by bit. The set-based functions
+list, for the parser of version-1 documents: each reads its list in one
+pass, or gives up so the parser can name the error (version-2 documents
+carry the indices themselves, range-checked by the parser). What they
+read is kept as atom indices in a read-only view, an ``AtomSet`` or an
+``EffectTable``, that validation skips and grounding reads bit by bit. The set-based functions
 (``satisfies``, ``action_effects``, ``appl``, ``cost_of``, ``benefit_of``,
 ``ground_ics_for_state``, ``check_ics``) are reference semantics only: no
 solver calls them, and the tests hold the tables and solvers equal to them.
@@ -581,7 +582,8 @@ class EffectTable(Mapping):
 
     @classmethod
     def _read(cls, grid: GridMap, predicates: tuple, rows: dict) -> "EffectTable":
-        """The table of rows that ``table_rows`` read, and so checked."""
+        """The table of rows a document reader checked: ``table_rows``, or
+        the version-2 reader's range checks."""
         table = object.__new__(cls)
         table.grid, table.predicates, table.rows = grid, predicates, rows
         return table

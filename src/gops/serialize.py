@@ -3,41 +3,59 @@ placement problem (map, predicates, initial state, actions, costs,
 benefits, integrity constraints, goal or benefit problem section).
 
 Parsing is strict: unknown keys are rejected, every error carries a code
-and the JSON path of the offender. Each entry shape has one reader, for
-atoms and pairs alike: a point, a [name, [x, y]] item, a set of items, an
-override table of [item, value] entries. A well-formed point or item
-passes one inline shape check; only a malformed one goes through the
-step-by-step checks that name its error, and only then is its path built.
-The initial state is read in one pass by ``core.strict_indices`` and each
-explicit effect table by ``core.table_rows``, the strict indexers beside
-the one ``Grounding`` and validation use (``core.item_indices``): when
-every item is well formed, with integer coordinates on the map and only
-the document's predicates (and, in a table, no point repeats), the state
-becomes atom indices in a read-only ``core.AtomSet`` and the table in a
-read-only ``core.EffectTable``, with no ``GroundAtom`` made. A strict
-indexer gives up at the first item that does not fit (a ``true`` or
-``1.0`` coordinate among them, which Python callers may use but the
-format does not), and the list is then parsed item by item as objects,
-so its errors keep their codes, paths and order. Serialization is canonical (fixed key
-order, atoms and pairs in one canonical order, shortest round-tripping
-numbers), so identical instances produce identical bytes and
-``parse(serialize(x))`` reproduces ``x``.
+and the JSON path of the offender. Two versions are read; the writer
+writes version 2 unless asked for version 1 (``version=1``). They differ
+only in the initial state and the ``explicit`` effect tables:
+
+- Version 2 writes them as canonical indices: the state as the ascending
+  atom indices ``k * (M + 1) * (N + 1) + y * (M + 1) + x`` (``k`` the
+  predicate's position), each table as ``[[point index, [atom index,
+  ...]], ...]`` with point index ``y * (M + 1) + x``, points and atoms
+  ascending. ``dict(entries)`` is then already ``EffectTable.rows`` and
+  the state list the index set behind ``AtomSet``, so the reader hands
+  both over after a few C-level checks (only ints, in range, no repeated
+  point, every row a list); only a list the checks refuse is read again
+  item by item, to raise the ``ParseError`` of its first faulty item.
+- Version 1 writes every atom as [name, [x, y]]. Each entry shape has one
+  reader, for atoms and pairs alike: a point, a [name, [x, y]] item, a
+  set of items, an override table of [item, value] entries. A well-formed
+  point or item passes one inline shape check; only a malformed one goes
+  through the step-by-step checks that name its error, and only then is
+  its path built. The initial state is read in one pass by
+  ``core.strict_indices`` and each explicit effect table by
+  ``core.table_rows``: when every item is well formed, with integer
+  coordinates on the map and only the document's predicates (and, in a
+  table, no point repeats), the state becomes a ``core.AtomSet`` and the
+  table a ``core.EffectTable``, with no ``GroundAtom`` made. A strict
+  indexer gives up at the first item that does not fit (a ``true`` or
+  ``1.0`` coordinate among them, which Python callers may use but the
+  format does not), and the list is then parsed item by item as objects,
+  so its errors keep their codes, paths and order.
+
+Every other section is the same in both versions. Serialization is
+canonical (fixed key order, atoms and pairs in one canonical order,
+shortest round-tripping numbers), so identical instances produce
+identical bytes in each version and ``parse(serialize(x))`` reproduces
+``x``.
 """
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from .bmgop import BmgopInstance
 from .core import (ActionPointPair, ActionRule, AndFormula, AtomFormula, AtomSet,
                    BenefitModel, CostModel, EffectTable, Formula, GridMap, GroundAtom,
                    IntegrityConstraint, NotFormula, OrFormula, Point, TRUE,
-                   TrueFormula, block_offsets, strict_indices, table_rows)
+                   TrueFormula, _own_atoms, _own_rows, block_offsets, item_indices,
+                   strict_indices, table_rows)
 from .errors import ParseError
 from .gbgop import GbgopInstance
 
 FORMAT_NAME = "gop-instance"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # what the writer writes by default
+VERSIONS = (1, 2)  # what the reader reads
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +182,89 @@ def _parse_formula(value, path) -> Formula:
     raise ParseError("bad-formula", f"unknown formula kind {key!r}", path)
 
 
-def _parse_action(value, path, grid: GridMap, predicates: tuple,
-                  offsets: Optional[dict]) -> ActionRule:
+def _v1_table(entries, path, grid: GridMap, predicates: tuple, offsets: Optional[dict]):
+    """A version-1 ``explicit`` table: an EffectTable when ``table_rows``
+    takes it, else a dict of frozensets read entry by entry."""
+    rows = None if offsets is None else table_rows(entries, offsets, grid)
+    if rows is not None:
+        return EffectTable._read(grid, predicates, rows)
+    table = {}
+    for i, entry in enumerate(entries):
+        entry_path = f"{path}[{i}]"
+        entry = _expect(entry, list, entry_path, "an effect table entry")
+        if len(entry) != 2:
+            raise ParseError("type", "an effect entry is [[x, y], [atoms...]]", entry_path)
+        point = _parse_point(entry[0], entry_path)
+        if point in table:
+            raise ParseError("duplicate", f"point {point} already has an effect entry",
+                             entry_path)
+        table[point] = _parse_set(GroundAtom, entry[1], entry_path, "an atom list")
+    return table
+
+
+def _fits(values, count: int) -> bool:
+    """Whether every item of ``values`` (a list or dict, read up to three
+    times) is an int in ``range(count)``, by C-level passes; ``true`` and
+    ``1.0`` are not ints here."""
+    return not values or (set(map(type, values)) == {int}
+                          and min(values) >= 0 and max(values) < count)
+
+
+def _check_index(value, count: int, path: str, what: str) -> None:
+    if type(value) is not int:
+        raise ParseError("type", f"expected an integer for {what}", path)
+    if not 0 <= value < count:
+        raise ParseError("index-range", f"{what} {value} is outside 0..{count - 1}", path)
+
+
+def _check_indices(values, count: int, path: str) -> None:
+    """Raise the error of the first item of the atom list ``values`` at
+    ``path`` that is not an int in ``range(count)``."""
+    for i, value in enumerate(_expect(values, list, path, "an atom list")):
+        _check_index(value, count, f"{path}[{i}]", "an atom index")
+
+
+def _v2_state(state: list, path: str, grid: GridMap, predicates: tuple) -> AtomSet:
+    """A version-2 ``state``: a list of atom indices."""
+    if not _fits(state, grid.n_points * len(predicates)):
+        _check_indices(state, grid.n_points * len(predicates), path)
+    return AtomSet._read(grid, predicates, frozenset(state))
+
+
+def _v2_table(entries: list, path: str, grid: GridMap, predicates: tuple) -> EffectTable:
+    """A version-2 ``explicit`` table of [point index, [atom index, ...]]
+    entries. ``dict(entries)`` is already the table's rows; a few C-level
+    checks accept them, and only a table they refuse is read again entry by
+    entry, to name its first fault."""
+    n_points, n_atoms = grid.n_points, grid.n_points * len(predicates)
+    try:
+        rows = dict(entries)
+    except (TypeError, ValueError):  # an entry of no two items, or a list as its point
+        rows = None
+    if rows is not None and len(rows) == len(entries) and _fits(rows, n_points) \
+            and set(map(type, rows.values())) <= {list} \
+            and _fits([*chain.from_iterable(rows.values())], n_atoms):
+        return EffectTable._read(grid, predicates, rows)
+    seen = set()
+    for i, entry in enumerate(entries):
+        entry_path = f"{path}[{i}]"
+        entry = _expect(entry, list, entry_path, "an effect table entry")
+        if len(entry) != 2:
+            raise ParseError("type", "an effect entry is [point index, [atom index, ...]]",
+                             entry_path)
+        point, row = entry
+        _check_index(point, n_points, f"{entry_path}[0]", "a point index")
+        if point in seen:
+            raise ParseError("duplicate", f"point index {point} already has an effect entry",
+                             entry_path)
+        seen.add(point)
+        _check_indices(row, n_atoms, f"{entry_path}[1]")
+    raise AssertionError(f"{path}: the checks refuse a table without a faulty entry")
+
+
+def _parse_action(value, path, read_table) -> ActionRule:
+    """An action; ``read_table(entries, path)`` reads an ``explicit`` table
+    in the document's version."""
     value = _expect(value, dict, path, "an action")
     name = _expect(value.get("name"), str, f"{path}.name", "an action name") \
         if "name" in value else None
@@ -174,21 +273,7 @@ def _parse_action(value, path, grid: GridMap, predicates: tuple,
     if "explicit" in value:
         _require_keys(value, path, ("name", "explicit"))
         entries = _expect(value["explicit"], list, f"{path}.explicit", "an effect table")
-        rows = None if offsets is None else table_rows(entries, offsets, grid)
-        if rows is not None:
-            return ActionRule(name=name, explicit_effects=EffectTable._read(grid, predicates, rows))
-        table = {}
-        for i, entry in enumerate(entries):
-            entry_path = f"{path}.explicit[{i}]"
-            entry = _expect(entry, list, entry_path, "an effect table entry")
-            if len(entry) != 2:
-                raise ParseError("type", "an effect entry is [[x, y], [atoms...]]", entry_path)
-            point = _parse_point(entry[0], entry_path)
-            if point in table:
-                raise ParseError("duplicate", f"point {point} already has an effect entry",
-                                 entry_path)
-            table[point] = _parse_set(GroundAtom, entry[1], entry_path, "an atom list")
-        return ActionRule(name=name, explicit_effects=table)
+        return ActionRule(name=name, explicit_effects=read_table(entries, f"{path}.explicit"))
     _require_keys(value, path, ("name", "effect", "source_guard", "target_guard"),
                   optional=("max_distance", "metric"))
     max_distance = None
@@ -224,8 +309,9 @@ def _parse_document(text: str):
                   optional=("benefit",))
     if doc["format"] != FORMAT_NAME:
         raise ParseError("format", f"unknown format {doc['format']!r}", "$.format")
-    if doc["version"] != FORMAT_VERSION:
-        raise ParseError("version", f"unsupported version {doc['version']!r}", "$.version")
+    version = doc["version"]
+    if version not in VERSIONS:
+        raise ParseError("version", f"unsupported version {version!r}", "$.version")
 
     map_obj = _expect(doc["map"], dict, "$.map", "the map")
     _require_keys(map_obj, "$.map", ("M", "N"))
@@ -236,17 +322,25 @@ def _parse_document(text: str):
                        for i, p in enumerate(_expect(doc["predicates"], list, "$.predicates",
                                                      "the predicate list")))
 
-    # where each predicate's atom indices start; with a repeated name there
-    # are no such indices, and validation reports the repeat
-    offsets = block_offsets(predicates, grid)
-    if len(offsets) < len(predicates):
-        offsets = None
-
     state = _expect(doc["state"], list, "$.state", "the state")
-    indices = None if offsets is None else strict_indices(state, offsets, grid)
-    s0 = _parse_set(GroundAtom, state, "$.state", "the state") if indices is None \
-        else AtomSet._read(grid, predicates, indices)
-    actions = tuple(_parse_action(a, f"$.actions[{i}]", grid, predicates, offsets)
+    if version == 2:
+        s0 = _v2_state(state, "$.state", grid, predicates)
+
+        def read_table(entries, path):
+            return _v2_table(entries, path, grid, predicates)
+    else:
+        # where each predicate's atom indices start; with a repeated name
+        # there are no such indices, and validation reports the repeat
+        offsets = block_offsets(predicates, grid)
+        if len(offsets) < len(predicates):
+            offsets = None
+        indices = None if offsets is None else strict_indices(state, offsets, grid)
+        s0 = _parse_set(GroundAtom, state, "$.state", "the state") if indices is None \
+            else AtomSet._read(grid, predicates, indices)
+
+        def read_table(entries, path):
+            return _v1_table(entries, path, grid, predicates, offsets)
+    actions = tuple(_parse_action(a, f"$.actions[{i}]", read_table)
                     for i, a in enumerate(_expect(doc["actions"], list, "$.actions",
                                                   "the action list")))
 
@@ -349,12 +443,25 @@ def formula_to_json(f: Formula):
     raise TypeError(f"not a formula node: {f!r}")
 
 
-def _action_json(rule: ActionRule, atom_key):
+def _atom_indices(atoms, offsets: dict, grid: GridMap) -> list:
+    """The atom indices of a validated instance's atoms."""
+    return item_indices(atoms, offsets, grid,
+                        lambda atom: ValueError(f"{atom!r} is no atom of the instance"))
+
+
+def _v2_explicit(table, grid: GridMap, predicates: tuple, offsets: dict) -> list:
+    """A table's version-2 entries, points and atoms ascending."""
+    rows = _own_rows(table, grid, predicates)
+    if rows is None:
+        rows = {grid.point_index(p): _atom_indices(atoms, offsets, grid)
+                for p, atoms in table.items()}
+    return [[i, sorted(set(row))] for i, row in sorted(rows.items())]
+
+
+def _action_json(rule: ActionRule, explicit):
+    """An action; ``explicit(table)`` writes an explicit table's entries."""
     if rule.explicit_effects is not None:
-        entries = sorted(rule.explicit_effects.items(), key=lambda kv: (kv[0].y, kv[0].x))
-        return {"name": rule.name,
-                "explicit": [[_point_json(p), [_item_json(a) for a in sorted(es, key=atom_key)]]
-                             for p, es in entries]}
+        return {"name": rule.name, "explicit": explicit(rule.explicit_effects)}
     out = {"name": rule.name, "effect": rule.effect_predicate,
            "source_guard": formula_to_json(rule.source_guard),
            "target_guard": formula_to_json(rule.target_guard)}
@@ -364,17 +471,35 @@ def _action_json(rule: ActionRule, atom_key):
     return out
 
 
-def instance_to_json(inst) -> dict:
-    """Canonical JSON object for an instance (either kind)."""
-    atom_key = _item_key(inst.grid, inst.predicates)
-    pair_key = _item_key(inst.grid, [rule.name for rule in inst.actions])
+def instance_to_json(inst, version: int = FORMAT_VERSION) -> dict:
+    """Canonical JSON object for an instance (either kind), in format
+    ``version`` (1 or 2): version 2 writes the state and explicit tables as
+    canonical indices, version 1 as [name, [x, y]] atoms."""
+    grid, predicates = inst.grid, inst.predicates
+    atom_key = _item_key(grid, predicates)
+    pair_key = _item_key(grid, [rule.name for rule in inst.actions])
+    if version == 2:
+        offsets = block_offsets(predicates, grid)
+        indices = _own_atoms(inst.s0, grid, predicates)
+        state = sorted(_atom_indices(inst.s0, offsets, grid) if indices is None else indices)
+
+        def explicit(table):
+            return _v2_explicit(table, grid, predicates, offsets)
+    elif version == 1:
+        state = [_item_json(a) for a in sorted(inst.s0, key=atom_key)]
+
+        def explicit(table):
+            return [[_point_json(p), [_item_json(a) for a in sorted(atoms, key=atom_key)]]
+                    for p, atoms in sorted(table.items(), key=lambda kv: (kv[0].y, kv[0].x))]
+    else:
+        raise ValueError(f"unknown {FORMAT_NAME} version {version!r}")
     doc = {
         "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
-        "map": {"M": inst.grid.width_bound, "N": inst.grid.height_bound},
-        "predicates": list(inst.predicates),
-        "state": [_item_json(a) for a in sorted(inst.s0, key=atom_key)],
-        "actions": [_action_json(rule, atom_key) for rule in inst.actions],
+        "version": version,
+        "map": {"M": grid.width_bound, "N": grid.height_bound},
+        "predicates": list(predicates),
+        "state": state,
+        "actions": [_action_json(rule, explicit) for rule in inst.actions],
         "cost": {
             "default": inst.cost_model.default_cost,
             "rules": [[formula_to_json(cond), value]
@@ -406,8 +531,9 @@ def instance_to_json(inst) -> dict:
     return doc
 
 
-def serialize_instance(inst) -> str:
-    return json.dumps(instance_to_json(inst), indent=2) + "\n"
+def serialize_instance(inst, version: int = FORMAT_VERSION) -> str:
+    """The canonical document of an instance, in format ``version``."""
+    return json.dumps(instance_to_json(inst, version), indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

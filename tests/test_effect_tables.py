@@ -6,10 +6,12 @@ frozensets it was serialized from and to the one the object path parses
 from the same document, and its grounding equal to the one the dict
 gives; and a parsed initial state equal, as a set, to the frozenset the
 object path parses, with the same hash, canonical iteration, ``s0_mask``
-and solution final states. Fallback tests hold every table or state the
-index path does not take to the error code and JSON path (or message) of
-the object path, and a table or state reused on another map or predicate
-order to its Mapping or Set interface."""
+and solution final states. The object-path differentials read version-1
+documents; their ``v2`` twins hold the version-2 reader to the same
+oracle. Fallback tests hold every table or state the index path does not
+take to the error code and JSON path (or message) of the object path, and
+a table or state reused on another map or predicate order to its Mapping
+or Set interface."""
 
 import json
 import random
@@ -84,7 +86,7 @@ def test_the_table_reader_matches_the_object_path(monkeypatch):
     # the campaign and the serialize golden's corpus, read once by the
     # table reader and once entry by entry as objects
     scenario = gen_campaign()
-    texts = [serialize_instance(inst)
+    texts = [serialize_instance(inst, version=1)
              for inst in (scenario.gbgop, scenario.bmgop, *golden_corpus())]
     read = [parse_instance(text) for text in texts]
     monkeypatch.setattr(serialize, "table_rows", lambda entries, offsets, grid: None)
@@ -101,6 +103,28 @@ def test_the_table_reader_matches_the_object_path(monkeypatch):
         for name in GROUNDING_TABLES:
             assert getattr(inst.grounding, name) == getattr(objects.grounding, name), name
     assert tables > len(texts)
+
+
+def test_the_v2_table_reader_matches_the_object_path(monkeypatch):
+    # the same instances written at version 2, whose tables the bulk checks
+    # read, against their version-1 documents read entry by entry as objects
+    scenario = gen_campaign()
+    insts = (scenario.gbgop, scenario.bmgop, *golden_corpus())
+    read = [parse_instance(serialize_instance(inst, version=2)) for inst in insts]
+    monkeypatch.setattr(serialize, "table_rows", lambda entries, offsets, grid: None)
+    tables = 0
+    for inst, got in zip(insts, read):
+        objects = parse_instance(serialize_instance(inst, version=1))
+        for rule, again in zip(got.actions, objects.actions):
+            if again.explicit_effects is None:
+                continue
+            assert type(rule.explicit_effects) is EffectTable
+            assert type(again.explicit_effects) is dict
+            assert rule.explicit_effects == again.explicit_effects
+            tables += 1
+        for name in GROUNDING_TABLES:
+            assert getattr(got.grounding, name) == getattr(objects.grounding, name), name
+    assert tables > len(insts)
 
 
 def test_the_corpus_has_explicit_tables_on_every_rung():
@@ -288,7 +312,7 @@ def _state_corpus():
 
 
 def test_the_state_reader_matches_the_object_path(monkeypatch):
-    texts = [serialize_instance(inst) for inst in _state_corpus()]
+    texts = [serialize_instance(inst, version=1) for inst in _state_corpus()]
     read = [parse_instance(text) for text in texts]
     monkeypatch.setattr(serialize, "strict_indices", lambda items, offsets, grid: None)
     for text, inst in zip(texts, read):
@@ -299,6 +323,27 @@ def test_the_state_reader_matches_the_object_path(monkeypatch):
         assert len(got) == len(want) and hash(got) == hash(want)
         assert list(got) == sorted(want, key=_canonical(inst))
         g, h = inst.grounding, oracle.grounding
+        assert g.s0_mask == h.s0_mask
+        for picked in ((), range(min(3, g.n_pairs)), range(g.n_pairs)):
+            final, plain = g._selection(picked), h._selection(picked)
+            assert type(final.final_state) is AtomSet and type(plain.final_state) is frozenset
+            assert final == plain
+            assert hash(final.final_state) == hash(plain.final_state)
+            assert list(final.final_state) == sorted(plain.final_state, key=_canonical(inst))
+
+
+def test_the_v2_state_reader_matches_the_object_path(monkeypatch):
+    insts = list(_state_corpus())
+    read = [parse_instance(serialize_instance(inst, version=2)) for inst in insts]
+    monkeypatch.setattr(serialize, "strict_indices", lambda items, offsets, grid: None)
+    for inst, got_inst in zip(insts, read):
+        oracle = parse_instance(serialize_instance(inst, version=1))
+        got, want = got_inst.s0, oracle.s0
+        assert type(got) is AtomSet and type(want) is frozenset
+        assert got == want and want == got
+        assert len(got) == len(want) and hash(got) == hash(want)
+        assert list(got) == sorted(want, key=_canonical(inst))
+        g, h = got_inst.grounding, oracle.grounding
         assert g.s0_mask == h.s0_mask
         for picked in ((), range(min(3, g.n_pairs)), range(g.n_pairs)):
             final, plain = g._selection(picked), h._selection(picked)

@@ -1,0 +1,285 @@
+"""Version 2 of the instance format: the initial state and explicit effect
+tables as canonical indices (``k * (M + 1) * (N + 1) + y * (M + 1) + x``
+for an atom of predicate ``k``, ``y * (M + 1) + x`` for a point).
+
+Both versions of one instance parse to equal instances (state, tables,
+groundings) and round-trip, each to its own bytes. Every malformed
+version-2 state or table ends in a ``ParseError`` with a code and the JSON
+path of the first faulty item, never in a traceback, however its fault
+slips past ``dict()``."""
+
+import json
+import random
+
+import pytest
+
+from gops import (ActionRule, CostModel, GbgopInstance, GridMap, GroundAtom, Point,
+                  gen_campaign, gen_random, parse_instance, serialize_instance)
+from gops.cli import main
+from gops.core import AtomSet, EffectTable
+from gops.encodings import (CoverProblem, MonotoneCnf, encode_max_k_cover, encode_monsat,
+                            encode_set_cover)
+from gops.errors import InstanceError, ParseError
+from gops.serialize import instance_to_json
+
+from helpers import golden_corpus
+
+GROUNDING_TABLES = ("s0_mask", "effects", "costs", "benefits", "ic_s0", "pair_ics")
+
+
+def _encodings():
+    rng = random.Random(3)
+    for seed in range(3):
+        universe = tuple(range(12))
+        families = tuple(frozenset(rng.sample(universe, rng.randint(1, 5))) for _ in range(9))
+        families += (frozenset(universe[:6]), frozenset(universe[6:]))
+        yield encode_set_cover(CoverProblem(universe=universe, families=families))
+        yield encode_max_k_cover(CoverProblem(universe=universe, families=families, k=3))
+    yield encode_monsat(MonotoneCnf(("x0", "x1", "x2"), (frozenset({"x0", "x1"}),
+                                                         frozenset({"x2"}))))
+
+
+def _corpus():
+    """The campaign, the serialize golden's corpus, the map-ladder rung
+    sizes with explicit tables and the encodings."""
+    scenario = gen_campaign()
+    yield scenario.gbgop
+    yield scenario.bmgop
+    yield from golden_corpus()
+    for size, actions in ((17, 3), (44, 2)):
+        for flavor in ("gbgop", "bmgop"):
+            yield gen_random(seed=97 * size + 1, width=size, height=size, predicates=3,
+                             actions=actions, radius=3.0, ics=2, problem=flavor)
+    yield from _encodings()
+
+
+def test_both_versions_parse_to_equal_instances_and_round_trip():
+    tables = states = 0
+    for inst in _corpus():
+        v1, v2 = serialize_instance(inst, version=1), serialize_instance(inst)
+        assert json.loads(v2)["version"] == 2 and json.loads(v1)["version"] == 1
+        old, new = parse_instance(v1), parse_instance(v2)
+        assert type(new.s0) is AtomSet
+        assert new.s0 == old.s0 == inst.s0 and hash(new.s0) == hash(old.s0)
+        assert list(new.s0) == list(old.s0)
+        states += bool(inst.s0)
+        assert new.actions == old.actions == inst.actions
+        for rule in new.actions:
+            if rule.explicit_effects is not None:
+                assert type(rule.explicit_effects) is EffectTable
+                tables += 1
+        assert (new.cost_model, new.ics) == (old.cost_model, old.ics)
+        for name in GROUNDING_TABLES:
+            assert getattr(new.grounding, name) == getattr(old.grounding, name), name
+        # each version round-trips, and either parse writes both versions
+        for parsed in (old, new):
+            assert serialize_instance(parsed, version=1) == v1
+            assert serialize_instance(parsed) == v2
+    assert tables > 300 and states > 250
+
+
+def test_the_version_2_layout():
+    inst = gen_campaign().bmgop
+    doc = instance_to_json(inst)
+    grid, n_points = inst.grid, inst.grid.n_points
+    width = grid.width_bound + 1
+    assert doc["state"] == sorted(inst.predicates.index(a.predicate) * n_points
+                                  + a.point.y * width + a.point.x for a in inst.s0)
+    v1 = instance_to_json(inst, version=1)
+    assert doc.keys() == v1.keys()
+    assert all(doc[key] == v1[key] for key in doc if key not in ("version", "state", "actions"))
+    for rule, action, old in zip(inst.actions, doc["actions"], v1["actions"]):
+        if rule.explicit_effects is None:
+            assert action == old
+            continue
+        points = [point for point, _ in action["explicit"]]
+        assert points == sorted(p.y * width + p.x for p in rule.explicit_effects)
+        for point, atoms in action["explicit"]:
+            assert atoms == sorted(set(atoms))
+    with pytest.raises(ValueError):
+        serialize_instance(inst, version=3)
+
+
+# A 3 x 3 map (9 points) with predicates a, b (18 atoms) and action "e"
+# with an explicit table: a(0,0) is atom 0, a(1,1) atom 4, b(2,0) atom 11,
+# b(0,2) atom 15; point (1,2) is point 7.
+BASE = {
+    "format": "gop-instance",
+    "version": 2,
+    "map": {"M": 2, "N": 2},
+    "predicates": ["a", "b"],
+    "state": [0, 11],
+    "actions": [{"name": "e", "explicit": [[0, [4, 11]], [7, [15]]]}],
+    "cost": {"default": 0.5, "rules": [], "overrides": []},
+    "ics": [],
+    "problem": {"type": "gbgop", "budget": 1.0, "theta_in": [["b", [0, 2]]], "theta_out": []},
+}
+
+
+def _document(change=None):
+    doc = json.loads(json.dumps(BASE))
+    if change:
+        change(doc)
+    return json.dumps(doc)
+
+
+def _explicit(doc):
+    return doc["actions"][0]["explicit"]
+
+
+def test_the_base_document_is_the_writers_own():
+    inst = parse_instance(_document())
+    assert serialize_instance(inst) == serialize_instance(parse_instance(serialize_instance(inst)))
+    assert json.loads(serialize_instance(inst)) == BASE
+    assert inst.s0 == {GroundAtom("a", Point(0, 0)), GroundAtom("b", Point(2, 0))}
+    assert inst.actions[0].explicit_effects == {
+        Point(0, 0): frozenset({GroundAtom("a", Point(1, 1)), GroundAtom("b", Point(2, 0))}),
+        Point(1, 2): frozenset({GroundAtom("b", Point(0, 2))})}
+
+
+# case -> (document change, code, JSON path of the first faulty item)
+ERRORS = {
+    "state-true": (lambda d: d["state"].append(True), "type", "$.state[2]"),
+    "state-float": (lambda d: d["state"].append(1.0), "type", "$.state[2]"),
+    "state-negative": (lambda d: d["state"].append(-1), "index-range", "$.state[2]"),
+    "state-is-the-atom-count": (lambda d: d["state"].append(18), "index-range", "$.state[2]"),
+    "state-huge": (lambda d: d["state"].append(2 ** 70), "index-range", "$.state[2]"),
+    "state-v1-atom": (lambda d: d["state"].append(["a", [0, 0]]), "type", "$.state[2]"),
+    "state-string": (lambda d: d["state"].append("a"), "type", "$.state[2]"),
+    "state-not-a-list": (lambda d: d.__setitem__("state", {"0": 0}), "type", "$.state"),
+    "point-true": (lambda d: _explicit(d)[1].__setitem__(0, True), "type",
+                   "$.actions[0].explicit[1][0]"),
+    "point-float": (lambda d: _explicit(d)[1].__setitem__(0, 7.0), "type",
+                    "$.actions[0].explicit[1][0]"),
+    "point-negative": (lambda d: _explicit(d)[1].__setitem__(0, -1), "index-range",
+                       "$.actions[0].explicit[1][0]"),
+    "point-is-the-point-count": (lambda d: _explicit(d)[1].__setitem__(0, 9), "index-range",
+                                 "$.actions[0].explicit[1][0]"),
+    "point-huge": (lambda d: _explicit(d)[1].__setitem__(0, 2 ** 70), "index-range",
+                   "$.actions[0].explicit[1][0]"),
+    "atom-true": (lambda d: _explicit(d)[0][1].append(True), "type",
+                  "$.actions[0].explicit[0][1][2]"),
+    "atom-float": (lambda d: _explicit(d)[0][1].append(4.0), "type",
+                   "$.actions[0].explicit[0][1][2]"),
+    "atom-negative": (lambda d: _explicit(d)[1][1].append(-1), "index-range",
+                      "$.actions[0].explicit[1][1][1]"),
+    "atom-is-the-atom-count": (lambda d: _explicit(d)[1][1].append(18), "index-range",
+                               "$.actions[0].explicit[1][1][1]"),
+    "atom-v1-shaped": (lambda d: _explicit(d)[1][1].append(["b", [0, 2]]), "type",
+                       "$.actions[0].explicit[1][1][1]"),
+    "repeated-point": (lambda d: _explicit(d).append([0, [4]]), "duplicate",
+                       "$.actions[0].explicit[2]"),
+    # dict() takes true and 1 for one key, so the repeat is found first;
+    # the entry-by-entry pass names the true
+    "true-repeats-point-1": (lambda d: _explicit(d).extend([[1, []], [True, []]]), "type",
+                             "$.actions[0].explicit[3][0]"),
+    "row-not-a-list": (lambda d: _explicit(d).append([8, 5]), "type",
+                       "$.actions[0].explicit[2][1]"),
+    "row-a-string": (lambda d: _explicit(d).append([8, "ab"]), "type",
+                     "$.actions[0].explicit[2][1]"),
+    "row-an-object": (lambda d: _explicit(d).append([8, {"4": 4}]), "type",
+                      "$.actions[0].explicit[2][1]"),
+    # dict() takes "ab" as the entry ("a", "b")
+    "two-character-string-entry": (lambda d: _explicit(d).append("ab"), "type",
+                                   "$.actions[0].explicit[2]"),
+    "two-key-object-entry": (lambda d: _explicit(d).append({"a": 1, "b": 2}), "type",
+                             "$.actions[0].explicit[2]"),
+    # dict() refuses these with TypeError or ValueError
+    "v1-shaped-entry": (lambda d: _explicit(d).append([[2, 2], [["a", [0, 0]]]]), "type",
+                        "$.actions[0].explicit[2][0]"),
+    "three-element-entry": (lambda d: _explicit(d).append([8, [4], [5]]), "type",
+                            "$.actions[0].explicit[2]"),
+    "one-element-entry": (lambda d: _explicit(d).append([8]), "type",
+                          "$.actions[0].explicit[2]"),
+    "entry-not-a-list": (lambda d: _explicit(d).append(5), "type", "$.actions[0].explicit[2]"),
+    "entry-null": (lambda d: _explicit(d).append(None), "type", "$.actions[0].explicit[2]"),
+    "table-not-a-list": (lambda d: d["actions"][0].__setitem__("explicit", {"0": [4]}), "type",
+                         "$.actions[0].explicit"),
+    # the first faulty entry is named, whatever its fault
+    "range-then-type": (lambda d: _explicit(d).extend([[9, []], [8, 5]]), "index-range",
+                        "$.actions[0].explicit[2][0]"),
+    "type-then-repeat": (lambda d: _explicit(d).extend([[8, [1.5]], [0, []]]), "type",
+                         "$.actions[0].explicit[2][1][0]"),
+    # a whole version-1 document labelled version 2
+    "v1-document": (lambda d: d.update(state=[["a", [0, 0]]]), "type", "$.state[0]"),
+    "v1-table": (lambda d: d["actions"][0].update(explicit=[[[0, 0], [["a", [1, 1]]]]]),
+                 "type", "$.actions[0].explicit[0][0]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERRORS))
+def test_a_malformed_version_2_document_raises_a_parse_error_at_its_path(case):
+    change, code, path = ERRORS[case]
+    with pytest.raises(ParseError) as err:
+        parse_instance(_document(change))
+    assert err.value.code == code and err.value.path == path
+    assert err.value.message.startswith(f"{path}: ")
+
+
+def test_a_repeated_predicate_is_reported_as_in_version_1():
+    for version in (1, 2):
+        doc = json.loads(serialize_instance(parse_instance(_document()), version=version))
+        doc["predicates"].append("a")
+        with pytest.raises(InstanceError) as err:
+            parse_instance(json.dumps(doc))
+        assert err.value.code == "predicate-duplicate", version
+
+
+def test_a_version_2_document_in_any_order_parses_to_the_canonical_one():
+    def shuffle(doc):
+        doc["state"] = [11, 0, 11]
+        doc["actions"][0]["explicit"] = [[7, [15, 15]], [0, [11, 4]], [8, []]]
+
+    inst = parse_instance(_document(shuffle))
+    assert inst.s0 == parse_instance(_document()).s0 and len(inst.s0) == 2
+    doc = json.loads(serialize_instance(inst))
+    assert doc["state"] == [0, 11]
+    assert _explicit(doc) == [[0, [4, 11]], [7, [15]], [8, []]]
+
+
+def test_a_version_2_table_on_a_huge_map_parses_in_the_size_of_its_entries():
+    # 10^12 points: the table keeps the indices it was given, not a mask
+    n = 10 ** 6
+    doc = json.loads(_document())
+    doc["map"] = {"M": n - 1, "N": n - 1}
+    last = n * n - 1
+    doc["actions"][0]["explicit"] = [[last, [n * n + last]], [0, [0]]]
+    doc["state"] = [n * n + last, 0]
+    inst = parse_instance(json.dumps(doc))
+    table = inst.actions[0].explicit_effects
+    assert type(table) is EffectTable and len(table) == 2
+    corner = Point(n - 1, n - 1)
+    assert table[corner] == frozenset({GroundAtom("b", corner)})
+    assert table[Point(0, 0)] == frozenset({GroundAtom("a", Point(0, 0))})
+    assert list(inst.s0) == [GroundAtom("a", Point(0, 0)), GroundAtom("b", corner)]
+    assert json.loads(serialize_instance(inst))["state"] == [0, n * n + last]
+
+
+def test_a_table_and_state_of_another_map_are_written_by_their_atoms():
+    parsed = parse_instance(_document())
+    grid, predicates = GridMap(3, 2), ("b", "a")
+    inst = GbgopInstance(grid=grid, predicates=predicates, s0=parsed.s0,
+                         actions=(ActionRule(name="e",
+                                             explicit_effects=parsed.actions[0].explicit_effects),),
+                         cost_model=CostModel(), ics=(), budget=1.0,
+                         theta_in=frozenset(), theta_out=frozenset())
+    doc = instance_to_json(inst)
+    # on a 4 x 3 map with b first: a(0,0) is 12 + 0, b(2,0) is 2
+    assert doc["state"] == [2, 12]
+    assert doc["actions"][0]["explicit"] == [[0, [2, 17]], [9, [8]]]
+    again = parse_instance(serialize_instance(inst))
+    assert again.s0 == parsed.s0
+    assert again.actions[0].explicit_effects == parsed.actions[0].explicit_effects
+
+
+def test_gops_solve_prints_the_same_report_for_both_versions(tmp_path, capsys):
+    inst = gen_random(seed=5, width=4, height=4, predicates=3, actions=3, radius=1.5, ics=2,
+                      problem="bmgop")
+    for version in (1, 2):
+        (tmp_path / f"v{version}.json").write_text(serialize_instance(inst, version=version))
+    for method in ("approx", "exact", "ip"):
+        printed = []
+        for version in (1, 2):
+            main(["solve", str(tmp_path / f"v{version}.json"), "--method", method, "--json"])
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1] and json.loads(printed[0])["method"] == method

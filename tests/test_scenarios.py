@@ -111,8 +111,16 @@ def test_gen_random_corpus_golden_digest():
     # seed, parameter, flavour order.
     digest = hashlib.sha256()
     for inst in golden_corpus():
-        digest.update(serialize_instance(inst).encode())
+        digest.update(serialize_instance(inst, version=1).encode())
     assert digest.hexdigest() == "f40c6dd8a49fc591b52db3ad8b1934d70c3dced15c2d215d2e0f21e9485d9304"
+
+
+def test_gen_random_corpus_golden_digest_v2():
+    # the same corpus in the version-2 layout, which the writer defaults to
+    digest = hashlib.sha256()
+    for inst in golden_corpus():
+        digest.update(serialize_instance(inst).encode())
+    assert digest.hexdigest() == "55283145de06f94538a95459bfe13780ab65bc8ccd64fefa3d6cdb4cd0684245"
 
 
 def test_gen_random_respects_model_invariants():
