@@ -274,16 +274,19 @@ def build_bmgop_ip(inst: BmgopInstance) -> IpModel:
     outside_s0 = ((1 << g.n_atoms) - 1) & ~g.s0_mask
     covers = g.producers(range(n), outside_s0)
     y_vars = model.add_variables(g.atom_names("Y", covers), zip(repeat("atom"), covers))
-    for y, atom_idx, producers, label in zip(y_vars, covers, covers.values(),
-                                             g.atom_names("cover", covers)):
+    rows = list(covers.values())
+    # a cover row weighs its producers 1.0 and y -1.0; rows of one length
+    # share their list of coefficients
+    weights = {k: [1.0] * k + [-1.0] for k in set(map(len, rows))}
+    coeffs = list(map(weights.__getitem__, map(len, rows)))
+    for y, atom_idx, row in zip(y_vars, covers, rows):
         if benefits[atom_idx] != 0:
             model.objective[y] = benefits[atom_idx]
         # producers ascend and every X variable precedes y: already in variable order
-        coeffs = [(i, 1.0) for i in producers]
-        coeffs.append((y, -1.0))
-        model.add_constraint(coeffs, ">=", 0.0, label)
+        row.append(y)
+    model.add_rows(g.atom_names("cover", covers), ">=", 0.0, rows, coeffs)
 
-    model.add_constraint([(i, 1.0) for i in x_vars], "<=", float(inst.k), "card")
+    model.add_rows(["card"], "<=", float(inst.k), [x_vars])
     model.add_packing_rows(inst, dict(zip(x_vars, x_vars)))
     return model
 

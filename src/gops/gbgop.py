@@ -233,9 +233,9 @@ def build_gbgop_ip(inst: GbgopInstance, use_reduction: bool = False) -> IpModel:
     uncoverable = [g.atom_at(a) for a, producers in covers.items() if not producers]
     if uncoverable:
         raise UncoverableAtomsError(uncoverable)
-    for label, producers in zip(g.atom_names("cover", covers), covers.values()):
-        # variables were added in ascending pair order, so these ascend too
-        model.add_constraint([(var_of[i], 1.0) for i in producers], ">=", 1.0, label)
+    # variables were added in ascending pair order, so each row ascends too
+    model.add_rows(g.atom_names("cover", covers), ">=", 1.0,
+                   [list(map(var_of.__getitem__, producers)) for producers in covers.values()])
     model.add_packing_rows(inst, var_of)
     return model
 

@@ -1,13 +1,13 @@
-"""Binary integer programs: model container, an exact branch-and-bound
-solver for desk-scale models, and an LP-format text emitter for handing
-models to an external solver.
+"""Binary integer programs: a model container that keeps its rows as flat
+arrays, an exact branch-and-bound solver for desk-scale models, and an
+LP-format text emitter for handing models to an external solver.
 """
 
 import re
 import time
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat
-from operator import sub
+from itertools import accumulate, chain, compress, count, repeat
+from operator import add, itemgetter, not_, sub
 from typing import NamedTuple, Optional
 
 from .core import format_number
@@ -21,6 +21,8 @@ class IpVariable(NamedTuple):
 
 @dataclass(frozen=True)
 class IpConstraint:
+    """One row of an ``IpModel``, as its ``constraints`` view gives it."""
+
     coeffs: tuple  # ((var_index, coefficient), ...) in variable order
     sense: str     # "<=" or ">="
     rhs: float
@@ -33,6 +35,13 @@ class IpModel:
 
     The paper's builders add their variables in bulk (``add_variables``),
     named from canonical indices by ``Grounding.pair_names``/``atom_names``.
+    Rows are stored as flat arrays, the compressed-row layout of MPS/LP
+    writers: row ``r`` is labelled ``labels[r]``, reads ``senses[r]``
+    (``"<="`` or ``">="``) ``rhs[r]``, and its terms are
+    ``cols[starts[r]:starts[r + 1]]`` (variable indices, in variable order)
+    with coefficients ``vals[starts[r]:starts[r + 1]]``. A family of rows,
+    such as the cover, card, budget or IC rows, goes in through one
+    ``add_rows``; ``constraints`` is a view derived from the arrays.
     ``validate`` checks a model; ``solve_branch_and_bound`` and ``emit_lp``
     both run it first."""
 
@@ -40,7 +49,12 @@ class IpModel:
     variables: list = field(default_factory=list)
     objective: dict = field(default_factory=dict)  # var index -> coefficient
     constant: float = 0.0
-    constraints: list = field(default_factory=list)
+    labels: list = field(default_factory=list, init=False)
+    senses: list = field(default_factory=list, init=False)
+    rhs: list = field(default_factory=list, init=False)
+    starts: list = field(default_factory=lambda: [0], init=False)
+    cols: list = field(default_factory=list, init=False)
+    vals: list = field(default_factory=list, init=False)
 
     def add_variable(self, name: str, tag: object = None) -> int:
         self.variables.append(IpVariable(name, tag))
@@ -53,10 +67,41 @@ class IpModel:
         self.variables += map(tuple.__new__, repeat(IpVariable), zip(names, tags))
         return range(start, len(self.variables))
 
+    def add_rows(self, labels, sense: str, rhs: float, rows, coeffs=None) -> None:
+        """A family of rows that share ``sense`` and ``rhs``: row ``r`` is
+        labelled ``labels[r]``, its terms are the variables ``rows[r]`` (in
+        variable order) and their coefficients ``coeffs[r]``, or 1.0 each
+        when ``coeffs`` is None. All three are sequences of one length, and
+        ``coeffs[r]`` is as long as ``rows[r]``; ValueError otherwise, with
+        the model unchanged."""
+        lengths = list(map(len, rows))
+        if len(labels) != len(lengths) or coeffs is not None and list(map(len, coeffs)) != lengths:
+            raise ValueError("add_rows needs one label and one coefficient per term of each row")
+        self.labels += labels
+        self.senses += repeat(sense, len(lengths))
+        self.rhs += repeat(rhs, len(lengths))
+        starts = self.starts
+        # the model's last start is the family's first
+        starts += accumulate(lengths, initial=starts.pop())
+        self.cols += chain.from_iterable(rows)
+        if coeffs is None:
+            self.vals += repeat(1.0, starts[-1] - len(self.vals))
+        else:
+            self.vals += chain.from_iterable(coeffs)
+
     def add_constraint(self, coeffs, sense: str, rhs: float, label: str) -> None:
-        if isinstance(coeffs, dict):
-            coeffs = sorted(coeffs.items())
-        self.constraints.append(IpConstraint(tuple(coeffs), sense, rhs, label))
+        """One row from ``(variable, coefficient)`` pairs in variable order,
+        or from a dict of them."""
+        terms = sorted(coeffs.items()) if isinstance(coeffs, dict) else list(coeffs)
+        self.add_rows([label], sense, rhs, [[i for i, _ in terms]], [[co for _, co in terms]])
+
+    @property
+    def constraints(self) -> tuple:
+        """The rows as ``IpConstraint``s, built from the arrays on each read."""
+        starts, cols, vals = self.starts, self.cols, self.vals
+        return tuple(IpConstraint(tuple(zip(cols[s:e], vals[s:e])), sense, rhs, label)
+                     for s, e, sense, rhs, label
+                     in zip(starts, starts[1:], self.senses, self.rhs, self.labels))
 
     def add_packing_rows(self, inst, var_of) -> None:
         """The ``budget`` row over the selection variables ``var_of`` (pair
@@ -64,31 +109,57 @@ class IpModel:
         instance, then one ``ic_<pos>`` row per constraint active in its
         initial state with members among them."""
         g = inst.grounding
-        costs = g.costs
-        self.add_constraint([(v, costs[i]) for i, v in var_of.items()], "<=", inst.budget, "budget")
+        self.add_rows(["budget"], "<=", inst.budget, [list(var_of.values())],
+                      [list(map(g.costs.__getitem__, var_of))])
+        labels, rows = [], []
         for pos, members in g.ic_s0:
             present = sorted(members & var_of.keys())
             if present:
-                self.add_constraint([(var_of[i], 1.0) for i in present], "<=", 1.0, f"ic_{pos}")
+                labels.append(f"ic_{pos}")
+                rows.append(list(map(var_of.__getitem__, present)))
+        self.add_rows(labels, "<=", 1.0, rows)
 
     def validate(self) -> None:
+        """Raise InstanceError at the first fault: an unknown objective sense,
+        a repeated variable name, an objective term outside the variables,
+        then, row by row, a sense other than ``<=``/``>=`` or a term outside
+        the variables.
+
+        Whole-array checks run first; the item-by-item loops run only when
+        one of them fails, to name that first fault."""
         if self.sense not in ("min", "max"):
             raise InstanceError("ip-sense", f"unknown objective sense {self.sense!r}")
-        names = set()
-        for v in self.variables:
-            if v.name in names:
-                raise InstanceError("ip-duplicate-variable", f"duplicate variable {v.name!r}")
-            names.add(v.name)
         n = len(self.variables)
-        for i in self.objective:
-            if not 0 <= i < n:
-                raise InstanceError("ip-bad-variable", f"objective references variable {i}")
-        for c in self.constraints:
-            if c.sense not in ("<=", ">="):
-                raise InstanceError("ip-bad-sense", f"constraint {c.label!r}: sense {c.sense!r}")
-            for i, _ in c.coeffs:
+        names = list(map(itemgetter(0), self.variables))
+        if len(set(names)) != n:
+            seen = set()
+            for name in names:
+                if name in seen:
+                    raise InstanceError("ip-duplicate-variable", f"duplicate variable {name!r}")
+                seen.add(name)
+        if not _in_range(self.objective, n):
+            for i in self.objective:
                 if not 0 <= i < n:
-                    raise InstanceError("ip-bad-variable", f"constraint {c.label!r} references variable {i}")
+                    raise InstanceError("ip-bad-variable", f"objective references variable {i}")
+        if not (set(self.senses) <= {"<=", ">="} and _in_range(self.cols, n)):
+            starts, cols = self.starts, self.cols
+            for s, e, sense, label in zip(starts, starts[1:], self.senses, self.labels):
+                if sense not in ("<=", ">="):
+                    raise InstanceError("ip-bad-sense", f"constraint {label!r}: sense {sense!r}")
+                for i in cols[s:e]:
+                    if not 0 <= i < n:
+                        raise InstanceError("ip-bad-variable",
+                                            f"constraint {label!r} references variable {i}")
+
+
+def _in_range(indices, n: int) -> bool:
+    """True when every item of ``indices`` lies in ``[0, n)``, checked by
+    ``min``/``max``; False sends ``validate`` to its item-by-item loop. A NaN
+    item can hide from ``min``/``max``, so a non-finite sum also says False."""
+    if not indices:
+        return True
+    total = sum(indices)
+    return total - total == 0 and 0 <= min(indices) and max(indices) < n
 
 
 @dataclass
@@ -161,17 +232,22 @@ def solve_branch_and_bound(model: IpModel, limits: Optional[Limits] = None) -> I
     maximize = model.sense == "max"
     obj = [model.objective.get(i, 0.0) for i in range(n)]
 
-    rhs = [-c.rhs if c.sense == ">=" else c.rhs for c in model.constraints]
-    low = [0.0] * len(rhs)  # per row: the smallest left-hand side still reachable
+    starts, cols, vals = model.starts, model.cols, model.vals
+    rhs = []
+    low = []  # per row: the smallest left-hand side still reachable
     moves = [([], []) for _ in range(n)]  # moves[i][v]: (row, raise) of fixing x_i = v
-    for k, c in enumerate(model.constraints):
-        for i, co in c.coeffs:
-            a = -co if c.sense == ">=" else co
+    for k, (s, e, sense, r) in enumerate(zip(starts, starts[1:], model.senses, model.rhs)):
+        ge = sense == ">="
+        rhs.append(-r if ge else r)
+        lo = 0.0
+        for i, co in zip(cols[s:e], vals[s:e]):
+            a = -co if ge else co
             if a > 0:
                 moves[i][1].append((k, a))
             elif a < 0:
-                low[k] += a
+                lo += a
                 moves[i][0].append((k, -a))
+        low.append(lo)
     if any(lo > r for lo, r in zip(low, rhs)):
         return IpAssignment("infeasible", {}, None)
 
@@ -244,6 +320,7 @@ def _solve_for_tags(model: IpModel, limits: Optional[Limits]):
 # LP text emission
 
 _NAME_RE = re.compile(r"[^A-Za-z0-9_]")
+_NUMBER_START = frozenset("0123456789eE")  # a name starting so gets a "v_" prefix
 
 
 def _unique(names) -> list:
@@ -261,23 +338,54 @@ def _unique(names) -> list:
     return list(taken)
 
 
-class _Signed(dict):
-    """Coefficient -> the signed text written before a variable's name:
-    ``"+ "``, ``"- "``, ``"+ 2.5 "``; each distinct coefficient is worked
-    out once per model."""
+class _Texts(dict):
+    """Value -> ``text(value)``, each distinct value worked out once. Keys
+    are values, so equal values must print alike, as equal ints, floats
+    and bools do under ``format_number``."""
 
-    def __missing__(self, co) -> str:
-        mag = abs(co)
-        text = self[co] = ("+ " if co > 0 else "- ") + ("" if mag == 1 else f"{format_number(mag)} ")
+    def __init__(self, text):
+        super().__init__()
+        self.text = text
+
+    def __missing__(self, value) -> str:
+        text = self[value] = self.text(value)
         return text
 
 
-def _expr(terms, names, signed: _Signed, constant: float = 0.0) -> str:
-    pieces = [signed[co] + names[i] for i, co in terms if co]
-    if constant:  # one more signed piece, without a name
-        pieces.append(("+ " if constant > 0 else "- ") + format_number(abs(constant)))
-    text = " ".join(pieces)
-    return text[2:] if text.startswith("+ ") else text or "0"
+def _signed(co) -> str:
+    """The text written before a variable's name: ``"+ "``, ``"- "``,
+    ``"+ 2.5 "``."""
+    mag = abs(co)
+    return ("+ " if co > 0 else "- ") + ("" if mag == 1 else f"{format_number(mag)} ")
+
+
+def _sanitized(raw: list) -> list:
+    """``raw`` with every character outside ``[A-Za-z0-9_]`` replaced by
+    ``_``; ``raw`` itself when there is none."""
+    if _NAME_RE.search("".join(raw)):
+        return [_NAME_RE.sub("_", name) for name in raw]
+    return raw
+
+
+def _terms(cols, vals, names: list, signed: _Texts) -> list:
+    """Each term's text, ``"+ x"`` or ``"- 2.5 y"``, signed and named in one
+    pass over ``vals`` and ``cols``; ``""`` for a zero coefficient, which
+    is left out."""
+    terms = list(map(add, map(signed.__getitem__, vals), map(names.__getitem__, cols)))
+    if not all(vals):
+        for k in compress(count(), map(not_, vals)):
+            terms[k] = ""
+    return terms
+
+
+def _row_exprs(model: IpModel, names: list, signed: _Texts) -> list:
+    """Each row's terms as LP text, a join of its slice of ``_terms``."""
+    starts, vals = model.starts, model.vals
+    terms = _terms(model.cols, vals, names, signed)
+    bounds = zip(starts, starts[1:])
+    if all(vals):
+        return [" ".join(terms[s:e]).removeprefix("+ ") or "0" for s, e in bounds]
+    return [" ".join(filter(None, terms[s:e])).removeprefix("+ ") or "0" for s, e in bounds]
 
 
 def emit_lp(model: IpModel) -> str:
@@ -288,24 +396,30 @@ def emit_lp(model: IpModel) -> str:
     and ``c`` for an empty label, then made unique by ``_unique``.
 
     The model is validated first. Each distinct coefficient's signed text
-    is made once (``_Signed``), so equal coefficients must print alike, as
-    equal ints, floats and bools do."""
+    and each distinct right-hand side's text is made once (``_Texts``)."""
     model.validate()
-    raw = [v.name for v in model.variables]
-    if _NAME_RE.search("".join(raw)):
-        raw = [_NAME_RE.sub("_", name) for name in raw]
-    names = _unique(["v_" + name if not name or name[0] in "0123456789eE" else name
-                     for name in raw])
-    labels = _unique([_NAME_RE.sub("_", c.label) or "c" for c in model.constraints])
-    signed = _Signed()
+    raw = _sanitized(list(map(itemgetter(0), model.variables)))
+    if "" in raw or not _NUMBER_START.isdisjoint(map(itemgetter(0), raw)):
+        raw = ["v_" + name if not name or name[0] in _NUMBER_START else name for name in raw]
+    names = _unique(raw)
+    labels = _sanitized(model.labels)
+    if "" in labels:
+        labels = [label or "c" for label in labels]
+    labels = _unique(labels)
+    signed = _Texts(_signed)
     lines = ["\\ binary integer program"]
     lines.append("Maximize" if model.sense == "max" else "Minimize")
-    obj_terms = sorted(model.objective.items())
-    lines.append(" obj: " + _expr(obj_terms, names, signed, model.constant))
+    keys = sorted(model.objective)
+    terms = _terms(keys, list(map(model.objective.__getitem__, keys)), names, signed)
+    constant = model.constant
+    if constant:  # one more signed piece, without a name
+        terms.append(("+ " if constant > 0 else "- ") + format_number(abs(constant)))
+    lines.append(" obj: " + (" ".join(filter(None, terms)).removeprefix("+ ") or "0"))
     lines.append("Subject To")
-    for label, c in zip(labels, model.constraints):
-        lines.append(f" {label}: {_expr(c.coeffs, names, signed)} {c.sense} {format_number(c.rhs)}")
+    lines += map(" {}: {} {} {}".format, labels, _row_exprs(model, names, signed), model.senses,
+                 map(_Texts(format_number).__getitem__, model.rhs))
     lines.append("Binary")
-    lines += [" " + name for name in names]
+    if names:
+        lines.append(" " + "\n ".join(names))
     lines.append("End")
     return "\n".join(lines) + "\n"

@@ -309,7 +309,8 @@ def _parse_document(text: str):
                   optional=("benefit",))
     if doc["format"] != FORMAT_NAME:
         raise ParseError("format", f"unknown format {doc['format']!r}", "$.format")
-    version = doc["version"]
+    # typed first: ``true`` and ``2.0`` equal a version number but are not one
+    version = _expect(doc["version"], int, "$.version", "the version")
     if version not in VERSIONS:
         raise ParseError("version", f"unsupported version {version!r}", "$.version")
 

@@ -109,6 +109,23 @@ def test_non_finite_numbers_exit_2(tmp_path, field, literal, code):
         assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("literal", ["true", "2.0"])
+def test_solve_refuses_a_version_that_is_not_an_integer_exit_2(tmp_path, literal):
+    doc = {
+        "format": "gop-instance", "version": "VERSION",
+        "map": {"M": 0, "N": 0}, "predicates": ["g"], "state": [],
+        "actions": [], "cost": {"default": 0.5, "rules": [], "overrides": []},
+        "ics": [],
+        "problem": {"type": "gbgop", "budget": 1.0, "theta_in": [], "theta_out": []},
+    }
+    path = tmp_path / "version.json"
+    path.write_text(json.dumps(doc).replace('"VERSION"', literal))
+    result = run_cli(["solve", str(path)])
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error[type]: $.version: ")
+    assert "Traceback" not in result.stderr
+
+
 @pytest.mark.parametrize("kind", sorted(DUPLICATES))
 def test_duplicate_entries_exit_2(tmp_path, kind):
     text, path = DUPLICATES[kind]

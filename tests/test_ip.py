@@ -17,10 +17,11 @@ def exhaustive_optimum(model):
     over all 2^n assignments, each row summed left to right; None when
     infeasible."""
     n = len(model.variables)
+    rows = model.constraints
     best = None
     for bits in itertools.product((0, 1), repeat=n):  # lexicographic order
         ok = True
-        for c in model.constraints:
+        for c in rows:
             lhs = sum(co * bits[i] for i, co in c.coeffs)
             if c.sense == "<=" and lhs > c.rhs:
                 ok = False
@@ -228,6 +229,71 @@ def test_validate_rejects_bad_models():
         model3.validate()
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+def _faulty_model(sense="max", names=("x", "y"), objective=(), rows=()):
+    model = IpModel(sense=sense)
+    for name in names:
+        model.add_variable(name)
+    model.objective.update(objective)
+    for coeffs, row_sense, label in rows:
+        model.add_constraint(coeffs, row_sense, 1.0, label)
+    return model
+
+
+# (model, InstanceError code and message), as the item-by-item validate
+# reported them before its whole-array checks were put in front of it
+VALIDATE_FAULTS = {
+    "objective-sense": (_faulty_model(sense="sideways", names=("x", "x")),
+                        "ip-sense", "unknown objective sense 'sideways'"),
+    "duplicate-name": (_faulty_model(names=("x", "y", "x", "y")),
+                       "ip-duplicate-variable", "duplicate variable 'x'"),
+    "objective-index-negative": (_faulty_model(objective={0: 1.0, -1: 2.0}),
+                                 "ip-bad-variable", "objective references variable -1"),
+    "objective-index-n": (_faulty_model(objective={2: 1.0, 0: 1.0}),
+                          "ip-bad-variable", "objective references variable 2"),
+    # min and max both skip a NaN between in-range keys
+    "objective-index-nan": (_faulty_model(objective={0: 1.0, NAN: 1.0, 1: 1.0}),
+                            "ip-bad-variable", "objective references variable nan"),
+    "row-sense": (_faulty_model(rows=[({0: 1.0}, "<=", "a"), ({1: 1.0}, "==", "b")]),
+                  "ip-bad-sense", "constraint 'b': sense '=='"),
+    "row-index-negative": (_faulty_model(rows=[({0: 1.0}, "<=", "a"),
+                                               ([(-1, 1.0), (0, 1.0)], ">=", "b")]),
+                           "ip-bad-variable", "constraint 'b' references variable -1"),
+    "row-index-n": (_faulty_model(rows=[([(0, 1.0), (2, 1.0)], "<=", "a")]),
+                    "ip-bad-variable", "constraint 'a' references variable 2"),
+    "row-index-inf": (_faulty_model(rows=[([(0, 1.0), (INF, 1.0)], "<=", "a")]),
+                      "ip-bad-variable", "constraint 'a' references variable inf"),
+    "row-index-nan": (_faulty_model(rows=[([(0, 1.0), (NAN, 1.0), (1, 1.0)], "<=", "a")]),
+                      "ip-bad-variable", "constraint 'a' references variable nan"),
+    # two or more faults: the first in the loop's order is named
+    "duplicate-before-objective": (_faulty_model(names=("x", "x"), objective={5: 1.0}),
+                                   "ip-duplicate-variable", "duplicate variable 'x'"),
+    "objective-before-row": (_faulty_model(objective={-1: 1.0}, rows=[({0: 1.0}, "=", "a")]),
+                             "ip-bad-variable", "objective references variable -1"),
+    "row-index-before-later-sense": (_faulty_model(rows=[({2: 1.0}, "<=", "a"),
+                                                         ({0: 1.0}, "=<", "b")]),
+                                     "ip-bad-variable", "constraint 'a' references variable 2"),
+    "row-sense-before-later-index": (_faulty_model(rows=[({0: 1.0}, "=<", "a"),
+                                                         ({2: 1.0}, "<=", "b")]),
+                                     "ip-bad-sense", "constraint 'a': sense '=<'"),
+    "row-sense-before-own-index": (_faulty_model(rows=[({7: 1.0}, "", "a")]),
+                                   "ip-bad-sense", "constraint 'a': sense ''"),
+    "first-bad-term-of-a-row": (_faulty_model(rows=[([(0, 1.0), (3, 1.0), (-2, 1.0)], ">=", "a")]),
+                                "ip-bad-variable", "constraint 'a' references variable 3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALIDATE_FAULTS))
+def test_validate_names_the_first_fault(case):
+    model, code, message = VALIDATE_FAULTS[case]
+    for check in (model.validate, lambda: emit_lp(model), lambda: solve_branch_and_bound(model)):
+        with pytest.raises(InstanceError) as err:
+            check()
+        assert (err.value.code, err.value.message) == (code, message)
+
+
 EMPTY_LP = """\\ binary integer program
 Minimize
  obj: 0
@@ -417,3 +483,75 @@ def test_emit_lp_equals_the_reference_on_the_paper_programs():
     for model in (build_bmgop_ip(campaign.bmgop), build_gbgop_ip(campaign.gbgop),
                   build_gbgop_ip(campaign.gbgop, use_reduction=True)):
         assert emit_lp(model) == reference_emit_lp(model)
+
+
+# coefficients and right-hand sides that every order of summing adds up
+# exactly (dyadic), so the search and the enumeration agree to the bit:
+# zeros of every kind, ones of every type, fractions and negatives
+ROW_VALUES = (0, -0.0, 0.0, False, 1, True, 1.0, -1, -1.0, 2, 0.5, -0.25, -2.75, 3)
+
+
+def random_row_model(rng, values, n_max=10):
+    """A model whose rows come from a random mix of ``add_rows`` families
+    (unit or given coefficients, empty rows and empty families) and
+    ``add_constraint`` rows (list and dict forms); also the rows it was
+    given, as (label, sense, rhs, coeffs) in order."""
+    model = IpModel(sense=rng.choice(("min", "max")), constant=rng.choice(values))
+    n = rng.randint(0, n_max)
+    for name in rng.sample(LP_NAMES, n):
+        model.add_variable(name)
+    for i in rng.sample(range(n), rng.randint(0, n)):
+        model.objective[i] = rng.choice(values)
+    given = []
+    for _ in range(rng.randint(0, 5)):
+        sense, rhs = rng.choice(("<=", ">=")), rng.choice(values)
+        if rng.random() < 0.6:
+            rows = [sorted(rng.sample(range(n), rng.randint(0, n))) for _ in range(rng.randint(0, 4))]
+            labels = [rng.choice(LP_NAMES) for _ in rows]
+            if rng.random() < 0.4:
+                model.add_rows(labels, sense, rhs, rows)
+                coeffs = [[1.0] * len(row) for row in rows]
+            else:
+                coeffs = [[rng.choice(values) for _ in row] for row in rows]
+                model.add_rows(labels, sense, rhs, rows, coeffs)
+            given += [(label, sense, rhs, tuple(zip(row, co)))
+                      for label, row, co in zip(labels, rows, coeffs)]
+        else:
+            terms = [(i, rng.choice(values)) for i in sorted(rng.sample(range(n), rng.randint(0, n)))]
+            label = rng.choice(LP_NAMES)
+            model.add_constraint(dict(terms) if rng.random() < 0.5 else terms, sense, rhs, label)
+            given.append((label, sense, rhs, tuple(terms)))
+    return model, given
+
+
+def test_flat_rows_give_back_what_was_added():
+    rng = random.Random(7)
+    for _ in range(500):
+        model, given = random_row_model(rng, LP_VALUES)
+        got = [(c.label, c.sense, c.rhs, c.coeffs) for c in model.constraints]
+        assert repr(got) == repr(given)
+        assert model.starts[-1] == len(model.cols) == len(model.vals)
+
+
+def test_flat_rows_emit_the_reference_text_and_solve_like_enumeration():
+    rng = random.Random(11)
+    for _ in range(400):
+        model, _ = random_row_model(rng, LP_VALUES, n_max=12)
+        assert emit_lp(model) == reference_emit_lp(model)
+    for _ in range(300):
+        model, _ = random_row_model(rng, ROW_VALUES)
+        assert emit_lp(model) == reference_emit_lp(model)
+        assert_matches_exhaustive(model)
+
+
+def test_add_rows_refuses_mismatched_lengths_and_leaves_the_model_alone():
+    model = IpModel(sense="max")
+    for name in "xyz":
+        model.add_variable(name)
+    model.add_rows(["a"], "<=", 1.0, [[0, 2]])
+    before = repr(model)
+    for labels, rows, coeffs in ((["b"], [[0], [1]], None), (["b", "c"], [[0]], None),
+                                 (["b"], [[0, 1]], [[1.0]]), (["b"], [[0]], [[1.0], [2.0]])):
+        with pytest.raises(ValueError):
+            model.add_rows(labels, ">=", 0.0, rows, coeffs)
+        assert repr(model) == before

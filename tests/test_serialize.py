@@ -92,6 +92,13 @@ def test_rejects_version_and_format_mismatch():
     assert err.value.code == "format"
 
 
+@pytest.mark.parametrize("version", [True, 2.0, 1.0, "2"])
+def test_a_version_that_only_equals_a_version_number_is_a_type_error(version):
+    with pytest.raises(ParseError) as err:
+        parse_instance(_doc(version=version))
+    assert (err.value.code, err.value.path) == ("type", "$.version")
+
+
 def test_rejects_out_of_range_cost_with_code():
     doc = _doc(cost={"default": 1.5, "rules": [], "overrides": []})
     with pytest.raises(InstanceError) as err:
