@@ -28,22 +28,21 @@ is the metric ball around ``p`` AND the target-guard mask (gated by bit
 effect predicate's block of atom indices. Atom and pair indices are
 arithmetic (block offset + ``y * (M + 1) + x``), so grounding keeps no
 per-atom or per-pair object tables: atoms and pairs are made only for the
-indices a caller asks about, and the full lists only on first use. Three
-indexers, side by side here so the index formula lives in one module,
-turn (name, point) items into those indices. ``item_indices`` is lenient
-and goes item by item, for items built in code: validation
-(``check_atoms``) and grounding's lookups and override tables. Each item
-is indexed once per set it is in; of several bad items, the least by
-``repr`` is named. ``strict_indices`` (the initial state) and
-``table_rows`` (an explicit effect table) are strict and go list by
-list, for the parser of version-1 documents: each reads its list in one
-pass, or gives up so the parser can name the error (version-2 documents
-carry the indices themselves, range-checked by the parser). What they
-read is kept as atom indices in a read-only view, an ``AtomSet`` or an
-``EffectTable``, that validation skips and grounding reads bit by bit. The set-based functions
-(``satisfies``, ``action_effects``, ``appl``, ``cost_of``, ``benefit_of``,
-``ground_ics_for_state``, ``check_ics``) are reference semantics only: no
-solver calls them, and the tests hold the tables and solvers equal to them.
+indices a caller asks about, and the full lists only on first use. One
+indexer, ``item_indices``, kept here so the index formula lives in one
+module, turns (name, point) items into those indices item by item:
+validation (``check_atoms``) and grounding's lookups and override tables.
+Each item is indexed once per set it is in; of several bad items, the
+least by ``repr`` is named. Every ``Problem`` keeps its initial state as
+atom indices in a read-only ``AtomSet`` of its own map and predicates,
+taken as it is or indexed once by validation's pass. An explicit effect
+table read from a document is kept as atom indices in an ``EffectTable``
+(version-2 documents carry the indices, range-checked by the parser),
+which validation skips and grounding reads bit by bit. The set-based
+functions (``satisfies``, ``action_effects``, ``appl``, ``cost_of``,
+``benefit_of``, ``ground_ics_for_state``, ``check_ics``) are reference
+semantics only: no solver calls them, and the tests hold the tables and
+solvers equal to them.
 """
 
 import math
@@ -493,57 +492,6 @@ def item_indices(items: Iterable, offsets: Mapping[str, int], grid: GridMap, err
     return out
 
 
-def strict_indices(items: Iterable, offsets: Mapping[str, int],
-                   grid: GridMap) -> Optional[frozenset]:
-    """The frozenset of canonical indices of a document's ``[[name, [x,
-    y]], ...]`` list (its initial state), indexed as ``item_indices`` does,
-    in one pass. Strict: a coordinate must be an in-range ``int``. None at
-    the first item that is not a well-formed item of a known name; the
-    caller then reads the list item by item, which names the error."""
-    last_x, last_y = grid.width_bound, grid.height_bound
-    width = last_x + 1
-    out = []
-    try:
-        for name, (x, y) in items:
-            if not (type(x) is int and type(y) is int and 0 <= x <= last_x and 0 <= y <= last_y):
-                return None
-            out.append(offsets[name] + y * width + x)
-    except (KeyError, TypeError, ValueError):
-        return None
-    return frozenset(out)
-
-
-def table_rows(entries: Iterable, offsets: Mapping[str, int], grid: GridMap) -> Optional[dict]:
-    """An explicit effect table of ``[[x, y], [[name, [x, y]], ...]]``
-    entries, as read from a document, in one pass: {point index: [atom
-    index, ...]}, indexed as ``item_indices`` does with ``offsets``. This
-    is the strict indexer, for documents, whose coordinates are integers:
-    it takes a coordinate only if it is an in-range ``int``. None at the
-    first entry that is not such a well-formed entry of a known name, or
-    whose point repeats an earlier one; the caller then reads the table
-    entry by entry, which names what is wrong."""
-    last_x, last_y = grid.width_bound, grid.height_bound
-    width = last_x + 1
-    rows = {}
-    try:
-        for (x, y), atoms in entries:
-            if not (type(x) is int and type(y) is int and 0 <= x <= last_x and 0 <= y <= last_y
-                    and type(atoms) is list):
-                return None
-            i = y * width + x
-            if i in rows:
-                return None
-            row = rows[i] = []
-            for name, (x, y) in atoms:
-                if not (type(x) is int and type(y) is int and 0 <= x <= last_x
-                        and 0 <= y <= last_y):
-                    return None
-                row.append(offsets[name] + y * width + x)
-    except (KeyError, TypeError, ValueError):
-        return None
-    return rows
-
-
 def _block_point(grid: GridMap, i: int) -> tuple:
     """(block, point) of canonical atom or pair index ``i`` on ``grid``:
     which predicate's or action's block it is in, and where."""
@@ -582,8 +530,7 @@ class EffectTable(Mapping):
 
     @classmethod
     def _read(cls, grid: GridMap, predicates: tuple, rows: dict) -> "EffectTable":
-        """The table of rows a document reader checked: ``table_rows``, or
-        the version-2 reader's range checks."""
+        """The table of rows the version-2 reader has range-checked."""
         table = object.__new__(cls)
         table.grid, table.predicates, table.rows = grid, predicates, rows
         return table
@@ -625,10 +572,10 @@ class AtomSet(Set):
     on ``grid`` and ``predicates``, numbered as in ``EffectTable``.
     Membership is index arithmetic; iteration builds atoms in index order.
     It equals and hashes as the frozenset of its atoms, and set operations
-    with frozensets give frozensets. An instance on the same grid and
-    predicates validates and grounds it from the indices alone
-    (``_own_atoms``). The constructor range-checks ``indices``; ``_read``,
-    for indices already checked, does not."""
+    with frozensets give frozensets. It is the form of every ``Problem``'s
+    initial state, which an instance on the same grid and predicates keeps
+    as it is (``_own_atoms``). The constructor range-checks ``indices``;
+    ``_read``, for indices already checked, does not."""
 
     __slots__ = ("grid", "predicates", "indices")
 
@@ -686,28 +633,30 @@ def _own_atoms(atoms: Set, grid: GridMap, predicates: Sequence[str]) -> Optional
 
 
 def check_atoms(items, offsets: Mapping[str, int], grid: GridMap, where: str,
-                code: str = "unknown-predicate") -> None:
-    """Raise InstanceError unless every (name, point) item, atom or pair,
-    has a name in ``offsets`` and a point on ``grid``: an unknown name
-    raises ``code`` ("unknown-predicate" or "unknown-action"), a point off
-    the map "point-bounds". One pass through ``item_indices``, which names
-    the least bad item."""
+                code: str = "unknown-predicate") -> list:
+    """The canonical index of each (name, point) item, atom or pair, in
+    order; raise InstanceError unless every item has a name in ``offsets``
+    and a point on ``grid``: an unknown name raises ``code``
+    ("unknown-predicate" or "unknown-action"), a point off the map
+    "point-bounds". One pass through ``item_indices``, which names the
+    least bad item."""
     def error(item):
         name, point = item
         if name not in offsets:
             return InstanceError(code, f"{where}: {code.replace('-', ' ')} {name!r}")
         return InstanceError("point-bounds", f"{where}: point {point} outside the map")
 
-    item_indices(items, offsets, grid, error)
+    return item_indices(items, offsets, grid, error)
 
 
-def validate_instance_parts(problem: "Problem") -> None:
+def validate_instance_parts(problem: "Problem") -> Optional[list]:
     """Cross-checks between the parts of ``problem``; raises InstanceError.
 
     Atom and pair sets are checked item by item by ``check_atoms`` (an
     action's effect sets entry by entry), except an initial state or
     effect table of this instance's own indices (``_own_atoms``,
-    ``_own_rows``)."""
+    ``_own_rows``). Returns the initial state's atom indices when it had
+    to check them, else None."""
     grid, predicates, actions = problem.grid, problem.predicates, problem.actions
     cost_model, benefit_model = problem.cost_model, getattr(problem, "benefit_model", None)
     seen = set()
@@ -724,8 +673,9 @@ def validate_instance_parts(problem: "Problem") -> None:
             if leaf.point is not None and grid.point_index(leaf.point) is None:
                 raise InstanceError("point-bounds", f"{where}: point {leaf.point} outside the map")
 
+    s0_indices = None
     if _own_atoms(problem.s0, grid, predicates) is None:
-        check_atoms(problem.s0, known, grid, "initial state")
+        s0_indices = check_atoms(problem.s0, known, grid, "initial state")
 
     action_offsets = block_offsets([rule.name for rule in actions], grid)
     action_names = set()
@@ -762,6 +712,7 @@ def validate_instance_parts(problem: "Problem") -> None:
     for i, ic in enumerate(problem.ics):
         check_atoms(ic.pairs, action_offsets, grid, f"integrity constraint {i}", "unknown-action")
         check_formula(ic.condition, f"integrity constraint {i}")  # ground: see IntegrityConstraint
+    return s0_indices
 
 
 def _point_mask(formula: Formula, s0_mask: int, offsets: Mapping[str, int], grid: GridMap,
@@ -905,9 +856,9 @@ class Grounding:
     ``atom_names``/``pair_names`` make the integer programs' names from the
     indices alone, ``atoms_to_mask`` and ``pairs_to_indices`` index their
     inputs with ``item_indices``, and the full ``atoms``/``pairs`` lists are
-    built on first use, for the callers that need every one of them. An
-    initial state of this instance's own indices (an ``AtomSet``) gives
-    ``s0_mask`` from them, and solutions a final ``AtomSet``.
+    built on first use, for the callers that need every one of them. The
+    initial state's indices (the Problem's ``AtomSet``) give ``s0_mask``,
+    and each solution's final state is an ``AtomSet`` too.
 
     Effects and costs are derived with mask algebra, never per pair:
 
@@ -948,8 +899,7 @@ class Grounding:
         self._atoms = self._pairs = None  # built on first use
 
         self.s0 = problem.s0
-        indices = _own_atoms(self.s0, grid, self.predicates)
-        self.s0_mask = self.atoms_to_mask(self.s0) if indices is None else _mask(indices)
+        self.s0_mask = _mask(self.s0.indices)
         full = (1 << n_points) - 1
 
         def where(formula: Formula) -> int:
@@ -1218,21 +1168,15 @@ class Grounding:
 
     def _selection(self, indices) -> Solution:
         """The solution of the selected pair indices. Its final state is the
-        initial one plus the bits the pairs add (an AtomSet when the initial
-        state is one; else atoms are made only for the added bits); its
-        benefit is filled in when this grounding has benefits."""
+        initial one plus the bits the pairs add, an AtomSet; its benefit is
+        filled in when this grounding has benefits."""
         indices = sorted(indices)
         final_mask = self.s0_mask | self.union_effects(indices)
         added = final_mask & ~self.s0_mask
-        s0_indices = _own_atoms(self.s0, self.grid, self.predicates)
-        if s0_indices is None:
-            final_state = self.s0.union(self.mask_atoms(added))
-        else:
-            final_state = AtomSet._read(self.grid, self.predicates,
-                                        s0_indices.union(iter_bits(added)))
         return Solution(pairs=frozenset(map(self.pair_at, indices)),
                         total_cost=self.cost_sum(indices), cardinality=len(indices),
-                        final_state=final_state,
+                        final_state=AtomSet._read(self.grid, self.predicates,
+                                                  self.s0.indices.union(iter_bits(added))),
                         achieved_benefit=None if self.benefits is None
                         else self.benefit_sum(final_mask))
 
@@ -1244,8 +1188,9 @@ class Problem:
     ``Grounding`` built on first use. Subclasses add their objective's
     fields and checks after calling ``__post_init__``; a flavour's benefit
     table, its ``benefit_model``, is validated and grounded here too.
-    ``s0`` is kept as it is when it is an AtomSet of this grid and these
-    predicates, and made a frozenset otherwise."""
+    ``s0`` is an AtomSet of this grid and these predicates: one given is
+    kept as it is, and any other state is kept as the indices that
+    validation reads it into."""
 
     grid: GridMap
     predicates: tuple
@@ -1257,11 +1202,11 @@ class Problem:
 
     def __post_init__(self):
         self.predicates = tuple(self.predicates)
-        if _own_atoms(self.s0, self.grid, self.predicates) is None:
-            self.s0 = frozenset(self.s0)
         self.actions = tuple(self.actions)
         self.ics = tuple(self.ics)
-        validate_instance_parts(self)
+        s0_indices = validate_instance_parts(self)
+        if s0_indices is not None:
+            self.s0 = AtomSet._read(self.grid, self.predicates, frozenset(s0_indices))
         if not (0 <= self.budget < math.inf):
             raise InstanceError("budget-range", "budget must be a finite non-negative number")
 

@@ -199,7 +199,8 @@ def gen_random(*, seed: int, width: int = 1, height: int = 1, predicates: int = 
 
     # Bias goal atoms toward producible ones so a good share of instances
     # are feasible; leave some arbitrary picks to exercise infeasibility.
-    g = Problem(grid, pred_names, s0, rules, cost_model, ic_tuple, budget=0.0).grounding
+    parts = Problem(grid, pred_names, s0, rules, cost_model, ic_tuple, budget=0.0)
+    g = parts.grounding
     producible = g.mask_atoms(g.union_effects(range(g.n_pairs)))
     all_atoms = [GroundAtom(pred, p) for pred in pred_names for p in points]
     theta_in = set()
@@ -211,7 +212,8 @@ def gen_random(*, seed: int, width: int = 1, height: int = 1, predicates: int = 
         candidate = rng.choice(all_atoms)
         if candidate not in theta_in and candidate not in s0:
             theta_out.add(candidate)
-    inst = GbgopInstance(grid=grid, predicates=pred_names, s0=s0, actions=rules,
+    # the state is already indexed, so the instance keeps it as it is
+    inst = GbgopInstance(grid=grid, predicates=pred_names, s0=parts.s0, actions=rules,
                          cost_model=cost_model, ics=ic_tuple,
                          budget=rng.choice((1.0, 1.5, 2.0, 3.0, 4.0)),
                          theta_in=frozenset(theta_in), theta_out=frozenset(theta_out))

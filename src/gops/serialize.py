@@ -21,16 +21,11 @@ only in the initial state and the ``explicit`` effect tables:
   set of items, an override table of [item, value] entries. A well-formed
   point or item passes one inline shape check; only a malformed one goes
   through the step-by-step checks that name its error, and only then is
-  its path built. The initial state is read in one pass by
-  ``core.strict_indices`` and each explicit effect table by
-  ``core.table_rows``: when every item is well formed, with integer
-  coordinates on the map and only the document's predicates (and, in a
-  table, no point repeats), the state becomes a ``core.AtomSet`` and the
-  table a ``core.EffectTable``, with no ``GroundAtom`` made. A strict
-  indexer gives up at the first item that does not fit (a ``true`` or
-  ``1.0`` coordinate among them, which Python callers may use but the
-  format does not), and the list is then parsed item by item as objects,
-  so its errors keep their codes, paths and order.
+  its path built. The initial state and each explicit effect table are
+  read this way, as ``GroundAtom`` objects, and the instance indexes the
+  state once as it validates it, so version 1 reads several times slower
+  than version 2. ``serialize_instance(parse_instance(text))`` rewrites a
+  version-1 document at version 2.
 
 Every other section is the same in both versions. Serialization is
 canonical (fixed key order, atoms and pairs in one canonical order,
@@ -48,8 +43,7 @@ from .bmgop import BmgopInstance
 from .core import (ActionPointPair, ActionRule, AndFormula, AtomFormula, AtomSet,
                    BenefitModel, CostModel, EffectTable, Formula, GridMap, GroundAtom,
                    IntegrityConstraint, NotFormula, OrFormula, Point, TRUE,
-                   TrueFormula, _own_atoms, _own_rows, block_offsets, item_indices,
-                   strict_indices, table_rows)
+                   TrueFormula, _own_rows, block_offsets, item_indices)
 from .errors import ParseError
 from .gbgop import GbgopInstance
 
@@ -182,12 +176,9 @@ def _parse_formula(value, path) -> Formula:
     raise ParseError("bad-formula", f"unknown formula kind {key!r}", path)
 
 
-def _v1_table(entries, path, grid: GridMap, predicates: tuple, offsets: Optional[dict]):
-    """A version-1 ``explicit`` table: an EffectTable when ``table_rows``
-    takes it, else a dict of frozensets read entry by entry."""
-    rows = None if offsets is None else table_rows(entries, offsets, grid)
-    if rows is not None:
-        return EffectTable._read(grid, predicates, rows)
+def _v1_table(entries, path) -> dict:
+    """A version-1 ``explicit`` table: a dict of frozensets, read entry by
+    entry."""
     table = {}
     for i, entry in enumerate(entries):
         entry_path = f"{path}[{i}]"
@@ -330,17 +321,8 @@ def _parse_document(text: str):
         def read_table(entries, path):
             return _v2_table(entries, path, grid, predicates)
     else:
-        # where each predicate's atom indices start; with a repeated name
-        # there are no such indices, and validation reports the repeat
-        offsets = block_offsets(predicates, grid)
-        if len(offsets) < len(predicates):
-            offsets = None
-        indices = None if offsets is None else strict_indices(state, offsets, grid)
-        s0 = _parse_set(GroundAtom, state, "$.state", "the state") if indices is None \
-            else AtomSet._read(grid, predicates, indices)
-
-        def read_table(entries, path):
-            return _v1_table(entries, path, grid, predicates, offsets)
+        s0 = _parse_set(GroundAtom, state, "$.state", "the state")
+        read_table = _v1_table
     actions = tuple(_parse_action(a, f"$.actions[{i}]", read_table)
                     for i, a in enumerate(_expect(doc["actions"], list, "$.actions",
                                                   "the action list")))
@@ -481,13 +463,12 @@ def instance_to_json(inst, version: int = FORMAT_VERSION) -> dict:
     pair_key = _item_key(grid, [rule.name for rule in inst.actions])
     if version == 2:
         offsets = block_offsets(predicates, grid)
-        indices = _own_atoms(inst.s0, grid, predicates)
-        state = sorted(_atom_indices(inst.s0, offsets, grid) if indices is None else indices)
+        state = sorted(inst.s0.indices)
 
         def explicit(table):
             return _v2_explicit(table, grid, predicates, offsets)
     elif version == 1:
-        state = [_item_json(a) for a in sorted(inst.s0, key=atom_key)]
+        state = [_item_json(a) for a in inst.s0]  # an AtomSet: canonical order
 
         def explicit(table):
             return [[_point_json(p), [_item_json(a) for a in sorted(atoms, key=atom_key)]]

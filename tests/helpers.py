@@ -81,8 +81,10 @@ def random_formula(rng, atoms, depth):
 def reference_grounding(grid, predicates, s0, actions, cost_model, ics,
                         benefit_model=None):
     """The tables ``Grounding`` builds, computed pair by pair with
-    ``action_effects``, ``cost_of``, ``benefit_of`` and ``satisfies``.
+    ``action_effects``, ``cost_of``, ``benefit_of`` and ``satisfies``,
+    on ``s0`` as a plain frozenset, never on the runtime ``AtomSet``.
     Returns a dict keyed by the ``Grounding`` attribute names."""
+    s0 = frozenset(s0)
     points = grid.points()
     atoms = [GroundAtom(pred, p) for pred in predicates for p in points]
     atom_index = {a: i for i, a in enumerate(atoms)}
@@ -129,7 +131,7 @@ def quadratic_r_star(inst):
     def to_mask(atom_set):
         return sum(1 << i for i, a in enumerate(atoms) if a in atom_set)
 
-    needed = to_mask(inst.theta_in - inst.s0)
+    needed = to_mask(inst.theta_in - frozenset(inst.s0))
     out_mask = to_mask(inst.theta_out)
     r_indices = [i for i, eff in enumerate(ref["effects"]) if not eff & out_mask]
     costs = ref["costs"]
@@ -160,14 +162,15 @@ def quadratic_r_star(inst):
 
 def gbgop_conditions_hold(inst, pairs):
     pairs = frozenset(pairs)
-    total = sum(cost_of(p, inst.s0, inst.cost_model) for p in sorted(pairs))
+    s0 = frozenset(inst.s0)
+    total = sum(cost_of(p, s0, inst.cost_model) for p in sorted(pairs))
     if total > inst.budget:
         return False
     for ic in inst.ics:
         from gops import satisfies
-        if satisfies(inst.s0, ic.condition) and len(ic.pairs & pairs) > 1:
+        if satisfies(s0, ic.condition) and len(ic.pairs & pairs) > 1:
             return False
-    final = appl(pairs, inst.s0, inst.grid, inst.actions, s0=inst.s0)
+    final = appl(pairs, s0, inst.grid, inst.actions, s0=s0)
     if not inst.theta_in <= final:
         return False
     if inst.theta_out & final:
@@ -187,7 +190,8 @@ def brute_min_gbgop(inst, candidates):
 
 
 def bmgop_benefit(inst, pairs):
-    final = appl(frozenset(pairs), inst.s0, inst.grid, inst.actions, s0=inst.s0)
+    s0 = frozenset(inst.s0)
+    final = appl(frozenset(pairs), s0, inst.grid, inst.actions, s0=s0)
     key = lambda a: (inst.predicates.index(a.predicate), inst.grid.point_index(a.point))
     return sum(benefit_of(a, inst.benefit_model) for a in sorted(final, key=key))
 
@@ -196,11 +200,12 @@ def bmgop_feasible(inst, pairs):
     pairs = frozenset(pairs)
     if len(pairs) > inst.k:
         return False
-    if sum(cost_of(p, inst.s0, inst.cost_model) for p in sorted(pairs)) > inst.budget:
+    s0 = frozenset(inst.s0)
+    if sum(cost_of(p, s0, inst.cost_model) for p in sorted(pairs)) > inst.budget:
         return False
     from gops import satisfies
     for ic in inst.ics:
-        if satisfies(inst.s0, ic.condition) and len(ic.pairs & pairs) > 1:
+        if satisfies(s0, ic.condition) and len(ic.pairs & pairs) > 1:
             return False
     return True
 

@@ -332,15 +332,16 @@ def replay_trace(inst, trace):
     picks alone; all values must agree to 1e-9."""
     from gops import cost_of, satisfies
     k, c, lam, delta = inst.k, inst.budget, trace.lam, trace.delta
+    s0 = frozenset(inst.s0)
     w1, w2 = 1.0 / k, 1.0 / c
-    active = [ic for ic in inst.ics if satisfies(inst.s0, ic.condition)]
+    active = [ic for ic in inst.ics if satisfies(s0, ic.condition)]
     wi = [1.0 / (2.0 - delta)] * len(active)
     chosen = []
     for it in trace.iterations:
         before = objective_f(inst, frozenset(chosen))
         gain = objective_f(inst, frozenset(chosen) | {it.chosen}) - before
         assert abs(gain - it.gain) <= 1e-9
-        cost = cost_of(it.chosen, inst.s0, inst.cost_model)
+        cost = cost_of(it.chosen, s0, inst.cost_model)
         numerator = w1 + w2 * cost + sum(w for w, ic in zip(wi, active)
                                          if it.chosen in ic.pairs)
         assert abs(numerator / gain - it.ratio) <= 1e-9

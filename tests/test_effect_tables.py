@@ -1,17 +1,16 @@
-"""Explicit effect tables and initial states parsed into atom indices
+"""Explicit effect tables and initial states as atom indices
 (``EffectTable``, ``AtomSet``).
 
 Differential tests hold a parsed table equal, as a Mapping, to the dict of
-frozensets it was serialized from and to the one the object path parses
-from the same document, and its grounding equal to the one the dict
-gives; and a parsed initial state equal, as a set, to the frozenset the
-object path parses, with the same hash, canonical iteration, ``s0_mask``
-and solution final states. The object-path differentials read version-1
-documents; their ``v2`` twins hold the version-2 reader to the same
-oracle. Fallback tests hold every table or state the index path does not
-take to the error code and JSON path (or message) of the object path, and
-a table or state reused on another map or predicate order to its Mapping
-or Set interface."""
+frozensets it was serialized from, and its grounding equal to the one the
+dict gives; and an instance read from either format version to the
+set-based reference semantics: an ``AtomSet`` state equal, as a set, to
+its frozenset, with the same hash and canonical iteration, grounding
+tables equal to ``reference_grounding`` and solution final states equal to
+``appl``. Fallback tests hold every faulty version-1 table or state to the
+error code and JSON path (or message) the object path gave before the
+version-1 index readers existed, and a table or state reused on another
+map or predicate order to its Mapping or Set interface."""
 
 import json
 import random
@@ -19,13 +18,13 @@ import random
 import pytest
 
 from gops import (ActionRule, CostModel, GbgopInstance, GridMap, GroundAtom,
-                  Point, gen_campaign, gen_random, parse_instance, serialize, serialize_instance)
-from gops.core import AtomSet, EffectTable
+                  Point, appl, gen_campaign, gen_random, parse_instance, serialize_instance)
+from gops.core import AtomSet, EffectTable, enumerate_pairs
 from gops.encodings import (CoverProblem, MonotoneCnf, encode_max_k_cover, encode_monsat,
                             encode_set_cover)
 from gops.errors import InstanceError, ParseError
 
-from helpers import golden_corpus
+from helpers import golden_corpus, reference_grounding
 
 GROUNDING_TABLES = ("s0_mask", "effects", "costs", "benefits", "ic_s0", "pair_ics")
 
@@ -82,59 +81,14 @@ def test_parsed_tables_equal_the_serialized_dicts(index):
         assert getattr(parsed.grounding, name) == getattr(inst.grounding, name), name
 
 
-def test_the_table_reader_matches_the_object_path(monkeypatch):
-    # the campaign and the serialize golden's corpus, read once by the
-    # table reader and once entry by entry as objects
-    scenario = gen_campaign()
-    texts = [serialize_instance(inst, version=1)
-             for inst in (scenario.gbgop, scenario.bmgop, *golden_corpus())]
-    read = [parse_instance(text) for text in texts]
-    monkeypatch.setattr(serialize, "table_rows", lambda entries, offsets, grid: None)
-    tables = 0
-    for text, inst in zip(texts, read):
-        objects = parse_instance(text)
-        for rule, again in zip(inst.actions, objects.actions):
-            if again.explicit_effects is None:
-                continue
-            assert type(rule.explicit_effects) is EffectTable
-            assert type(again.explicit_effects) is dict
-            assert rule.explicit_effects == again.explicit_effects
-            tables += 1
-        for name in GROUNDING_TABLES:
-            assert getattr(inst.grounding, name) == getattr(objects.grounding, name), name
-    assert tables > len(texts)
-
-
-def test_the_v2_table_reader_matches_the_object_path(monkeypatch):
-    # the same instances written at version 2, whose tables the bulk checks
-    # read, against their version-1 documents read entry by entry as objects
-    scenario = gen_campaign()
-    insts = (scenario.gbgop, scenario.bmgop, *golden_corpus())
-    read = [parse_instance(serialize_instance(inst, version=2)) for inst in insts]
-    monkeypatch.setattr(serialize, "table_rows", lambda entries, offsets, grid: None)
-    tables = 0
-    for inst, got in zip(insts, read):
-        objects = parse_instance(serialize_instance(inst, version=1))
-        for rule, again in zip(got.actions, objects.actions):
-            if again.explicit_effects is None:
-                continue
-            assert type(rule.explicit_effects) is EffectTable
-            assert type(again.explicit_effects) is dict
-            assert rule.explicit_effects == again.explicit_effects
-            tables += 1
-        for name in GROUNDING_TABLES:
-            assert getattr(got.grounding, name) == getattr(objects.grounding, name), name
-    assert tables > len(insts)
-
-
 def test_the_corpus_has_explicit_tables_on_every_rung():
     sizes = {inst.grid.width_bound for inst in CORPUS
              if any(rule.explicit_effects for rule in inst.actions)}
     assert {5, 17, 30, 44} <= sizes
 
 
-# A 3 x 3 map whose action "e" has an explicit table; each fallback case
-# changes the document so that the index path must not take it.
+# A 3 x 3 map whose action "e" has an explicit table, in a version-1
+# document; each fallback case below makes the document faulty.
 BASE = {
     "format": "gop-instance",
     "version": 1,
@@ -162,8 +116,8 @@ def _set(change):
 
 # case -> (document change, error class, code, where): where is the JSON
 # path of a ParseError and the message of an InstanceError, which has no
-# path; recorded from the object path, which parsed every table before the
-# index path existed
+# path; recorded from the object path before the version-1 index reader
+# existed, and that path reads every version-1 table again
 FALLBACKS = {
     "unknown-predicate": (_set(lambda d: _explicit(d)[1][1].append(["c", [0, 0]])),
                           InstanceError, "unknown-predicate",
@@ -215,6 +169,12 @@ def _document(change=None):
     return json.dumps(change(doc) if change else doc)
 
 
+def _upgraded(text):
+    """The version-1 document ``text`` rewritten at version 2, whose tables
+    parse to EffectTables."""
+    return serialize_instance(parse_instance(text))
+
+
 @pytest.mark.parametrize("case", sorted(FALLBACKS))
 def test_tables_off_the_mask_path_raise_the_object_paths_error(case):
     change, kind, code, where = FALLBACKS[case]
@@ -227,7 +187,7 @@ def test_tables_off_the_mask_path_raise_the_object_paths_error(case):
 def test_an_empty_atom_list_parses_to_an_empty_effect():
     doc = json.loads(_document())
     _explicit(doc).append([[2, 2], []])
-    table = parse_instance(json.dumps(doc)).actions[0].explicit_effects
+    table = parse_instance(_upgraded(json.dumps(doc))).actions[0].explicit_effects
     assert type(table) is EffectTable
     assert table[Point(2, 2)] == frozenset() and len(table) == 3
 
@@ -244,7 +204,7 @@ def _with_table(table, grid, predicates):
                                               (GridMap(2, 4), ("a", "b")),
                                               (GridMap(2, 2), ("a", "b", "c"))])
 def test_a_table_on_another_map_or_predicate_order_grounds_by_its_mapping(grid, predicates):
-    table = parse_instance(_document()).actions[0].explicit_effects
+    table = parse_instance(_upgraded(_document())).actions[0].explicit_effects
     assert type(table) is EffectTable
     got = _with_table(table, grid, predicates).grounding
     want = _with_table(dict(table), grid, predicates).grounding
@@ -255,7 +215,8 @@ def test_a_table_on_another_map_or_predicate_order_grounds_by_its_mapping(grid, 
 
 
 def test_a_table_that_does_not_fit_another_map_fails_validation():
-    table = parse_instance(_document()).actions[0].explicit_effects
+    table = parse_instance(_upgraded(_document())).actions[0].explicit_effects
+    assert type(table) is EffectTable
     for grid, predicates, code in ((GridMap(1, 2), ("a", "b"), "point-bounds"),
                                    (GridMap(2, 1), ("a", "b"), "point-bounds"),
                                    (GridMap(2, 2), ("a",), "unknown-predicate")):
@@ -284,7 +245,7 @@ def test_a_table_on_a_huge_map_parses_in_the_size_of_its_entries():
     doc["map"] = {"M": 10 ** 6 - 1, "N": 10 ** 6 - 1}
     last = [10 ** 6 - 1, 10 ** 6 - 1]
     _explicit(doc).append([last, [["b", last]]])
-    table = parse_instance(json.dumps(doc)).actions[0].explicit_effects
+    table = parse_instance(_upgraded(json.dumps(doc))).actions[0].explicit_effects
     assert type(table) is EffectTable
     assert table[Point(*last)] == frozenset({GroundAtom("b", Point(*last))})
 
@@ -311,46 +272,39 @@ def _state_corpus():
                                                          frozenset({"x2"}))))
 
 
-def test_the_state_reader_matches_the_object_path(monkeypatch):
-    texts = [serialize_instance(inst, version=1) for inst in _state_corpus()]
-    read = [parse_instance(text) for text in texts]
-    monkeypatch.setattr(serialize, "strict_indices", lambda items, offsets, grid: None)
-    for text, inst in zip(texts, read):
-        oracle = parse_instance(text)
-        got, want = inst.s0, oracle.s0
-        assert type(got) is AtomSet and type(want) is frozenset
-        assert got == want and want == got
-        assert len(got) == len(want) and hash(got) == hash(want)
-        assert list(got) == sorted(want, key=_canonical(inst))
-        g, h = inst.grounding, oracle.grounding
-        assert g.s0_mask == h.s0_mask
-        for picked in ((), range(min(3, g.n_pairs)), range(g.n_pairs)):
-            final, plain = g._selection(picked), h._selection(picked)
-            assert type(final.final_state) is AtomSet and type(plain.final_state) is frozenset
-            assert final == plain
-            assert hash(final.final_state) == hash(plain.final_state)
-            assert list(final.final_state) == sorted(plain.final_state, key=_canonical(inst))
-
-
-def test_the_v2_state_reader_matches_the_object_path(monkeypatch):
-    insts = list(_state_corpus())
-    read = [parse_instance(serialize_instance(inst, version=2)) for inst in insts]
-    monkeypatch.setattr(serialize, "strict_indices", lambda items, offsets, grid: None)
-    for inst, got_inst in zip(insts, read):
-        oracle = parse_instance(serialize_instance(inst, version=1))
-        got, want = got_inst.s0, oracle.s0
-        assert type(got) is AtomSet and type(want) is frozenset
-        assert got == want and want == got
-        assert len(got) == len(want) and hash(got) == hash(want)
-        assert list(got) == sorted(want, key=_canonical(inst))
-        g, h = got_inst.grounding, oracle.grounding
-        assert g.s0_mask == h.s0_mask
-        for picked in ((), range(min(3, g.n_pairs)), range(g.n_pairs)):
-            final, plain = g._selection(picked), h._selection(picked)
-            assert type(final.final_state) is AtomSet and type(plain.final_state) is frozenset
-            assert final == plain
-            assert hash(final.final_state) == hash(plain.final_state)
-            assert list(final.final_state) == sorted(plain.final_state, key=_canonical(inst))
+def test_both_versions_read_to_the_reference_semantics():
+    insts = tables = 0
+    for inst in _state_corpus():
+        assert type(inst.s0) is AtomSet  # built in code, indexed by Problem
+        insts += 1
+        s0 = frozenset(inst.s0)
+        ref = reference_grounding(inst.grid, inst.predicates, s0, inst.actions,
+                                  inst.cost_model, inst.ics, getattr(inst, "benefit_model", None))
+        pairs = enumerate_pairs(inst.grid, inst.actions)
+        finals = {}
+        for picked in ((), range(min(3, len(pairs))), range(len(pairs))):
+            finals[picked] = appl([pairs[i] for i in picked], s0, inst.grid, inst.actions, s0=s0)
+        for version, kind in ((1, dict), (2, EffectTable)):
+            read = parse_instance(serialize_instance(inst, version=version))
+            got = read.s0
+            assert type(got) is AtomSet
+            assert got == s0 and s0 == got
+            assert len(got) == len(s0) and hash(got) == hash(s0)
+            assert list(got) == sorted(s0, key=_canonical(inst))
+            for rule, again in zip(inst.actions, read.actions):
+                if rule.explicit_effects is not None:
+                    assert type(again.explicit_effects) is kind
+                    assert again.explicit_effects == rule.explicit_effects
+                    tables += 1
+            g = read.grounding
+            for name in GROUNDING_TABLES:
+                assert getattr(g, name) == ref[name], name
+            for picked, want in finals.items():
+                final = g._selection(picked).final_state
+                assert type(final) is AtomSet
+                assert final == want and hash(final) == hash(want)
+                assert list(final) == sorted(want, key=_canonical(inst))
+    assert tables > 2 * insts
 
 
 def test_the_state_corpus_has_atoms_on_every_size():
@@ -369,8 +323,8 @@ def _state(change):
 
 
 # case -> (state change, error class, code, where), as in FALLBACKS;
-# recorded from the object path, which parsed every state before the
-# index path existed
+# recorded from the object path before the version-1 index reader existed,
+# and that path reads every version-1 state again
 STATE_FALLBACKS = {
     "true-coordinate": (_state(lambda s: s[1][1].__setitem__(0, True)),
                         ParseError, "type", "$.state[1]"),
@@ -455,10 +409,11 @@ def test_a_state_is_kept_as_indices_only_by_an_instance_of_its_map_and_predicate
     assert built == atoms and _with_state(built, grid, predicates).s0 is built
     for grid, predicates in ((GridMap(2, 2), ("b", "a")), (GridMap(3, 2), ("a", "b")),
                              (GridMap(2, 4), ("a", "b")), (GridMap(2, 2), ("a", "b", "c"))):
-        inst = _with_state(atoms, grid, predicates)
-        assert type(inst.s0) is frozenset and inst.s0 == atoms
-        want = _with_state(frozenset(atoms), grid, predicates).grounding
-        assert inst.grounding.s0_mask == want.s0_mask
+        inst = _with_state(atoms, grid, predicates)  # re-indexed on its own map
+        assert type(inst.s0) is AtomSet and inst.s0 == atoms
+        assert (inst.s0.grid, inst.s0.predicates) == (grid, predicates)
+        want = reference_grounding(grid, predicates, frozenset(atoms), (), CostModel(), ())
+        assert inst.grounding.s0_mask == want["s0_mask"]
 
 
 def test_a_state_that_does_not_fit_another_map_fails_validation():

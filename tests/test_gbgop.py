@@ -114,10 +114,11 @@ def test_restricted_pairs_matches_intersection_oracle():
     for seed in range(30):
         inst = gen_random(seed=seed, width=1, height=1, predicates=3, actions=3)
         lookup = {r.name: r for r in inst.actions}
+        s0 = frozenset(inst.s0)
         expected = [
             pair for pair in
             (ActionPointPair(r.name, p) for r in inst.actions for p in inst.grid.points())
-            if not action_effects(lookup[pair.action], pair.point, inst.s0, inst.grid)
+            if not action_effects(lookup[pair.action], pair.point, s0, inst.grid)
             & inst.theta_out]
         assert restricted_pairs(inst) == expected
 

@@ -202,7 +202,7 @@ def assert_conflicts_match_check_ics(inst, rng, rounds):
         picked = set(rng.sample(range(len(g.pairs)), min(rng.randint(0, 4), len(g.pairs))))
         picked |= {i for i in members if rng.random() < 0.5}
         chosen = frozenset(g.pairs[i] for i in picked)
-        ok, violated = check_ics(inst.s0, chosen, inst.ics)
+        ok, violated = check_ics(frozenset(inst.s0), chosen, inst.ics)
         got = g.conflicts(picked)
         assert ok == (not got)
         assert [inst.ics[pos] for pos, _ in got] == violated
