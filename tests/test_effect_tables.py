@@ -272,39 +272,66 @@ def _state_corpus():
                                                          frozenset({"x2"}))))
 
 
-def test_both_versions_read_to_the_reference_semantics():
-    insts = tables = 0
+def _reads(version):
+    """(instance built in code, the instance read back from its document
+    at ``version``) over ``_state_corpus()``."""
     for inst in _state_corpus():
         assert type(inst.s0) is AtomSet  # built in code, indexed by Problem
+        yield inst, parse_instance(serialize_instance(inst, version=version))
+
+
+def _check_tables(version, kind):
+    # tables as built, groundings as the reference computes them on the
+    # state as a plain frozenset
+    insts = tables = 0
+    for inst, read in _reads(version):
         insts += 1
-        s0 = frozenset(inst.s0)
-        ref = reference_grounding(inst.grid, inst.predicates, s0, inst.actions,
+        for rule, again in zip(inst.actions, read.actions):
+            if rule.explicit_effects is not None:
+                assert type(again.explicit_effects) is kind
+                assert again.explicit_effects == rule.explicit_effects
+                tables += 1
+        ref = reference_grounding(inst.grid, inst.predicates, frozenset(inst.s0), inst.actions,
                                   inst.cost_model, inst.ics, getattr(inst, "benefit_model", None))
+        for name in GROUNDING_TABLES:
+            assert getattr(read.grounding, name) == ref[name], name
+    assert tables > insts
+
+
+def _check_states(version):
+    # an AtomSet equal to, hashing as and iterating in the canonical order
+    # of the frozenset, and solution final states equal to appl's on it
+    for inst, read in _reads(version):
+        s0 = frozenset(inst.s0)
+        got = read.s0
+        assert type(got) is AtomSet
+        assert got == s0 and s0 == got
+        assert len(got) == len(s0) and hash(got) == hash(s0)
+        assert list(got) == sorted(s0, key=_canonical(inst))
         pairs = enumerate_pairs(inst.grid, inst.actions)
-        finals = {}
+        g = read.grounding
         for picked in ((), range(min(3, len(pairs))), range(len(pairs))):
-            finals[picked] = appl([pairs[i] for i in picked], s0, inst.grid, inst.actions, s0=s0)
-        for version, kind in ((1, dict), (2, EffectTable)):
-            read = parse_instance(serialize_instance(inst, version=version))
-            got = read.s0
-            assert type(got) is AtomSet
-            assert got == s0 and s0 == got
-            assert len(got) == len(s0) and hash(got) == hash(s0)
-            assert list(got) == sorted(s0, key=_canonical(inst))
-            for rule, again in zip(inst.actions, read.actions):
-                if rule.explicit_effects is not None:
-                    assert type(again.explicit_effects) is kind
-                    assert again.explicit_effects == rule.explicit_effects
-                    tables += 1
-            g = read.grounding
-            for name in GROUNDING_TABLES:
-                assert getattr(g, name) == ref[name], name
-            for picked, want in finals.items():
-                final = g._selection(picked).final_state
-                assert type(final) is AtomSet
-                assert final == want and hash(final) == hash(want)
-                assert list(final) == sorted(want, key=_canonical(inst))
-    assert tables > 2 * insts
+            want = appl([pairs[i] for i in picked], s0, inst.grid, inst.actions, s0=s0)
+            final = g._selection(picked).final_state
+            assert type(final) is AtomSet
+            assert final == want and hash(final) == hash(want)
+            assert list(final) == sorted(want, key=_canonical(inst))
+
+
+def test_the_table_reader_matches_the_object_path():
+    _check_tables(1, dict)
+
+
+def test_the_v2_table_reader_matches_the_object_path():
+    _check_tables(2, EffectTable)
+
+
+def test_the_state_reader_matches_the_object_path():
+    _check_states(1)
+
+
+def test_the_v2_state_reader_matches_the_object_path():
+    _check_states(2)
 
 
 def test_the_state_corpus_has_atoms_on_every_size():
