@@ -17,7 +17,8 @@ from dataclasses import dataclass, field, replace
 from itertools import compress, repeat
 from typing import Optional
 
-from .core import ActionPointPair, BenefitModel, Problem, Solution, format_number
+from .core import (ActionPointPair, BenefitModel, Problem, Solution, format_number,
+                   sums_exact)
 from .errors import InstanceError
 from .ip import IpModel, Limits, _solve_for_tags
 
@@ -58,8 +59,9 @@ class GreedyTrace:
     after that iteration's update, i.e. what the next loop test sees.
     ``op_count`` counts candidate gain evaluations: once each pair that
     adds an atom outside the initial state, then each re-evaluation of a
-    stale heap top (see ``bmgop_compute``). That is never more than
-    rescanning every unpicked pair before each pick.
+    stale class top, or of a member that could tie with one (see
+    ``bmgop_compute``). That is never more than rescanning every unpicked
+    pair before each pick.
     """
 
     delta: float
@@ -146,15 +148,22 @@ def bmgop_compute(inst: BmgopInstance, delta: float = 0.001,
     picked (their ratio is undefined); ratio ties break to the canonical
     smallest pair.
 
-    Gains are evaluated lazily (Minoux 1978; CELF, Leskovec et al. 2007):
-    every pair that adds an atom outside the initial state (no other has
-    a gain) is evaluated once into a heap keyed by ``(ratio, index)``,
-    and after a pick only the heap top is evaluated again, until a pair
-    evaluated since that pick is on top. A pick raises every weight and
-    never raises a gain (benefits are non-negative, and float sums and
-    products are monotone), so a stale key is a lower bound on the current
-    one, and the top is the pair a rescan of every pair would pick, ties
-    included. Gains are ``Grounding.benefit_sum`` of the atoms a pair adds.
+    Gains are evaluated lazily (Minoux 1978; CELF, Leskovec et al. 2007),
+    one heap per numerator class: pairs of one cost and one set of active
+    constraints share the numerator ``w' + w''*cost + sum of their w_i``,
+    so within a class the smallest ratio belongs to the largest gain. Every
+    pair that adds an atom outside the initial state (no other has a gain)
+    is evaluated once into its class's heap, keyed by ``(-gain, index)``.
+    After a pick, a class's stale top is evaluated again until a pair
+    evaluated since that pick is on top, skipping classes whose stale top
+    already gives a larger ratio than the best top so far. A pick raises
+    every weight and never raises a gain (benefits are non-negative, and
+    float sums and products are monotone), so a stale gain bounds a
+    current one from above. A smaller gain can round to the top's ratio;
+    where it can, the members that could tie are evaluated again, so the
+    pick is the pair a rescan of every pair would make, ties included.
+    Ratios are the same float operations, in the same order, as a rescan
+    takes. Gains are ``Grounding.benefit_sum`` of the atoms a pair adds.
 
     If the assembled set is invalid, the repair step keeps either the
     prefix or the last pick, whichever has the larger objective; if that
@@ -187,6 +196,7 @@ def bmgop_compute(inst: BmgopInstance, delta: float = 0.001,
     effects = g.effects
     costs = g.costs
     pair_ics = g.pair_ics
+    benefit_sum = g.benefit_sum
 
     def condition():
         if condition_mode == "weighted":
@@ -196,34 +206,94 @@ def bmgop_compute(inst: BmgopInstance, delta: float = 0.001,
     cur_mask = g.s0_mask
     order = []  # insertion order of picked pair indices
 
-    def evaluate(j):
-        """Pair ``j``'s (ratio, j, gain, picks so far), or None without gain."""
+    def gain_of(j):
+        """Pair ``j``'s current gain, counted as one evaluation."""
         trace.op_count += 1
-        gain = g.benefit_sum(effects[j] & ~cur_mask)
-        if gain <= 0.0:
-            return None
-        numerator = w_prime + w_dprime * costs[j]
-        for i in pair_ics[j]:
-            numerator += ic_w[i]
-        return numerator / gain, j, gain, len(order)
+        return benefit_sum(effects[j] & ~cur_mask)
 
-    # a pair without gain never regains it, so it leaves the heap for good;
-    # one that adds no atom outside s0 has none and is not evaluated
+    def settle(heap, numerator, ratio, below):
+        """The entry of the smallest index under ``below`` whose current
+        ratio is ``ratio``, in a class whose fresh top has it, or None.
+        Gains only fall, so only members whose stale gain still gives
+        ``ratio`` can tie; they form a subtree at the root of the heap, and
+        those under ``below`` are evaluated again in index order until one
+        ties. The heap is repaired after."""
+        near, stack = [], [0]
+        while stack:
+            p = stack.pop()
+            if p < len(heap) and numerator / -heap[p][0] == ratio:
+                if heap[p][1] < below:
+                    near.append(heap[p])
+                stack += (2 * p + 1, 2 * p + 2)
+        for entry in sorted(near, key=lambda e: e[1]):
+            if entry[2] < len(order):
+                heap.remove(entry)
+                entry = (-gain_of(entry[1]), entry[1], len(order))
+                if entry[0]:
+                    heap.append(entry)
+                heapq.heapify(heap)
+            if entry[0] and numerator / -entry[0] == ratio:
+                return entry
+        return None
+
+    # Pairs of one cost and one constraint set share the numerator
+    # w' + w''*cost + the weights of their constraints, so within such a
+    # class the smallest ratio belongs to the largest gain. Each class keeps
+    # a heap of (-gain, index, picks at evaluation) over its pairs with gain:
+    # a pair without gain never regains it, and one that adds no atom
+    # outside s0 has none and is not evaluated.
+    classes = {}
     cond = condition()
-    fresh = ((1 << g.n_atoms) - 1) & ~cur_mask
-    heap = [entry for entry in map(evaluate, compress(range(n), map(fresh.__and__, effects)))
-            if entry] if cond <= lam else []
-    heapq.heapify(heap)
-    while heap and cond <= lam:
-        ratio, best_j, gain, stamp = heap[0]
-        if stamp < len(order):  # stale: evaluate again, then look at the top anew
-            entry = evaluate(best_j)
-            if entry:
-                heapq.heapreplace(heap, entry)
-            else:
-                heapq.heappop(heap)
-            continue
-        heapq.heappop(heap)
+    if cond <= lam:
+        fresh = ((1 << g.n_atoms) - 1) & ~cur_mask
+        added = list(map(fresh.__and__, effects))
+        candidates = list(compress(range(n), added))
+        trace.op_count = len(candidates)
+        for j, gain in zip(candidates, map(benefit_sum, compress(added, added))):
+            if gain > 0.0:
+                classes.setdefault((costs[j], pair_ics[j]), []).append((-gain, j, 0))
+        for heap in classes.values():
+            heapq.heapify(heap)
+    # on the bit-loop path a gain that is not a float, such as a large int,
+    # can round to the float of a larger one, so every tie is settled there
+    settle_every_tie = (g.benefit_classes is None
+                        and not all(type(b) is float for b in g.benefits))
+    while classes and cond <= lam:
+        best, tied = math.inf, []  # the smallest ratio, and the classes whose top has it
+        for key, heap in classes.items():
+            numerator = w_prime + w_dprime * key[0]
+            for i in key[1]:
+                numerator += ic_w[i]
+            if numerator / -heap[0][0] > best:
+                continue  # the top's stale gain bounds every member's gain
+            while heap and heap[0][2] < len(order):  # a stale top: evaluate it again
+                gain = gain_of(heap[0][1])
+                if gain > 0.0:
+                    heapq.heapreplace(heap, (-gain, heap[0][1], len(order)))
+                else:
+                    heapq.heappop(heap)
+            if heap:
+                ratio = numerator / -heap[0][0]
+                if ratio < best:
+                    best, tied = ratio, []
+                if ratio == best:
+                    tied.append((heap, numerator))
+        if not tied:
+            break
+        heap = min((h for h, _ in tied), key=lambda h: h[0][1])
+        entry = heap[0]  # the smallest index among the tied tops
+        for h, numerator in tied:  # a smaller gain may round to the same ratio
+            if settle_every_tie or numerator / math.nextafter(-h[0][0], 0.0) == best:
+                found = settle(h, numerator, best, entry[1])
+                if found:
+                    heap, entry = h, found
+        if heap[0] is entry:
+            heapq.heappop(heap)
+        else:
+            heap.remove(entry)
+            heapq.heapify(heap)
+        classes = {key: h for key, h in classes.items() if h}
+        gain, best_j = -entry[0], entry[1]
         order.append(best_j)
         cur_mask |= effects[best_j]
         w_prime *= step_prime
@@ -232,7 +302,7 @@ def bmgop_compute(inst: BmgopInstance, delta: float = 0.001,
             ic_w[i] *= step_ic
         cond = condition()
         trace.iterations.append(GreedyIteration(
-            index=len(order), chosen=g.pair_at(best_j), ratio=ratio,
+            index=len(order), chosen=g.pair_at(best_j), ratio=best,
             gain=gain, w_prime=w_prime, w_dprime=w_dprime,
             ic_weights=tuple(ic_w), condition_value=cond))
 
@@ -309,8 +379,16 @@ def solve_bmgop_exact(inst: BmgopInstance, limits: Optional[Limits] = None) -> B
     paying = int("0" + "".join(["1" if b else "0" for b in reversed(g.benefits)]), 2)
     gain = [g.benefit_sum(e & paying & ~g.s0_mask) for e in g.effects]
     order = sorted((i for i, v in enumerate(gain) if v > 0), key=lambda i: (-gain[i], i))
-    # room for the rounding of the k + 2 sums of at most n_atoms terms in the bound test
-    slack = 2.0 ** -51 * sum(g.benefits) * (min(inst.k, len(order)) + 2) * (g.n_atoms + 1)
+    # the bound adds a value and at most ``depth`` gains, each a sum over the
+    # atoms: it is exact when every partial sum with each atom counted
+    # depth + 1 times is; otherwise leave room for the rounding of the
+    # depth + 2 sums of at most n_atoms terms
+    depth = min(inst.k, len(order))
+    if g.benefit_classes is not None and sums_exact(
+            (value, (depth + 1) * members.bit_count()) for value, members in g.benefit_classes):
+        slack = 0.0
+    else:
+        slack = 2.0 ** -51 * sum(g.benefits) * (depth + 2) * (g.n_atoms + 1)
     best_value, best = g.benefit_sum(g.s0_mask & paying), []
 
     def visit(chosen, mask, pos):

@@ -50,6 +50,7 @@ import sys
 from collections.abc import Set
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import InstanceError, LimitReachedError
@@ -460,6 +461,21 @@ def _integral(v) -> Optional[int]:
     except (TypeError, ValueError, OverflowError):
         return None
     return i if i == v else None
+
+
+def sums_exact(counted: Iterable[tuple]) -> bool:
+    """Whether every partial sum of a multiset of non-negative numbers, given
+    as ``(value, copies)``, is exact in floating point, and so the same in
+    any order. Only ints, floats and bools qualify. Every float is dyadic;
+    with ``2 ** -e`` the finest step among the values, every partial sum is
+    exact when ``sum(value * copies * 2 ** e) < 2 ** 53``."""
+    ratios = []
+    for value, copies in counted:
+        if type(value) not in (int, float, bool):
+            return False
+        ratios.append((value.as_integer_ratio(), copies))
+    e = max((den.bit_length() for (_, den), _ in ratios), default=1) - 1  # den = 2 ** d
+    return sum(num * ((1 << e) // den) * copies for (num, den), copies in ratios) < 1 << 53
 
 
 def block_offsets(names: Iterable[str], grid: GridMap) -> dict:
@@ -1066,9 +1082,8 @@ class Grounding:
 
         Classes are keyed by value and by whether it is a float, so ``1``
         and ``1.0`` stay apart and a ``0.0`` class is kept: a popcount sum
-        then has the bit loop's type as well as its value. Every float is
-        dyadic; with ``2 ** -e`` the finest step among the benefits, every
-        partial sum is exact when ``sum(b * 2 ** e) < 2 ** 53``."""
+        then has the bit loop's type as well as its value. Exactness is
+        ``sums_exact`` over every atom's benefit."""
         n_points = self.n_points
         block = (1 << n_points) - 1
         free = ~sum(1 << i for i in overridden)
@@ -1076,18 +1091,13 @@ class Grounding:
         items += [(self.benefits[i], 1 << i) for i in overridden]
         values, masks = {}, {}
         for value, mask in items:
-            if type(value) not in (int, float, bool):
-                return None
             key = (type(value) is float, value)
             values.setdefault(key, value)
             masks[key] = masks.get(key, 0) | mask
-        ratios = {key: value.as_integer_ratio() for key, value in values.items()}
-        e = max((den.bit_length() for _, den in ratios.values()), default=1) - 1  # den = 2 ** d
-        scaled = sum(num * ((1 << e) // den) * masks[key].bit_count()
-                     for key, (num, den) in ratios.items())
-        if scaled >= 1 << 53:
+        classes = [(values[key], mask) for key, mask in masks.items()]
+        if not sums_exact((value, mask.bit_count()) for value, mask in classes):
             return None
-        return [(values[key], mask) for key, mask in masks.items() if mask]
+        return [(value, mask) for value, mask in classes if mask]
 
     def benefit_sum(self, mask: int) -> float:
         """Summed benefit of the atoms of ``mask``: the sum over its set bits
@@ -1129,12 +1139,16 @@ class Grounding:
         extended only if that returns true. Each visit is one node against
         ``limits`` (None: no limit); a limit is raised with the size reached
         and, as its ``best``, the selection of ``best()``, the driver's best
-        pair indices so far (or None). Costs add up in canonical order, as in
-        ``cost_sum``, so the budget test agrees with validation exactly."""
+        pair indices so far (or None). The budget test agrees with
+        validation exactly: costs are kept as a running sum where that is
+        the sum ``cost_sum`` takes in canonical order, when the candidates
+        ascend or every partial sum of their costs is exact, and are summed
+        again in canonical order otherwise."""
         tick = (lambda: None) if limits is None else limits._counter()
-        ascending = all(a < b for a, b in zip(candidates, candidates[1:]))
         effects = [self.effects[i] for i in candidates]
         costs = [self.costs[i] for i in candidates]
+        running = (all(a < b for a, b in zip(candidates, candidates[1:]))
+                   or sums_exact(zip(costs, repeat(1))))
         occupies = [sum(1 << j for j in self.pair_ics[i]) for i in candidates]
         n = len(candidates)
         chosen = []
@@ -1147,7 +1161,7 @@ class Grounding:
             while stack:
                 rest, cost, mask, occupied = stack[-1]
                 for j in rest:
-                    total = cost + costs[j] if ascending else self.cost_sum([*chosen, candidates[j]])
+                    total = cost + costs[j] if running else self.cost_sum([*chosen, candidates[j]])
                     if total > budget or occupied & occupies[j]:
                         continue
                     chosen.append(candidates[j])

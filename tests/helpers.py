@@ -228,6 +228,31 @@ def brute_best_bmgop(inst):
     return best, frozenset(best_combo)
 
 
+def exhaustive_optimum(model):
+    """(optimal objective, lexicographically smallest optimal 0/1 vector)
+    over all 2^n assignments, each row summed left to right; None when
+    infeasible."""
+    n = len(model.variables)
+    rows = model.constraints
+    best = None
+    for bits in itertools.product((0, 1), repeat=n):  # lexicographic order
+        ok = True
+        for c in rows:
+            lhs = sum(co * bits[i] for i, co in c.coeffs)
+            if c.sense == "<=" and lhs > c.rhs:
+                ok = False
+                break
+            if c.sense == ">=" and lhs < c.rhs:
+                ok = False
+                break
+        if not ok:
+            continue
+        value = model.constant + sum(co * bits[i] for i, co in model.objective.items())
+        if best is None or (value > best[0] if model.sense == "max" else value < best[0]):
+            best = (value, bits)
+    return best
+
+
 # ---------------------------------------------------------------------------
 # Greedy oracle: the multiplicative-weights greedy as a full rescan of every
 # unpicked pair before each pick, gains summed bit by bit.

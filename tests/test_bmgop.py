@@ -9,10 +9,11 @@ from gops import (ActionPointPair, BenefitModel, CostModel, GridMap, GroundAtom,
                   gen_campaign, gen_random,
                   objective_f, solve_branch_and_bound, solve_bmgop_exact,
                   solve_bmgop_ip, validate_bmgop)
+from gops.core import Grounding
 from gops.encodings import CoverProblem, encode_max_k_cover
 from gops.errors import InstanceError, LimitReachedError
 
-from helpers import (bmgop_benefit, brute_best_bmgop, explicit_action,
+from helpers import (bmgop_benefit, brute_best_bmgop, exhaustive_optimum, explicit_action,
                      max_k_coverage, tiny_bmgop)
 
 P00, P10, P01, P11 = Point(0, 0), Point(1, 0), Point(0, 1), Point(1, 1)
@@ -150,6 +151,48 @@ def test_exact_sums_costs_as_validate_does():
     assert sol.pairs == {ActionPointPair("A", P00), ActionPointPair("C", P00)}
     assert validate_bmgop(inst, sol.pairs) == []
     assert (sol.achieved_benefit, sol.pairs) == brute_best_bmgop(inst)
+
+
+def exact_sum_corpus():
+    """Small instances whose benefit sums are all exact, so the exact
+    solver's bound has no slack: gen_random maps and max-k-cover encodings
+    whose equal-size families tie often."""
+    for seed in range(30):
+        yield gen_random(seed=seed, width=0, height=0, predicates=4, actions=4, problem="bmgop")
+        yield gen_random(seed=seed, width=1, height=0, predicates=3, actions=3, problem="bmgop")
+        yield gen_random(seed=seed, width=1, height=1, predicates=2, actions=2, ics=2,
+                         problem="bmgop")
+    rng = random.Random(3)
+    for _ in range(30):
+        universe = tuple(range(6))
+        families = tuple(frozenset(rng.sample(universe, rng.randint(1, 3))) for _ in range(6))
+        yield encode_max_k_cover(CoverProblem(universe, families, rng.randint(1, 3)))
+
+
+def test_exact_without_slack_matches_exhaustive_enumeration():
+    for inst in exact_sum_corpus():
+        assert inst.grounding.benefit_classes is not None
+        value, _ = exhaustive_optimum(build_bmgop_ip(inst))
+        sol = solve_bmgop_exact(inst)
+        assert sol.achieved_benefit == value
+        assert (sol.achieved_benefit, sol.pairs) == brute_best_bmgop(inst)
+
+
+def test_search_keeps_a_running_cost_sum_when_every_partial_sum_is_exact(monkeypatch):
+    calls = []
+    real = Grounding.cost_sum
+    monkeypatch.setattr(Grounding, "cost_sum", lambda g, indices: calls.append(1) or real(g, indices))
+    acts = tuple(explicit_action(name, P00, [GroundAtom(name.lower(), P00)]) for name in "ABC")
+    benefits = BenefitModel(per_predicate={"a": 2.0, "b": 1.0, "c": 3.0})
+    for costs, resums in (((0.75, 0.25, 0.5), False), ((0.7, 0.4, 0.1), True)):
+        overrides = dict(zip((ActionPointPair(name, P00) for name in "ABC"), costs))
+        inst = tiny_bmgop(predicates=("a", "b", "c"), actions=acts, benefit_model=benefits,
+                          cost_model=CostModel(default_cost=0.5, overrides=overrides), k=3,
+                          budget=1.2)
+        calls.clear()
+        sol = solve_bmgop_exact(inst)  # the search takes C, A, B by gain
+        assert (sol.achieved_benefit, sol.pairs) == brute_best_bmgop(inst)
+        assert (len(calls) > 1) == resums  # one call builds the solution
 
 
 def test_exact_proves_the_campaign_optimum_under_the_node_cap():

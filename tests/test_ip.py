@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import random
 
 import pytest
@@ -9,32 +8,7 @@ from gops import (CoverProblem, IpModel, Limits, emit_lp, encode_max_k_cover,
                   solve_gbgop_exact)
 from gops.errors import InstanceError, LimitReachedError
 
-from helpers import reference_emit_lp
-
-
-def exhaustive_optimum(model):
-    """(optimal objective, lexicographically smallest optimal 0/1 vector)
-    over all 2^n assignments, each row summed left to right; None when
-    infeasible."""
-    n = len(model.variables)
-    rows = model.constraints
-    best = None
-    for bits in itertools.product((0, 1), repeat=n):  # lexicographic order
-        ok = True
-        for c in rows:
-            lhs = sum(co * bits[i] for i, co in c.coeffs)
-            if c.sense == "<=" and lhs > c.rhs:
-                ok = False
-                break
-            if c.sense == ">=" and lhs < c.rhs:
-                ok = False
-                break
-        if not ok:
-            continue
-        value = model.constant + sum(co * bits[i] for i, co in model.objective.items())
-        if best is None or (value > best[0] if model.sense == "max" else value < best[0]):
-            best = (value, bits)
-    return best
+from helpers import exhaustive_optimum, reference_emit_lp
 
 
 def assert_matches_exhaustive(model):
