@@ -30,7 +30,7 @@ class BmgopInstance(Problem):
 
     def __post_init__(self):
         super().__post_init__()
-        if not isinstance(self.k, int) or self.k < 0:
+        if type(self.k) is bool or not isinstance(self.k, int) or self.k < 0:
             raise InstanceError("k-range", "k must be a non-negative integer")
         if self.k > sys.float_info.max:  # the greedy and the program take it as a float
             raise InstanceError("k-range", "k is too large for a float")

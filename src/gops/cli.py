@@ -27,8 +27,18 @@ EXIT_LIMIT = 3
 _ERROR_EXITS = {BoundViolationError: EXIT_INFEASIBLE, LimitReachedError: EXIT_LIMIT}
 
 
+def _read_text(path) -> str:
+    """The text of an input file, read as UTF-8, the encoding of JSON
+    (RFC 8259), whatever the locale."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise GopsError("encoding", f"{path} is not UTF-8 text: byte {err.start}: "
+                                    f"{err.reason}") from None
+
+
 def _read_instance(path: str):
-    return parse_instance(Path(path).read_text())
+    return parse_instance(_read_text(path))
 
 
 def _limits(args) -> Limits:
@@ -117,7 +127,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    doc = json.loads(Path(args.file).read_text())
+    doc = json.loads(_read_text(args.file))
     if not isinstance(doc, dict):
         raise ParseError("type", "expected an object", "$")
     try:
@@ -153,7 +163,7 @@ def _cmd_bench(args) -> int:
     paths = sorted(p for p in Path(args.directory).iterdir() if p.match("*.json"))
     suite = []
     for path in paths:
-        inst = parse_instance(path.read_text())
+        inst = parse_instance(_read_text(path))
         if not isinstance(inst, BmgopInstance):
             raise GopsError("method", f"{path.name} is not a benefit-maximizing instance")
         suite.append((path.name, inst))

@@ -48,7 +48,7 @@ solvers equal to them.
 import math
 import sys
 from collections.abc import Set
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import repeat
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -280,6 +280,20 @@ class ActionRule:
                                     f"action {self.name!r}: max_distance {self.max_distance} is not finite")
             if self.max_distance < 0:
                 raise InstanceError("distance-negative", f"action {self.name!r}: negative max_distance")
+
+    @classmethod
+    def _read(cls, name: str, table: "EffectTable") -> "ActionRule":
+        """The explicit action of a name and table the version-2 reader has
+        checked."""
+        rule = object.__new__(cls)
+        values = rule.__dict__
+        values.update(_RULE_DEFAULTS)
+        values["name"], values["explicit_effects"] = name, table
+        return rule
+
+
+# every ActionRule field with its default (``name`` has none, and _read sets it)
+_RULE_DEFAULTS = {f.name: f.default for f in fields(ActionRule)}
 
 
 def action_effects(rule: ActionRule, point: Point, s0: State, grid: GridMap) -> frozenset:
@@ -578,7 +592,9 @@ def _own_rows(table: Mapping, grid: GridMap, predicates: Sequence[str]) -> Optio
     """The rows of ``table`` when it is an EffectTable built for ``grid``
     and ``predicates`` (its indices then are this instance's atom indices,
     and its points and atoms this instance's own), else None."""
-    if type(table) is EffectTable and table.grid == grid and table.predicates == tuple(predicates):
+    if type(table) is EffectTable \
+            and (table.grid is grid or table.grid == grid) \
+            and (table.predicates is predicates or table.predicates == tuple(predicates)):
         return table.rows
     return None
 
@@ -671,8 +687,10 @@ def validate_instance_parts(problem: "Problem") -> Optional[list]:
     Atom and pair sets are checked item by item by ``check_atoms`` (an
     action's effect sets entry by entry), except an initial state or
     effect table of this instance's own indices (``_own_atoms``,
-    ``_own_rows``). Returns the initial state's atom indices when it had
-    to check them, else None."""
+    ``_own_rows``). Repeated action names are found by one set of all the
+    names; only then does a loop look for the first repeat, which is
+    reported after the checks of the actions before it. Returns the
+    initial state's atom indices when it had to check them, else None."""
     grid, predicates, actions = problem.grid, problem.predicates, problem.actions
     cost_model, benefit_model = problem.cost_model, getattr(problem, "benefit_model", None)
     seen = set()
@@ -693,12 +711,17 @@ def validate_instance_parts(problem: "Problem") -> Optional[list]:
     if _own_atoms(problem.s0, grid, predicates) is None:
         s0_indices = check_atoms(problem.s0, known, grid, "initial state")
 
-    action_offsets = block_offsets([rule.name for rule in actions], grid)
-    action_names = set()
+    names = [rule.name for rule in actions]
+    action_offsets = block_offsets(names, grid)
+    first_repeat = None
+    if len(set(names)) < len(names):
+        seen = set()
+        for first_repeat, name in enumerate(names):
+            if name in seen:
+                break
+            seen.add(name)
+        actions = actions[:first_repeat]  # the actions before it are checked first
     for rule in actions:
-        if rule.name in action_names:
-            raise InstanceError("action-duplicate", f"duplicate action {rule.name!r}")
-        action_names.add(rule.name)
         if rule.explicit_effects is not None:
             table = rule.explicit_effects
             if _own_rows(table, grid, predicates) is not None:
@@ -714,6 +737,8 @@ def validate_instance_parts(problem: "Problem") -> Optional[list]:
                                     f"action {rule.name!r}: unknown effect predicate {rule.effect_predicate!r}")
             check_formula(rule.source_guard, f"action {rule.name!r} source guard")
             check_formula(rule.target_guard, f"action {rule.name!r} target guard")
+    if first_repeat is not None:
+        raise InstanceError("action-duplicate", f"duplicate action {names[first_repeat]!r}")
 
     check_atoms(cost_model.overrides, action_offsets, grid, "cost override", "unknown-action")
     for condition, _ in cost_model.state_rules:

@@ -36,7 +36,7 @@ class CoverProblem:
         for i, fam in enumerate(self.families):
             if not set(fam) <= elems:
                 raise InstanceError("cover-family", f"family {i} leaves the universe")
-        if self.k is not None and not 0 < self.k <= len(self.families):
+        if self.k is not None and (type(self.k) is bool or not 0 < self.k <= len(self.families)):
             raise InstanceError("cover-k", "k must be in 1..number of families")
 
 

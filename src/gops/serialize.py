@@ -14,8 +14,11 @@ only in the initial state and the ``explicit`` effect tables:
   ascending. ``dict(entries)`` is then already ``EffectTable.rows`` and
   the state list the index set behind ``AtomSet``, so the reader hands
   both over after a few C-level checks (only ints, in range, no repeated
-  point, every row a list); only a list the checks refuse is read again
-  item by item, to raise the ``ParseError`` of its first faulty item.
+  point, every row a list). The state is checked on its own, and all the
+  explicit actions of a document together (``_explicit_rules``), each
+  check one pass over every action, table or index at once. When a check
+  refuses, the state, or every action, is read again item by item, to
+  raise the ``ParseError`` of its first faulty item.
 - Version 1 writes every atom as [name, [x, y]]. Each entry shape has one
   reader, for atoms and pairs alike: a point, a [name, [x, y]] item, a
   set of items, an override table of [item, value] entries. A well-formed
@@ -36,7 +39,9 @@ identical bytes in each version and ``parse(serialize(x))`` reproduces
 
 import json
 from dataclasses import dataclass
-from itertools import chain
+from functools import partial
+from itertools import chain, repeat
+from operator import eq, itemgetter
 from typing import Optional
 
 from .bmgop import BmgopInstance
@@ -201,6 +206,10 @@ def _fits(values, count: int) -> bool:
                           and min(values) >= 0 and max(values) < count)
 
 
+# the keys of an explicit action; a dict's keys() compare equal to it
+_EXPLICIT_KEYS = {"name", "explicit"}
+
+
 def _check_index(value, count: int, path: str, what: str) -> None:
     if type(value) is not int:
         raise ParseError("type", f"expected an integer for {what}", path)
@@ -224,19 +233,11 @@ def _v2_state(state: list, path: str, grid: GridMap, predicates: tuple) -> AtomS
 
 def _v2_table(entries: list, path: str, grid: GridMap, predicates: tuple) -> EffectTable:
     """A version-2 ``explicit`` table of [point index, [atom index, ...]]
-    entries. ``dict(entries)`` is already the table's rows; a few C-level
-    checks accept them, and only a table they refuse is read again entry by
-    entry, to name its first fault."""
+    entries, read entry by entry, so the first faulty entry raises its
+    ``ParseError``. A document whose explicit actions all pass
+    ``_explicit_rules`` is not read this way."""
     n_points, n_atoms = grid.n_points, grid.n_points * len(predicates)
-    try:
-        rows = dict(entries)
-    except (TypeError, ValueError):  # an entry of no two items, or a list as its point
-        rows = None
-    if rows is not None and len(rows) == len(entries) and _fits(rows, n_points) \
-            and set(map(type, rows.values())) <= {list} \
-            and _fits([*chain.from_iterable(rows.values())], n_atoms):
-        return EffectTable._read(grid, predicates, rows)
-    seen = set()
+    rows = {}
     for i, entry in enumerate(entries):
         entry_path = f"{path}[{i}]"
         entry = _expect(entry, list, entry_path, "an effect table entry")
@@ -245,12 +246,65 @@ def _v2_table(entries: list, path: str, grid: GridMap, predicates: tuple) -> Eff
                              entry_path)
         point, row = entry
         _check_index(point, n_points, f"{entry_path}[0]", "a point index")
-        if point in seen:
+        if point in rows:
             raise ParseError("duplicate", f"point index {point} already has an effect entry",
                              entry_path)
-        seen.add(point)
         _check_indices(row, n_atoms, f"{entry_path}[1]")
-    raise AssertionError(f"{path}: the checks refuse a table without a faulty entry")
+        rows[point] = row
+    return EffectTable._read(grid, predicates, rows)
+
+
+def _explicit_rules(actions: list, grid: GridMap, predicates: tuple) -> Optional[list]:
+    """The rules of the version-2 explicit actions ``actions`` (dicts with
+    an ``explicit`` key), or None. C-level passes over all of them make the
+    checks that ``_parse_action`` and ``_v2_table`` make one by one: no key
+    but ``name`` and ``explicit``, every name a str and every table a list,
+    ``dict()`` of each table loses no entry, and every point and atom is an
+    int in range. ``dict(entries)`` is then already the table's rows. Any
+    refusal returns None, and the caller reads every action one by one."""
+    if not all(map(eq, map(dict.keys, actions), repeat(_EXPLICIT_KEYS))):
+        return None
+    names = list(map(itemgetter("name"), actions))
+    tables = list(map(itemgetter("explicit"), actions))
+    if not (set(map(type, names)) <= {str} and set(map(type, tables)) <= {list}):
+        return None
+    try:
+        rows = list(map(dict, tables))
+    except (TypeError, ValueError):  # an entry of no two items, or a list as its point
+        return None
+    atom_lists = [*chain.from_iterable(map(dict.values, rows))]
+    if sum(map(len, rows)) == sum(map(len, tables)) \
+            and _fits([*chain.from_iterable(rows)], grid.n_points) \
+            and set(map(type, atom_lists)) <= {list} \
+            and _fits([*chain.from_iterable(atom_lists)], grid.n_points * len(predicates)):
+        return list(map(ActionRule._read, names,
+                        map(partial(EffectTable._read, grid, predicates), rows)))
+    return None
+
+
+def _v2_actions(value, grid: GridMap, predicates: tuple) -> tuple:
+    """A version-2 action list: the explicit actions built in bulk by
+    ``_explicit_rules``, the rule-form ones by ``_parse_action``. When the
+    bulk checks refuse, every action is read one by one, and the first
+    faulty one raises its ``ParseError``."""
+    values = _expect(value, list, "$.actions", "the action list")
+    read_table = partial(_v2_table, grid=grid, predicates=predicates)
+    if set(map(type, values)) <= {dict}:
+        rules = _explicit_rules([a for a in values if "explicit" in a], grid, predicates)
+        if rules is not None:
+            if len(rules) == len(values):
+                return tuple(rules)
+            rules = iter(rules)
+            return tuple(next(rules) if "explicit" in a
+                         else _parse_action(a, f"$.actions[{i}]", read_table)
+                         for i, a in enumerate(values))
+    return _parse_actions(values, read_table)
+
+
+def _parse_actions(value, read_table) -> tuple:
+    """The actions of the action list ``value``, read one by one."""
+    return tuple(_parse_action(a, f"$.actions[{i}]", read_table)
+                 for i, a in enumerate(_expect(value, list, "$.actions", "the action list")))
 
 
 def _parse_action(value, path, read_table) -> ActionRule:
@@ -317,15 +371,10 @@ def _parse_document(text: str):
     state = _expect(doc["state"], list, "$.state", "the state")
     if version == 2:
         s0 = _v2_state(state, "$.state", grid, predicates)
-
-        def read_table(entries, path):
-            return _v2_table(entries, path, grid, predicates)
+        actions = _v2_actions(doc["actions"], grid, predicates)
     else:
         s0 = _parse_set(GroundAtom, state, "$.state", "the state")
-        read_table = _v1_table
-    actions = tuple(_parse_action(a, f"$.actions[{i}]", read_table)
-                    for i, a in enumerate(_expect(doc["actions"], list, "$.actions",
-                                                  "the action list")))
+        actions = _parse_actions(doc["actions"], _v1_table)
 
     cost_obj = _expect(doc["cost"], dict, "$.cost", "the cost section")
     _require_keys(cost_obj, "$.cost", ("default",), optional=("rules", "overrides"))

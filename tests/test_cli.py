@@ -584,3 +584,41 @@ def test_a_map_too_wide_to_ground_exit_2(tmp_path):
     result = run_cli(["count", str(path)])
     assert result.returncode == 2
     assert result.stderr.startswith("error[count-guard]: ")
+
+
+@pytest.mark.parametrize("command", ["validate", "solve", "reduce", "emit-lp", "count", "bench",
+                                     "encode"])
+def test_an_input_file_that_is_not_utf_8_exit_2(tmp_path, command):
+    # a UTF-16 byte order mark: JSON text is UTF-8 (RFC 8259)
+    path = tmp_path / "suite" / "doc.json"
+    path.parent.mkdir()
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    args = {"bench": ["bench", str(path.parent)],
+            "encode": ["encode", "set-cover", str(path), "-o", str(tmp_path / "out.json")],
+            "emit-lp": ["emit-lp", str(path), "-o", str(tmp_path / "out.lp")]}
+    result = run_cli(args.get(command, [command, str(path)]))
+    assert result.returncode == 2
+    assert result.stderr == f"error[encoding]: {path} is not UTF-8 text: byte 0: invalid start byte\n"
+    assert result.stdout == "" and not (tmp_path / "out.json").exists()
+
+
+def test_an_input_file_is_read_as_utf_8_in_any_locale(campaign_files, tmp_path):
+    gb, _ = campaign_files
+    doc = json.loads(gb.read_text())
+    doc["actions"][0]["name"] = "café"  # no pair names this action; written as UTF-8
+    path = tmp_path / "utf8.json"
+    path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0")  # an ASCII locale encoding
+    result = subprocess.run([sys.executable, "-m", "gops", "validate", str(path)],
+                            capture_output=True, text=True, env=env)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "ok: gbgop instance\n", "")
+
+
+def test_encode_refuses_a_bool_k_exit_2(tmp_path):
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({"universe": [1, 2], "families": [[1], [2]], "k": True}))
+    out = tmp_path / "inst.json"
+    result = run_cli(["encode", "max-k-cover", str(problem), "-o", str(out)])
+    assert result.returncode == 2
+    assert result.stderr == "error[cover-k]: k must be in 1..number of families\n"
+    assert not out.exists()

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -57,6 +58,20 @@ def test_max_k_cover_examples():
     assert solve_bmgop_exact(inst).achieved_benefit == 3
     inst = encode_max_k_cover(CoverProblem(universe=universe, families=families, k=4))
     assert solve_bmgop_exact(inst).achieved_benefit == len({1, 2, 3, 4, 5})
+
+
+@pytest.mark.parametrize("k", [True, False])
+def test_a_bool_k_is_refused(k):
+    # bool is an int subclass, but a document's k is never true: the reader
+    # refuses it, so neither the problem nor the instance may hold it
+    families = (frozenset({1}), frozenset({2}))
+    with pytest.raises(InstanceError) as err:
+        CoverProblem(universe=(1, 2), families=families, k=k)
+    assert err.value.code == "cover-k"
+    inst = encode_max_k_cover(CoverProblem(universe=(1, 2), families=families, k=1))
+    with pytest.raises(InstanceError) as err:
+        replace(inst, k=k)
+    assert (err.value.code, err.value.message) == ("k-range", "k must be a non-negative integer")
 
 
 def test_max_k_cover_requires_k():

@@ -4,9 +4,9 @@ for an atom of predicate ``k``, ``y * (M + 1) + x`` for a point).
 
 Both versions of one instance parse to equal instances (state, tables,
 groundings) and round-trip, each to its own bytes. Every malformed
-version-2 state or table ends in a ``ParseError`` with a code and the JSON
-path of the first faulty item, never in a traceback, however its fault
-slips past ``dict()``."""
+version-2 state, table or action ends in a ``ParseError`` with a code and
+the JSON path of the first faulty item, never in a traceback, however its
+fault slips past ``dict()``."""
 
 import json
 import random
@@ -124,7 +124,14 @@ def _document(change=None):
 
 
 def _explicit(doc):
-    return doc["actions"][0]["explicit"]
+    return _explicit_of(doc, 0)
+
+
+def _explicit_of(doc, i):
+    return doc["actions"][i]["explicit"]
+
+
+RULE_ACTION = {"name": "r", "effect": "b", "source_guard": "true", "target_guard": "true"}
 
 
 def test_the_base_document_is_the_writers_own():
@@ -204,6 +211,43 @@ ERRORS = {
     "v1-document": (lambda d: d.update(state=[["a", [0, 0]]]), "type", "$.state[0]"),
     "v1-table": (lambda d: d["actions"][0].update(explicit=[[[0, 0], [["a", [1, 1]]]]]),
                  "type", "$.actions[0].explicit[0][0]"),
+    # faults beyond the first action, and in the action objects themselves
+    "second-action-atom-out-of-range": (
+        lambda d: d["actions"].append({"name": "f", "explicit": [[0, [4]], [8, [18]]]}),
+        "index-range", "$.actions[1].explicit[1][1][0]"),
+    "last-of-500-actions": (
+        lambda d: d["actions"].extend([{"name": f"f{i}", "explicit": [[i % 9, [i % 18]]]}
+                                       for i in range(498)]
+                                      + [{"name": "last", "explicit": [[0, [4, True]]]}]),
+        "type", "$.actions[499].explicit[0][1][1]"),
+    "explicit-fault-after-a-rule-action": (
+        lambda d: d["actions"].insert(0, dict(RULE_ACTION)) or _explicit_of(d, 1)[1].__setitem__(0, 9),
+        "index-range", "$.actions[1].explicit[1][0]"),
+    "rule-fault-after-an-explicit-action": (
+        lambda d: d["actions"].append(dict(RULE_ACTION, effect=5)), "type", "$.actions[1].effect"),
+    "rule-fault-before-an-explicit-fault": (
+        lambda d: d["actions"].extend([dict(RULE_ACTION, source_guard=1),
+                                       {"name": "f", "explicit": [[9, []]]}]),
+        "type", "$.actions[1].source_guard"),
+    "state-fault-before-an-action-list-fault": (
+        lambda d: d["state"].append(True) or d.__setitem__("actions", {}), "type", "$.state[2]"),
+    "action-not-an-object": (lambda d: d["actions"].append(5), "type", "$.actions[1]"),
+    "action-a-list": (lambda d: d["actions"].append(["f", []]), "type", "$.actions[1]"),
+    "name-missing": (lambda d: d["actions"].append({"explicit": []}), "missing-key",
+                     "$.actions[1]"),
+    "name-not-a-string": (lambda d: d["actions"].append({"name": 5, "explicit": []}), "type",
+                          "$.actions[1].name"),
+    "name-null": (lambda d: d["actions"].append({"name": None, "explicit": []}), "type",
+                  "$.actions[1].name"),
+    "explicit-with-an-extra-key": (lambda d: d["actions"][0].__setitem__("metric", "euclidean"),
+                                   "unknown-key", "$.actions[0]"),
+    "explicit-with-an-effect": (lambda d: d["actions"].append({"name": "f", "explicit": [],
+                                                               "effect": "a"}),
+                                "unknown-key", "$.actions[1]"),
+    "second-table-a-string": (lambda d: d["actions"].append({"name": "f", "explicit": "ab"}),
+                              "type", "$.actions[1].explicit"),
+    "second-table-null": (lambda d: d["actions"].append({"name": "f", "explicit": None}),
+                          "type", "$.actions[1].explicit"),
 }
 
 

@@ -140,3 +140,23 @@ def test_instance_error_keeps_its_code_and_message(code, where):
     with pytest.raises(InstanceError) as err:
         parse_instance(_broken(base, path, value))
     assert (err.value.code, err.value.message) == (code, message)
+
+
+def test_a_repeated_action_name_is_reported_in_action_order():
+    # the faults of the actions before the first repeat come first; a
+    # fault after it does not hide the repeat
+    doc = json.loads(json.dumps(GBGOP))
+    rule = doc["actions"][1]
+    doc["actions"] += [dict(rule, effect="c"), dict(rule, name="e")]
+    with pytest.raises(InstanceError) as err:
+        parse_instance(json.dumps(doc))
+    assert err.value.code == "action-duplicate"  # action 2 repeats r
+    doc["actions"][2]["name"] = "s"
+    with pytest.raises(InstanceError) as err:
+        parse_instance(json.dumps(doc))
+    assert err.value.code == "unknown-predicate"  # action 2, before action 3 repeats e
+    doc["actions"][2]["effect"] = "b"
+    doc["actions"][3]["effect"] = "c"
+    with pytest.raises(InstanceError) as err:
+        parse_instance(json.dumps(doc))
+    assert err.value.code == "action-duplicate"  # action 3 repeats e; its effect is not read
