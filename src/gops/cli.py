@@ -37,6 +37,12 @@ def _read_text(path) -> str:
                                     f"{err.reason}") from None
 
 
+def _write_text(path, text: str) -> None:
+    """Write an output file as UTF-8 whatever the locale; a name no UTF-8
+    can hold is escaped as ``_emit`` escapes it."""
+    Path(path).write_text(text, encoding="utf-8", errors="backslashreplace")
+
+
 def _read_instance(path: str):
     return parse_instance(_read_text(path))
 
@@ -46,9 +52,19 @@ def _limits(args) -> Limits:
 
 
 def _emit(args, payload: dict, text: str) -> None:
+    """Print a command's report as UTF-8, the encoding of every output
+    file, whatever the locale. A name the locale cannot encode is printed
+    as it is, a file name's undecodable bytes as they were, and a name no
+    UTF-8 can hold (a lone surrogate that a JSON ``\\ud800`` escape can
+    make) as a backslash escape: none ends in a UnicodeEncodeError."""
+    out = json.dumps(payload, indent=2) + "\n" if args.json else text
     try:
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n" if args.json else text)
-        sys.stdout.flush()
+        data = out.encode("utf-8", "surrogateescape")
+    except UnicodeEncodeError:
+        data = out.encode("utf-8", "backslashreplace")
+    try:
+        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.flush()
     except BrokenPipeError:
         # The reader has gone (``| head``): send the rest, and the flush at
         # exit, nowhere, and end with the command's own exit code.
@@ -74,7 +90,7 @@ def _cmd_solve(args) -> int:
         status = "feasible"
         trace_path = args.trace
         if trace_path:
-            Path(trace_path).write_text(trace.to_text())
+            _write_text(trace_path, trace.to_text())
     elif args.method == "exact":
         try:
             sol = (solve_gbgop_exact if gbgop else solve_bmgop_exact)(inst, limits=limits)
@@ -113,7 +129,7 @@ def _cmd_emit_lp(args) -> int:
         model = build_gbgop_ip(inst, use_reduction=args.reduced)
     else:
         model = build_bmgop_ip(inst)
-    Path(args.output).write_text(emit_lp(model))
+    _write_text(args.output, emit_lp(model))
     return EXIT_OK
 
 
@@ -142,7 +158,7 @@ def _cmd_encode(args) -> int:
             inst = encode_set_cover(problem) if args.kind == "set-cover" else encode_max_k_cover(problem)
     except (KeyError, TypeError) as err:
         raise ParseError("encode-input", f"malformed problem file: {err}") from err
-    Path(args.output).write_text(serialize_instance(inst))
+    _write_text(args.output, serialize_instance(inst))
     return EXIT_OK
 
 
@@ -154,7 +170,7 @@ def _cmd_gen(args) -> int:
         inst = gen_random(seed=args.seed, width=args.width, height=args.height,
                           predicates=args.predicates, actions=args.actions,
                           radius=args.radius, ics=args.ics, problem=args.problem)
-    Path(args.output).write_text(serialize_instance(inst))
+    _write_text(args.output, serialize_instance(inst))
     return EXIT_OK
 
 
@@ -175,7 +191,7 @@ def _cmd_bench(args) -> int:
     except LimitReachedError as err:
         report, failure = err.best, err  # the records of the instances finished
     if args.output:
-        Path(args.output).write_text(json.dumps(report.to_json(), indent=2) + "\n")
+        _write_text(args.output, json.dumps(report.to_json(), indent=2) + "\n")
     _emit(args, report.to_json(), report.to_text())
     if failure is not None:
         raise failure

@@ -35,10 +35,11 @@ validation (``check_atoms``) and grounding's lookups and override tables.
 Each item is indexed once per set it is in; of several bad items, the
 least by ``repr`` is named. Every ``Problem`` keeps its initial state as
 atom indices in a read-only ``AtomSet`` of its own map and predicates,
-taken as it is or indexed once by validation's pass. An explicit effect
-table read from a document is kept as atom indices in an ``EffectTable``
-(version-2 documents carry the indices, range-checked by the parser),
-which validation skips and grounding reads bit by bit. The set-based
+and each explicit effect table as atom indices in an ``EffectTable`` of
+them: one of its own is taken as it is (version-2 documents carry the
+indices, range-checked by the parser), and any other is indexed once by
+validation's pass. Grounding and the writer read only those indices. The
+set-based
 functions (``satisfies``, ``action_effects``, ``appl``, ``cost_of``,
 ``benefit_of``, ``ground_ics_for_state``, ``check_ics``) are reference
 semantics only: no solver calls them, and the tests hold the tables and
@@ -48,9 +49,9 @@ solvers equal to them.
 import math
 import sys
 from collections.abc import Set
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import InstanceError, LimitReachedError
@@ -539,9 +540,10 @@ class EffectTable(Mapping):
     ``grid`` and ``predicates``: ``k * n_points + y * (M + 1) + x`` for
     predicate ``k``. The store grows with the entries, not with the map,
     and a point's atom set is built each time it is read. The table equals,
-    as a Mapping, the dict of frozensets it stands for. An instance on the
-    same grid and predicates validates and grounds it from the indices
-    alone (``_own_rows``); any other reads it through this interface. The
+    as a Mapping, the dict of frozensets it stands for. It is the form of
+    every ``Problem``'s explicit tables: an instance on the same grid and
+    predicates keeps it as it is (``_own_rows``), and validation reads any
+    other table through this interface into one of its own. The
     constructor copies and range-checks ``rows``; ``_read`` does not."""
 
     __slots__ = ("grid", "predicates", "rows")
@@ -681,7 +683,7 @@ def check_atoms(items, offsets: Mapping[str, int], grid: GridMap, where: str,
     return item_indices(items, offsets, grid, error)
 
 
-def validate_instance_parts(problem: "Problem") -> Optional[list]:
+def validate_instance_parts(problem: "Problem") -> tuple:
     """Cross-checks between the parts of ``problem``; raises InstanceError.
 
     Atom and pair sets are checked item by item by ``check_atoms`` (an
@@ -689,8 +691,13 @@ def validate_instance_parts(problem: "Problem") -> Optional[list]:
     effect table of this instance's own indices (``_own_atoms``,
     ``_own_rows``). Repeated action names are found by one set of all the
     names; only then does a loop look for the first repeat, which is
-    reported after the checks of the actions before it. Returns the
-    initial state's atom indices when it had to check them, else None."""
+    reported after the checks of the actions before it.
+
+    Returns the normalised ``(s0, actions)``: the state as an ``AtomSet``
+    and every explicit table as an ``EffectTable`` of this grid and these
+    predicates. A state or table that is not one already is kept as the
+    indices its check computed, a table in a copy of its rule; the actions
+    tuple is rebuilt only when a table was indexed."""
     grid, predicates, actions = problem.grid, problem.predicates, problem.actions
     cost_model, benefit_model = problem.cost_model, getattr(problem, "benefit_model", None)
     seen = set()
@@ -707,9 +714,10 @@ def validate_instance_parts(problem: "Problem") -> Optional[list]:
             if leaf.point is not None and grid.point_index(leaf.point) is None:
                 raise InstanceError("point-bounds", f"{where}: point {leaf.point} outside the map")
 
-    s0_indices = None
-    if _own_atoms(problem.s0, grid, predicates) is None:
-        s0_indices = check_atoms(problem.s0, known, grid, "initial state")
+    s0 = problem.s0
+    if _own_atoms(s0, grid, predicates) is None:
+        s0 = AtomSet._read(grid, predicates,
+                           frozenset(check_atoms(s0, known, grid, "initial state")))
 
     names = [rule.name for rule in actions]
     action_offsets = block_offsets(names, grid)
@@ -720,17 +728,21 @@ def validate_instance_parts(problem: "Problem") -> Optional[list]:
             if name in seen:
                 break
             seen.add(name)
-        actions = actions[:first_repeat]  # the actions before it are checked first
-    for rule in actions:
+    indexed = {}  # position -> the rule with its table as this instance's EffectTable
+    for pos, rule in enumerate(actions[:first_repeat]):  # those before a repeat are checked first
         if rule.explicit_effects is not None:
             table = rule.explicit_effects
             if _own_rows(table, grid, predicates) is not None:
                 continue  # built from this instance's own map points and predicates
-            # the table's points are those of the action's pairs
-            check_atoms([(rule.name, p) for p in table], action_offsets, grid,
-                        f"action {rule.name!r}", "unknown-action")
-            check_atoms([a for effect in table.values() for a in effect], known, grid,
-                        f"action {rule.name!r} effects")
+            # the table's points are those of the action's pairs, indexed in a block at 0
+            points = check_atoms([(rule.name, p) for p in table], {rule.name: 0}, grid,
+                                 f"action {rule.name!r}", "unknown-action")
+            effects = list(table.values())
+            atoms = check_atoms([a for effect in effects for a in effect], known, grid,
+                                f"action {rule.name!r} effects")
+            ends = [*accumulate(map(len, effects))]
+            rows = {i: atoms[start:end] for i, start, end in zip(points, [0, *ends], ends)}
+            indexed[pos] = replace(rule, explicit_effects=EffectTable._read(grid, predicates, rows))
         else:
             if rule.effect_predicate not in known:
                 raise InstanceError("unknown-predicate",
@@ -739,6 +751,8 @@ def validate_instance_parts(problem: "Problem") -> Optional[list]:
             check_formula(rule.target_guard, f"action {rule.name!r} target guard")
     if first_repeat is not None:
         raise InstanceError("action-duplicate", f"duplicate action {names[first_repeat]!r}")
+    if indexed:
+        actions = tuple(indexed.get(pos, rule) for pos, rule in enumerate(actions))
 
     check_atoms(cost_model.overrides, action_offsets, grid, "cost override", "unknown-action")
     for condition, _ in cost_model.state_rules:
@@ -753,7 +767,7 @@ def validate_instance_parts(problem: "Problem") -> Optional[list]:
     for i, ic in enumerate(problem.ics):
         check_atoms(ic.pairs, action_offsets, grid, f"integrity constraint {i}", "unknown-action")
         check_formula(ic.condition, f"integrity constraint {i}")  # ground: see IntegrityConstraint
-    return s0_indices
+    return s0, actions
 
 
 def _point_mask(formula: Formula, s0_mask: int, offsets: Mapping[str, int], grid: GridMap,
@@ -913,10 +927,9 @@ class Grounding:
       bound the ball is the whole map;
     * a pair's cost is its override, else the value of the first cost rule
       whose condition mask has bit ``p``, else the default;
-    * an explicit table parsed for this instance's grid and predicates (an
-      ``EffectTable``) already holds atom indices, and each row's mask is
-      set from them; any other explicit table is read through its Mapping
-      interface, each entry's atoms indexed by ``item_indices``.
+    * an explicit table, an ``EffectTable`` of this instance's grid and
+      predicates (validation made it one), holds atom indices, and each
+      row's mask is set from them.
 
     Benefits are grouped the same way: each predicate's block plus the
     overridden atoms give ``benefit_classes``, one atom mask per distinct
@@ -950,12 +963,8 @@ class Grounding:
         for rule in self.actions:
             row = [0] * n_points
             table = rule.explicit_effects
-            if table is not None:
-                rows = _own_rows(table, grid, self.predicates)
-                if rows is None:  # any other Mapping: index its entries
-                    rows = {grid.point_index(point): self._indices(offsets, effect, "unknown-atom")
-                            for point, effect in table.items()}
-                for i, atoms in rows.items():
+            if table is not None:  # an EffectTable of this grid and predicates
+                for i, atoms in table.rows.items():
                     mask = 0
                     for j in atoms:
                         mask |= 1 << j
@@ -1227,9 +1236,10 @@ class Problem:
     ``Grounding`` built on first use. Subclasses add their objective's
     fields and checks after calling ``__post_init__``; a flavour's benefit
     table, its ``benefit_model``, is validated and grounded here too.
-    ``s0`` is an AtomSet of this grid and these predicates: one given is
-    kept as it is, and any other state is kept as the indices that
-    validation reads it into."""
+    ``s0`` is an AtomSet of this grid and these predicates, and each
+    explicit action's table an EffectTable of them: one given is kept as
+    it is, and any other is kept as the indices that validation reads it
+    into, a table in a copy of its action (``validate_instance_parts``)."""
 
     grid: GridMap
     predicates: tuple
@@ -1243,9 +1253,7 @@ class Problem:
         self.predicates = tuple(self.predicates)
         self.actions = tuple(self.actions)
         self.ics = tuple(self.ics)
-        s0_indices = validate_instance_parts(self)
-        if s0_indices is not None:
-            self.s0 = AtomSet._read(self.grid, self.predicates, frozenset(s0_indices))
+        self.s0, self.actions = validate_instance_parts(self)
         if not (0 <= self.budget < math.inf):
             raise InstanceError("budget-range", "budget must be a finite non-negative number")
 

@@ -26,9 +26,10 @@ only in the initial state and the ``explicit`` effect tables:
   through the step-by-step checks that name its error, and only then is
   its path built. The initial state and each explicit effect table are
   read this way, as ``GroundAtom`` objects, and the instance indexes the
-  state once as it validates it, so version 1 reads several times slower
-  than version 2. ``serialize_instance(parse_instance(text))`` rewrites a
-  version-1 document at version 2.
+  state and each table once as it validates them, so version 1 reads
+  several times slower than version 2.
+  ``serialize_instance(parse_instance(text))`` rewrites a version-1
+  document at version 2.
 
 Every other section is the same in both versions. Serialization is
 canonical (fixed key order, atoms and pairs in one canonical order,
@@ -48,7 +49,7 @@ from .bmgop import BmgopInstance
 from .core import (ActionPointPair, ActionRule, AndFormula, AtomFormula, AtomSet,
                    BenefitModel, CostModel, EffectTable, Formula, GridMap, GroundAtom,
                    IntegrityConstraint, NotFormula, OrFormula, Point, TRUE,
-                   TrueFormula, _own_rows, block_offsets, item_indices)
+                   TrueFormula, _block_point)
 from .errors import ParseError
 from .gbgop import GbgopInstance
 
@@ -475,21 +476,6 @@ def formula_to_json(f: Formula):
     raise TypeError(f"not a formula node: {f!r}")
 
 
-def _atom_indices(atoms, offsets: dict, grid: GridMap) -> list:
-    """The atom indices of a validated instance's atoms."""
-    return item_indices(atoms, offsets, grid,
-                        lambda atom: ValueError(f"{atom!r} is no atom of the instance"))
-
-
-def _v2_explicit(table, grid: GridMap, predicates: tuple, offsets: dict) -> list:
-    """A table's version-2 entries, points and atoms ascending."""
-    rows = _own_rows(table, grid, predicates)
-    if rows is None:
-        rows = {grid.point_index(p): _atom_indices(atoms, offsets, grid)
-                for p, atoms in table.items()}
-    return [[i, sorted(set(row))] for i, row in sorted(rows.items())]
-
-
 def _action_json(rule: ActionRule, explicit):
     """An action; ``explicit(table)`` writes an explicit table's entries."""
     if rule.explicit_effects is not None:
@@ -511,17 +497,17 @@ def instance_to_json(inst, version: int = FORMAT_VERSION) -> dict:
     atom_key = _item_key(grid, predicates)
     pair_key = _item_key(grid, [rule.name for rule in inst.actions])
     if version == 2:
-        offsets = block_offsets(predicates, grid)
         state = sorted(inst.s0.indices)
 
-        def explicit(table):
-            return _v2_explicit(table, grid, predicates, offsets)
+        def explicit(table):  # points and atoms ascending
+            return [[i, sorted(set(row))] for i, row in sorted(table.rows.items())]
     elif version == 1:
         state = [_item_json(a) for a in inst.s0]  # an AtomSet: canonical order
 
-        def explicit(table):
-            return [[_point_json(p), [_item_json(a) for a in sorted(atoms, key=atom_key)]]
-                    for p, atoms in sorted(table.items(), key=lambda kv: (kv[0].y, kv[0].x))]
+        def explicit(table):  # points and atoms in index order, the canonical one
+            return [[_point_json(_block_point(grid, i)[1]),
+                     [_item_json(a) for a in AtomSet._read(grid, predicates, frozenset(row))]]
+                    for i, row in sorted(table.rows.items())]
     else:
         raise ValueError(f"unknown {FORMAT_NAME} version {version!r}")
     doc = {

@@ -614,6 +614,73 @@ def test_an_input_file_is_read_as_utf_8_in_any_locale(campaign_files, tmp_path):
     assert (result.returncode, result.stdout, result.stderr) == (0, "ok: gbgop instance\n", "")
 
 
+_ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0"}
+
+
+def _renamed_campaign(campaign_files, tmp_path, name):
+    """The campaign bmgop document with its action ``nor``, which the
+    greedy picks, renamed ``name``; the document is ASCII, its non-ASCII
+    characters JSON escapes."""
+    _, bm = campaign_files
+    doc = json.loads(bm.read_text())
+    [action] = [a for a in doc["actions"] if a["name"] == "nor"]
+    action["name"] = name
+    path = tmp_path / "renamed.json"
+    path.write_text(json.dumps(doc), encoding="ascii")
+    return path
+
+
+def _run_bytes(args, cwd, locale=None):
+    env = dict(os.environ, PYTHONHASHSEED="1", **(locale or {"PYTHONUTF8": "1"}))
+    return subprocess.run([sys.executable, "-m", "gops", *args],
+                          capture_output=True, env=env, cwd=cwd)
+
+
+@pytest.mark.parametrize("flags", [["--trace", "trace.txt"], [], ["--json"]])
+def test_reports_and_traces_are_utf_8_in_any_locale(campaign_files, tmp_path, flags):
+    # an ASCII locale and UTF-8 mode print the same bytes and write the
+    # same trace; neither ends in a traceback
+    path = _renamed_campaign(campaign_files, tmp_path, "café")
+    outputs = []
+    for locale in (_ASCII_LOCALE, None):
+        run = tmp_path / ("ascii" if locale else "utf8")
+        run.mkdir()
+        result = _run_bytes(["solve", str(path), "--method", "approx", *flags], run, locale)
+        assert (result.returncode, result.stderr) == (0, b"")
+        trace = (run / "trace.txt").read_bytes().decode("utf-8") if flags[:1] == ["--trace"] \
+            else None
+        outputs.append((result.stdout, trace))
+    stdout, trace = outputs[0]
+    assert outputs[1] == outputs[0]
+    assert ("caf\\u00e9" if flags == ["--json"] else "café") in stdout.decode("utf-8")
+    assert trace is None or "chosen=café@" in trace
+
+
+def test_a_name_no_utf_8_holds_is_printed_escaped(campaign_files, tmp_path):
+    # a JSON "\ud800" escape reads as a lone surrogate, which no UTF-8
+    # encodes: the report and the trace show it as a backslash escape
+    path = _renamed_campaign(campaign_files, tmp_path, "\ud800")
+    for locale in (_ASCII_LOCALE, None):
+        result = _run_bytes(["solve", str(path), "--method", "approx", "--trace", "trace.txt"],
+                            tmp_path, locale)
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert b"pairs: \\ud800@(" in result.stdout
+        assert "chosen=\\ud800@(" in (tmp_path / "trace.txt").read_bytes().decode("utf-8")
+
+
+def test_a_file_name_the_locale_cannot_decode_is_printed_as_it_was(tmp_path):
+    # an ASCII locale reads the name's UTF-8 bytes as surrogate escapes;
+    # the bench report gives the bytes back, not escapes
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    inst = encode_max_k_cover(CoverProblem(universe=(1, 2, 3, 4),
+                                           families=(frozenset({1, 2}), frozenset({3, 4})), k=2))
+    (suite / "café.json").write_text(serialize_instance(inst), encoding="utf-8")
+    result = _run_bytes(["bench", str(suite)], tmp_path, _ASCII_LOCALE)
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert "\ncafé.json " in result.stdout.decode("utf-8")
+
+
 def test_encode_refuses_a_bool_k_exit_2(tmp_path):
     problem = tmp_path / "problem.json"
     problem.write_text(json.dumps({"universe": [1, 2], "families": [[1], [2]], "k": True}))

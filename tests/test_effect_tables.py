@@ -10,15 +10,18 @@ tables equal to ``reference_grounding`` and solution final states equal to
 ``appl``. Fallback tests hold every faulty version-1 table or state to the
 error code and JSON path (or message) the object path gave before the
 version-1 index readers existed, and a table or state reused on another
-map or predicate order to its Mapping or Set interface."""
+map or predicate order to its Mapping or Set interface. A table built in
+code, or made for another map or predicate order, is kept by the instance
+as an EffectTable of its own, equal to the table it was given."""
 
 import json
 import random
 
 import pytest
 
-from gops import (ActionRule, CostModel, GbgopInstance, GridMap, GroundAtom,
-                  Point, appl, gen_campaign, gen_random, parse_instance, serialize_instance)
+from gops import (ActionRule, CostModel, GbgopInstance, GridMap, GroundAtom, Point, appl,
+                  encodings, gen_campaign, gen_random, parse_instance, scenarios,
+                  serialize_instance)
 from gops.core import AtomSet, EffectTable, enumerate_pairs
 from gops.encodings import (CoverProblem, MonotoneCnf, encode_max_k_cover, encode_monsat,
                             encode_set_cover)
@@ -251,6 +254,90 @@ def test_a_table_on_a_huge_map_parses_in_the_size_of_its_entries():
 
 
 # ---------------------------------------------------------------------------
+# Tables built in code: validation keeps each as an EffectTable of the
+# instance's own map and predicates
+
+def _given(monkeypatch, module, build):
+    """The instance ``build()`` makes, and the rules ``module`` gave
+    ``ActionRule`` on the way, each with the table as it was given."""
+    given = []
+
+    def record(*args, **kwargs):
+        given.append(ActionRule(*args, **kwargs))
+        return given[-1]
+    monkeypatch.setattr(module, "ActionRule", record)
+    return build(), given
+
+
+def _one_table(table, grid=GridMap(2, 2), predicates=("a", "b")):
+    rule = ActionRule(name="e", explicit_effects=table)
+    return _with_table(table, grid, predicates), [rule]
+
+
+def _table_on(grid, predicates):
+    """An instance on ``grid`` and ``predicates`` given BASE's table as an
+    EffectTable of its own 3 x 3 map and ("a", "b")."""
+    table = parse_instance(_upgraded(_document())).actions[0].explicit_effects
+    assert (table.grid, table.predicates) == (GridMap(2, 2), ("a", "b"))
+    return _one_table(table, grid, predicates)
+
+
+_a, _b = GroundAtom("a", Point(1, 1)), GroundAtom("b", Point(0, 2))
+CODE_BUILT = {
+    "gen_random-gbgop": lambda mp: _given(mp, scenarios, lambda: gen_random(
+        seed=5, width=4, height=3, actions=4, radius=1.5, ics=2, problem="gbgop")),
+    "gen_random-bmgop": lambda mp: _given(mp, scenarios, lambda: gen_random(
+        seed=5, width=4, height=3, actions=4, radius=1.5, ics=2, problem="bmgop")),
+    "set-cover": lambda mp: _given(mp, encodings, lambda: encode_set_cover(_cover_problem(0))),
+    "max-k-cover": lambda mp: _given(mp, encodings,
+                                     lambda: encode_max_k_cover(_cover_problem(1, k=3))),
+    "monsat": lambda mp: _given(mp, encodings, lambda: encode_monsat(MonotoneCnf(
+        ("x0", "x1", "x2"), (frozenset({"x0", "x1"}), frozenset({"x2"}))))),
+    "another-map": lambda mp: _table_on(GridMap(3, 2), ("a", "b")),
+    "another-predicate-order": lambda mp: _table_on(GridMap(2, 2), ("b", "a")),
+    "an-empty-effect": lambda mp: _one_table({Point(0, 0): frozenset(), Point(2, 1): {_a}}),
+    "float-and-bool-coordinates": lambda mp: _one_table(
+        {Point(1.0, 0): frozenset({_a, GroundAtom("b", Point(True, 2.0))}),
+         Point(0, True): frozenset({_b, GroundAtom("b", Point(0.0, 2))})}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CODE_BUILT))
+def test_a_table_built_in_code_is_kept_as_an_effect_table_of_the_instance(monkeypatch, case):
+    inst, given = CODE_BUILT[case](monkeypatch)
+    assert inst.actions == tuple(given)
+    tables = 0
+    for rule, was in zip(inst.actions, given):
+        table = rule.explicit_effects
+        if table is None:
+            continue
+        tables += 1
+        assert type(table) is EffectTable
+        assert (table.grid, table.predicates) == (inst.grid, inst.predicates)
+        assert table == was.explicit_effects and dict(table) == dict(was.explicit_effects)
+    assert tables
+    ref = reference_grounding(inst.grid, inst.predicates, frozenset(inst.s0), given,
+                              inst.cost_model, inst.ics, getattr(inst, "benefit_model", None))
+    for name in GROUNDING_TABLES:
+        assert getattr(inst.grounding, name) == ref[name], name
+    # the same bytes as the instance read back from them, at either version;
+    # a coordinate given as 1.0 or True is written as the integer it equals
+    for version in (1, 2):
+        text = serialize_instance(inst, version=version)
+        assert serialize_instance(parse_instance(text), version=version) == text
+
+
+def test_a_generated_goal_instance_shares_its_rules_with_its_grounding():
+    inst = gen_random(seed=5, width=4, height=3, actions=4, radius=1.5, ics=2, problem="gbgop")
+    g = inst.grounding
+    assert all(rule is again for rule, again in zip(inst.actions, g.actions))
+    # an instance of the same map and predicates keeps a table as it is
+    [table, *_] = [rule.explicit_effects for rule in inst.actions if rule.explicit_effects]
+    again = _with_table(table, inst.grid, inst.predicates)
+    assert again.actions[0].explicit_effects is table
+
+
+# ---------------------------------------------------------------------------
 # Initial states (``AtomSet``)
 
 def _canonical(inst):
@@ -280,15 +367,16 @@ def _reads(version):
         yield inst, parse_instance(serialize_instance(inst, version=version))
 
 
-def _check_tables(version, kind):
-    # tables as built, groundings as the reference computes them on the
-    # state as a plain frozenset
+def _check_tables(version):
+    # tables as built, each kept as an EffectTable of the instance read;
+    # groundings as the reference computes them on the state as a plain
+    # frozenset
     insts = tables = 0
     for inst, read in _reads(version):
         insts += 1
         for rule, again in zip(inst.actions, read.actions):
             if rule.explicit_effects is not None:
-                assert type(again.explicit_effects) is kind
+                assert type(again.explicit_effects) is EffectTable
                 assert again.explicit_effects == rule.explicit_effects
                 tables += 1
         ref = reference_grounding(inst.grid, inst.predicates, frozenset(inst.s0), inst.actions,
@@ -319,11 +407,11 @@ def _check_states(version):
 
 
 def test_the_table_reader_matches_the_object_path():
-    _check_tables(1, dict)
+    _check_tables(1)
 
 
 def test_the_v2_table_reader_matches_the_object_path():
-    _check_tables(2, EffectTable)
+    _check_tables(2)
 
 
 def test_the_state_reader_matches_the_object_path():
