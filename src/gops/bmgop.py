@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from itertools import compress, repeat
 from typing import Optional
 
-from .core import (ActionPointPair, BenefitModel, Problem, Solution, format_number,
+from .core import (ActionPointPair, BenefitModel, Problem, Solution, format_number, iter_bits,
                    sums_exact)
 from .errors import InstanceError
 from .ip import IpModel, Limits, _solve_for_tags
@@ -333,7 +333,11 @@ def build_bmgop_ip(inst: BmgopInstance) -> IpModel:
 
     Variable ``i`` selects pair ``i``. Names and labels are made from the
     canonical indices (``Grounding.pair_names``/``atom_names``), and the
-    map's pairs and atoms are never built as objects."""
+    map's pairs and atoms are never built as objects.
+
+    The model's ``start`` is BMGOP-Compute's selection, which the greedy
+    works out only when a solver asks for it; it is None when ``k`` or the
+    budget is 0, where the greedy does not run."""
     g = inst.grounding
     benefits = g.benefits
     n = g.n_pairs
@@ -358,6 +362,16 @@ def build_bmgop_ip(inst: BmgopInstance) -> IpModel:
 
     model.add_rows(["card"], "<=", float(inst.k), [x_vars])
     model.add_packing_rows(inst, dict(zip(x_vars, x_vars)))
+    if inst.k > 0 and inst.budget > 0:  # what the greedy needs
+        def start() -> list:
+            """X of BMGOP-Compute's pairs, and Y of the atoms outside the
+            initial state that they add (the Y variables follow those atoms
+            in ascending order)."""
+            picked = g.pairs_to_indices(bmgop_compute(inst)[0].pairs)
+            added = g.union_effects(picked) & outside_s0
+            return picked + [y for y, atom in zip(y_vars, iter_bits(outside_s0))
+                             if added >> atom & 1]
+        model.start = start
     return model
 
 
@@ -413,7 +427,9 @@ def solve_bmgop_exact(inst: BmgopInstance, limits: Optional[Limits] = None) -> B
 
 
 def solve_bmgop_ip(inst: BmgopInstance, limits: Optional[Limits] = None):
-    """Solve via the exact program. Returns (solution or None, status)."""
+    """Solve via the exact program. Returns (solution or None, status).
+    The program's start is BMGOP-Compute's selection; when the root proves
+    it optimal, it is the solution returned."""
     tags, status = _solve_for_tags(build_bmgop_ip(inst), limits)
     if tags is None:
         return None, status

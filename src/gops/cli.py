@@ -51,6 +51,23 @@ def _limits(args) -> Limits:
     return Limits(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
 
 
+def _utf8(text: str) -> bytes:
+    """``text`` as UTF-8: a file name's undecodable bytes as they were, and
+    a lone surrogate, which no UTF-8 can hold, as a backslash escape."""
+    try:
+        return text.encode("utf-8", "surrogateescape")
+    except UnicodeEncodeError:
+        return text.encode("utf-8", "backslashreplace")
+
+
+def _error(code: str, message) -> None:
+    """Print an ``error[...]`` line to stderr as UTF-8, as ``_emit`` prints
+    a report, whatever the locale."""
+    sys.stderr.flush()
+    sys.stderr.buffer.write(_utf8(f"error[{code}]: {message}\n"))
+    sys.stderr.buffer.flush()
+
+
 def _emit(args, payload: dict, text: str) -> None:
     """Print a command's report as UTF-8, the encoding of every output
     file, whatever the locale. A name the locale cannot encode is printed
@@ -59,11 +76,7 @@ def _emit(args, payload: dict, text: str) -> None:
     make) as a backslash escape: none ends in a UnicodeEncodeError."""
     out = json.dumps(payload, indent=2) + "\n" if args.json else text
     try:
-        data = out.encode("utf-8", "surrogateescape")
-    except UnicodeEncodeError:
-        data = out.encode("utf-8", "backslashreplace")
-    try:
-        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.write(_utf8(out))
         sys.stdout.buffer.flush()
     except BrokenPipeError:
         # The reader has gone (``| head``): send the rest, and the flush at
@@ -281,16 +294,16 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except GopsError as err:
-        print(f"error[{err.code}]: {err.message}", file=sys.stderr)
+        _error(err.code, err.message)
         return _ERROR_EXITS.get(type(err), EXIT_INPUT)
     except FileNotFoundError as err:
-        print(f"error[no-such-file]: {err}", file=sys.stderr)
+        _error("no-such-file", err)
         return EXIT_INPUT
     except OSError as err:
-        print(f"error[io]: {err}", file=sys.stderr)
+        _error("io", err)
         return EXIT_INPUT
     except json.JSONDecodeError as err:
-        print(f"error[bad-json]: {err}", file=sys.stderr)
+        _error("bad-json", err)
         return EXIT_INPUT
 
 

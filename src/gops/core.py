@@ -975,8 +975,9 @@ class Grounding:
             target = where(rule.target_guard)
             shift = offsets[rule.effect_predicate]
             if rule.max_distance is None:
+                shifted = target << shift  # one int shared by every source point
                 for i in iter_bits(source):
-                    row[i] = target << shift
+                    row[i] = shifted
             else:
                 ball = _ball(grid, rule.metric, rule.max_distance)
                 for i in iter_bits(source):

@@ -6,9 +6,10 @@ LP-format text emitter for handing models to an external solver.
 import re
 import time
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import accumulate, chain, compress, count, repeat
-from operator import add, itemgetter, not_, sub
-from typing import NamedTuple, Optional
+from operator import add, itemgetter, mul, not_, sub
+from typing import Callable, NamedTuple, Optional
 
 from .core import format_number
 from .errors import InstanceError, LimitReachedError
@@ -43,12 +44,20 @@ class IpModel:
     such as the cover, card, budget or IC rows, goes in through one
     ``add_rows``; ``constraints`` is a view derived from the arrays.
     ``validate`` checks a model; ``solve_branch_and_bound`` and ``emit_lp``
-    both run it first."""
+    both run it first.
+
+    ``start``, when set, works like a MIP start: a function of no arguments
+    that returns the indices of the variables set to 1 in a feasible
+    assignment. It is called only by ``solve_branch_and_bound``, which
+    refuses a start that breaks a row, tries to prove it optimal at the
+    root and otherwise takes it as its first incumbent; ``emit_lp`` and
+    ``validate`` never call it."""
 
     sense: str  # "min" or "max"
     variables: list = field(default_factory=list)
     objective: dict = field(default_factory=dict)  # var index -> coefficient
     constant: float = 0.0
+    start: Optional[Callable[[], object]] = field(default=None, repr=False, compare=False)
     labels: list = field(default_factory=list, init=False)
     senses: list = field(default_factory=list, init=False)
     rhs: list = field(default_factory=list, init=False)
@@ -164,9 +173,18 @@ def _in_range(indices, n: int) -> bool:
 
 @dataclass
 class IpAssignment:
+    """What ``solve_branch_and_bound`` found, and the work it took: the
+    search nodes, the subgradient steps at the root, the variables fixed
+    there, and the root's bound on the objective value (an upper bound when
+    maximizing, a lower bound when minimizing; None without a start)."""
+
     status: str  # "optimal" | "infeasible" | "limit_reached"
     values: dict  # variable name -> 0/1
     objective_value: Optional[float]
+    nodes: int = 0
+    steps: int = 0
+    fixed: int = 0
+    root_bound: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -188,20 +206,21 @@ class Limits:
     def _counter(self):
         """Start the clock for one search (``Grounding.search`` and
         ``solve_branch_and_bound`` start one per run); returns a function to
-        call once per node. It raises LimitReachedError on the node after the
-        ``max_nodes``-th, and once ``max_seconds`` have passed (the clock is
-        read every 4096 nodes)."""
+        call once per node, which returns the count so far. It raises
+        LimitReachedError on the node after the ``max_nodes``-th, and once
+        ``max_seconds`` have passed (the clock is read every 4096 nodes)."""
         max_nodes = self.max_nodes
         deadline = None if self.max_seconds is None else time.monotonic() + self.max_seconds
         nodes = 0
 
-        def tick() -> None:
+        def tick() -> int:
             nonlocal nodes
             nodes += 1
             if max_nodes is not None and nodes > max_nodes:
                 raise LimitReachedError("node budget exhausted")
             if deadline is not None and nodes % 4096 == 0 and time.monotonic() > deadline:
                 raise LimitReachedError("time budget exhausted")
+            return nodes
         return tick
 
 
@@ -226,6 +245,19 @@ def solve_branch_and_bound(model: IpModel, limits: Optional[Limits] = None) -> I
     apart from a left-to-right sum of the chosen terms.) When the limits
     are hit the search stops with status ``limit_reached`` and keeps its
     best assignment so far, if any.
+
+    A model with a ``start`` is first tried at the root
+    (``lagrangian.root_proof``). The start must pass every row by the
+    search's own sums, or InstanceError ``ip-start`` is raised. Every
+    variable whose other value alone breaks a row is fixed, and
+    subgradient steps on the other rows seek a Lagrangian bound below the
+    start's value plus the objective's granularity ``q``; when one is
+    found, no assignment can beat the start, and the start is returned as
+    it is, ``optimal``, whichever optimum it is. Otherwise the search above
+    runs with the start as its first incumbent: it visits a subset of the
+    nodes it visits without one, and ends with the same answer when it
+    completes. Each step is one ``tick``; a limit hit during the steps
+    returns the start, ``limit_reached``.
     """
     model.validate()
     n = len(model.variables)
@@ -248,7 +280,22 @@ def solve_branch_and_bound(model: IpModel, limits: Optional[Limits] = None) -> I
                 lo += a
                 moves[i][0].append((k, -a))
         low.append(lo)
-    if any(lo > r for lo, r in zip(low, rhs)):
+
+    tick = (limits or Limits())._counter()
+    best_obj = best_vec = None
+    nodes = steps = fixed = 0
+    bound = None
+    if model.start is not None:
+        # imported here, as only a model with a start needs it: a CLI run
+        # compiles every module it imports
+        from .lagrangian import root_proof, start_vector
+        best_vec = start_vector(model, rhs, low, moves)
+        cur = reduce(add, map(mul, obj, best_vec), 0.0)  # as a leaf of the search sums it
+        best_obj = cur + model.constant
+        verdict, steps, fixed, bound = root_proof(model, obj, rhs, low, moves, cur, tick)
+        if verdict:
+            return IpAssignment(verdict, _named(model, best_vec), best_obj, 0, steps, fixed, bound)
+    elif any(lo > r for lo, r in zip(low, rhs)):
         return IpAssignment("infeasible", {}, None)
 
     # rest[d]: the most that fixing variables d.. can still add to (max) or
@@ -258,14 +305,12 @@ def solve_branch_and_bound(model: IpModel, limits: Optional[Limits] = None) -> I
 
     order = (1, 0) if maximize else (0, 1)
     values = [0] * n
-    best_obj = best_vec = None
-    tick = (limits or Limits())._counter()
 
     def expand(depth: int, cur: float) -> bool:
         """Count the node that fixed ``values[:depth]``, score it if it is a
         leaf, and say whether its children are worth trying."""
-        nonlocal best_obj, best_vec
-        tick()
+        nonlocal best_obj, best_vec, nodes
+        nodes = tick() - steps
         if depth == n:
             total = cur + model.constant
             if best_obj is None or (total > best_obj if maximize else total < best_obj):
@@ -302,9 +347,12 @@ def solve_branch_and_bound(model: IpModel, limits: Optional[Limits] = None) -> I
         status = "optimal" if best_vec is not None else "infeasible"
     except LimitReachedError:
         status = "limit_reached"
-    if best_vec is None:
-        return IpAssignment(status, {}, None)
-    return IpAssignment(status, {model.variables[i].name: best_vec[i] for i in range(n)}, best_obj)
+    return IpAssignment(status, _named(model, best_vec), best_obj, nodes, steps, fixed, bound)
+
+
+def _named(model: IpModel, vec) -> dict:
+    """Variable name -> value of a 0/1 vector; empty for None."""
+    return {} if vec is None else dict(zip(map(itemgetter(0), model.variables), vec))
 
 
 def _solve_for_tags(model: IpModel, limits: Optional[Limits]):

@@ -10,6 +10,8 @@ admissible pair against every other, run on the reference grounding.
 ``lp_name`` and ``reference_emit_lp`` are the IP builders' former naming
 of atom and pair objects and ``emit_lp``'s former term-by-term text, and
 ``per_row_half_widths`` the ball's former row-by-row half-width scan.
+``reference_branch_and_bound`` is ``solve_branch_and_bound``'s search
+without a start, written as a recursion, kept as the oracle of its nodes.
 ``ground`` is a builder, not an oracle: it grounds loose instance parts;
 ``golden_corpus`` is an input corpus, the one the serialize golden pins.
 """
@@ -251,6 +253,78 @@ def exhaustive_optimum(model):
         if best is None or (value > best[0] if model.sense == "max" else value < best[0]):
             best = (value, bits)
     return best
+
+
+def reference_branch_and_bound(model, max_nodes=None):
+    """(status, values by name, objective, nodes) of the depth-first search
+    ``solve_branch_and_bound`` runs on a model without a start, by its
+    rules: variables in model order, 1 first when maximizing; rows read as
+    ``<=``, each with the smallest left-hand side it can still reach (its
+    negative terms summed in row order, then each fix's raise added); a
+    node counted on entry, a node past ``max_nodes`` ending the search with
+    ``limit_reached``; a child tried unless its fix breaks a row; a node
+    expanded unless its objective plus every still-improving coefficient
+    falls strictly short of the best; a tie going to the smaller vector."""
+    n = len(model.variables)
+    maximize = model.sense == "max"
+    obj = [model.objective.get(i, 0.0) for i in range(n)]
+    rows = []  # (terms as (variable, <= coefficient), right-hand side)
+    for c in model.constraints:
+        flip = -1 if c.sense == ">=" else 1
+        rows.append(([(i, flip * co) for i, co in c.coeffs], flip * c.rhs))
+    low = []
+    for terms, _ in rows:
+        lo = 0.0
+        for _, a in terms:
+            if a < 0:
+                lo += a
+        low.append(lo)
+    if any(lo > r for lo, (_, r) in zip(low, rows)):
+        return "infeasible", {}, None, 0
+    gain = [co if (co > 0 if maximize else co < 0) else 0.0 for co in obj]
+    rest = list(itertools.accumulate(gain, lambda a, b: a - b, initial=sum(gain)))
+    values = [0] * n
+    state = {"best": None, "vec": None, "nodes": 0}
+
+    class Stop(Exception):
+        pass
+
+    def visit(depth, cur):
+        if max_nodes is not None and state["nodes"] == max_nodes:
+            raise Stop
+        state["nodes"] += 1
+        best = state["best"]
+        if depth == n:
+            total = cur + model.constant
+            if best is None or (total > best if maximize else total < best):
+                state["best"], state["vec"] = total, values.copy()
+            elif total == best and values < state["vec"]:
+                state["vec"] = values.copy()
+            return
+        bound = cur + rest[depth] + model.constant
+        if best is not None and (bound < best if maximize else bound > best):
+            return
+        for val in ((1, 0) if maximize else (0, 1)):
+            values[depth] = val
+            saved = low.copy()
+            ok = True
+            for k, (terms, r) in enumerate(rows):
+                for i, a in terms:
+                    if i == depth and (a > 0 if val else a < 0):
+                        low[k] += abs(a)
+                        ok = ok and low[k] <= r
+            if ok:
+                visit(depth + 1, cur + obj[depth] * val)
+            low[:] = saved
+
+    try:
+        visit(0, 0.0)
+        status = "optimal" if state["vec"] is not None else "infeasible"
+    except Stop:
+        status = "limit_reached"
+    vec = state["vec"]
+    values = {} if vec is None else {v.name: b for v, b in zip(model.variables, vec)}
+    return status, values, state["best"], state["nodes"]
 
 
 # ---------------------------------------------------------------------------

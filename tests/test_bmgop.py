@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -5,7 +6,7 @@ import pytest
 
 from gops import (ActionPointPair, BenefitModel, CostModel, GridMap, GroundAtom,
                   IntegrityConstraint, Limits, Point, TRUE, approx_bound,
-                  bmgop_compute, bound_applicable, build_bmgop_ip,
+                  bmgop_compute, bound_applicable, build_bmgop_ip, emit_lp,
                   gen_campaign, gen_random,
                   objective_f, solve_branch_and_bound, solve_bmgop_exact,
                   solve_bmgop_ip, validate_bmgop)
@@ -204,12 +205,53 @@ def test_exact_proves_the_campaign_optimum_under_the_node_cap():
 
 def test_ip_deeper_than_the_recursion_limit_ends_limit_reached():
     # 1,683 variables: one per pair and one per atom outside the initial
-    # state; the first leaf is node 1,684, so the cap ends the search past it
+    # state. Without its start the program is searched from the root; the
+    # first leaf is node 1,684, so the cap ends the search past it.
     inst = gen_campaign().bmgop
-    sol, status = solve_bmgop_ip(inst, limits=Limits(max_nodes=5000))
-    assert status == "limit_reached"
-    assert sol is not None
-    assert validate_bmgop(inst, sol.pairs) == []
+    model = build_bmgop_ip(inst)
+    model.start = None
+    result = solve_branch_and_bound(model, limits=Limits(max_nodes=5000))
+    assert (result.status, result.nodes, result.steps) == ("limit_reached", 5000, 0)
+    picked = [var.tag[1] for var in model.variables
+              if var.tag[0] == "pair" and result.values[var.name]]
+    assert validate_bmgop(inst, inst.grounding._selection(picked).pairs) == []
+
+
+def test_ip_proves_the_campaign_optimum_at_the_root():
+    # the start is BMGOP-Compute's selection, worth the optimum 25; root
+    # fixing sets the 1,072 indicators of atoms no pair produces to 0, and
+    # the Lagrangian bound falls below 25 + 1, the objective's granularity
+    inst = gen_campaign().bmgop
+    sol, status = solve_bmgop_ip(inst, limits=Limits(5000, 2.0))
+    assert (status, sol.achieved_benefit) == ("optimal", 25)
+    assert sol.pairs == bmgop_compute(inst)[0].pairs
+    result = solve_branch_and_bound(build_bmgop_ip(inst), limits=Limits(5000, 2.0))
+    assert (result.status, result.objective_value, result.nodes, result.fixed) == (
+        "optimal", 25, 0, 1072)
+    assert 0 < result.steps < 50 and 25 <= result.root_bound < 26
+
+
+def test_a_limit_inside_the_root_steps_keeps_the_start():
+    inst = gen_campaign().bmgop
+    sol, status = solve_bmgop_ip(inst, limits=Limits(max_nodes=3))
+    assert (status, sol.pairs) == ("limit_reached", bmgop_compute(inst)[0].pairs)
+
+
+def test_building_the_program_leaves_the_greedy_to_the_solver(monkeypatch):
+    # the start is worked out only when a solver asks for it, so the LP
+    # text costs no greedy run; with k = 0 the greedy cannot run, and the
+    # program has no start
+    import gops.bmgop
+    inst = gen_campaign().bmgop
+    calls = []
+    monkeypatch.setattr(gops.bmgop, "bmgop_compute",
+                        lambda inst: calls.append(inst) or bmgop_compute(inst))
+    model = build_bmgop_ip(inst)
+    emit_lp(model)
+    assert calls == []
+    model.start()
+    assert calls == [inst]
+    assert build_bmgop_ip(dataclasses.replace(inst, k=0)).start is None
 
 
 def test_ip_agrees_with_exact_on_non_dyadic_costs():

@@ -452,10 +452,25 @@ def test_io_errors_exit_2(campaign_files, tmp_path):
     assert "Traceback" not in result.stderr
 
 
-def test_solve_ip_deeper_than_the_recursion_limit_exit_3(campaign_files):
-    # the first leaf is node 1,684 of the 1,683-variable program
+def test_solve_ip_proves_the_campaign_optimum_under_the_node_cap(campaign_files):
+    # the greedy's selection is the start, and the root's bound proves it
     _, bm = campaign_files
-    result = run_cli(["solve", str(bm), "--method", "ip", "--max-nodes", "5000"])
+    result = run_cli(["solve", str(bm), "--method", "ip", "--max-nodes", "5000", "--json"])
+    assert result.returncode == 0
+    report = json.loads(result.stdout)
+    assert (report["status"], report["benefit"], report["proven_optimal"]) == ("optimal", 25, True)
+
+
+def test_solve_ip_deeper_than_the_recursion_limit_exit_3(campaign_files, tmp_path):
+    # With a benefit of 0.1 no power of two divides the objective, so the
+    # root cannot prove the start and the search runs: its first leaf is
+    # node 1,684 of the 1,683-variable program.
+    _, bm = campaign_files
+    doc = json.loads(bm.read_text())
+    doc["benefit"]["per_predicate"] = {"exposure": 0.1}
+    path = tmp_path / "tenth.json"
+    path.write_text(json.dumps(doc))
+    result = run_cli(["solve", str(path), "--method", "ip", "--max-nodes", "5000"])
     assert result.returncode == 3
     assert result.stdout.startswith("method: ip\nstatus: limit_reached\npairs: ")
     assert "Traceback" not in result.stderr
@@ -511,13 +526,13 @@ def test_validate_names_the_same_bad_item_under_every_hash_seed(tmp_path, part):
 
 def test_capped_run_without_an_assignment_says_so(campaign_files):
     # a one-node cap stops at the root, before the first leaf, so there is
-    # no solution to list
-    _, bm = campaign_files
-    result = run_cli(["solve", str(bm), "--method", "ip", "--max-nodes", "1"])
+    # no solution to list; the goal program has no start to fall back on
+    gb, _ = campaign_files
+    result = run_cli(["solve", str(gb), "--method", "ip", "--max-nodes", "1"])
     assert result.returncode == 3
     assert result.stdout == ("method: ip\nstatus: limit_reached\n"
                              "solution: none found before the limit\n")
-    payload = json.loads(run_cli(["solve", str(bm), "--method", "ip", "--max-nodes", "1",
+    payload = json.loads(run_cli(["solve", str(gb), "--method", "ip", "--max-nodes", "1",
                                   "--json"]).stdout)
     assert payload["pairs"] == [] and payload["cardinality"] is None
 
@@ -654,6 +669,21 @@ def test_reports_and_traces_are_utf_8_in_any_locale(campaign_files, tmp_path, fl
     assert outputs[1] == outputs[0]
     assert ("caf\\u00e9" if flags == ["--json"] else "café") in stdout.decode("utf-8")
     assert trace is None or "chosen=café@" in trace
+
+
+def test_error_lines_are_utf_8_in_any_locale(campaign_files, tmp_path):
+    # an ASCII locale and UTF-8 mode print the same error bytes, the name
+    # as UTF-8, not as a backslash escape
+    _, bm = campaign_files
+    doc = json.loads(bm.read_text())
+    doc["ics"][0]["pairs"][0][0] = "café"
+    path = tmp_path / "unknown.json"
+    path.write_text(json.dumps(doc), encoding="ascii")
+    for locale in (_ASCII_LOCALE, None):
+        result = _run_bytes(["validate", str(path)], tmp_path, locale)
+        assert (result.returncode, result.stdout) == (2, b"")
+        assert result.stderr == ("error[unknown-action]: integrity constraint 0: "
+                                 "unknown action 'café'\n").encode("utf-8")
 
 
 def test_a_name_no_utf_8_holds_is_printed_escaped(campaign_files, tmp_path):

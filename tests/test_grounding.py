@@ -3,6 +3,7 @@ set-based reference builder, plus radius edge cases."""
 
 import dataclasses
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -438,3 +439,22 @@ def test_benefit_classes_partition_the_atoms_by_value_and_type():
         for _ in range(20):
             mask = rng.getrandbits(g.n_atoms)
             assert repr(g.benefit_sum(mask)) == repr(_bit_loop(g, mask))
+
+
+def test_an_unbounded_rule_grounds_in_memory_of_one_mask_per_rule():
+    # Every source of a rule without a distance bound gets the same effect,
+    # so one int serves them all: on 150x150 points a mask per source would
+    # take 22,500 masks of 22,500 bits, about 64 MB.
+    grid = GridMap(149, 149)
+    s0 = frozenset(GroundAtom("wall", Point(x, 0)) for x in range(0, 150, 7))
+    rule = ActionRule(name="all", effect_predicate="seen", target_guard=lnot(atom("wall")))
+    tracemalloc.start()
+    try:
+        g = ground(grid, ("wall", "seen"), s0, (rule,), CostModel(), ())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    want = sum(1 << grid.n_points + i for i, p in enumerate(grid.points())
+               if GroundAtom("wall", p) not in s0)
+    assert g.effects == [want] * grid.n_points

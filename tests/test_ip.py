@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -8,7 +9,7 @@ from gops import (CoverProblem, IpModel, Limits, emit_lp, encode_max_k_cover,
                   solve_gbgop_exact)
 from gops.errors import InstanceError, LimitReachedError
 
-from helpers import exhaustive_optimum, reference_emit_lp
+from helpers import exhaustive_optimum, reference_branch_and_bound, reference_emit_lp
 
 
 def assert_matches_exhaustive(model):
@@ -529,3 +530,118 @@ def test_add_rows_refuses_mismatched_lengths_and_leaves_the_model_alone():
         with pytest.raises(ValueError):
             model.add_rows(labels, ">=", 0.0, rows, coeffs)
         assert repr(model) == before
+
+
+# ---------------------------------------------------------------------------
+# Starts, and the root's proof
+
+
+def test_without_a_start_the_search_is_the_reference_search():
+    rng = random.Random(5)
+    for t in range(600):
+        if t % 2:
+            model = random_model(rng, n_vars=rng.randint(1, 10))
+        else:
+            model, _ = random_row_model(rng, ROW_VALUES)
+        max_nodes = rng.choice((None, rng.randint(0, 40)))
+        got = solve_branch_and_bound(model, Limits(max_nodes=max_nodes))
+        want = reference_branch_and_bound(model, max_nodes)
+        assert (got.status, got.values, got.objective_value, got.nodes) == want
+        assert (got.steps, got.fixed, got.root_bound) == (0, 0, None)
+
+
+# objective coefficient sets: integers, dyadic fractions, and values no
+# power of two divides; few distinct values, so optima often tie
+OBJECTIVE_SETS = ((1,), (1, 2), (-1, 1, 2), (0.5, 1.5), (-0.25, 0.75, 3), (0.1, 0.2, 0.3),
+                  (1 / 3, 2 / 3))
+
+
+def random_start_model(rng):
+    """A model of up to 9 variables with integer rows, so every sum over
+    them is exact."""
+    n = rng.randint(1, 9)
+    model = IpModel(sense=rng.choice(("min", "max")), constant=rng.choice((0, 1, -2, 0.5, 0.1)))
+    values = rng.choice(OBJECTIVE_SETS)
+    for i in range(n):
+        v = model.add_variable(f"x{i}")
+        if rng.random() < 0.8:
+            model.objective[v] = rng.choice(values)
+    for j in range(rng.randint(0, 4)):
+        coeffs = {i: rng.choice((-2, -1, 1, 1, 2, 3)) for i in rng.sample(range(n), rng.randint(1, n))}
+        model.add_constraint(coeffs, rng.choice(("<=", ">=")), rng.randint(-2, 4), f"c{j}")
+    return model
+
+
+def feasible(model, bits) -> bool:
+    for c in model.constraints:
+        lhs = sum(co * bits[i] for i, co in c.coeffs)
+        if lhs > c.rhs if c.sense == "<=" else lhs < c.rhs:
+            return False
+    return True
+
+
+def with_start(model, bits):
+    model.start = lambda: [i for i, b in enumerate(bits) if b]
+    return model
+
+
+def test_a_start_gives_the_optimum_and_the_bound_holds_it():
+    rng = random.Random(8)
+    proven = searched = refused = 0
+    for _ in range(1500):
+        model = random_start_model(rng)
+        n = len(model.variables)
+        vectors = list(itertools.product((0, 1), repeat=n))
+        good = [bits for bits in vectors if feasible(model, bits)]
+        bad = [bits for bits in vectors if not feasible(model, bits)]
+        plain = solve_branch_and_bound(model)
+        if bad:
+            with pytest.raises(InstanceError) as err:
+                solve_branch_and_bound(with_start(model, rng.choice(bad)))
+            assert err.value.code == "ip-start"
+            refused += 1
+        if not good:
+            assert plain.status == "infeasible"
+            continue
+        start = rng.choice(good)
+        got = solve_branch_and_bound(with_start(model, start))
+        value, _ = exhaustive_optimum(model)
+        assert got.status == "optimal"
+        assert got.objective_value == plain.objective_value == pytest.approx(value, abs=1e-9)
+        bits = tuple(got.values[v.name] for v in model.variables)
+        assert feasible(model, bits)
+        if got.nodes == 0:  # proven at the root: the start itself
+            assert bits == start
+            proven += 1
+        else:  # the search completed: the same answer, in no more nodes
+            assert got.values == plain.values
+            assert got.nodes <= plain.nodes
+            searched += 1
+        assert got.root_bound is not None
+        assert (got.root_bound >= value) if model.sense == "max" else (got.root_bound <= value)
+    assert proven > 100 and searched > 100 and refused > 100
+
+
+def test_a_start_the_root_proves_is_returned_as_it_is():
+    # max x0 + x1 subject to x0 + x1 <= 1: the optima 01 and 10 tie, and
+    # the search without a start returns 01; the start 10 is proven at the root
+    model = IpModel(sense="max")
+    a, b = model.add_variable("x0"), model.add_variable("x1")
+    model.objective.update({a: 1, b: 1})
+    model.add_constraint({a: 1, b: 1}, "<=", 1, "pack")
+    assert solve_branch_and_bound(model).values == {"x0": 0, "x1": 1}
+    got = solve_branch_and_bound(with_start(model, (1, 0)))
+    assert (got.status, got.values, got.objective_value, got.nodes) == (
+        "optimal", {"x0": 1, "x1": 0}, 1, 0)
+    assert 1 <= got.root_bound < 2
+
+
+@pytest.mark.parametrize("ones", [[2], [-1], [0.0], [True]])
+def test_a_start_naming_no_variable_is_refused(ones):
+    model = IpModel(sense="max")
+    model.add_variable("x0")
+    model.add_variable("x1")
+    model.start = lambda: ones
+    with pytest.raises(InstanceError) as err:
+        solve_branch_and_bound(model)
+    assert err.value.code == "ip-start"
