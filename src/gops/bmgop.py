@@ -17,8 +17,7 @@ from dataclasses import dataclass, field, replace
 from itertools import compress, repeat
 from typing import Optional
 
-from .core import (ActionPointPair, BenefitModel, Problem, Solution, format_number, iter_bits,
-                   sums_exact)
+from .core import (ActionPointPair, BenefitModel, Problem, Solution, format_number, sums_exact)
 from .errors import InstanceError
 from .ip import IpModel, Limits, _solve_for_tags
 
@@ -326,12 +325,20 @@ def bmgop_compute(inst: BmgopInstance, delta: float = 0.001,
 
 
 def build_bmgop_ip(inst: BmgopInstance) -> IpModel:
-    """Exact program: a selection variable per pair, an indicator variable
-    per atom outside the initial state, benefit-weighted indicators in the
-    objective (initial-state benefit enters as a constant), and linking,
-    cardinality, budget and integrity packing constraints.
+    """Exact program: a selection variable X per pair that adds an atom
+    outside the initial state, an indicator variable Y per atom that one of
+    those pairs adds, benefit-weighted indicators in the objective
+    (initial-state benefit enters as a constant), and linking, cardinality,
+    budget and integrity packing constraints over the X variables.
 
-    Variable ``i`` selects pair ``i``. Names and labels are made from the
+    This is the paper's program presolved (Savelsbergh 1994): an X of a
+    pair that adds nothing can only spend capacity, and a Y of an atom no
+    pair adds is held at 0 by its linking row, so both are 0 in the
+    lexicographically smallest optimum and are left out with their rows;
+    an integrity row left without a member is left out too. X variable
+    ``j`` selects the ``j``-th kept pair in canonical order, and its tag
+    is ``("pair", index)``; Y variables follow in ascending atom order,
+    tagged ``("atom", index)``. Names and labels are made from the
     canonical indices (``Grounding.pair_names``/``atom_names``), and the
     map's pairs and atoms are never built as objects.
 
@@ -340,13 +347,13 @@ def build_bmgop_ip(inst: BmgopInstance) -> IpModel:
     budget is 0, where the greedy does not run."""
     g = inst.grounding
     benefits = g.benefits
-    n = g.n_pairs
     model = IpModel(sense="max")
-    x_vars = model.add_variables(g.pair_names("X", range(n)), zip(repeat("pair"), range(n)))
-
     model.constant = g.benefit_sum(g.s0_mask)
     outside_s0 = ((1 << g.n_atoms) - 1) & ~g.s0_mask
-    covers = g.producers(range(n), outside_s0)
+    kept = list(compress(range(g.n_pairs), map(outside_s0.__and__, g.effects)))
+    x_vars = model.add_variables(g.pair_names("X", kept), zip(repeat("pair"), kept))
+
+    covers = g.producers(kept, outside_s0)
     y_vars = model.add_variables(g.atom_names("Y", covers), zip(repeat("atom"), covers))
     rows = list(covers.values())
     # a cover row weighs its producers 1.0 and y -1.0; rows of one length
@@ -361,16 +368,17 @@ def build_bmgop_ip(inst: BmgopInstance) -> IpModel:
     model.add_rows(g.atom_names("cover", covers), ">=", 0.0, rows, coeffs)
 
     model.add_rows(["card"], "<=", float(inst.k), [x_vars])
-    model.add_packing_rows(inst, dict(zip(x_vars, x_vars)))
+    model.add_packing_rows(inst, kept)
     if inst.k > 0 and inst.budget > 0:  # what the greedy needs
         def start() -> list:
             """X of BMGOP-Compute's pairs, and Y of the atoms outside the
-            initial state that they add (the Y variables follow those atoms
-            in ascending order)."""
+            initial state that they add. The greedy picks only pairs with a
+            gain, and so only kept pairs."""
             picked = g.pairs_to_indices(bmgop_compute(inst)[0].pairs)
-            added = g.union_effects(picked) & outside_s0
-            return picked + [y for y, atom in zip(y_vars, iter_bits(outside_s0))
-                             if added >> atom & 1]
+            added = g.union_effects(picked)
+            x_of = dict(zip(kept, x_vars))
+            return [x_of[i] for i in picked] + [y for y, atom in zip(y_vars, covers)
+                                                if added >> atom & 1]
         model.start = start
     return model
 

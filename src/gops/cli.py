@@ -305,6 +305,11 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as err:
         _error("bad-json", err)
         return EXIT_INPUT
+    except MemoryError:
+        # grounding's tables grow with pairs x atoms, so a small document
+        # with a large map can ask for more than the process can have
+        _error("out-of-memory", "the instance needs more memory than this process can have")
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

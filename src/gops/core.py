@@ -48,6 +48,7 @@ solvers equal to them.
 
 import math
 import sys
+from collections import defaultdict
 from collections.abc import Set
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
@@ -1089,22 +1090,25 @@ class Grounding:
             mask |= effects[i]
         return mask
 
-    def producers(self, indices: Iterable[int], mask: int) -> dict:
-        """Atom index -> the pair indices among ``indices`` whose effects
-        hold that atom, for every atom of ``mask``, both ascending; atoms no
-        pair produces map to an empty list.
+    def producers(self, indices: Sequence[int], mask: int) -> dict:
+        """Atom index -> the positions within ``indices`` of the pairs whose
+        effects hold that atom, for every atom of ``mask`` that one of them
+        holds, in ascending atom order; atoms no pair produces are left
+        out. A builder whose variable ``j`` selects pair ``indices[j]``
+        takes each list as its cover row's variables, already ascending.
 
         One pass over the pairs' effect bits inside ``mask``, so the work
-        is the number of entries, not atoms times pairs."""
-        out = {a: [] for a in iter_bits(mask)}
+        is the number of entries, not atoms times pairs, for a dense mask
+        (every atom outside the initial state) as for a sparse one."""
+        out = defaultdict(list)
         effects = self.effects
-        for i in sorted(indices):
+        for pos, i in enumerate(indices):
             hit = effects[i] & mask
             while hit:  # most pairs miss a small mask and skip the loop
                 low = hit & -hit
-                out[low.bit_length() - 1].append(i)
+                out[low.bit_length() - 1].append(pos)
                 hit ^= low
-        return out
+        return {atom: out[atom] for atom in sorted(out)}
 
     def cost_sum(self, indices: Iterable[int]) -> float:
         costs = self.costs

@@ -13,7 +13,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Optional
 
-from .core import Problem, Solution, block_offsets, check_atoms
+from .core import Problem, Solution, block_offsets, check_atoms, iter_bits
 from .errors import InstanceError, LimitReachedError, UncoverableAtomsError
 from .ip import IpModel, Limits, _solve_for_tags
 
@@ -226,17 +226,18 @@ def build_gbgop_ip(inst: GbgopInstance, use_reduction: bool = False) -> IpModel:
     indices = _r_star(inst)[1] if use_reduction else _admissible(inst)
 
     model = IpModel(sense="min")
-    var_of = dict(zip(indices, model.add_variables(g.pair_names("X", indices), indices)))
-    model.objective = dict.fromkeys(var_of.values(), 1.0)
+    x_vars = model.add_variables(g.pair_names("X", indices), indices)
+    model.objective = dict.fromkeys(x_vars, 1.0)
 
-    covers = g.producers(indices, _needed(inst))
-    uncoverable = [g.atom_at(a) for a, producers in covers.items() if not producers]
+    needed = _needed(inst)
+    uncoverable = needed & ~g.union_effects(indices)
     if uncoverable:
-        raise UncoverableAtomsError(uncoverable)
-    # variables were added in ascending pair order, so each row ascends too
-    model.add_rows(g.atom_names("cover", covers), ">=", 1.0,
-                   [list(map(var_of.__getitem__, producers)) for producers in covers.values()])
-    model.add_packing_rows(inst, var_of)
+        raise UncoverableAtomsError(list(map(g.atom_at, iter_bits(uncoverable))))
+    covers = g.producers(indices, needed)
+    # variable j selects pair indices[j], so the producers' positions are
+    # the row's variables, ascending
+    model.add_rows(g.atom_names("cover", covers), ">=", 1.0, list(covers.values()))
+    model.add_packing_rows(inst, indices)
     return model
 
 

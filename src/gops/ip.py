@@ -112,12 +112,13 @@ class IpModel:
                      for s, e, sense, rhs, label
                      in zip(starts, starts[1:], self.senses, self.rhs, self.labels))
 
-    def add_packing_rows(self, inst, var_of) -> None:
-        """The ``budget`` row over the selection variables ``var_of`` (pair
-        index -> variable, both ascending in insertion order) of a problem
-        instance, then one ``ic_<pos>`` row per constraint active in its
-        initial state with members among them."""
+    def add_packing_rows(self, inst, indices) -> None:
+        """The ``budget`` row over the selection variables of a problem
+        instance, variable ``j`` selecting pair ``indices[j]`` (ascending),
+        then one ``ic_<pos>`` row per constraint active in its initial state
+        with members among them; a constraint without one gets no row."""
         g = inst.grounding
+        var_of = dict(zip(indices, count()))
         self.add_rows(["budget"], "<=", inst.budget, [list(var_of.values())],
                       [list(map(g.costs.__getitem__, var_of))])
         labels, rows = [], []

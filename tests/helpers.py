@@ -10,6 +10,8 @@ admissible pair against every other, run on the reference grounding.
 ``lp_name`` and ``reference_emit_lp`` are the IP builders' former naming
 of atom and pair objects and ``emit_lp``'s former term-by-term text, and
 ``per_row_half_widths`` the ball's former row-by-row half-width scan.
+``reference_bmgop_ip`` is the benefit program before the builder's
+presolve, built on the grounding's tables and the per-atom cover scan.
 ``reference_branch_and_bound`` is ``solve_branch_and_bound``'s search
 without a start, written as a recursion, kept as the oracle of its nodes.
 ``ground`` is a builder, not an oracle: it grounds loose instance parts;
@@ -25,11 +27,11 @@ from itertools import product
 
 from gops import (ActionPointPair, ActionRule, AndFormula, AtomFormula,
                   BenefitModel, BmgopInstance, CostModel, GridMap, GroundAtom,
-                  Grounding, NotFormula, OrFormula, Point, TRUE, TrueFormula,
+                  Grounding, IpModel, NotFormula, OrFormula, Point, TRUE, TrueFormula,
                   action_effects, appl, atom, benefit_of, cost_of, gen_random, lnot,
                   satisfies)
 from gops.bmgop import (GreedyIteration, GreedyTrace, _benefit, _violations,
-                        approx_bound, bound_applicable)
+                        approx_bound, bmgop_compute, bound_applicable)
 from gops.core import Problem, format_number, formula_atoms, iter_bits, within_distance
 
 
@@ -559,6 +561,35 @@ def cover_rows_by_scan(effects, indices, mask, n_atoms):
     each atom, every pair of ``indices`` is tested for that atom's bit."""
     return {a: [i for i in sorted(indices) if effects[i] >> a & 1]
             for a in range(n_atoms) if mask >> a & 1}
+
+
+def reference_bmgop_ip(inst):
+    """The paper's benefit program before presolve, the shape
+    ``build_bmgop_ip`` had: an X per pair, a Y per atom outside the initial
+    state with a linking row from the per-atom scan (just ``-Y >= 0`` for
+    an atom no pair produces), and card, budget and IC rows over every X.
+    Its start is BMGOP-Compute's selection, as the builder's is."""
+    g = inst.grounding
+    n = g.n_pairs
+    model = IpModel(sense="max", constant=g.benefit_sum(g.s0_mask))
+    x_vars = model.add_variables(g.pair_names("X", range(n)),
+                                 zip(itertools.repeat("pair"), range(n)))
+    outside_s0 = ((1 << g.n_atoms) - 1) & ~g.s0_mask
+    covers = cover_rows_by_scan(g.effects, range(n), outside_s0, g.n_atoms)
+    y_vars = model.add_variables(g.atom_names("Y", covers), zip(itertools.repeat("atom"), covers))
+    for y, label, (a, producers) in zip(y_vars, g.atom_names("cover", covers), covers.items()):
+        if g.benefits[a] != 0:
+            model.objective[y] = g.benefits[a]
+        model.add_constraint([(i, 1.0) for i in producers] + [(y, -1.0)], ">=", 0.0, label)
+    model.add_rows(["card"], "<=", float(inst.k), [x_vars])
+    model.add_packing_rows(inst, range(n))
+    if inst.k > 0 and inst.budget > 0:
+        def start():
+            picked = g.pairs_to_indices(bmgop_compute(inst)[0].pairs)
+            added = g.union_effects(picked)
+            return picked + [y for y, a in zip(y_vars, covers) if added >> a & 1]
+        model.start = start
+    return model
 
 
 # ---------------------------------------------------------------------------

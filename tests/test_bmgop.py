@@ -1,10 +1,11 @@
 import dataclasses
 import math
 import random
+import sys
 
 import pytest
 
-from gops import (ActionPointPair, BenefitModel, CostModel, GridMap, GroundAtom,
+from gops import (ActionPointPair, BenefitModel, BmgopInstance, CostModel, GridMap, GroundAtom,
                   IntegrityConstraint, Limits, Point, TRUE, approx_bound,
                   bmgop_compute, bound_applicable, build_bmgop_ip, emit_lp,
                   gen_campaign, gen_random,
@@ -13,9 +14,10 @@ from gops import (ActionPointPair, BenefitModel, CostModel, GridMap, GroundAtom,
 from gops.core import Grounding
 from gops.encodings import CoverProblem, encode_max_k_cover
 from gops.errors import InstanceError, LimitReachedError
+from gops.ip import _solve_for_tags
 
 from helpers import (bmgop_benefit, brute_best_bmgop, exhaustive_optimum, explicit_action,
-                     max_k_coverage, tiny_bmgop)
+                     golden_corpus, max_k_coverage, reference_bmgop_ip, tiny_bmgop)
 
 P00, P10, P01, P11 = Point(0, 0), Point(1, 0), Point(0, 1), Point(1, 1)
 
@@ -63,13 +65,13 @@ def test_build_ip_flat_objective_when_benefits_zero():
 def test_build_ip_unproducible_atom_forced_zero():
     inst = tiny_bmgop()
     model = build_bmgop_ip(inst)
-    # atom b(0,0) has no producer: its linking row is just -Y >= 0
-    rows = {c.label: c for c in model.constraints}
-    row = rows["cover_b_0_0"]
-    assert len(row.coeffs) == 1
-    var_idx, coeff = row.coeffs[0]
-    assert coeff == -1.0 and model.variables[var_idx].name == "Y_b_0_0"
-    assert row.sense == ">=" and row.rhs == 0.0
+    # atom b(0,0) has no producer: it gets neither an indicator nor a
+    # linking row, so it can never count; only the two pairs that add an
+    # atom get a selection variable
+    assert [v.name for v in model.variables] == ["X_mk_a_0_0", "X_mk_b_1_0", "Y_a_0_0", "Y_b_1_0"]
+    assert "cover_b_0_0" not in {c.label for c in model.constraints}
+    result = solve_branch_and_bound(model)
+    assert (result.status, result.objective_value) == ("optimal", 3.0)
 
 
 MAX_COVER_CASES = [
@@ -204,11 +206,14 @@ def test_exact_proves_the_campaign_optimum_under_the_node_cap():
 
 
 def test_ip_deeper_than_the_recursion_limit_ends_limit_reached():
-    # 1,683 variables: one per pair and one per atom outside the initial
-    # state. Without its start the program is searched from the root; the
-    # first leaf is node 1,684, so the cap ends the search past it.
-    inst = gen_campaign().bmgop
+    # The campaign on a 41 x 31 map, whose new points are populated: 2,334
+    # variables, one per pair that adds an atom outside the initial state
+    # and one per atom such a pair adds. Without its start the program is
+    # searched from the root; the first leaf is node 2,335, so the cap ends
+    # the search past it.
+    inst = dataclasses.replace(gen_campaign().bmgop, grid=GridMap(40, 30))
     model = build_bmgop_ip(inst)
+    assert len(model.variables) == 2334 > sys.getrecursionlimit()
     model.start = None
     result = solve_branch_and_bound(model, limits=Limits(max_nodes=5000))
     assert (result.status, result.nodes, result.steps) == ("limit_reached", 5000, 0)
@@ -218,17 +223,50 @@ def test_ip_deeper_than_the_recursion_limit_ends_limit_reached():
 
 
 def test_ip_proves_the_campaign_optimum_at_the_root():
-    # the start is BMGOP-Compute's selection, worth the optimum 25; root
-    # fixing sets the 1,072 indicators of atoms no pair produces to 0, and
-    # the Lagrangian bound falls below 25 + 1, the objective's granularity
+    # the start is BMGOP-Compute's selection, worth the optimum 25; the
+    # program has no indicator of an atom no pair produces, so the root
+    # fixes nothing, and the Lagrangian bound falls below 25 + 1, the
+    # objective's granularity
     inst = gen_campaign().bmgop
     sol, status = solve_bmgop_ip(inst, limits=Limits(5000, 2.0))
     assert (status, sol.achieved_benefit) == ("optimal", 25)
     assert sol.pairs == bmgop_compute(inst)[0].pairs
     result = solve_branch_and_bound(build_bmgop_ip(inst), limits=Limits(5000, 2.0))
     assert (result.status, result.objective_value, result.nodes, result.fixed) == (
-        "optimal", 25, 0, 1072)
+        "optimal", 25, 0, 0)
     assert 0 < result.steps < 50 and 25 <= result.root_bound < 26
+
+
+def test_presolved_program_matches_the_full_program():
+    # The builder leaves out the X of a pair that adds no atom outside s0
+    # and the Y of an atom no kept pair adds. On the campaign and on every
+    # golden-corpus instance whose full program exhaustive enumeration can
+    # take, both programs have one optimum, the full program's
+    # lexicographically smallest optimal vector is 0 on every dropped
+    # variable and the presolved one's elsewhere, solve_bmgop_ip returns
+    # what solving the full program returned, and brute force agrees.
+    cases = [(inst, reference_bmgop_ip(inst)) for inst in [gen_campaign().bmgop, *golden_corpus()]
+             if isinstance(inst, BmgopInstance)]
+    cases = cases[:1] + [(inst, full) for inst, full in cases[1:] if len(full.variables) <= 16]
+    assert len(cases) == 41
+    for inst, full in cases:
+        model = build_bmgop_ip(inst)
+        limits = Limits(5000, 2.0)
+        tags, status = _solve_for_tags(full, limits)
+        sol, status_now = solve_bmgop_ip(inst, limits)
+        assert status_now == status == "optimal"
+        picked = [i for kind, i in tags if kind == "pair"]
+        assert sol.pairs == inst.grounding._selection(picked).pairs
+        if len(full.variables) > 16:  # the campaign: both proven at the root
+            assert solve_branch_and_bound(full, limits).objective_value == 25
+            assert solve_branch_and_bound(model, limits).objective_value == 25
+            continue
+        value, vec = exhaustive_optimum(full)
+        kept = {v.tag for v in model.variables}
+        assert exhaustive_optimum(model) == (
+            value, tuple(x for v, x in zip(full.variables, vec) if v.tag in kept))
+        assert not any(x for v, x in zip(full.variables, vec) if v.tag not in kept)
+        assert sol.achieved_benefit == value == brute_best_bmgop(inst)[0]
 
 
 def test_a_limit_inside_the_root_steps_keeps_the_start():

@@ -9,6 +9,7 @@ import gops.bench
 from gops import (ActionPointPair, CoverProblem, Point, encode_max_k_cover, parse_instance,
                   serialize_instance, validate_bmgop, validate_gbgop)
 from gops.cli import main
+from gops.core import Grounding
 
 from helpers import DUPLICATES
 
@@ -347,6 +348,24 @@ def test_bench_cli_json_report_on_a_bound_violation(tmp_path, monkeypatch, capsy
     assert err.startswith("error[bound-violation]: ")
 
 
+@pytest.mark.parametrize("command", [["solve", "{doc}", "--method", "approx"],
+                                     ["emit-lp", "{doc}", "-o", "{lp}"]])
+def test_out_of_memory_ends_in_an_error_line(campaign_files, tmp_path, monkeypatch, capsys,
+                                             command):
+    # a large map in a small document can ask grounding for more memory
+    # than there is; the run ends with a line and exit 2, not a traceback
+    def exhausted(self, problem):
+        raise MemoryError
+    monkeypatch.setattr(Grounding, "__init__", exhausted)
+    _, bm = campaign_files
+    lp = tmp_path / "program.lp"
+    assert main([arg.format(doc=bm, lp=lp) for arg in command]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not lp.exists()
+    assert err == ("error[out-of-memory]: the instance needs more memory than this "
+                   "process can have\n")
+
+
 def test_bench_cli_under_a_limit_writes_its_partial_report(tmp_path, campaign_files):
     # the small cover finishes within 50 nodes, the campaign (302) does not
     _, bm = campaign_files
@@ -463,10 +482,11 @@ def test_solve_ip_proves_the_campaign_optimum_under_the_node_cap(campaign_files)
 
 def test_solve_ip_deeper_than_the_recursion_limit_exit_3(campaign_files, tmp_path):
     # With a benefit of 0.1 no power of two divides the objective, so the
-    # root cannot prove the start and the search runs: its first leaf is
-    # node 1,684 of the 1,683-variable program.
+    # root cannot prove the start and the search runs. On a 41 x 31 map
+    # the program has 2,334 variables: its first leaf is node 2,335.
     _, bm = campaign_files
     doc = json.loads(bm.read_text())
+    doc["map"] = {"M": 40, "N": 30}
     doc["benefit"]["per_predicate"] = {"exposure": 0.1}
     path = tmp_path / "tenth.json"
     path.write_text(json.dumps(doc))

@@ -314,24 +314,22 @@ def test_emit_lp_small_golden_and_deterministic():
 
 TWO_POINT_LP = """\\ binary integer program
 Maximize
- obj: Y_g_0_0 + Y_g_1_0
+ obj: Y_g_0_0
 Subject To
  cover_g_0_0: X_mk_0_0 - Y_g_0_0 >= 0
- cover_g_1_0: - Y_g_1_0 >= 0
- card: X_mk_0_0 + X_mk_1_0 <= 1
- budget: 0.5 X_mk_0_0 + 0.5 X_mk_1_0 <= 1
+ card: X_mk_0_0 <= 1
+ budget: 0.5 X_mk_0_0 <= 1
 Binary
  X_mk_0_0
- X_mk_1_0
  Y_g_0_0
- Y_g_1_0
 End
 """
 
 
 def test_emit_lp_two_point_one_action_golden():
-    # hand-checked: linking rows (selection sum >= indicator, unproducible
-    # atom forced to zero), cardinality and budget packing rows
+    # hand-checked: linking row (selection sum >= indicator), cardinality
+    # and budget packing rows; mk at (1,0) adds no atom and g(1,0) has no
+    # producer, so neither gets a variable or a row
     from gops import (ActionRule, BenefitModel, BmgopInstance, CostModel,
                       GridMap, GroundAtom, Point, build_bmgop_ip)
     inst = BmgopInstance(
@@ -368,12 +366,12 @@ def _lp_names(text):
 
 
 COLLIDING_BMGOP = {
-    # "a-b" sanitizes to "a_b", and X_a_b_0_0's first suffix is taken by a_b_0's pair at (0,1)
+    # "a-b" sanitizes to "a_b", and X_a_b_0_0's first suffix is taken by a_b_0's pair at (0,1);
+    # every pair adds an atom, so every pair has a variable
     "format": "gop-instance", "version": 1,
     "map": {"M": 0, "N": 1}, "predicates": ["q"], "state": [],
-    "actions": [{"name": "a_b_0", "explicit": [[[0, 1], [["q", [0, 1]]]]]},
-                {"name": "a-b", "explicit": [[[0, 0], [["q", [0, 0]]]]]},
-                {"name": "a_b", "explicit": [[[0, 0], [["q", [0, 0]]]]]}],
+    "actions": [{"name": name, "explicit": [[[0, 0], [["q", [0, 0]]]], [[0, 1], [["q", [0, 1]]]]]}
+                for name in ("a_b_0", "a-b", "a_b")],
     "cost": {"default": 0.5, "rules": [], "overrides": []},
     "benefit": {"per_predicate": {"q": 1}},
     "ics": [],

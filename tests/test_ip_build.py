@@ -3,14 +3,16 @@ corpus, and each row held equal to a per-atom scan of every pair."""
 
 import hashlib
 import random
+from itertools import chain
 
 import pytest
 
-from gops import (ActionRule, CostModel, GbgopInstance, GridMap, UncoverableAtomsError,
-                  build_bmgop_ip, build_gbgop_ip, emit_lp, gen_campaign, gen_random)
+from gops import (ActionRule, BmgopInstance, CostModel, GbgopInstance, GridMap,
+                  UncoverableAtomsError, build_bmgop_ip, build_gbgop_ip, emit_lp, gen_campaign,
+                  gen_random)
 from gops.gbgop import _admissible, _needed, _r_star
 
-from helpers import cover_rows_by_scan, ground, lp_name
+from helpers import cover_rows_by_scan, ground, lp_name, reference_bmgop_ip
 
 # (width, height, actions, radius, ics): square and strip maps up to 12x12
 SIZES = ((0, 0, 3, 1.0, 1), (3, 2, 3, 1.5, 2), (8, 8, 3, 3.0, 2), (12, 12, 3, 2.0, 3))
@@ -40,12 +42,25 @@ def lp_texts(inst):
 
 def test_lp_text_corpus_golden_digest():
     # Pins variable, row and coefficient order, labels and the uncoverable
-    # lists of both builders; the digest is over the texts in corpus order.
-    digest = hashlib.sha256()
+    # lists of both builders; each builder's digest is over its texts in
+    # corpus order, so a change to one builder shows which texts moved.
+    digests = {GbgopInstance: hashlib.sha256(), BmgopInstance: hashlib.sha256()}
     for inst in corpus():
         for text in lp_texts(inst):
-            digest.update(text.encode())
-    assert digest.hexdigest() == "d9db606cf2a8ee5e2c458b15140bd30362ddc3fe0de771e662c54cd7fd659433"
+            digests[type(inst)].update(text.encode())
+    assert {kind.__name__: d.hexdigest() for kind, d in digests.items()} == {
+        "GbgopInstance": "449b354f6817dc56f8e51f9f8ca7fc7e2fe5b1d070bc782808878aa5c27c1558",
+        "BmgopInstance": "5ef27d423a288b57f33c2d47f1d74d303bb744d8546d12fefd46f1a1e66be820"}
+
+
+def test_reference_program_keeps_the_full_shape():
+    # the oracle of the presolved builder: its texts over the corpus are
+    # the ones the builder wrote before it left out variables and rows
+    digest = hashlib.sha256()
+    for inst in corpus():
+        if isinstance(inst, BmgopInstance):
+            digest.update(emit_lp(reference_bmgop_ip(inst)).encode())
+    assert digest.hexdigest() == "554e61a43949d84a966b7467ac6dfcceda0bbcdd706bd4e7ec64f6c8610581f9"
 
 
 def cover_instances():
@@ -63,15 +78,32 @@ def cover_rows(model):
             for c in model.constraints if c.label.startswith("cover_")]
 
 
+def produced(scan, indices):
+    """The per-atom scan limited to the atoms some pair produces, each
+    producer given by its position within ``indices``."""
+    position = {i: pos for pos, i in enumerate(indices)}
+    return [(a, [position[i] for i in producers]) for a, producers in scan.items() if producers]
+
+
 def test_bmgop_cover_rows_equal_the_per_atom_scan():
+    # an X for each pair that adds an atom outside s0, a Y and a cover row
+    # for each atom one of them adds, both in canonical order
     for inst in cover_instances():
         if isinstance(inst, GbgopInstance):
             continue
         g = inst.grounding
         outside_s0 = ((1 << g.n_atoms) - 1) & ~g.s0_mask
-        expected = cover_rows_by_scan(g.effects, range(len(g.pairs)), outside_s0, g.n_atoms)
-        assert list(g.producers(range(len(g.pairs)), outside_s0).items()) == list(expected.items())
-        assert cover_rows(build_bmgop_ip(inst)) == [
+        scan = cover_rows_by_scan(g.effects, range(g.n_pairs), outside_s0, g.n_atoms)
+        expected = {a: producers for a, producers in scan.items() if producers}
+        kept = sorted(set(chain.from_iterable(expected.values())))
+        # the dense mask, over every pair and over the kept pairs
+        every = range(g.n_pairs)
+        assert list(g.producers(every, outside_s0).items()) == produced(scan, every)
+        assert list(g.producers(kept, outside_s0).items()) == produced(scan, kept)
+        model = build_bmgop_ip(inst)
+        assert [v.tag for v in model.variables] == (
+            [("pair", i) for i in kept] + [("atom", a) for a in expected])
+        assert cover_rows(model) == [
             (cover_label(g.atoms[a]), [(("pair", i), 1.0) for i in producers] + [(("atom", a), -1.0)])
             for a, producers in expected.items()]
 
@@ -84,7 +116,8 @@ def test_gbgop_cover_rows_equal_the_per_atom_scan():
         needed = _needed(inst)
         for use_reduction, indices in ((False, _admissible(inst)), (True, _r_star(inst)[1])):
             expected = cover_rows_by_scan(g.effects, indices, needed, g.n_atoms)
-            assert list(g.producers(indices, needed).items()) == list(expected.items())
+            # the sparse mask: positions within the admissible or reduced pairs
+            assert list(g.producers(indices, needed).items()) == produced(expected, indices)
             uncoverable = [g.atoms[a] for a, producers in expected.items() if not producers]
             if uncoverable:
                 with pytest.raises(UncoverableAtomsError) as err:
