@@ -3,15 +3,17 @@ arrays, an exact branch-and-bound solver for desk-scale models, and an
 LP-format text emitter for handing models to an external solver.
 """
 
+import math
 import re
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import accumulate, chain, compress, count, repeat
 from operator import add, itemgetter, mul, not_, sub
 from typing import Callable, NamedTuple, Optional
 
-from .core import format_number
+from .core import format_number, sums_exact
 from .errors import InstanceError, LimitReachedError
 
 
@@ -172,12 +174,18 @@ def _in_range(indices, n: int) -> bool:
     return total - total == 0 and 0 <= min(indices) and max(indices) < n
 
 
+PRUNE_KINDS = ("row", "bound", "tie")
+
+
 @dataclass
 class IpAssignment:
     """What ``solve_branch_and_bound`` found, and the work it took: the
     search nodes, the subgradient steps at the root, the variables fixed
-    there, and the root's bound on the objective value (an upper bound when
-    maximizing, a lower bound when minimizing; None without a start)."""
+    there, the root's bound on the objective value (an upper bound when
+    maximizing, a lower bound when minimizing; None without a start), and
+    the search's prunes by kind (``PRUNE_KINDS``): children a fix's row
+    broke, and nodes whose bound fell short of the incumbent or only
+    reached it where ties may be cut."""
 
     status: str  # "optimal" | "infeasible" | "limit_reached"
     values: dict  # variable name -> 0/1
@@ -186,6 +194,7 @@ class IpAssignment:
     steps: int = 0
     fixed: int = 0
     root_bound: Optional[float] = None
+    prunes: dict = field(default_factory=lambda: dict.fromkeys(PRUNE_KINDS, 0))
 
 
 @dataclass(frozen=True)
@@ -225,17 +234,49 @@ class Limits:
         return tick
 
 
+def _granularity(values) -> float:
+    """The largest power of two of which every item of ``values`` is an
+    integer multiple, when every sum of them is exact (``sums_exact``): inf
+    when all are zero, and 0.0 when there is no such power or the sums can
+    round."""
+    copies = Counter(values)  # equal values have one ratio, whatever their types
+    if not (set(map(type, values)) <= {int, float, bool}
+            and all(type(v) is not float or math.isfinite(v) for v in copies)
+            and sums_exact((abs(v), n) for v, n in copies.items())):
+        return 0.0
+    exponents = []
+    for v in copies:
+        if v:
+            num, den = abs(v).as_integer_ratio()  # den is a power of two
+            exponents.append((num & -num).bit_length() - den.bit_length())
+    return 2.0 ** min(exponents) if exponents else math.inf
+
+
 def solve_branch_and_bound(model: IpModel, limits: Optional[Limits] = None) -> IpAssignment:
     """Exact optimum of a binary model by depth-first search.
 
-    Variables are fixed in model order, trying 1 first when maximizing and
-    0 first when minimizing, one ``tick`` per node. Every row is read as
-    ``<=`` (a ``>=`` row negated) and carries the smallest left-hand side
-    it can still reach; a fix that lifts that above the right-hand side
-    kills the subtree. A node whose objective plus every still-improving
-    free coefficient cannot reach the best so far is not expanded. Both
-    prunes are strict, so all optima stay reachable and ties resolve to
-    the lexicographically smallest assignment vector.
+    Variables are fixed in model order, 0 before 1, one ``tick`` per node,
+    so leaves are reached in ascending lexicographic order of the
+    assignment vector. Every row is read as ``<=`` (a ``>=`` row negated)
+    and carries the smallest left-hand side it can still reach; a fix that
+    lifts that above the right-hand side kills the subtree (a ``row``
+    prune). A node's bound is its objective plus every still-improving
+    free coefficient; a node whose bound cannot reach the incumbent is not
+    expanded (a ``bound`` prune). A leaf replaces the incumbent when it
+    beats it, or ties it from below in lexicographic order, so the answer
+    is the lexicographically smallest optimum.
+
+    Every objective value is a multiple of the objective's granularity
+    ``q`` (``_granularity`` over the coefficients and the constant) when
+    their sums are exact. Once the search has met a leaf of the
+    incumbent's value (the incumbent's own, or one above it), every leaf
+    still to come lies above the incumbent's vector, so no tie can replace
+    it, and a node must beat the incumbent by ``q`` to be expanded (a
+    ``tie`` prune when it only reaches it). A start's own leaf is met
+    before any node above it, as neither a row nor a bound cuts its path.
+    Before such a leaf, and whenever ``q`` is 0 (the sums can round), the
+    test stays strict, so no tie that could replace the incumbent is cut.
+    ``IpAssignment.prunes`` counts the three kinds.
 
     The search keeps an explicit stack, so depth is not limited. A fix
     saves the row sums it raises and writes them back when the search
@@ -252,13 +293,13 @@ def solve_branch_and_bound(model: IpModel, limits: Optional[Limits] = None) -> I
     search's own sums, or InstanceError ``ip-start`` is raised. Every
     variable whose other value alone breaks a row is fixed, and
     subgradient steps on the other rows seek a Lagrangian bound below the
-    start's value plus the objective's granularity ``q``; when one is
-    found, no assignment can beat the start, and the start is returned as
-    it is, ``optimal``, whichever optimum it is. Otherwise the search above
-    runs with the start as its first incumbent: it visits a subset of the
-    nodes it visits without one, and ends with the same answer when it
-    completes. Each step is one ``tick``; a limit hit during the steps
-    returns the start, ``limit_reached``.
+    start's value plus ``q``; when one is found, no assignment can beat
+    the start, and the start is returned as it is, ``optimal``, whichever
+    optimum it is. Otherwise the search above runs with the start as its
+    first incumbent: it visits a subset of the nodes it visits without
+    one, and ends with the same answer when it completes. Each step is one
+    ``tick``; a limit hit during the steps returns the start,
+    ``limit_reached``.
     """
     model.validate()
     n = len(model.variables)
@@ -282,52 +323,69 @@ def solve_branch_and_bound(model: IpModel, limits: Optional[Limits] = None) -> I
                 moves[i][0].append((k, -a))
         low.append(lo)
 
+    # The search reads the objective as a maximization: negating a float
+    # sum negates each of its roundings, so it takes the same decisions in
+    # either sense, and the value is negated back at the end.
+    up = obj if maximize else [-co for co in obj]
+    const = model.constant if maximize else -model.constant
+    q = _granularity(obj + [model.constant])
     tick = (limits or Limits())._counter()
-    best_obj = best_vec = None
+    prunes = dict.fromkeys(PRUNE_KINDS, 0)
+    best = vec = None
     nodes = steps = fixed = 0
-    bound = None
+    root_bound = None
     if model.start is not None:
         # imported here, as only a model with a start needs it: a CLI run
         # compiles every module it imports
         from .lagrangian import root_proof, start_vector
-        best_vec = start_vector(model, rhs, low, moves)
-        cur = reduce(add, map(mul, obj, best_vec), 0.0)  # as a leaf of the search sums it
-        best_obj = cur + model.constant
-        verdict, steps, fixed, bound = root_proof(model, obj, rhs, low, moves, cur, tick)
+        vec = start_vector(model, rhs, low, moves)
+        cur = reduce(add, map(mul, obj, vec), 0.0)  # as a leaf of the search sums it
+        best = (cur if maximize else -cur) + const
+        verdict, steps, fixed, root_bound = root_proof(model, obj, rhs, low, moves, cur, q, tick)
         if verdict:
-            return IpAssignment(verdict, _named(model, best_vec), best_obj, 0, steps, fixed, bound)
+            return IpAssignment(verdict, _named(model, vec), _value(best, maximize),
+                                0, steps, fixed, root_bound, prunes)
     elif any(lo > r for lo, r in zip(low, rhs)):
-        return IpAssignment("infeasible", {}, None)
+        return IpAssignment("infeasible", {}, None, prunes=prunes)
 
-    # rest[d]: the most that fixing variables d.. can still add to (max) or
-    # subtract from (min) the objective
-    gain = [co if (co > 0 if maximize else co < 0) else 0.0 for co in obj]
+    # rest[d]: the most that fixing variables d.. can still add
+    gain = [co if co > 0 else 0.0 for co in up]
     rest = list(accumulate(gain, sub, initial=sum(gain)))
 
-    order = (1, 0) if maximize else (0, 1)
+    # A node is expanded only if its bound reaches ``cut``: the incumbent,
+    # or the incumbent plus q once a leaf of the incumbent's value has been
+    # met, as that leaf is the incumbent or lies above it, and every later
+    # leaf lies above that one, so no tie can replace the incumbent. No row
+    # cuts a start's path, whose sums are the search's own, and when q > 0
+    # no bound does either, as each is exactly at least the start's value;
+    # so the search meets the start's own leaf before any node above it.
+    cut = best
     values = [0] * n
 
     def expand(depth: int, cur: float) -> bool:
         """Count the node that fixed ``values[:depth]``, score it if it is a
         leaf, and say whether its children are worth trying."""
-        nonlocal best_obj, best_vec, nodes
+        nonlocal best, vec, nodes, cut
         nodes = tick() - steps
         if depth == n:
-            total = cur + model.constant
-            if best_obj is None or (total > best_obj if maximize else total < best_obj):
-                best_obj, best_vec = total, values.copy()
-            elif total == best_obj and values < best_vec:
-                best_vec = values.copy()
+            total = cur + const
+            if best is None or total > best or total == best and values < vec:
+                best, vec = total, values.copy()
+            if total == best:  # every leaf still to come lies above this one
+                cut = best + q
             return False
-        bound = cur + rest[depth] + model.constant
-        return best_obj is None or not (bound < best_obj if maximize else bound > best_obj)
+        bound = cur + rest[depth] + const
+        if best is None or not bound < cut:
+            return True
+        prunes["bound" if bound < best else "tie"] += 1
+        return False
 
     try:
         if expand(0, 0.0):
             # per node being expanded (its depth is its stack position): the
             # objective so far, the values left for its variable, and the
             # row sums its current fix overwrote
-            stack = [(0.0, iter(order), [])]
+            stack = [(0.0, iter((0, 1)), [])]
             while stack:
                 cur, untried, saved = stack[-1]
                 for k, old in saved:
@@ -340,15 +398,27 @@ def solve_branch_and_bound(model: IpModel, limits: Optional[Limits] = None) -> I
                 values[depth] = val
                 raised = moves[depth][val]
                 saved[:] = [(k, low[k]) for k, _ in raised]
+                broken = False
                 for k, r in raised:
                     low[k] += r
-                child = cur + obj[depth] * val
-                if all(low[k] <= rhs[k] for k, _ in raised) and expand(depth + 1, child):
-                    stack.append((child, iter(order), []))
-        status = "optimal" if best_vec is not None else "infeasible"
+                    if not low[k] <= rhs[k]:
+                        broken = True
+                child = cur + up[depth] * val
+                if broken:
+                    prunes["row"] += 1
+                elif expand(depth + 1, child):
+                    stack.append((child, iter((0, 1)), []))
+        status = "optimal" if vec is not None else "infeasible"
     except LimitReachedError:
         status = "limit_reached"
-    return IpAssignment(status, _named(model, best_vec), best_obj, nodes, steps, fixed, bound)
+    return IpAssignment(status, _named(model, vec), _value(best, maximize),
+                        nodes, steps, fixed, root_bound, prunes)
+
+
+def _value(best: Optional[float], maximize: bool) -> Optional[float]:
+    """The model's objective value of the search's maximized ``best``
+    (``0.0 -`` gives 0.0, not -0.0, for a zero)."""
+    return best if maximize or best is None else 0.0 - best
 
 
 def _named(model: IpModel, vec) -> dict:

@@ -3,12 +3,10 @@ the start's check against the rows, fixing the variables a row decides,
 and the Lagrangian bound that can prove the start optimal there."""
 
 import math
-from collections import Counter
 from functools import reduce
 from itertools import count
 from operator import add, mul
 
-from .core import sums_exact
 from .errors import InstanceError, LimitReachedError
 
 
@@ -32,30 +30,12 @@ def start_vector(model, rhs: list, low: list, moves: list) -> list:
     return vec
 
 
-def _granularity(values) -> float:
-    """The largest power of two of which every item of ``values`` is an
-    integer multiple, when every sum of them is exact (``sums_exact``): inf
-    when all are zero, and 0.0 when there is no such power or the sums can
-    round."""
-    copies = Counter(values)  # equal values have one ratio, whatever their types
-    if not (set(map(type, values)) <= {int, float, bool}
-            and all(type(v) is not float or math.isfinite(v) for v in copies)
-            and sums_exact((abs(v), n) for v, n in copies.items())):
-        return 0.0
-    exponents = []
-    for v in copies:
-        if v:
-            num, den = abs(v).as_integer_ratio()  # den is a power of two
-            exponents.append((num & -num).bit_length() - den.bit_length())
-    return 2.0 ** min(exponents) if exponents else math.inf
-
-
 _BOUND_SLACK = 1e-9  # relative to the summed magnitudes that make up a bound
 _STEP_SIZE = 2.0  # Polyak's theta, halved after every _PATIENCE steps in a row that do not
 _PATIENCE = 3     # lower the bound; after two halvings in a row the bound has stalled
 
 
-def root_proof(model, obj, rhs, low, moves, start_cur, tick) -> tuple:
+def root_proof(model, obj, rhs, low, moves, start_cur, q, tick) -> tuple:
     """(verdict, steps, fixed variables, bound) of the root of a model with
     a start, whose objective without the constant is ``start_cur``. The
     verdict is ``"optimal"`` when no assignment beats the start,
@@ -63,9 +43,9 @@ def root_proof(model, obj, rhs, low, moves, start_cur, tick) -> tuple:
     None otherwise. The start is proven optimal when the Lagrangian bound
     of Held & Karp (1971) and Fisher (1981), lowered toward the start by
     Polyak subgradient steps, falls below the start's value plus the
-    objective's granularity q (``_granularity`` over the coefficients and
-    the constant): every objective value is a multiple of q, so none then
-    lies above the start's.
+    objective's granularity ``q`` (``ip._granularity`` over the
+    coefficients and the constant): every objective value is a multiple of
+    q, so none then lies above the start's.
 
     The model is read as a maximization. First every variable whose value
     alone lifts a row's smallest left-hand side above its right-hand side
@@ -78,7 +58,6 @@ def root_proof(model, obj, rhs, low, moves, start_cur, tick) -> tuple:
     summed into it, far above their rounding. The bound is in the model's
     own sense, with the constant; None before the first step."""
     sign = 1.0 if model.sense == "max" else -1.0
-    q = _granularity(obj + [model.constant])
     starts, cols, vals = model.starts, model.cols, model.vals
     flips = [-1.0 if sense == ">=" else 1.0 for sense in model.senses]
     fixed = {}

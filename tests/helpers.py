@@ -13,7 +13,12 @@ of atom and pair objects and ``emit_lp``'s former term-by-term text, and
 ``reference_bmgop_ip`` is the benefit program before the builder's
 presolve, built on the grounding's tables and the per-atom cover scan.
 ``reference_branch_and_bound`` is ``solve_branch_and_bound``'s search
-without a start, written as a recursion, kept as the oracle of its nodes.
+without a start, written as a recursion, kept as the oracle of its nodes:
+0 before 1 in both senses, so the first optimum found is the
+lexicographically smallest, and once one is found a node must beat it by
+the objective's granularity q (``objective_granularity``, worked out
+from exact rationals) to be expanded, since a later tie cannot replace
+it; with q 0, when the objective's sums can round, ties are searched.
 ``ground`` is a builder, not an oracle: it grounds loose instance parts;
 ``golden_corpus`` is an input corpus, the one the serialize golden pins.
 """
@@ -23,6 +28,7 @@ import json
 import math
 import re
 from dataclasses import replace
+from fractions import Fraction
 from itertools import product
 
 from gops import (ActionPointPair, ActionRule, AndFormula, AtomFormula,
@@ -257,18 +263,47 @@ def exhaustive_optimum(model):
     return best
 
 
-def reference_branch_and_bound(model, max_nodes=None):
+def objective_granularity(model):
+    """The largest power of two of which the constant and every objective
+    coefficient are integer multiples, by exact rational arithmetic; inf
+    when all are zero, and 0 when one is not a finite int, float or bool,
+    or when some sum of them can round: when their magnitudes, in units of
+    the finest power of two among them, add up to 2^53 or more."""
+    values = list(model.objective.values()) + [model.constant]
+    if any(type(v) not in (int, float, bool) or not math.isfinite(v) for v in values):
+        return 0
+    exact = [Fraction(v) for v in values]
+    finest = Fraction(1, max(f.denominator for f in exact))
+    if sum(map(abs, exact)) / finest >= 2 ** 53:
+        return 0
+    twos = []
+    for f in exact:
+        if f:
+            num, den = abs(f.numerator), f.denominator
+            twos.append((num & -num).bit_length() - den.bit_length())
+    return 2.0 ** min(twos) if twos else math.inf
+
+
+def reference_branch_and_bound(model, max_nodes=None, cut_ties=True):
     """(status, values by name, objective, nodes) of the depth-first search
     ``solve_branch_and_bound`` runs on a model without a start, by its
-    rules: variables in model order, 1 first when maximizing; rows read as
-    ``<=``, each with the smallest left-hand side it can still reach (its
-    negative terms summed in row order, then each fix's raise added); a
-    node counted on entry, a node past ``max_nodes`` ending the search with
-    ``limit_reached``; a child tried unless its fix breaks a row; a node
-    expanded unless its objective plus every still-improving coefficient
-    falls strictly short of the best; a tie going to the smaller vector."""
+    rules: variables in model order, 0 before 1, so leaves come in
+    ascending lexicographic order and the first optimum found, the
+    lexicographically smallest, is kept; rows read as ``<=``, each with the
+    smallest left-hand side it can still reach (its negative terms summed
+    in row order, then each fix's raise added); a node counted on entry, a
+    node past ``max_nodes`` ending the search with ``limit_reached``; a
+    child tried unless its fix breaks a row; a node expanded only if its
+    objective plus every still-improving coefficient beats the best found
+    by ``q`` (``objective_granularity``): every leaf still to come lies
+    above the best's vector, so a tie cannot replace it. With ``q`` 0 (sums
+    that can round), or with ``cut_ties`` False, the test is strict: a node
+    is expanded unless it falls strictly short of the best, which is the
+    whole rule of the search before it cut ties (that search tried 1 first
+    when maximizing, so only its minimizing nodes are the same)."""
     n = len(model.variables)
     maximize = model.sense == "max"
+    q = objective_granularity(model) if cut_ties else 0
     obj = [model.objective.get(i, 0.0) for i in range(n)]
     rows = []  # (terms as (variable, <= coefficient), right-hand side)
     for c in model.constraints:
@@ -300,13 +335,11 @@ def reference_branch_and_bound(model, max_nodes=None):
             total = cur + model.constant
             if best is None or (total > best if maximize else total < best):
                 state["best"], state["vec"] = total, values.copy()
-            elif total == best and values < state["vec"]:
-                state["vec"] = values.copy()
             return
         bound = cur + rest[depth] + model.constant
-        if best is not None and (bound < best if maximize else bound > best):
+        if best is not None and (bound < best + q if maximize else bound > best - q):
             return
-        for val in ((1, 0) if maximize else (0, 1)):
+        for val in (0, 1):
             values[depth] = val
             saved = low.copy()
             ok = True

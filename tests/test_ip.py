@@ -9,7 +9,8 @@ from gops import (CoverProblem, IpModel, Limits, emit_lp, encode_max_k_cover,
                   solve_gbgop_exact)
 from gops.errors import InstanceError, LimitReachedError
 
-from helpers import exhaustive_optimum, reference_branch_and_bound, reference_emit_lp
+from helpers import (exhaustive_optimum, objective_granularity, reference_branch_and_bound,
+                     reference_emit_lp)
 
 
 def assert_matches_exhaustive(model):
@@ -138,15 +139,18 @@ def test_node_limit_reached():
     assert result.status == "limit_reached"
 
 
-def _flat_model_bnb(limits):
-    # no constraints and a zero objective: all 2^13 leaves tie, so the
-    # search visits every one of its 16383 nodes
+def _late_infeasible_bnb(limits):
+    # at most 7 and at least 8 of 15 variables set: a path breaks a row only
+    # once it has fixed 8 ones or 8 zeros, so the search visits every path
+    # with at most 7 of each, C(16, 8) - 1 = 12869 nodes, to find no leaf
     model = IpModel(sense="max")
-    for i in range(13):
+    for i in range(15):
         model.add_variable(f"x{i}")
+    model.add_rows(["most"], "<=", 7.0, [list(range(15))])
+    model.add_rows(["least"], ">=", 8.0, [list(range(15))])
     result = solve_branch_and_bound(model, limits=limits)
     assert result.status == "limit_reached"
-    assert result.objective_value == 0.0
+    assert result.objective_value is None
 
 
 def _ring_cover_gbgop_exact(limits):
@@ -170,7 +174,7 @@ def _singleton_max_cover_bmgop_exact(limits):
     assert err.value.best is not None
 
 
-@pytest.mark.parametrize("run", [_flat_model_bnb, _ring_cover_gbgop_exact,
+@pytest.mark.parametrize("run", [_late_infeasible_bnb, _ring_cover_gbgop_exact,
                                  _singleton_max_cover_bmgop_exact],
                          ids=["branch-and-bound", "gbgop-exact", "bmgop-exact"])
 def test_time_limit_ends_search_past_4096_nodes(run):
@@ -554,12 +558,14 @@ OBJECTIVE_SETS = ((1,), (1, 2), (-1, 1, 2), (0.5, 1.5), (-0.25, 0.75, 3), (0.1, 
                   (1 / 3, 2 / 3))
 
 
-def random_start_model(rng):
+def random_start_model(rng, sense=None, values=None):
     """A model of up to 9 variables with integer rows, so every sum over
-    them is exact."""
+    them is exact; its sense and objective coefficient set are drawn
+    unless given."""
     n = rng.randint(1, 9)
-    model = IpModel(sense=rng.choice(("min", "max")), constant=rng.choice((0, 1, -2, 0.5, 0.1)))
-    values = rng.choice(OBJECTIVE_SETS)
+    model = IpModel(sense=sense or rng.choice(("min", "max")),
+                    constant=rng.choice((0, 1, -2, 0.5, 0.1)))
+    values = values or rng.choice(OBJECTIVE_SETS)
     for i in range(n):
         v = model.add_variable(f"x{i}")
         if rng.random() < 0.8:
@@ -643,3 +649,79 @@ def test_a_start_naming_no_variable_is_refused(ones):
     with pytest.raises(InstanceError) as err:
         solve_branch_and_bound(model)
     assert err.value.code == "ip-start"
+
+
+# ---------------------------------------------------------------------------
+# Ties: 0 before 1, and the tie prune once no tie can replace the incumbent
+
+
+def test_prunes_by_kind_on_a_small_cover():
+    # min 2 x0 + x1 + x2 subject to x0 + x1 + x2 >= 1, q = 1. The nodes:
+    # the root, 0, 00, the leaf 001 (the first optimum, 1; the leaf 000
+    # breaks the row, a row prune), then 01, which can only tie 1 and whose
+    # leaves lie above 001, so it is cut (a tie prune), and 1, which cannot
+    # reach 1 (a bound prune). The strict rule expands 01 and visits its
+    # two leaves, 8 nodes in all.
+    model = IpModel(sense="min")
+    for i, co in enumerate((2, 1, 1)):
+        model.objective[model.add_variable(f"x{i}")] = co
+    model.add_constraint({0: 1, 1: 1, 2: 1}, ">=", 1, "cover")
+    got = solve_branch_and_bound(model)
+    assert (got.status, got.values, got.objective_value, got.nodes) == (
+        "optimal", {"x0": 0, "x1": 0, "x2": 1}, 1.0, 6)
+    assert got.prunes == {"row": 1, "bound": 1, "tie": 1}
+    assert reference_branch_and_bound(model, cut_ties=False)[3] == 8
+    # a start the root proves is returned before any search, with no prunes
+    got = solve_branch_and_bound(with_start(model, (0, 1, 0)))
+    assert (got.values, got.nodes, got.prunes) == (
+        {"x0": 0, "x1": 1, "x2": 0}, 0, {"row": 0, "bound": 0, "tie": 0})
+
+
+@pytest.mark.parametrize("values", OBJECTIVE_SETS + ((0,),), ids=str)
+def test_cut_ties_give_the_lexicographically_smallest_optimum(values):
+    # dyadic sets cut ties, the non-dyadic ones (1/3, 0.1) and a 0.1
+    # constant keep the strict test, and the all-zero set cuts every node
+    # after the first leaf; both senses, with and without a start
+    rng = random.Random(f"ties/{values}")
+    cut = strict = proven = searched = above = 0
+    for t in range(240):
+        model = random_start_model(rng, sense=("min", "max")[t % 2], values=values)
+        expected = exhaustive_optimum(model)
+        plain = solve_branch_and_bound(model)
+        assert (plain.status, plain.values, plain.objective_value, plain.nodes) == (
+            reference_branch_and_bound(model))
+        if expected is None:
+            assert plain.status == "infeasible"
+            continue
+        value, bits = expected
+        names = [v.name for v in model.variables]
+        assert plain.status == "optimal" and plain.objective_value == value
+        assert plain.values == dict(zip(names, bits))
+        if objective_granularity(model):
+            cut += plain.prunes["tie"] > 0
+        else:
+            assert plain.prunes["tie"] == 0
+            strict += 1
+        if model.sense == "min":  # the former search also tried 0 first here
+            assert plain.nodes <= reference_branch_and_bound(model, cut_ties=False)[3]
+        good = [b for b in itertools.product((0, 1), repeat=len(names)) if feasible(model, b)]
+        start = rng.choice(good)
+        got = solve_branch_and_bound(with_start(model, start))
+        assert got.status == "optimal" and got.objective_value == value
+        if got.nodes == 0:  # proven at the root: the start itself
+            assert tuple(got.values[name] for name in names) == start
+            proven += 1
+        else:
+            assert got.values == plain.values and got.nodes <= plain.nodes
+            searched += 1
+        # from the lexicographically smallest optimum the search never
+        # replaces its incumbent, so its tie prunes all lie above the start
+        got = solve_branch_and_bound(with_start(model, bits))
+        assert got.values == plain.values and got.nodes <= plain.nodes
+        above += got.prunes["tie"] > 0
+    if values in ((0.1, 0.2, 0.3), (1 / 3, 2 / 3)):  # q is 0 unless no term is drawn
+        assert strict > 100 and searched > 100
+    elif values == (0,):  # q is inf: every start is proven at the root
+        assert cut > 100 and searched == 0 and proven > 100
+    else:
+        assert cut > 20 and proven > 20 and searched > 20 and above > 0
