@@ -31,15 +31,18 @@ per-atom or per-pair object tables: atoms and pairs are made only for the
 indices a caller asks about, and the full lists only on first use. One
 indexer, ``item_indices``, kept here so the index formula lives in one
 module, turns (name, point) items into those indices item by item:
-validation (``check_atoms``) and grounding's lookups and override tables.
-Each item is indexed once per set it is in; of several bad items, the
-least by ``repr`` is named. Every ``Problem`` keeps its initial state as
-atom indices in a read-only ``AtomSet`` of its own map and predicates,
-and each explicit effect table as atom indices in an ``EffectTable`` of
-them: one of its own is taken as it is (version-2 documents carry the
-indices, range-checked by the parser), and any other is indexed once by
-validation's pass. Grounding and the writer read only those indices. The
-set-based
+validation (``check_atoms``), and grounding's lookups of the items its
+callers pass in. Each item of an instance is indexed once, by validation;
+of several bad items, the least by ``repr`` is named. Every ``Problem``
+keeps its initial state as atom indices in a read-only ``AtomSet`` of its
+own map and predicates, and each explicit effect table as atom indices in
+an ``EffectTable`` of them: one of its own is taken as it is (version-2
+documents carry the indices, range-checked by the parser), and any other
+is indexed once by validation's pass. Validation keeps the rest of what
+it indexes too: each override table as (index, value) pairs in index
+order, each constraint's pair indices and the goal and forbidden atoms'
+indices, ascending. Grounding, the goal masks and the writer read only
+those indices. The set-based
 functions (``satisfies``, ``action_effects``, ``appl``, ``cost_of``,
 ``benefit_of``, ``ground_ics_for_state``, ``check_ics``) are reference
 semantics only: no solver calls them, and the tests hold the tables and
@@ -684,7 +687,7 @@ def check_atoms(items, offsets: Mapping[str, int], grid: GridMap, where: str,
     return item_indices(items, offsets, grid, error)
 
 
-def validate_instance_parts(problem: "Problem") -> tuple:
+def validate_instance_parts(problem: "Problem") -> None:
     """Cross-checks between the parts of ``problem``; raises InstanceError.
 
     Atom and pair sets are checked item by item by ``check_atoms`` (an
@@ -694,9 +697,9 @@ def validate_instance_parts(problem: "Problem") -> tuple:
     names; only then does a loop look for the first repeat, which is
     reported after the checks of the actions before it.
 
-    Returns the normalised ``(s0, actions)``: the state as an ``AtomSet``
-    and every explicit table as an ``EffectTable`` of this grid and these
-    predicates. A state or table that is not one already is kept as the
+    Keeps on ``problem`` what the checks index (see ``Problem``), and the
+    normalised ``s0`` and ``actions``: a state or table that is not this
+    instance's ``AtomSet`` or ``EffectTable`` already is kept as the
     indices its check computed, a table in a copy of its rule; the actions
     tuple is rebuilt only when a table was indexed."""
     grid, predicates, actions = problem.grid, problem.predicates, problem.actions
@@ -706,7 +709,7 @@ def validate_instance_parts(problem: "Problem") -> tuple:
         if name in seen:
             raise InstanceError("predicate-duplicate", f"duplicate predicate {name!r}")
         seen.add(name)
-    known = block_offsets(predicates, grid)
+    problem.atom_offsets = known = block_offsets(predicates, grid)
 
     def check_formula(f: Formula, where: str):
         for leaf in formula_atoms(f):
@@ -715,13 +718,12 @@ def validate_instance_parts(problem: "Problem") -> tuple:
             if leaf.point is not None and grid.point_index(leaf.point) is None:
                 raise InstanceError("point-bounds", f"{where}: point {leaf.point} outside the map")
 
-    s0 = problem.s0
-    if _own_atoms(s0, grid, predicates) is None:
-        s0 = AtomSet._read(grid, predicates,
-                           frozenset(check_atoms(s0, known, grid, "initial state")))
+    if _own_atoms(problem.s0, grid, predicates) is None:
+        problem.s0 = AtomSet._read(grid, predicates, frozenset(
+            check_atoms(problem.s0, known, grid, "initial state")))
 
     names = [rule.name for rule in actions]
-    action_offsets = block_offsets(names, grid)
+    problem.pair_offsets = action_offsets = block_offsets(names, grid)
     first_repeat = None
     if len(set(names)) < len(names):
         seen = set()
@@ -753,9 +755,11 @@ def validate_instance_parts(problem: "Problem") -> tuple:
     if first_repeat is not None:
         raise InstanceError("action-duplicate", f"duplicate action {names[first_repeat]!r}")
     if indexed:
-        actions = tuple(indexed.get(pos, rule) for pos, rule in enumerate(actions))
+        problem.actions = tuple(indexed.get(pos, rule) for pos, rule in enumerate(actions))
 
-    check_atoms(cost_model.overrides, action_offsets, grid, "cost override", "unknown-action")
+    overrides = cost_model.overrides
+    problem.cost_override_indices = tuple(sorted(zip(check_atoms(
+        overrides, action_offsets, grid, "cost override", "unknown-action"), overrides.values())))
     for condition, _ in cost_model.state_rules:
         check_formula(condition, "cost rule")
 
@@ -763,12 +767,16 @@ def validate_instance_parts(problem: "Problem") -> tuple:
         for name in benefit_model.per_predicate:
             if name not in known:
                 raise InstanceError("unknown-predicate", f"benefit table: unknown predicate {name!r}")
-        check_atoms(benefit_model.per_atom_overrides, known, grid, "benefit override")
+        overrides = benefit_model.per_atom_overrides
+        problem.benefit_override_indices = tuple(sorted(zip(check_atoms(
+            overrides, known, grid, "benefit override"), overrides.values())))
 
+    ic_pairs = []
     for i, ic in enumerate(problem.ics):
-        check_atoms(ic.pairs, action_offsets, grid, f"integrity constraint {i}", "unknown-action")
+        ic_pairs.append(tuple(sorted(check_atoms(
+            ic.pairs, action_offsets, grid, f"integrity constraint {i}", "unknown-action"))))
         check_formula(ic.condition, f"integrity constraint {i}")  # ground: see IntegrityConstraint
-    return s0, actions
+    problem.ic_pair_indices = tuple(ic_pairs)
 
 
 def _point_mask(formula: Formula, s0_mask: int, offsets: Mapping[str, int], grid: GridMap,
@@ -910,11 +918,12 @@ class Grounding:
     builds no per-atom or per-pair objects: ``atom_at``/``pair_at`` and
     ``mask_atoms`` make objects only for the indices they are asked for,
     ``atom_names``/``pair_names`` make the integer programs' names from the
-    indices alone, ``atoms_to_mask`` and ``pairs_to_indices`` index their
-    inputs with ``item_indices``, and the full ``atoms``/``pairs`` lists are
-    built on first use, for the callers that need every one of them. The
-    initial state's indices (the Problem's ``AtomSet``) give ``s0_mask``,
-    and each solution's final state is an ``AtomSet`` too.
+    indices alone, ``atoms_to_mask`` and ``pairs_to_indices`` serve only
+    the items callers pass in (the instance's own come indexed from
+    validation), and the full ``atoms``/``pairs`` lists are built on first
+    use, for the callers that need every one of them. The initial state's
+    indices (the Problem's ``AtomSet``) give ``s0_mask``, and each
+    solution's final state is an ``AtomSet`` too.
 
     Effects and costs are derived with mask algebra, never per pair:
 
@@ -949,8 +958,8 @@ class Grounding:
         self.n_pairs = n_points * len(self.actions)
         if max(n_points, self.n_atoms) > sys.maxsize:
             raise InstanceError("map-size", f"{n_points} points are too many for one bit mask")
-        self.atom_offsets = offsets = block_offsets(self.predicates, grid)
-        self.pair_offsets = block_offsets([rule.name for rule in self.actions], grid)
+        self.atom_offsets = offsets = problem.atom_offsets
+        self.pair_offsets = problem.pair_offsets
         self._atoms = self._pairs = None  # built on first use
 
         self.s0 = problem.s0
@@ -966,10 +975,7 @@ class Grounding:
             table = rule.explicit_effects
             if table is not None:  # an EffectTable of this grid and predicates
                 for i, atoms in table.rows.items():
-                    mask = 0
-                    for j in atoms:
-                        mask |= 1 << j
-                    row[i] = mask
+                    row[i] = _mask(atoms)
                 self.effects += row
                 continue
             source = where(rule.source_guard)
@@ -993,9 +999,7 @@ class Grounding:
                 point_costs[i] = value
             unresolved &= ~hit
         self.costs = point_costs * len(self.actions)
-        overrides = problem.cost_model.overrides
-        for i, value in zip(self._indices(self.pair_offsets, overrides, "unknown-pair"),
-                            overrides.values()):
+        for i, value in problem.cost_override_indices:
             self.costs[i] = value
 
         benefit_model = getattr(problem, "benefit_model", None)  # a flavour's own part
@@ -1005,21 +1009,17 @@ class Grounding:
             per_predicate = benefit_model.per_predicate
             block_values = [per_predicate.get(pred, 0.0) for pred in self.predicates]
             self.benefits = [value for value in block_values for _ in range(n_points)]
-            overrides = benefit_model.per_atom_overrides
-            overridden = set()
-            for i, value in zip(self._indices(offsets, overrides, "unknown-atom"),
-                                overrides.values()):
+            for i, value in problem.benefit_override_indices:
                 self.benefits[i] = value
-                overridden.add(i)
+            overridden = {i for i, _ in problem.benefit_override_indices}
             self.benefit_classes = self._benefit_classes(block_values, overridden)
 
         # Constraints active in the initial state, as (position in ics, pair
         # index set); plus the inverse map from pair index to positions.
         # Conditions are ground, so their point mask is all points or none.
-        self.ic_s0 = []
-        for pos, ic in enumerate(problem.ics):
-            if where(ic.condition):
-                self.ic_s0.append((pos, frozenset(self.pairs_to_indices(ic.pairs))))
+        self.ic_s0 = [(pos, frozenset(members))
+                      for pos, (ic, members) in enumerate(zip(problem.ics, problem.ic_pair_indices))
+                      if where(ic.condition)]
         self.pair_ics = [()] * self.n_pairs
         for j, (_, members) in enumerate(self.ic_s0):
             for i in members:
@@ -1244,7 +1244,12 @@ class Problem:
     ``s0`` is an AtomSet of this grid and these predicates, and each
     explicit action's table an EffectTable of them: one given is kept as
     it is, and any other is kept as the indices that validation reads it
-    into, a table in a copy of its action (``validate_instance_parts``)."""
+    into, a table in a copy of its action (``validate_instance_parts``).
+    Validation keeps the rest of what it indexes: ``atom_offsets`` and
+    ``pair_offsets``, ``cost_override_indices`` and (with a benefit table)
+    ``benefit_override_indices`` as (index, value) pairs in index order,
+    and ``ic_pair_indices``, and a goal-based instance ``theta_in_indices``
+    and ``theta_out_indices``, ascending."""
 
     grid: GridMap
     predicates: tuple
@@ -1258,7 +1263,7 @@ class Problem:
         self.predicates = tuple(self.predicates)
         self.actions = tuple(self.actions)
         self.ics = tuple(self.ics)
-        self.s0, self.actions = validate_instance_parts(self)
+        validate_instance_parts(self)
         if not (0 <= self.budget < math.inf):
             raise InstanceError("budget-range", "budget must be a finite non-negative number")
 

@@ -13,7 +13,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Optional
 
-from .core import Problem, Solution, block_offsets, check_atoms, iter_bits
+from .core import Problem, Solution, _mask, check_atoms, iter_bits
 from .errors import InstanceError, LimitReachedError, UncoverableAtomsError
 from .ip import IpModel, Limits, _solve_for_tags
 
@@ -29,17 +29,18 @@ class GbgopInstance(Problem):
         self.theta_out = frozenset(self.theta_out)
         if self.theta_in & self.theta_out:
             raise InstanceError("goal-overlap", "theta_in and theta_out must be disjoint")
-        known = block_offsets(self.predicates, self.grid)
-        check_atoms(self.theta_in, known, self.grid, "goal atoms (theta_in)")
-        check_atoms(self.theta_out, known, self.grid, "forbidden atoms (theta_out)")
+        self.theta_in_indices = tuple(sorted(check_atoms(
+            self.theta_in, self.atom_offsets, self.grid, "goal atoms (theta_in)")))
+        self.theta_out_indices = tuple(sorted(check_atoms(
+            self.theta_out, self.atom_offsets, self.grid, "forbidden atoms (theta_out)")))
 
     @cached_property
     def theta_in_mask(self) -> int:
-        return self.grounding.atoms_to_mask(self.theta_in)
+        return _mask(self.theta_in_indices)
 
     @cached_property
     def theta_out_mask(self) -> int:
-        return self.grounding.atoms_to_mask(self.theta_out)
+        return _mask(self.theta_out_indices)
 
 
 GbgopSolution = Solution

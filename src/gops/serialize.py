@@ -32,8 +32,9 @@ only in the initial state and the ``explicit`` effect tables:
   document at version 2.
 
 Every other section is the same in both versions. Serialization is
-canonical (fixed key order, atoms and pairs in one canonical order,
-shortest round-tripping numbers), so identical instances produce
+canonical (fixed key order, every item table written from the canonical
+indices that validation keeps, in index order, every coordinate as an
+integer, shortest round-tripping numbers), so equal instances produce
 identical bytes in each version and ``parse(serialize(x))`` reproduces
 ``x``.
 """
@@ -441,32 +442,27 @@ def _parse_document(text: str):
 # ---------------------------------------------------------------------------
 # Serialization
 
-def _item_key(grid: GridMap, names):
-    """The canonical sort key of (name, point) items, atoms or pairs: the
-    name's position in ``names``, then the point's row-major index."""
-    position = {name: i for i, name in enumerate(names)}
-
-    def key(item):
-        return position[item[0]], grid.point_index(item[1])
-    return key
-
-
-def _point_json(p: Point):
-    return [p.x, p.y]
-
-
 def _item_json(item):
     """An atom or a pair as [name, [x, y]]."""
-    return [item[0], _point_json(item[1])]
+    return [item[0], [*item[1]]]
+
+
+def _index_json(grid: GridMap, names):
+    """Canonical atom or pair index -> [name, [x, y]], names from ``names``."""
+    def item(i):
+        k, point = _block_point(grid, i)
+        return [names[k], [*point]]
+    return item
 
 
 def formula_to_json(f: Formula):
+    """A formula; a ground atom's coordinates as the integers they equal."""
     if isinstance(f, TrueFormula):
         return "true"
     if isinstance(f, AtomFormula):
         if f.point is None:
             return {"atom": f.predicate}
-        return {"atom": _item_json((f.predicate, f.point))}
+        return {"atom": [f.predicate, [*map(int, f.point)]]}
     if isinstance(f, NotFormula):
         return {"not": formula_to_json(f.child)}
     if isinstance(f, AndFormula):
@@ -494,19 +490,17 @@ def instance_to_json(inst, version: int = FORMAT_VERSION) -> dict:
     ``version`` (1 or 2): version 2 writes the state and explicit tables as
     canonical indices, version 1 as [name, [x, y]] atoms."""
     grid, predicates = inst.grid, inst.predicates
-    atom_key = _item_key(grid, predicates)
-    pair_key = _item_key(grid, [rule.name for rule in inst.actions])
+    atom, pair = _index_json(grid, predicates), _index_json(grid, [r.name for r in inst.actions])
     if version == 2:
         state = sorted(inst.s0.indices)
 
         def explicit(table):  # points and atoms ascending
             return [[i, sorted(set(row))] for i, row in sorted(table.rows.items())]
     elif version == 1:
-        state = [_item_json(a) for a in inst.s0]  # an AtomSet: canonical order
+        state = [atom(i) for i in sorted(inst.s0.indices)]
 
         def explicit(table):  # points and atoms in index order, the canonical one
-            return [[_point_json(_block_point(grid, i)[1]),
-                     [_item_json(a) for a in AtomSet._read(grid, predicates, frozenset(row))]]
+            return [[[*_block_point(grid, i)[1]], [atom(j) for j in sorted(set(row))]]
                     for i, row in sorted(table.rows.items())]
     else:
         raise ValueError(f"unknown {FORMAT_NAME} version {version!r}")
@@ -521,8 +515,7 @@ def instance_to_json(inst, version: int = FORMAT_VERSION) -> dict:
             "default": inst.cost_model.default_cost,
             "rules": [[formula_to_json(cond), value]
                       for cond, value in inst.cost_model.state_rules],
-            "overrides": [[_item_json(p), v] for p, v in sorted(
-                inst.cost_model.overrides.items(), key=lambda kv: pair_key(kv[0]))],
+            "overrides": [[pair(i), v] for i, v in inst.cost_override_indices],
         },
     }
     if isinstance(inst, BmgopInstance):
@@ -530,18 +523,16 @@ def instance_to_json(inst, version: int = FORMAT_VERSION) -> dict:
             "per_predicate": {name: inst.benefit_model.per_predicate[name]
                               for name in sorted(inst.benefit_model.per_predicate,
                                                  key=inst.predicates.index)},
-            "overrides": [[_item_json(a), v] for a, v in sorted(
-                inst.benefit_model.per_atom_overrides.items(), key=lambda kv: atom_key(kv[0]))],
+            "overrides": [[atom(i), v] for i, v in inst.benefit_override_indices],
         }
-    doc["ics"] = [{"pairs": [_item_json(p) for p in sorted(ic.pairs, key=pair_key)],
-                   "condition": formula_to_json(ic.condition)}
-                  for ic in inst.ics]
+    doc["ics"] = [{"pairs": list(map(pair, members)), "condition": formula_to_json(ic.condition)}
+                  for ic, members in zip(inst.ics, inst.ic_pair_indices)]
     if isinstance(inst, GbgopInstance):
         doc["problem"] = {
             "type": "gbgop",
             "budget": inst.budget,
-            "theta_in": [_item_json(a) for a in sorted(inst.theta_in, key=atom_key)],
-            "theta_out": [_item_json(a) for a in sorted(inst.theta_out, key=atom_key)],
+            "theta_in": list(map(atom, inst.theta_in_indices)),
+            "theta_out": list(map(atom, inst.theta_out_indices)),
         }
     else:
         doc["problem"] = {"type": "bmgop", "k": inst.k, "budget": inst.budget}
@@ -606,20 +597,21 @@ class SolutionReport:
         return "\n".join(lines) + "\n"
 
 
-def report_for(method: str, status: str, sol, inst, trace_path: Optional[str] = None,
-               diagnostics=()) -> SolutionReport:
+def report_for(method: str, status: str, sol, inst,
+               trace_path: Optional[str] = None) -> SolutionReport:
     """The report of a solver run on an instance of either flavour; ``sol``
-    is None when the run found no solution. Benefit and bound are filled
-    in from benefit-maximizing solutions."""
+    is None when the run found no solution. Its pairs are listed in
+    canonical order, by the indices of the instance's grounding. Benefit
+    and bound are filled in from benefit-maximizing solutions."""
     if sol is None:
-        return SolutionReport(method=method, status=status, diagnostics=tuple(diagnostics))
+        return SolutionReport(method=method, status=status)
+    g = inst.grounding
     return SolutionReport(
-        method=method, status=status,
-        pairs=tuple(sorted(sol.pairs, key=_item_key(inst.grid, [r.name for r in inst.actions]))),
+        method=method, status=status, pairs=tuple(map(g.pair_at, g.pairs_to_indices(sol.pairs))),
         cardinality=sol.cardinality, cost=sol.total_cost,
         benefit=sol.achieved_benefit,
         proven_optimal=status == "optimal", bound=sol.reported_bound,
-        trace_path=trace_path, diagnostics=tuple(diagnostics))
+        trace_path=trace_path)
 
 
 report_for_gbgop = report_for_bmgop = report_for

@@ -11,8 +11,8 @@ import pytest
 from gops import (ActionPointPair, ActionRule, BenefitModel, BmgopInstance, CostModel,
                   GbgopInstance, GridMap, GroundAtom, IntegrityConstraint, Point,
                   TRUE, atom, check_ics, enumerate_ground_atoms, enumerate_pairs,
-                  gen_campaign, gen_random, land, lnot, lor, objective_f, validate_bmgop,
-                  validate_gbgop)
+                  gen_campaign, gen_random, land, lnot, lor, objective_f, parse_instance,
+                  serialize_instance, validate_bmgop, validate_gbgop)
 from gops import core
 from gops.core import METRICS, _ball, _half_widths, iter_bits, within_distance
 from gops.errors import InstanceError
@@ -355,6 +355,53 @@ def test_coordinates_equal_to_an_int_ground_as_that_int(part, x):
         [GroundAtom("ok", Point(1, 0))])
     assert got.pairs_to_indices([ActionPointPair("near", Point(0, x))]) == \
         want.pairs_to_indices([ActionPointPair("near", Point(0, 1))]) == [want.n_points + 3]
+    # the writer writes each coordinate as the integer it equals, so the
+    # document is the integer instance's, and it parses
+    for version in (1, 2):
+        text = serialize_instance(got_inst, version=version)
+        assert text == serialize_instance(want_inst, version=version)
+        assert serialize_instance(parse_instance(text), version=version) == text
+
+
+def _indexed_corpus():
+    """The campaign's two instances, the small ones above (with cost and
+    benefit overrides) and seeded random ones with cost overrides and
+    integrity constraints."""
+    scenario = gen_campaign()
+    yield scenario.gbgop
+    yield scenario.bmgop
+    yield _instance_with_x("theta_in", 1)
+    yield _instance_with_x("benefit", 1)
+    for seed in range(12):
+        for problem in ("gbgop", "bmgop"):
+            yield gen_random(seed=seed, width=4, height=3, predicates=3, actions=3,
+                             radius=2.0, ics=3, problem=problem)
+
+
+def test_grounding_indexes_nothing_that_validation_indexed(monkeypatch):
+    corpus = list(_indexed_corpus())
+    assert any(inst.cost_model.overrides for inst in corpus)
+    assert any(getattr(inst, "benefit_model", None) and inst.benefit_model.per_atom_overrides
+               for inst in corpus)
+    assert any(inst.ics for inst in corpus)
+    calls = []
+    item_indices = core.item_indices
+    monkeypatch.setattr(core, "item_indices",
+                        lambda *args: calls.append(args) or item_indices(*args))
+    groundings = [core.Grounding(inst) for inst in corpus]
+    assert calls == []
+    for inst, g in zip(corpus, groundings):
+        assert_matches_reference(g, reference_grounding_of(inst))
+
+
+def test_goal_masks_build_no_grounding():
+    for inst in _indexed_corpus():
+        if isinstance(inst, GbgopInstance):
+            fresh = dataclasses.replace(inst)
+            masks = fresh.theta_in_mask, fresh.theta_out_mask
+            assert "grounding" not in fresh.__dict__
+            g = inst.grounding
+            assert masks == (g.atoms_to_mask(inst.theta_in), g.atoms_to_mask(inst.theta_out))
 
 
 @pytest.mark.parametrize("part", PARTS)
