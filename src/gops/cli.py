@@ -18,7 +18,7 @@ from .gbgop import (GbgopInstance, build_gbgop_ip, count_gbgop_solutions,
                     reduce_to_r_star, solve_gbgop_exact, solve_gbgop_ip)
 from .ip import Limits, emit_lp
 from .scenarios import gen_campaign, gen_random
-from .serialize import _item_json, parse_instance, report_for, serialize_instance
+from .serialize import _item_json, parse_instance, read_json, report_for, serialize_instance
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -156,7 +156,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    doc = json.loads(_read_text(args.file))
+    doc = read_json(_read_text(args.file))
     if not isinstance(doc, dict):
         raise ParseError("type", "expected an object", "$")
     try:
@@ -301,9 +301,6 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except OSError as err:
         _error("io", err)
-        return EXIT_INPUT
-    except json.JSONDecodeError as err:
-        _error("bad-json", err)
         return EXIT_INPUT
     except MemoryError:
         # grounding's tables grow with pairs x atoms, so a small document

@@ -1,6 +1,7 @@
-"""Binary integer programs: a model container that keeps its rows as flat
-arrays, an exact branch-and-bound solver for desk-scale models, and an
-LP-format text emitter for handing models to an external solver.
+"""Binary integer programs: a model container that keeps its variables and
+rows as flat arrays, an exact branch-and-bound solver with a Lagrangian
+root for desk-scale models, and an LP-format text emitter for handing
+models to an external solver.
 """
 
 import math
@@ -17,7 +18,7 @@ from .core import format_number, sums_exact
 from .errors import InstanceError, LimitReachedError
 
 
-class IpVariable(NamedTuple):
+class IpVariable(NamedTuple):  # an item of ``IpModel.variables``
     name: str
     tag: object = None  # opaque payload, e.g. a pair or atom index
 
@@ -38,15 +39,16 @@ class IpModel:
 
     The paper's builders add their variables in bulk (``add_variables``),
     named from canonical indices by ``Grounding.pair_names``/``atom_names``.
-    Rows are stored as flat arrays, the compressed-row layout of MPS/LP
-    writers: row ``r`` is labelled ``labels[r]``, reads ``senses[r]``
+    Variables and rows are stored as flat arrays, the compressed-row layout
+    of MPS/LP writers: variable ``i`` is named ``names[i]`` and tagged
+    ``tags[i]``; row ``r`` is labelled ``labels[r]``, reads ``senses[r]``
     (``"<="`` or ``">="``) ``rhs[r]``, and its terms are
     ``cols[starts[r]:starts[r + 1]]`` (variable indices, in variable order)
     with coefficients ``vals[starts[r]:starts[r + 1]]``. A family of rows,
     such as the cover, card, budget or IC rows, goes in through one
-    ``add_rows``; ``constraints`` is a view derived from the arrays.
-    ``validate`` checks a model; ``solve_branch_and_bound`` and ``emit_lp``
-    both run it first.
+    ``add_rows``; ``variables`` and ``constraints`` are views derived from
+    the arrays. ``validate`` checks a model; ``solve_branch_and_bound`` and
+    ``emit_lp`` both run it first.
 
     ``start``, when set, works like a MIP start: a function of no arguments
     that returns the indices of the variables set to 1 in a feasible
@@ -56,10 +58,11 @@ class IpModel:
     ``validate`` never call it."""
 
     sense: str  # "min" or "max"
-    variables: list = field(default_factory=list)
     objective: dict = field(default_factory=dict)  # var index -> coefficient
     constant: float = 0.0
     start: Optional[Callable[[], object]] = field(default=None, repr=False, compare=False)
+    names: list = field(default_factory=list, init=False)
+    tags: list = field(default_factory=list, init=False)
     labels: list = field(default_factory=list, init=False)
     senses: list = field(default_factory=list, init=False)
     rhs: list = field(default_factory=list, init=False)
@@ -68,15 +71,24 @@ class IpModel:
     vals: list = field(default_factory=list, init=False)
 
     def add_variable(self, name: str, tag: object = None) -> int:
-        self.variables.append(IpVariable(name, tag))
-        return len(self.variables) - 1
+        return self.add_variables([name], [tag])[0]
 
     def add_variables(self, names, tags) -> range:
         """One variable per name, tagged by the matching item of ``tags``;
-        returns their indices."""
-        start = len(self.variables)
-        self.variables += map(tuple.__new__, repeat(IpVariable), zip(names, tags))
-        return range(start, len(self.variables))
+        returns their indices. ValueError, with the model unchanged, when
+        the two are not of one length."""
+        names, tags = list(names), list(tags)
+        if len(names) != len(tags):
+            raise ValueError("add_variables needs one tag per name")
+        start = len(self.names)
+        self.names += names
+        self.tags += tags
+        return range(start, len(self.names))
+
+    @property
+    def variables(self) -> tuple:
+        """The variables as ``IpVariable``s, built from the arrays on each read."""
+        return tuple(map(IpVariable, self.names, self.tags))
 
     def add_rows(self, labels, sense: str, rhs: float, rows, coeffs=None) -> None:
         """A family of rows that share ``sense`` and ``rhs``: row ``r`` is
@@ -141,11 +153,10 @@ class IpModel:
         one of them fails, to name that first fault."""
         if self.sense not in ("min", "max"):
             raise InstanceError("ip-sense", f"unknown objective sense {self.sense!r}")
-        n = len(self.variables)
-        names = list(map(itemgetter(0), self.variables))
-        if len(set(names)) != n:
+        n = len(self.names)
+        if len(set(self.names)) != n:
             seen = set()
-            for name in names:
+            for name in self.names:
                 if name in seen:
                     raise InstanceError("ip-duplicate-variable", f"duplicate variable {name!r}")
                 seen.add(name)
@@ -288,21 +299,20 @@ def solve_branch_and_bound(model: IpModel, limits: Optional[Limits] = None) -> I
     are hit the search stops with status ``limit_reached`` and keeps its
     best assignment so far, if any.
 
-    A model with a ``start`` is first tried at the root
-    (``lagrangian.root_proof``). The start must pass every row by the
-    search's own sums, or InstanceError ``ip-start`` is raised. Every
-    variable whose other value alone breaks a row is fixed, and
-    subgradient steps on the other rows seek a Lagrangian bound below the
-    start's value plus ``q``; when one is found, no assignment can beat
-    the start, and the start is returned as it is, ``optimal``, whichever
-    optimum it is. Otherwise the search above runs with the start as its
-    first incumbent: it visits a subset of the nodes it visits without
-    one, and ends with the same answer when it completes. Each step is one
-    ``tick``; a limit hit during the steps returns the start,
-    ``limit_reached``.
+    A model with a ``start`` is first tried at the root (``root_proof``).
+    The start must pass every row by the search's own sums, or
+    InstanceError ``ip-start`` is raised. Every variable whose other value
+    alone breaks a row is fixed, and subgradient steps on the other rows
+    seek a Lagrangian bound below the start's value plus ``q``; when one is
+    found, no assignment can beat the start, and the start is returned as
+    it is, ``optimal``, whichever optimum it is. Otherwise the search above
+    runs with the start as its first incumbent: it visits a subset of the
+    nodes it visits without one, and ends with the same answer when it
+    completes. Each step is one ``tick``; a limit hit during the steps
+    returns the start, ``limit_reached``.
     """
     model.validate()
-    n = len(model.variables)
+    n = len(model.names)
     maximize = model.sense == "max"
     obj = [model.objective.get(i, 0.0) for i in range(n)]
 
@@ -335,9 +345,6 @@ def solve_branch_and_bound(model: IpModel, limits: Optional[Limits] = None) -> I
     nodes = steps = fixed = 0
     root_bound = None
     if model.start is not None:
-        # imported here, as only a model with a start needs it: a CLI run
-        # compiles every module it imports
-        from .lagrangian import root_proof, start_vector
         vec = start_vector(model, rhs, low, moves)
         cur = reduce(add, map(mul, obj, vec), 0.0)  # as a leaf of the search sums it
         best = (cur if maximize else -cur) + const
@@ -415,6 +422,136 @@ def solve_branch_and_bound(model: IpModel, limits: Optional[Limits] = None) -> I
                         nodes, steps, fixed, root_bound, prunes)
 
 
+def start_vector(model, rhs: list, low: list, moves: list) -> list:
+    """The 0/1 vector of ``model.start()``, checked against every row by
+    the sums a leaf of the search takes; InstanceError ``ip-start`` when it
+    names something other than a variable index or breaks a row."""
+    n = len(moves)
+    vec = [0] * n
+    for i in model.start():
+        if type(i) is not int or not 0 <= i < n:
+            raise InstanceError("ip-start", f"start sets {i!r}, which is not a variable index")
+        vec[i] = 1
+    sums = low.copy()
+    for i, v in enumerate(vec):
+        for k, r in moves[i][v]:
+            sums[k] += r
+    for k, (total, r) in enumerate(zip(sums, rhs)):
+        if total > r:
+            raise InstanceError("ip-start", f"start breaks constraint {model.labels[k]!r}")
+    return vec
+
+
+_BOUND_SLACK = 1e-9  # relative to the summed magnitudes that make up a bound
+_STEP_SIZE = 2.0  # Polyak's theta, halved after every _PATIENCE steps in a row that do not
+_PATIENCE = 3     # lower the bound; after two halvings in a row the bound has stalled
+
+
+def root_proof(model, obj, rhs, low, moves, start_cur, q, tick) -> tuple:
+    """(verdict, steps, fixed variables, bound) of the root of a model with
+    a start, whose objective without the constant is ``start_cur``. The
+    verdict is ``"optimal"`` when no assignment beats the start,
+    ``"limit_reached"`` when ``tick`` raised LimitReachedError first, and
+    None otherwise. The start is proven optimal when the Lagrangian bound
+    of Held & Karp (1971) and Fisher (1981), lowered toward the start by
+    Polyak subgradient steps, falls below the start's value plus the
+    objective's granularity ``q`` (``_granularity`` over the coefficients
+    and the constant): every objective value is a multiple of q, so none
+    then lies above the start's.
+
+    The model is read as a maximization. First every variable whose value
+    alone lifts a row's smallest left-hand side above its right-hand side
+    is fixed to its other value, which is the start's (the start passed the
+    same sums). The rows left with a free term are relaxed with multipliers
+    lam >= 0: for each lam, the objective of every assignment that passes
+    the rows is at most ``fixed objective + lam . b + sum of the positive
+    reduced costs``, ``b`` being each row's right-hand side less its fixed
+    terms. A float bound counts only with a slack of 1e-9 of the magnitudes
+    summed into it, far above their rounding. The bound is in the model's
+    own sense, with the constant; None before the first step."""
+    sign = 1.0 if model.sense == "max" else -1.0
+    starts, cols, vals = model.starts, model.cols, model.vals
+    flips = [-1.0 if sense == ">=" else 1.0 for sense in model.senses]
+    fixed = {}
+    for s, e, flip, lo, r in zip(starts, starts[1:], flips, low, rhs):
+        # a row none of whose raises can break it is passed over whole
+        if s < e and lo + max(map(abs, vals[s:e])) > r:
+            for i, co in zip(cols[s:e], vals[s:e]):
+                if co and lo + abs(co) > r:
+                    fixed[i] = 0 if flip * co > 0 else 1
+
+    # The relaxed rows in <= form: each one's terms over the live variables,
+    # by position among them, its right-hand side less its fixed terms (b)
+    # and the magnitudes summed into its part of a bound; and each live
+    # variable's column. A free variable with no gain and no negative term
+    # is not live: its reduced cost is at most 0 at every lam, so the
+    # relaxation keeps it at 0, and it is left out, as is a row without a
+    # live term (the start passes it, so it holds with those at 0).
+    live = [i for i, (c, (down, _)) in enumerate(zip(obj, moves))
+            if i not in fixed and (sign * c > 0 or down)]
+    position = dict(zip(live, count()))
+    ones = {i for i, v in fixed.items() if v}
+    row_terms, b, sizes = [], [], []
+    col_rows = [[] for _ in live]
+    col_coeffs = [[] for _ in live]
+    for s, e, flip, r in zip(starts, starts[1:], flips, rhs):
+        row_cols, row_vals = cols[s:e], vals[s:e]
+        terms = [(position[i], flip * co) for i, co in zip(row_cols, row_vals)
+                 if co and i in position]
+        if terms:
+            rest = r
+            if not ones.isdisjoint(row_cols):
+                rest -= flip * reduce(add, (co for i, co in zip(row_cols, row_vals) if i in ones))
+            for p, a in terms:
+                col_rows[p].append(len(b))
+                col_coeffs[p].append(a)
+            row_terms.append(([p for p, _ in terms], [a for _, a in terms]))
+            b.append(rest)
+            sizes.append(abs(r) + sum(map(abs, row_vals)))
+    columns = list(zip([sign * obj[i] for i in live], col_rows, col_coeffs))
+    base = sign * reduce(add, (obj[i] for i, v in fixed.items() if v), 0.0)
+    size0 = abs(base) + sum(map(abs, obj))
+    target = sign * start_cur
+
+    lam = [0.0] * len(b)
+    best = math.inf
+    theta, since, steps = _STEP_SIZE, 0, 0
+    verdict = None
+    try:
+        while True:
+            steps = tick()
+            at = lam.__getitem__
+            reduced = [c - sum(map(mul, map(at, rs), cs)) for c, rs, cs in columns]
+            bound = base + sum(map(mul, lam, b)) + sum(c for c in reduced if c > 0.0)
+            bound += _BOUND_SLACK * (size0 + sum(map(mul, lam, sizes)))
+            if bound < best:
+                best, since = bound, 0
+            else:
+                since += 1
+                if since % _PATIENCE == 0:
+                    theta /= 2.0
+            if best < target + q:
+                verdict = "optimal"
+                break
+            if since == 2 * _PATIENCE or not q:  # without a granularity no bound proves
+                break                            # the start: one is worked out, for the record
+            # the subgradient at lam, each row's slack at the relaxation's
+            # optimum, projected onto lam >= 0
+            x = [1.0 if c > 0.0 else 0.0 for c in reduced]
+            grad = [r - sum(map(mul, coeffs, map(x.__getitem__, positions)))
+                    for (positions, coeffs), r in zip(row_terms, b)]
+            grad = [0.0 if m == 0.0 and g > 0.0 else g for m, g in zip(lam, grad)]
+            norm = sum(g * g for g in grad)
+            if not norm:
+                break  # the relaxation's optimum is the bound's: it cannot fall
+            t = theta * (bound - target) / norm
+            lam = [max(0.0, m - t * g) for m, g in zip(lam, grad)]
+    except LimitReachedError:
+        verdict = "limit_reached"
+    bound = model.constant + sign * best if best < math.inf else None
+    return verdict, steps, len(fixed), bound
+
+
 def _value(best: Optional[float], maximize: bool) -> Optional[float]:
     """The model's objective value of the search's maximized ``best``
     (``0.0 -`` gives 0.0, not -0.0, for a zero)."""
@@ -423,7 +560,7 @@ def _value(best: Optional[float], maximize: bool) -> Optional[float]:
 
 def _named(model: IpModel, vec) -> dict:
     """Variable name -> value of a 0/1 vector; empty for None."""
-    return {} if vec is None else dict(zip(map(itemgetter(0), model.variables), vec))
+    return {} if vec is None else dict(zip(model.names, vec))
 
 
 def _solve_for_tags(model: IpModel, limits: Optional[Limits]):
@@ -432,7 +569,7 @@ def _solve_for_tags(model: IpModel, limits: Optional[Limits]):
     result = solve_branch_and_bound(model, limits=limits)
     if result.objective_value is None:
         return None, result.status
-    return [v.tag for v in model.variables if result.values.get(v.name) == 1], result.status
+    return list(compress(model.tags, map(result.values.__getitem__, model.names))), result.status
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +654,7 @@ def emit_lp(model: IpModel) -> str:
     The model is validated first. Each distinct coefficient's signed text
     and each distinct right-hand side's text is made once (``_Texts``)."""
     model.validate()
-    raw = _sanitized(list(map(itemgetter(0), model.variables)))
+    raw = _sanitized(model.names)
     if "" in raw or not _NUMBER_START.isdisjoint(map(itemgetter(0), raw)):
         raw = ["v_" + name if not name or name[0] in _NUMBER_START else name for name in raw]
     names = _unique(raw)

@@ -335,20 +335,30 @@ def _parse_action(value, path, read_table) -> ActionRule:
         metric=_expect(value.get("metric", "euclidean"), str, f"{path}.metric", "a metric name"))
 
 
-def parse_instance(text: str):
-    """Parse an instance document; returns a goal-based or a
-    benefit-maximizing instance according to its problem section."""
+def read_json(text: str):
+    """The JSON value of an external document; ParseError ``bad-json`` (with
+    line and column), ``number-range`` (an integer literal longer than
+    Python reads) or ``too-deep`` (nested past the recursion limit) if none."""
     try:
-        return _parse_document(text)
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ParseError("bad-json", f"line {err.lineno} column {err.colno}: {err.msg}") from err
+    except ValueError:
+        raise ParseError("number-range", "an integer literal has too many digits to read") from None
     except RecursionError:
         raise ParseError("too-deep", "the document nests too deeply to parse") from None
 
 
-def _parse_document(text: str):
+def parse_instance(text: str):
+    """Parse an instance document; returns a goal-based or a
+    benefit-maximizing instance according to its problem section."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ParseError("bad-json", f"line {err.lineno} column {err.colno}: {err.msg}") from err
+        return _parse_document(read_json(text))
+    except RecursionError:  # a formula within JSON's depth but beyond the parser's
+        raise ParseError("too-deep", "the document nests too deeply to parse") from None
+
+
+def _parse_document(doc):
     doc = _expect(doc, dict, "$", "the document")
     _require_keys(doc, "$",
                   ("format", "version", "map", "predicates", "state", "actions",
@@ -561,7 +571,6 @@ class SolutionReport:
     proven_optimal: bool = False
     bound: Optional[float] = None
     trace_path: Optional[str] = None
-    diagnostics: tuple = ()
 
     def to_json(self) -> dict:
         return {
@@ -574,7 +583,7 @@ class SolutionReport:
             "proven_optimal": self.proven_optimal,
             "bound": self.bound,
             "trace": self.trace_path,
-            "diagnostics": list(self.diagnostics),
+            "diagnostics": [],
         }
 
     def to_text(self) -> str:
@@ -592,8 +601,6 @@ class SolutionReport:
             if self.bound is not None:
                 lines.append(f"bound: {self.bound}")
             lines.append(f"proven-optimal: {'yes' if self.proven_optimal else 'no'}")
-        for d in self.diagnostics:
-            lines.append(f"note: {d}")
         return "\n".join(lines) + "\n"
 
 

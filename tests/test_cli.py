@@ -89,6 +89,7 @@ _NUMBER_DOC = json.dumps({
     ("DISTANCE", "NaN", "distance-not-finite"),
     ("DISTANCE", "1e400", "distance-not-finite"),
     pytest.param("DISTANCE", "1" + "0" * 400, "number-range", id="DISTANCE-10**400"),
+    pytest.param("DISTANCE", "1" * 4301, "number-range", id="DISTANCE-4301-digits"),
     ("BUDGET", "NaN", "budget-range"),
     ("BUDGET", "Infinity", "budget-range"),
     ("BENEFIT", "NaN", "benefit-range"),
@@ -738,4 +739,19 @@ def test_encode_refuses_a_bool_k_exit_2(tmp_path):
     result = run_cli(["encode", "max-k-cover", str(problem), "-o", str(out)])
     assert result.returncode == 2
     assert result.stderr == "error[cover-k]: k must be in 1..number of families\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text,code", [
+    ('{"universe": [1], "families": [[1]], "k": ' + "1" * 4301 + "}", "number-range"),
+    ("[" * 100000, "too-deep"),
+], ids=["4301-digit-integer", "100000-deep-array"])
+def test_encode_refuses_a_document_json_cannot_read_exit_2(tmp_path, text, code):
+    problem = tmp_path / "problem.json"
+    problem.write_text(text)
+    out = tmp_path / "inst.json"
+    result = run_cli(["encode", "set-cover", str(problem), "-o", str(out)])
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"error[{code}]: ")
+    assert "Traceback" not in result.stderr
     assert not out.exists()

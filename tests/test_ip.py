@@ -534,6 +534,18 @@ def test_add_rows_refuses_mismatched_lengths_and_leaves_the_model_alone():
         assert repr(model) == before
 
 
+def test_add_variables_refuses_names_and_tags_of_different_lengths():
+    model = IpModel(sense="max")
+    assert model.add_variables(["x", "y"], iter([0, 1])) == range(2)
+    before = repr(model)
+    for names, tags in ((["z"], []), ([], [2]), (["z", "w"], [2]), (["z"], iter([2, 3]))):
+        with pytest.raises(ValueError):
+            model.add_variables(names, tags)
+        assert repr(model) == before
+    assert model.add_variable("z") == 2
+    assert (model.names, model.tags) == (["x", "y", "z"], [0, 1, None])
+
+
 # ---------------------------------------------------------------------------
 # Starts, and the root's proof
 

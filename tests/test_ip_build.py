@@ -1,15 +1,16 @@
 """The integer programs' cover rows: pinned LP text over a generated
 corpus, and each row held equal to a per-atom scan of every pair."""
 
+import dataclasses
 import hashlib
 import random
 from itertools import chain
 
 import pytest
 
-from gops import (ActionRule, BmgopInstance, CostModel, GbgopInstance, GridMap,
-                  UncoverableAtomsError, build_bmgop_ip, build_gbgop_ip, emit_lp, gen_campaign,
-                  gen_random)
+from gops import (ActionRule, BmgopInstance, CostModel, GbgopInstance, GridMap, IpModel,
+                  IpVariable, UncoverableAtomsError, build_bmgop_ip, build_gbgop_ip, emit_lp,
+                  gen_campaign, gen_random)
 from gops.gbgop import _admissible, _needed, _r_star
 
 from helpers import cover_rows_by_scan, ground, lp_name, reference_bmgop_ip
@@ -74,7 +75,8 @@ def cover_label(a):
 
 def cover_rows(model):
     """(label, [(variable tag, coefficient), ...]) per cover row, in order."""
-    return [(c.label, [(model.variables[v].tag, co) for v, co in c.coeffs])
+    variables = model.variables  # the view builds every variable on each read
+    return [(c.label, [(variables[v].tag, co) for v, co in c.coeffs])
             for c in model.constraints if c.label.startswith("cover_")]
 
 
@@ -147,6 +149,16 @@ def test_index_names_equal_the_object_names(width_bound, height_bound):
             want = [lp_name(prefix, g.atom_at(i)) for i in indices]
             assert g.atom_names(prefix, indices) == want
             assert want == [lp_name(prefix, g.atoms[i]) for i in indices]
+
+
+def test_variables_are_a_view_of_the_flat_names_and_tags():
+    assert "variables" not in {f.name for f in dataclasses.fields(IpModel)}
+    campaign = gen_campaign()
+    models = [build_bmgop_ip(campaign.bmgop), build_gbgop_ip(campaign.gbgop),
+              build_gbgop_ip(campaign.gbgop, use_reduction=True)]
+    for model in models:
+        assert model.variables == tuple(map(IpVariable, model.names, model.tags))
+        assert len(model.names) == len(model.tags) > 0
 
 
 def test_program_variable_names_equal_the_object_names():

@@ -106,6 +106,17 @@ def test_rejects_bad_json_with_position():
     assert "line 2" in err.value.message
 
 
+@pytest.mark.parametrize("text,code", [
+    (_doc().replace('"M": 0', '"M": ' + "1" * 4301), "number-range"),
+    ("[" * 100000, "too-deep"),
+], ids=["4301-digit-integer", "100000-deep-array"])
+def test_what_json_cannot_read_is_a_parse_error(text, code):
+    # json.loads raises ValueError and RecursionError for these
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    assert err.value.code == code
+
+
 def test_rejects_version_and_format_mismatch():
     with pytest.raises(ParseError) as err:
         parse_instance(_doc(version=99))
