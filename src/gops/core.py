@@ -546,7 +546,7 @@ class EffectTable(Mapping):
     and a point's atom set is built each time it is read. The table equals,
     as a Mapping, the dict of frozensets it stands for. It is the form of
     every ``Problem``'s explicit tables: an instance on the same grid and
-    predicates keeps it as it is (``_own_rows``), and validation reads any
+    predicates keeps it as it is (``_is_own``), and validation reads any
     other table through this interface into one of its own. The
     constructor copies and range-checks ``rows``; ``_read`` does not."""
 
@@ -594,17 +594,6 @@ class EffectTable(Mapping):
         return f"EffectTable({dict(self)!r})"
 
 
-def _own_rows(table: Mapping, grid: GridMap, predicates: Sequence[str]) -> Optional[dict]:
-    """The rows of ``table`` when it is an EffectTable built for ``grid``
-    and ``predicates`` (its indices then are this instance's atom indices,
-    and its points and atoms this instance's own), else None."""
-    if type(table) is EffectTable \
-            and (table.grid is grid or table.grid == grid) \
-            and (table.predicates is predicates or table.predicates == tuple(predicates)):
-        return table.rows
-    return None
-
-
 class AtomSet(Set):
     """A read-only set of GroundAtom, stored as a frozenset of atom indices
     on ``grid`` and ``predicates``, numbered as in ``EffectTable``.
@@ -612,7 +601,7 @@ class AtomSet(Set):
     It equals and hashes as the frozenset of its atoms, and set operations
     with frozensets give frozensets. It is the form of every ``Problem``'s
     initial state, which an instance on the same grid and predicates keeps
-    as it is (``_own_atoms``). The constructor range-checks ``indices``;
+    as it is (``_is_own``). The constructor range-checks ``indices``;
     ``_read``, for indices already checked, does not."""
 
     __slots__ = ("grid", "predicates", "indices")
@@ -662,12 +651,13 @@ class AtomSet(Set):
         return f"AtomSet({{{', '.join(map(repr, self))}}})"
 
 
-def _own_atoms(atoms: Set, grid: GridMap, predicates: Sequence[str]) -> Optional[frozenset]:
-    """The indices of ``atoms`` when it is an AtomSet built for ``grid``
-    and ``predicates``, else None."""
-    if type(atoms) is AtomSet and atoms.grid == grid and atoms.predicates == tuple(predicates):
-        return atoms.indices
-    return None
+def _is_own(view, cls: type, grid: GridMap, predicates: Sequence[str]) -> bool:
+    """Whether ``view`` is a ``cls`` (``EffectTable`` or ``AtomSet``) built
+    for ``grid`` and ``predicates``: its indices then are this instance's
+    atom indices, and its points and atoms this instance's own."""
+    return type(view) is cls \
+        and (view.grid is grid or view.grid == grid) \
+        and (view.predicates is predicates or view.predicates == tuple(predicates))
 
 
 def check_atoms(items, offsets: Mapping[str, int], grid: GridMap, where: str,
@@ -692,10 +682,10 @@ def validate_instance_parts(problem: "Problem") -> None:
 
     Atom and pair sets are checked item by item by ``check_atoms`` (an
     action's effect sets entry by entry), except an initial state or
-    effect table of this instance's own indices (``_own_atoms``,
-    ``_own_rows``). Repeated action names are found by one set of all the
-    names; only then does a loop look for the first repeat, which is
-    reported after the checks of the actions before it.
+    effect table of this instance's own indices (``_is_own``). Repeated
+    action names are found by one set of all the names; only then does a
+    loop look for the first repeat, which is reported after the checks of
+    the actions before it.
 
     Keeps on ``problem`` what the checks index (see ``Problem``), and the
     normalised ``s0`` and ``actions``: a state or table that is not this
@@ -718,7 +708,7 @@ def validate_instance_parts(problem: "Problem") -> None:
             if leaf.point is not None and grid.point_index(leaf.point) is None:
                 raise InstanceError("point-bounds", f"{where}: point {leaf.point} outside the map")
 
-    if _own_atoms(problem.s0, grid, predicates) is None:
+    if not _is_own(problem.s0, AtomSet, grid, predicates):
         problem.s0 = AtomSet._read(grid, predicates, frozenset(
             check_atoms(problem.s0, known, grid, "initial state")))
 
@@ -735,7 +725,7 @@ def validate_instance_parts(problem: "Problem") -> None:
     for pos, rule in enumerate(actions[:first_repeat]):  # those before a repeat are checked first
         if rule.explicit_effects is not None:
             table = rule.explicit_effects
-            if _own_rows(table, grid, predicates) is not None:
+            if _is_own(table, EffectTable, grid, predicates):
                 continue  # built from this instance's own map points and predicates
             # the table's points are those of the action's pairs, indexed in a block at 0
             points = check_atoms([(rule.name, p) for p in table], {rule.name: 0}, grid,
@@ -925,7 +915,9 @@ class Grounding:
     indices (the Problem's ``AtomSet``) give ``s0_mask``, and each
     solution's final state is an ``AtomSet`` too.
 
-    Effects and costs are derived with mask algebra, never per pair:
+    Effects and costs are derived with mask algebra, never per pair, and
+    written in place: ``effects`` is allocated once, ``n_pairs`` zeros, and
+    action ``k``'s effect at point ``i`` is set at ``k * n_points + i``:
 
     * every guard (source, target, cost-rule and constraint condition) is
       evaluated once into a point mask, one bit per map point in row-major
@@ -969,14 +961,13 @@ class Grounding:
         def where(formula: Formula) -> int:
             return _point_mask(formula, self.s0_mask, offsets, grid, full)
 
-        self.effects = []
-        for rule in self.actions:
-            row = [0] * n_points
+        self.effects = effects = [0] * self.n_pairs
+        for k, rule in enumerate(self.actions):
+            base = k * n_points
             table = rule.explicit_effects
             if table is not None:  # an EffectTable of this grid and predicates
                 for i, atoms in table.rows.items():
-                    row[i] = _mask(atoms)
-                self.effects += row
+                    effects[base + i] = _mask(atoms)
                 continue
             source = where(rule.source_guard)
             target = where(rule.target_guard)
@@ -984,12 +975,11 @@ class Grounding:
             if rule.max_distance is None:
                 shifted = target << shift  # one int shared by every source point
                 for i in iter_bits(source):
-                    row[i] = shifted
+                    effects[base + i] = shifted
             else:
                 ball = _ball(grid, rule.metric, rule.max_distance)
                 for i in iter_bits(source):
-                    row[i] = (ball(i) & target) << shift
-            self.effects += row
+                    effects[base + i] = (ball(i) & target) << shift
 
         point_costs = [problem.cost_model.default_cost] * n_points
         unresolved = full

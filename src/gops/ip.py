@@ -229,7 +229,9 @@ class Limits:
         ``solve_branch_and_bound`` start one per run); returns a function to
         call once per node, which returns the count so far. It raises
         LimitReachedError on the node after the ``max_nodes``-th, and once
-        ``max_seconds`` have passed (the clock is read every 4096 nodes)."""
+        ``max_seconds`` have passed: with a time limit, every call reads the
+        clock, since one call may stand for a root step of milliseconds, so
+        ``max_seconds=0`` stops at the first node or step."""
         max_nodes = self.max_nodes
         deadline = None if self.max_seconds is None else time.monotonic() + self.max_seconds
         nodes = 0
@@ -239,7 +241,7 @@ class Limits:
             nodes += 1
             if max_nodes is not None and nodes > max_nodes:
                 raise LimitReachedError("node budget exhausted")
-            if deadline is not None and nodes % 4096 == 0 and time.monotonic() > deadline:
+            if deadline is not None and time.monotonic() > deadline:
                 raise LimitReachedError("time budget exhausted")
             return nodes
         return tick

@@ -21,10 +21,11 @@ only in the initial state and the ``explicit`` effect tables:
   raise the ``ParseError`` of its first faulty item.
 - Version 1 writes every atom as [name, [x, y]]. Each entry shape has one
   reader, for atoms and pairs alike: a point, a [name, [x, y]] item, a
-  set of items, an override table of [item, value] entries. A well-formed
-  point or item passes one inline shape check; only a malformed one goes
-  through the step-by-step checks that name its error, and only then is
-  its path built. The initial state and each explicit effect table are
+  set of items, a list of [key, value] entries (``_read_entries``, which
+  also reads the cost rules and, in either version, an explicit table
+  read one by one). A well-formed point or item passes one inline shape
+  check; only a malformed one goes through the step-by-step checks that
+  name its error, and only then is its path built. The initial state and each explicit effect table are
   read this way, as ``GroundAtom`` objects, and the instance indexes the
   state and each table once as it validates them, so version 1 reads
   several times slower than version 2.
@@ -143,24 +144,41 @@ def _parse_set(kind, value, path, what) -> frozenset:
                      for i, item in enumerate(_expect(value, list, path, what)))
 
 
+def _read_entries(entries: list, path: str, what: str, shape: str, read_key, read_value,
+                  repeat=None) -> list:
+    """The (key, value) of each [key, value] entry of the list ``entries``
+    at ``path``, in order: the one loop that reads the cost rules, the
+    override tables and the explicit tables read entry by entry. An entry
+    that is not a list raises a type error naming ``what``, one of other
+    than two items the type error ``shape``; then ``read_key(item, entry
+    path)`` reads its key and ``read_value(item, entry path)`` its value.
+    Given ``repeat(key)``, a key read twice raises ``duplicate`` with that
+    message at the repeat, before its value is read."""
+    out, seen = [], set()
+    for i, entry in enumerate(entries):
+        entry_path = f"{path}[{i}]"
+        entry = _expect(entry, list, entry_path, what)
+        if len(entry) != 2:
+            raise ParseError("type", shape, entry_path)
+        key = read_key(entry[0], entry_path)
+        if repeat is not None:
+            if key in seen:
+                raise ParseError("duplicate", repeat(key), entry_path)
+            seen.add(key)
+        out.append((key, read_value(entry[1], entry_path)))
+    return out
+
+
 def _parse_overrides(kind, section: dict, what: str) -> dict:
     """{``kind`` item: value} from the [[name, [x, y]], value] entries of
     the ``overrides`` list of section ``what`` ("cost" or "benefit"); an
     item given twice raises ``duplicate`` at the repeat."""
     path = f"$.{what}.overrides"
-    table = {}
-    for i, entry in enumerate(_expect(section.get("overrides", []), list, path,
-                                      f"{what} overrides")):
-        entry_path = f"{path}[{i}]"
-        entry = _expect(entry, list, entry_path, f"a {what} override")
-        if len(entry) != 2:
-            raise ParseError("type", f"a {what} override is [[{_NAMED[kind][1]}, [x, y]], {what}]",
-                             entry_path)
-        item = _parse_named(kind, entry[0], entry_path)
-        if item in table:
-            raise ParseError("duplicate", f"{item} already has a {what} override", entry_path)
-        table[item] = _expect(entry[1], float, entry_path, f"a {what}")
-    return table
+    return dict(_read_entries(
+        _expect(section.get("overrides", []), list, path, f"{what} overrides"), path,
+        f"a {what} override", f"a {what} override is [[{_NAMED[kind][1]}, [x, y]], {what}]",
+        partial(_parse_named, kind), lambda value, at: _expect(value, float, at, f"a {what}"),
+        lambda item: f"{item} already has a {what} override"))
 
 
 def _parse_formula(value, path) -> Formula:
@@ -186,18 +204,10 @@ def _parse_formula(value, path) -> Formula:
 def _v1_table(entries, path) -> dict:
     """A version-1 ``explicit`` table: a dict of frozensets, read entry by
     entry."""
-    table = {}
-    for i, entry in enumerate(entries):
-        entry_path = f"{path}[{i}]"
-        entry = _expect(entry, list, entry_path, "an effect table entry")
-        if len(entry) != 2:
-            raise ParseError("type", "an effect entry is [[x, y], [atoms...]]", entry_path)
-        point = _parse_point(entry[0], entry_path)
-        if point in table:
-            raise ParseError("duplicate", f"point {point} already has an effect entry",
-                             entry_path)
-        table[point] = _parse_set(GroundAtom, entry[1], entry_path, "an atom list")
-    return table
+    return dict(_read_entries(
+        entries, path, "an effect table entry", "an effect entry is [[x, y], [atoms...]]",
+        _parse_point, lambda atoms, at: _parse_set(GroundAtom, atoms, at, "an atom list"),
+        lambda point: f"point {point} already has an effect entry"))
 
 
 def _fits(values, count: int) -> bool:
@@ -212,18 +222,21 @@ def _fits(values, count: int) -> bool:
 _EXPLICIT_KEYS = {"name", "explicit"}
 
 
-def _check_index(value, count: int, path: str, what: str) -> None:
+def _check_index(value, count: int, path: str, what: str) -> int:
+    """``value``, when it is an int in ``range(count)``."""
     if type(value) is not int:
         raise ParseError("type", f"expected an integer for {what}", path)
     if not 0 <= value < count:
         raise ParseError("index-range", f"{what} {value} is outside 0..{count - 1}", path)
+    return value
 
 
-def _check_indices(values, count: int, path: str) -> None:
-    """Raise the error of the first item of the atom list ``values`` at
-    ``path`` that is not an int in ``range(count)``."""
+def _check_indices(values, count: int, path: str) -> list:
+    """The atom list ``values`` at ``path``; raise the error of its first
+    item that is not an int in ``range(count)``."""
     for i, value in enumerate(_expect(values, list, path, "an atom list")):
         _check_index(value, count, f"{path}[{i}]", "an atom index")
+    return values
 
 
 def _v2_state(state: list, path: str, grid: GridMap, predicates: tuple) -> AtomSet:
@@ -239,21 +252,12 @@ def _v2_table(entries: list, path: str, grid: GridMap, predicates: tuple) -> Eff
     ``ParseError``. A document whose explicit actions all pass
     ``_explicit_rules`` is not read this way."""
     n_points, n_atoms = grid.n_points, grid.n_points * len(predicates)
-    rows = {}
-    for i, entry in enumerate(entries):
-        entry_path = f"{path}[{i}]"
-        entry = _expect(entry, list, entry_path, "an effect table entry")
-        if len(entry) != 2:
-            raise ParseError("type", "an effect entry is [point index, [atom index, ...]]",
-                             entry_path)
-        point, row = entry
-        _check_index(point, n_points, f"{entry_path}[0]", "a point index")
-        if point in rows:
-            raise ParseError("duplicate", f"point index {point} already has an effect entry",
-                             entry_path)
-        _check_indices(row, n_atoms, f"{entry_path}[1]")
-        rows[point] = row
-    return EffectTable._read(grid, predicates, rows)
+    return EffectTable._read(grid, predicates, dict(_read_entries(
+        entries, path, "an effect table entry",
+        "an effect entry is [point index, [atom index, ...]]",
+        lambda point, at: _check_index(point, n_points, f"{at}[0]", "a point index"),
+        lambda row, at: _check_indices(row, n_atoms, f"{at}[1]"),
+        lambda point: f"point index {point} already has an effect entry")))
 
 
 def _explicit_rules(actions: list, grid: GridMap, predicates: tuple) -> Optional[list]:
@@ -390,14 +394,10 @@ def _parse_document(doc):
 
     cost_obj = _expect(doc["cost"], dict, "$.cost", "the cost section")
     _require_keys(cost_obj, "$.cost", ("default",), optional=("rules", "overrides"))
-    rules = []
-    for i, entry in enumerate(_expect(cost_obj.get("rules", []), list, "$.cost.rules", "cost rules")):
-        entry_path = f"$.cost.rules[{i}]"
-        entry = _expect(entry, list, entry_path, "a cost rule")
-        if len(entry) != 2:
-            raise ParseError("type", "a cost rule is [condition, cost]", entry_path)
-        rules.append((_parse_formula(entry[0], entry_path),
-                      _expect(entry[1], float, entry_path, "a cost")))
+    rules = _read_entries(
+        _expect(cost_obj.get("rules", []), list, "$.cost.rules", "cost rules"), "$.cost.rules",
+        "a cost rule", "a cost rule is [condition, cost]",
+        _parse_formula, lambda cost, at: _expect(cost, float, at, "a cost"))
     overrides = _parse_overrides(ActionPointPair, cost_obj, "cost")
     cost_model = CostModel(default_cost=_expect(cost_obj["default"], float,
                                                 "$.cost.default", "the default cost"),

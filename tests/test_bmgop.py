@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 import sys
+import time
 
 import pytest
 
@@ -273,6 +274,27 @@ def test_a_limit_inside_the_root_steps_keeps_the_start():
     inst = gen_campaign().bmgop
     sol, status = solve_bmgop_ip(inst, limits=Limits(max_nodes=3))
     assert (status, sol.pairs) == ("limit_reached", bmgop_compute(inst)[0].pairs)
+
+
+def test_a_program_with_no_start_stopped_at_once_has_no_answer():
+    # with k = 0 the program has no start, and no node may be visited, so
+    # the read-back finds no assignment
+    inst = dataclasses.replace(gen_campaign().bmgop, k=0)
+    assert solve_bmgop_ip(inst, limits=Limits(max_nodes=0)) == (None, "limit_reached")
+
+
+# the map-ladder's r17-14 instance: a program of 1,119 variables whose root
+# steps take milliseconds each, and which no search ends within its limit
+R17_14 = dict(seed=3726236712, width=17, height=17, predicates=3, actions=3, radius=3.0,
+              ics=2, problem="bmgop")
+
+
+def test_a_time_limit_holds_on_a_program_of_slow_root_steps():
+    model = build_bmgop_ip(gen_random(**R17_14))
+    start = time.perf_counter()
+    result = solve_branch_and_bound(model, Limits(max_seconds=0.5))
+    assert result.status == "limit_reached"
+    assert time.perf_counter() - start < 1.5
 
 
 def test_building_the_program_leaves_the_greedy_to_the_solver(monkeypatch):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -390,6 +391,33 @@ def test_limit_reached_exit_3(campaign_files):
     result = run_cli(["solve", str(bm), "--method", "exact", "--max-nodes", "10"])
     assert result.returncode == 3
     assert "error[limit-reached]" in result.stderr
+
+
+def test_solve_ip_with_no_start_at_a_node_limit_of_0_finds_none_exit_3(campaign_files, tmp_path):
+    # with k = 0 the program has no start, so the search stops with no answer
+    _, bm = campaign_files
+    doc = json.loads(bm.read_text())
+    doc["problem"]["k"] = 0
+    path = tmp_path / "k0.json"
+    path.write_text(json.dumps(doc))
+    result = run_cli(["solve", str(path), "--method", "ip", "--max-nodes", "0"])
+    assert result.returncode == 3
+    assert result.stdout == "method: ip\nstatus: limit_reached\nsolution: none found before the limit\n"
+
+
+def test_solve_ip_time_limit_holds_on_slow_root_steps_exit_3(tmp_path):
+    # the map-ladder's r17-14 instance, whose root steps take milliseconds
+    # each, ends near its time limit
+    path = tmp_path / "r17-14.json"
+    assert main(["gen", "random", "--seed", "3726236712", "--width", "17", "--height", "17",
+                 "--predicates", "3", "--actions", "3", "--radius", "3", "--ics", "2",
+                 "--problem", "bmgop", "-o", str(path)]) == 0
+    start = time.perf_counter()
+    result = run_cli(["solve", str(path), "--method", "ip", "--max-seconds", "0.5"])
+    assert time.perf_counter() - start < 3.0
+    assert result.returncode == 3
+    assert result.stdout.startswith("method: ip\nstatus: limit_reached\n")
+    assert "Traceback" not in result.stderr
 
 
 @pytest.mark.parametrize("method, limit", [

@@ -14,6 +14,7 @@ map or predicate order to its Mapping or Set interface. A table built in
 code, or made for another map or predicate order, is kept by the instance
 as an EffectTable of its own, equal to the table it was given."""
 
+import hashlib
 import json
 import random
 
@@ -185,6 +186,21 @@ def test_tables_off_the_mask_path_raise_the_object_paths_error(case):
         parse_instance(_document(change))
     assert type(err.value) is kind and err.value.code == code
     assert (err.value.path if kind is ParseError else err.value.message) == where
+
+
+# sha256 of the sorted messages (``str(err)``) of every fallback case, one
+# a line, as the object path gave them
+FALLBACK_MESSAGES_SHA256 = "c6dee10b2ea33a886c5b46bc12a56c25f282399abaf6581a963fef7c5dbe9f74"
+
+
+def test_fallback_messages_hold():
+    messages = []
+    for change, kind, _, _ in FALLBACKS.values():
+        with pytest.raises(kind) as err:
+            parse_instance(_document(change))
+        messages.append(str(err.value))
+    text = "\n".join(sorted(messages))
+    assert hashlib.sha256(text.encode()).hexdigest() == FALLBACK_MESSAGES_SHA256, text
 
 
 def test_an_empty_atom_list_parses_to_an_empty_effect():

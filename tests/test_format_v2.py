@@ -8,6 +8,7 @@ version-2 state, table or action ends in a ``ParseError`` with a code and
 the JSON path of the first faulty item, never in a traceback, however its
 fault slips past ``dict()``."""
 
+import hashlib
 import json
 import random
 
@@ -258,6 +259,21 @@ def test_a_malformed_version_2_document_raises_a_parse_error_at_its_path(case):
         parse_instance(_document(change))
     assert err.value.code == code and err.value.path == path
     assert err.value.message.startswith(f"{path}: ")
+
+
+# sha256 of the sorted messages (``str(err)``) of every case above, one a
+# line; the version-2 reader's messages must not move
+ERROR_MESSAGES_SHA256 = "4ffac41658ab4d9a6b0070d38b364f1cbdeab1e7dd83e72088e1bb5cb70dddc1"
+
+
+def test_malformed_version_2_messages_hold():
+    messages = []
+    for change, _, _ in ERRORS.values():
+        with pytest.raises(ParseError) as err:
+            parse_instance(_document(change))
+        messages.append(str(err.value))
+    text = "\n".join(sorted(messages))
+    assert hashlib.sha256(text.encode()).hexdigest() == ERROR_MESSAGES_SHA256, text
 
 
 def test_a_repeated_predicate_is_reported_as_in_version_1():

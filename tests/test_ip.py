@@ -177,8 +177,9 @@ def _singleton_max_cover_bmgop_exact(limits):
 @pytest.mark.parametrize("run", [_late_infeasible_bnb, _ring_cover_gbgop_exact,
                                  _singleton_max_cover_bmgop_exact],
                          ids=["branch-and-bound", "gbgop-exact", "bmgop-exact"])
-def test_time_limit_ends_search_past_4096_nodes(run):
-    # the clock is read every 4096 nodes; each search needs more than that
+def test_a_time_limit_of_zero_ends_search_at_once(run):
+    # the clock is read at every node, so a limit of 0 ends each search at
+    # its first node; each would need thousands of nodes to end by itself
     run(Limits(max_seconds=0.0))
 
 

@@ -1,10 +1,12 @@
 """Golden error codes and JSON paths for malformed entries of every list
-the parser reads in bulk: the initial state, explicit effect entries and
-their atom lists, goal atoms, constraint pairs, cost overrides and benefit
-overrides. Each malformed kind sits at a non-first index, so a bulk reader
-must report the same offender, with the same code and path, as one that
-parses entry by entry."""
+the parser reads in bulk or entry by entry: the initial state, explicit
+effect entries and their atom lists, goal atoms, constraint pairs, cost
+rules, cost overrides and benefit overrides. Each malformed kind sits at a
+non-first index, so a bulk reader must report the same offender, with the
+same code and path, as one that parses entry by entry. The messages of
+every case are pinned by one digest."""
 
+import hashlib
 import json
 
 import pytest
@@ -26,7 +28,8 @@ GBGOP = {
         {"name": "r", "effect": "b", "source_guard": "true", "target_guard": "true",
          "max_distance": 1.0, "metric": "euclidean"},
     ],
-    "cost": {"default": 0.5, "rules": [],
+    "cost": {"default": 0.5,
+             "rules": [[{"atom": atom}, (i + 1) / 4] for i, atom in enumerate(_ATOMS)],
              "overrides": [[pair, 0.25] for pair in _PAIRS]},
     "ics": [{"pairs": _PAIRS, "condition": "true"}],
     "problem": {"type": "gbgop", "budget": 2.0,
@@ -47,6 +50,7 @@ LISTS = {
     "theta_in": (GBGOP, lambda d: d["problem"]["theta_in"], ()),
     "theta_out": (GBGOP, lambda d: d["problem"]["theta_out"], ()),
     "ic-pairs": (GBGOP, lambda d: d["ics"][0]["pairs"], ()),
+    "cost-rules": (GBGOP, lambda d: d["cost"]["rules"], (0, "atom")),
     "cost-overrides": (GBGOP, lambda d: d["cost"]["overrides"], (0,)),
     "benefit-overrides": (BMGOP, lambda d: d["benefit"]["overrides"], (0,)),
 }
@@ -175,6 +179,18 @@ GOLDEN = {
     ("ic-pairs", "number-head"): ("type", "$.ics[0].pairs[1]"),
     ("ic-pairs", "null-head"): ("type", "$.ics[0].pairs[1]"),
     ("ic-pairs", "repeat-first"): None,
+    ("cost-rules", "bool-x"): ("type", "$.cost.rules[1].atom"),
+    ("cost-rules", "float-y"): ("type", "$.cost.rules[1].atom"),
+    ("cost-rules", "string-point"): ("type", "$.cost.rules[1].atom"),
+    ("cost-rules", "short-point"): ("type", "$.cost.rules[1].atom"),
+    ("cost-rules", "long-point"): ("type", "$.cost.rules[1].atom"),
+    ("cost-rules", "null"): ("type", "$.cost.rules[1]"),
+    ("cost-rules", "dict"): ("type", "$.cost.rules[1]"),
+    ("cost-rules", "short"): ("type", "$.cost.rules[1]"),
+    ("cost-rules", "long"): ("type", "$.cost.rules[1]"),
+    ("cost-rules", "number-head"): ("type", "$.cost.rules[1]"),
+    ("cost-rules", "null-head"): ("type", "$.cost.rules[1]"),
+    ("cost-rules", "repeat-first"): None,
     ("cost-overrides", "bool-x"): ("type", "$.cost.overrides[1]"),
     ("cost-overrides", "float-y"): ("type", "$.cost.overrides[1]"),
     ("cost-overrides", "string-point"): ("type", "$.cost.overrides[1]"),
@@ -230,3 +246,19 @@ def test_malformed_entry_keeps_its_code_and_path(list_name, kind):
     with pytest.raises(ParseError) as err:
         parse_instance(text)
     assert (err.value.code, err.value.path) == GOLDEN[list_name, kind]
+
+
+# sha256 of the sorted messages (``str(err)``) of every golden case that
+# raises, one a line; the reader's messages must not move
+MESSAGES_SHA256 = "f66d5497fbce221c4c95d986da8b49e2423a104f92cbb8150b936afbe39712c0"
+
+
+def test_malformed_entry_messages_hold():
+    messages = []
+    for list_name, kind in GOLDEN:
+        if GOLDEN[list_name, kind] is not None:
+            with pytest.raises(ParseError) as err:
+                parse_instance(_malformed(list_name, kind))
+            messages.append(str(err.value))
+    text = "\n".join(sorted(messages))
+    assert hashlib.sha256(text.encode()).hexdigest() == MESSAGES_SHA256, text
