@@ -304,7 +304,7 @@ def solve_branch_and_bound(model: IpModel, limits: Optional[Limits] = None) -> I
     A model with a ``start`` is first tried at the root (``root_proof``).
     The start must pass every row by the search's own sums, or
     InstanceError ``ip-start`` is raised. Every variable whose other value
-    alone breaks a row is fixed, and subgradient steps on the other rows
+    alone breaks a row is fixed, and subgradient steps on the rows
     seek a Lagrangian bound below the start's value plus ``q``; when one is
     found, no assignment can beat the start, and the start is returned as
     it is, ``optimal``, whichever optimum it is. Otherwise the search above
@@ -461,56 +461,46 @@ def root_proof(model, obj, rhs, low, moves, start_cur, q, tick) -> tuple:
     and the constant): every objective value is a multiple of q, so none
     then lies above the start's.
 
-    The model is read as a maximization. First every variable whose value
+    The model is read as a maximization, its rows as the search reads them
+    (``rhs``, ``low``, ``moves``). First every variable one of whose values
     alone lifts a row's smallest left-hand side above its right-hand side
     is fixed to its other value, which is the start's (the start passed the
-    same sums). The rows left with a free term are relaxed with multipliers
-    lam >= 0: for each lam, the objective of every assignment that passes
-    the rows is at most ``fixed objective + lam . b + sum of the positive
-    reduced costs``, ``b`` being each row's right-hand side less its fixed
-    terms. A float bound counts only with a slack of 1e-9 of the magnitudes
-    summed into it, far above their rounding. The bound is in the model's
-    own sense, with the constant; None before the first step."""
+    same sums). Then the rows are relaxed with multipliers lam >= 0: for
+    each lam, the objective of every assignment that passes the rows is at
+    most ``fixed objective + lam . b + sum of the positive reduced costs``,
+    ``b`` being each row's right-hand side less its terms fixed to 1. A
+    float bound counts only with a slack of 1e-9 of the magnitudes summed
+    into it, far above their rounding. The bound is in the model's own
+    sense, with the constant; None before the first step."""
     sign = 1.0 if model.sense == "max" else -1.0
-    starts, cols, vals = model.starts, model.cols, model.vals
-    flips = [-1.0 if sense == ">=" else 1.0 for sense in model.senses]
     fixed = {}
-    for s, e, flip, lo, r in zip(starts, starts[1:], flips, low, rhs):
-        # a row none of whose raises can break it is passed over whole
-        if s < e and lo + max(map(abs, vals[s:e])) > r:
-            for i, co in zip(cols[s:e], vals[s:e]):
-                if co and lo + abs(co) > r:
-                    fixed[i] = 0 if flip * co > 0 else 1
+    for i, raises in enumerate(moves):
+        for v, raised in enumerate(raises):
+            if any(low[k] + r > rhs[k] for k, r in raised):
+                fixed[i] = 1 - v
 
-    # The relaxed rows in <= form: each one's terms over the live variables,
-    # by position among them, its right-hand side less its fixed terms (b)
-    # and the magnitudes summed into its part of a bound; and each live
-    # variable's column. A free variable with no gain and no negative term
-    # is not live: its reduced cost is at most 0 at every lam, so the
-    # relaxation keeps it at 0, and it is left out, as is a row without a
-    # live term (the start passes it, so it holds with those at 0).
-    live = [i for i, (c, (down, _)) in enumerate(zip(obj, moves))
-            if i not in fixed and (sign * c > 0 or down)]
-    position = dict(zip(live, count()))
-    ones = {i for i, v in fixed.items() if v}
-    row_terms, b, sizes = [], [], []
-    col_rows = [[] for _ in live]
-    col_coeffs = [[] for _ in live]
-    for s, e, flip, r in zip(starts, starts[1:], flips, rhs):
-        row_cols, row_vals = cols[s:e], vals[s:e]
-        terms = [(position[i], flip * co) for i, co in zip(row_cols, row_vals)
-                 if co and i in position]
-        if terms:
-            rest = r
-            if not ones.isdisjoint(row_cols):
-                rest -= flip * reduce(add, (co for i, co in zip(row_cols, row_vals) if i in ones))
-            for p, a in terms:
-                col_rows[p].append(len(b))
-                col_coeffs[p].append(a)
-            row_terms.append(([p for p, _ in terms], [a for _, a in terms]))
-            b.append(rest)
-            sizes.append(abs(r) + sum(map(abs, row_vals)))
-    columns = list(zip([sign * obj[i] for i in live], col_rows, col_coeffs))
+    # Per row, in variable order: the sum of its terms fixed to 1 and the
+    # magnitudes of all its terms; per live variable, its gain and its
+    # column, rows ascending, all with <= signs. A free variable with no
+    # gain and no negative term is not live: its reduced cost is at most 0
+    # at every lam, so the relaxation keeps it at 0 and no column is read.
+    # A row with no live term keeps lam = 0: its subgradient is its b, which
+    # is not negative, as the start passes the row and its other terms are
+    # of variables fixed to 0 or of free ones with no negative term.
+    ones = [0] * len(rhs)
+    mags = [[] for _ in rhs]
+    columns = []
+    for i, (c, (down, up)) in enumerate(zip(obj, moves)):
+        terms = sorted(chain(up, ((k, -r) for k, r in down)))
+        one = fixed.get(i) == 1
+        for k, a in terms:
+            mags[k].append(abs(a))
+            if one:
+                ones[k] += a
+        if i not in fixed and (sign * c > 0 or down):
+            columns.append((sign * c, [k for k, _ in terms], [a for _, a in terms]))
+    b = list(map(sub, rhs, ones))
+    sizes = [abs(r) + sum(m) for r, m in zip(rhs, mags)]
     base = sign * reduce(add, (obj[i] for i, v in fixed.items() if v), 0.0)
     size0 = abs(base) + sum(map(abs, obj))
     target = sign * start_cur
@@ -538,10 +528,13 @@ def root_proof(model, obj, rhs, low, moves, start_cur, q, tick) -> tuple:
             if since == 2 * _PATIENCE or not q:  # without a granularity no bound proves
                 break                            # the start: one is worked out, for the record
             # the subgradient at lam, each row's slack at the relaxation's
-            # optimum, projected onto lam >= 0
-            x = [1.0 if c > 0.0 else 0.0 for c in reduced]
-            grad = [r - sum(map(mul, coeffs, map(x.__getitem__, positions)))
-                    for (positions, coeffs), r in zip(row_terms, b)]
+            # optimum, summed over the columns it sets to 1, projected onto lam >= 0
+            hits = [[] for _ in b]
+            for c, (_, rows, coeffs) in zip(reduced, columns):
+                if c > 0.0:
+                    for k, a in zip(rows, coeffs):
+                        hits[k].append(a)
+            grad = [r - sum(h) for r, h in zip(b, hits)]
             grad = [0.0 if m == 0.0 and g > 0.0 else g for m, g in zip(lam, grad)]
             norm = sum(g * g for g in grad)
             if not norm:

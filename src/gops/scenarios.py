@@ -2,6 +2,7 @@
 the tests and docs, and seeded random instances for property suites.
 """
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -122,12 +123,15 @@ def gen_random(*, seed: int, width: int = 1, height: int = 1, predicates: int = 
     """Seeded random instance; identical seeds give identical instances.
 
     Benefits and costs are dyadic rationals so float sums stay exact.
-    Guard rails reject sizes beyond desk scale.
+    Guard rails reject sizes beyond desk scale and, whatever the seed
+    draws, a ``radius`` that is neither None nor finite and non-negative.
     """
     if predicates < 1 or actions < 1:
         raise InstanceError("gen-guard", "need at least one predicate and one action")
     if ics < 0:
         raise InstanceError("gen-guard", "the number of integrity constraints is negative")
+    if radius is not None and not 0 <= radius < math.inf:
+        raise InstanceError("gen-guard", f"radius {radius} is not a finite non-negative number")
     grid = GridMap(width, height)
     if grid.n_points > MAX_POINTS:
         raise InstanceError("gen-guard", f"too many points ({grid.n_points} > {MAX_POINTS})")

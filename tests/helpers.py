@@ -19,8 +19,11 @@ lexicographically smallest, and once one is found a node must beat it by
 the objective's granularity q (``objective_granularity``, worked out
 from exact rationals) to be expanded, since a later tie cannot replace
 it; with q 0, when the objective's sums can round, ties are searched.
+``reference_root_fixed`` counts the root's fixed variables by the rule
+read from the flat rows.
 ``ground`` is a builder, not an oracle: it grounds loose instance parts;
-``golden_corpus`` is an input corpus, the one the serialize golden pins.
+``golden_corpus`` is an input corpus, the one the serialize golden pins,
+and ``planted_cover`` draws the benchmark's max-k-cover shape.
 """
 
 import itertools
@@ -362,6 +365,24 @@ def reference_branch_and_bound(model, max_nodes=None, cut_ties=True):
     return status, values, state["best"], state["nodes"]
 
 
+def reference_root_fixed(model):
+    """How many variables the root of ``solve_branch_and_bound`` fixes in a
+    model with a start, by its rule read from the flat rows: with each row
+    read as ``<=`` (a ``>=`` row negated) and its smallest left-hand side
+    the sum of its negative terms in row order, a term whose value alone
+    lifts that above the right-hand side fixes its variable."""
+    fixed = set()
+    for c in model.constraints:
+        flip = -1 if c.sense == ">=" else 1
+        terms = [(i, flip * co) for i, co in c.coeffs if co]
+        lo = 0.0
+        for _, a in terms:
+            if a < 0:
+                lo += a
+        fixed.update(i for i, a in terms if lo + abs(a) > flip * c.rhs)
+    return len(fixed)
+
+
 # ---------------------------------------------------------------------------
 # Greedy oracle: the multiplicative-weights greedy as a full rescan of every
 # unpicked pair before each pick, gains summed bit by bit.
@@ -539,6 +560,19 @@ def golden_corpus():
             for problem in ("gbgop", "bmgop"):
                 yield gen_random(seed=seed, width=width, height=height, actions=actions,
                                  radius=radius, ics=ics, problem=problem)
+
+
+def planted_cover(rng, planted, block, decoys):
+    """``planted`` disjoint blocks covering the universe plus ``decoys``
+    random families of the block size, shuffled: the benchmark's max-k-cover
+    shape, whose equal-size families make ratio ties common."""
+    universe = tuple(range(planted * block))
+    elems = list(universe)
+    rng.shuffle(elems)
+    families = [frozenset(elems[i::planted]) for i in range(planted)]
+    families += [frozenset(rng.sample(universe, block)) for _ in range(decoys)]
+    rng.shuffle(families)
+    return universe, tuple(families)
 
 
 def explicit_action(name, point, atoms):

@@ -1,16 +1,18 @@
 import dataclasses
+import hashlib
 import itertools
 import random
 
 import pytest
 
-from gops import (CoverProblem, IpModel, Limits, emit_lp, encode_max_k_cover,
-                  encode_set_cover, solve_bmgop_exact, solve_branch_and_bound,
-                  solve_gbgop_exact)
-from gops.errors import InstanceError, LimitReachedError
+from gops import (CoverProblem, IpModel, Limits, build_bmgop_ip, build_gbgop_ip, emit_lp,
+                  encode_max_k_cover, encode_set_cover, gen_campaign, gen_random,
+                  solve_bmgop_exact, solve_branch_and_bound, solve_gbgop_exact)
+from gops.core import format_number
+from gops.errors import InstanceError, LimitReachedError, UncoverableAtomsError
 
-from helpers import (exhaustive_optimum, objective_granularity, reference_branch_and_bound,
-                     reference_emit_lp)
+from helpers import (exhaustive_optimum, objective_granularity, planted_cover,
+                     reference_branch_and_bound, reference_emit_lp, reference_root_fixed)
 
 
 def assert_matches_exhaustive(model):
@@ -623,6 +625,7 @@ def test_a_start_gives_the_optimum_and_the_bound_holds_it():
         start = rng.choice(good)
         got = solve_branch_and_bound(with_start(model, start))
         value, _ = exhaustive_optimum(model)
+        assert got.fixed == reference_root_fixed(model)
         assert got.status == "optimal"
         assert got.objective_value == plain.objective_value == pytest.approx(value, abs=1e-9)
         bits = tuple(got.values[v.name] for v in model.variables)
@@ -637,6 +640,43 @@ def test_a_start_gives_the_optimum_and_the_bound_holds_it():
         assert got.root_bound is not None
         assert (got.root_bound >= value) if model.sense == "max" else (got.root_bound <= value)
     assert proven > 100 and searched > 100 and refused > 100
+
+
+def paper_programs():
+    """The paper's two programs on the campaign, on ``gen_random``
+    instances of widths 1, 3 and 5 in both flavours (the covering program
+    over the reduced pairs on even seeds; an instance with a goal no pair
+    produces has none), and on planted set-cover and max-k-cover
+    encodings. Only the benefit program has a start, so only it has a
+    root."""
+    campaign = gen_campaign()
+    yield build_bmgop_ip(campaign.bmgop)
+    yield build_gbgop_ip(campaign.gbgop)
+    for seed in range(80):
+        for width in (1, 3, 5):
+            inst = gen_random(seed=seed, width=width, height=width)
+            try:
+                yield build_gbgop_ip(inst, use_reduction=seed % 2 == 0)
+            except UncoverableAtomsError:
+                pass
+            yield build_bmgop_ip(gen_random(seed=seed, width=width, height=width, problem="bmgop"))
+    for seed in range(6):
+        universe, families = planted_cover(random.Random(seed), 3, 4, 8)
+        yield build_gbgop_ip(encode_set_cover(CoverProblem(universe, families)))
+        yield build_bmgop_ip(encode_max_k_cover(CoverProblem(universe, families, 3)))
+
+
+def test_the_whole_result_on_the_paper_programs_holds():
+    # every field of every IpAssignment, root steps and fixes included, under
+    # a node cap that root-heavy programs reach; the root bound to 12
+    # significant digits, as Python 3.12's compensated sum may move its last bits
+    digest = hashlib.sha256()
+    for model in paper_programs():
+        got = solve_branch_and_bound(model, Limits(max_nodes=3000))
+        bound = None if got.root_bound is None else format_number(got.root_bound)
+        digest.update(repr((got.status, list(got.values.items()), got.objective_value, got.nodes,
+                            got.steps, got.fixed, bound, got.prunes)).encode())
+    assert digest.hexdigest() == "f2ef99861e770f7f587e249ca077f80b413caa6a371c96dd3a0bc433f7570e38"
 
 
 def test_a_start_the_root_proves_is_returned_as_it_is():

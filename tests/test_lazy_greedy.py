@@ -16,7 +16,7 @@ from gops import (BenefitModel, CostModel, GridMap, GroundAtom, IntegrityConstra
                   bmgop_compute, gen_campaign, gen_random)
 from gops.encodings import CoverProblem, encode_max_k_cover
 
-from helpers import eager_bmgop_compute, explicit_action, tiny_bmgop
+from helpers import eager_bmgop_compute, explicit_action, planted_cover, tiny_bmgop
 
 MODES = ("weighted", "plain")
 
@@ -25,19 +25,6 @@ MODES = ("weighted", "plain")
 # int beside a float of equal value
 NON_DYADIC = (0.1, 0.3, 1, 0.7)
 INT_AND_FLOAT = (1, 2, 1.0)
-
-
-def planted_cover(rng, planted, block, decoys):
-    """``planted`` disjoint blocks covering the universe plus ``decoys``
-    random families of the block size, shuffled: the benchmark's max-k-cover
-    shape, whose equal-size families make ratio ties common."""
-    universe = tuple(range(planted * block))
-    elems = list(universe)
-    rng.shuffle(elems)
-    families = [frozenset(elems[i::planted]) for i in range(planted)]
-    families += [frozenset(rng.sample(universe, block)) for _ in range(decoys)]
-    rng.shuffle(families)
-    return universe, tuple(families)
 
 
 def max_k_cover(tag, k, block, decoys):

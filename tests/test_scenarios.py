@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import pytest
 
@@ -146,6 +147,15 @@ def test_gen_random_guards():
         with pytest.raises(InstanceError) as err:
             gen_random(seed=0, **sizes)
         assert err.value.code == "gen-guard"
+    # a bad radius, whether or not the seed draws a rule action to carry it
+    # (seeds 1 and 3 draw their one action explicit)
+    for seed in range(6):
+        for radius in (-1, -0.5, math.inf, -math.inf, math.nan):
+            with pytest.raises(InstanceError) as err:
+                gen_random(seed=seed, actions=1, radius=radius)
+            assert err.value.code == "gen-guard"
+    for radius in (None, 0, 0.0, 2.5):
+        gen_random(seed=0, actions=1, radius=radius)
 
 
 def test_gen_random_gbgop_hands_its_grounding_to_the_instance():
