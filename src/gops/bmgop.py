@@ -399,7 +399,8 @@ def solve_bmgop_exact(inst: BmgopInstance, limits: Optional[Limits] = None) -> B
     g = inst.grounding
     # the atoms with a non-zero benefit; summing over these alone gives the same floats
     paying = int("0" + "".join(["1" if b else "0" for b in reversed(g.benefits)]), 2)
-    gain = [g.benefit_sum(e & paying & ~g.s0_mask) for e in g.effects]
+    effects = g.effects
+    gain = [g.benefit_sum(e & paying & ~g.s0_mask) for e in effects]
     order = sorted((i for i, v in enumerate(gain) if v > 0), key=lambda i: (-gain[i], i))
     # the bound adds a value and at most ``depth`` gains, each a sum over the
     # atoms: it is exact when every partial sum with each atom counted
@@ -424,7 +425,7 @@ def solve_bmgop_exact(inst: BmgopInstance, limits: Optional[Limits] = None) -> B
         for j in order[pos:] if room else ():
             if len(top) == room and gain[j] <= top[0]:
                 break  # later pairs gain no more than gain[j], now or after
-            heapq.heappush(top, g.benefit_sum(g.effects[j] & paying & ~mask))
+            heapq.heappush(top, g.benefit_sum(effects[j] & paying & ~mask))
             if len(top) > room:
                 heapq.heappop(top)
         bound = value + sum(top) + slack

@@ -25,12 +25,14 @@ grounding repeats none of validation's checks.
 each guard is evaluated once into a point mask, a rule's effect at ``p``
 is the metric ball around ``p`` AND the target-guard mask (gated by bit
 ``p`` of the source-guard mask), and the result is shifted into the
-effect predicate's block of atom indices. Atom and pair indices are
-arithmetic (block offset + ``y * (M + 1) + x``), so grounding keeps no
-per-atom or per-pair object tables: atoms and pairs are made only for the
-indices a caller asks about, and the full lists only on first use. One
-indexer, ``item_indices``, kept here so the index formula lives in one
-module, turns (name, point) items into those indices item by item:
+effect predicate's block of atom indices. A rule-form action's block is
+filled only on the first read of ``Grounding.effects``; the goal-based
+solvers read ``effect`` and ``meeting`` and never fill it. Atom and pair
+indices are arithmetic (block offset + ``y * (M + 1) + x``), so grounding
+keeps no per-atom or per-pair object tables: atoms and pairs are made only
+for the indices a caller asks about, and the full lists only on first
+use. One indexer, ``item_indices``, kept here so the index formula lives
+in one module, turns (name, point) items into those indices item by item:
 validation (``check_atoms``), and grounding's lookups of the items its
 callers pass in. Each item of an instance is indexed once, by validation;
 of several bad items, the least by ``repr`` is named. Every ``Problem``
@@ -51,11 +53,13 @@ solvers equal to them.
 
 import math
 import sys
+from bisect import bisect_left
 from collections import defaultdict
 from collections.abc import Set
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
-from itertools import accumulate, repeat
+from functools import cached_property, reduce
+from itertools import accumulate, compress, count, repeat
+from operator import or_
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import InstanceError, LimitReachedError
@@ -897,7 +901,10 @@ class Grounding:
     """Canonical index tables plus frozen per-pair effect, cost and benefit
     caches for one validated ``Problem``, whose checks it does not repeat:
     building raises only ``map-size``, for more points or atoms than a mask
-    has bits (``sys.maxsize``). Built once, then read-only.
+    has bits (``sys.maxsize``). Built once, then read-only, but for the
+    rule-form blocks of the effect table (below), which the first read of
+    ``effects`` fills in place; a second filling writes the same values,
+    so a grounding may still be shared across threads.
 
     Atom sets are integer bitmasks over canonical atom indices, which gives
     O(1) membership and fast union/difference in the solvers' inner loops.
@@ -916,8 +923,9 @@ class Grounding:
     solution's final state is an ``AtomSet`` too.
 
     Effects and costs are derived with mask algebra, never per pair, and
-    written in place: ``effects`` is allocated once, ``n_pairs`` zeros, and
-    action ``k``'s effect at point ``i`` is set at ``k * n_points + i``:
+    written in place: the effect table is allocated once, ``n_pairs``
+    zeros, and action ``k``'s effect at point ``i`` is set at
+    ``k * n_points + i``:
 
     * every guard (source, target, cost-rule and constraint condition) is
       evaluated once into a point mask, one bit per map point in row-major
@@ -928,10 +936,20 @@ class Grounding:
       ball with one shift of a per-column mask, and without a distance
       bound the ball is the whole map;
     * a pair's cost is its override, else the value of the first cost rule
-      whose condition mask has bit ``p``, else the default;
+      whose condition mask has bit ``p``, else the default; ``cost_classes``
+      keeps the point mask of each distinct cost before overrides;
     * an explicit table, an ``EffectTable`` of this instance's grid and
       predicates (validation made it one), holds atom indices, and each
       row's mask is set from them.
+
+    Explicit blocks are filled when the grounding is built. A rule-form
+    block keeps its source and target masks and its ball, and is filled
+    only when a caller first reads ``effects``: the benefit solvers and
+    any caller that folds over every pair. The goal-based solvers read
+    ``effect(i)``, one pair's effect, and ``meeting(mask)``, the pairs
+    whose effects meet a few goal or forbidden atoms, which a rule-form
+    block answers from the balls around those atoms; so their work and
+    memory grow with the goals, not with pairs times atoms.
 
     Benefits are grouped the same way: each predicate's block plus the
     overridden atoms give ``benefit_classes``, one atom mask per distinct
@@ -961,33 +979,35 @@ class Grounding:
         def where(formula: Formula) -> int:
             return _point_mask(formula, self.s0_mask, offsets, grid, full)
 
-        self.effects = effects = [0] * self.n_pairs
+        self._effects = effects = [0] * self.n_pairs
+        # action k -> (source, target, shift, ball) of a rule-form block not
+        # yet in the table; ball is None without a distance bound
+        self._unfilled = {}
         for k, rule in enumerate(self.actions):
-            base = k * n_points
             table = rule.explicit_effects
             if table is not None:  # an EffectTable of this grid and predicates
+                base = k * n_points
                 for i, atoms in table.rows.items():
                     effects[base + i] = _mask(atoms)
-                continue
-            source = where(rule.source_guard)
-            target = where(rule.target_guard)
-            shift = offsets[rule.effect_predicate]
-            if rule.max_distance is None:
-                shifted = target << shift  # one int shared by every source point
-                for i in iter_bits(source):
-                    effects[base + i] = shifted
             else:
-                ball = _ball(grid, rule.metric, rule.max_distance)
-                for i in iter_bits(source):
-                    effects[base + i] = (ball(i) & target) << shift
+                self._unfilled[k] = (
+                    where(rule.source_guard), where(rule.target_guard),
+                    offsets[rule.effect_predicate],
+                    None if rule.max_distance is None
+                    else _ball(grid, rule.metric, rule.max_distance))
 
-        point_costs = [problem.cost_model.default_cost] * n_points
+        default_cost = problem.cost_model.default_cost
+        point_costs = [default_cost] * n_points
+        classes = {}  # cost -> the points that have it
         unresolved = full
         for condition, value in problem.cost_model.state_rules:
             hit = where(condition) & unresolved
             for i in iter_bits(hit):
                 point_costs[i] = value
+            classes[value] = classes.get(value, 0) | hit
             unresolved &= ~hit
+        classes[default_cost] = classes.get(default_cost, 0) | unresolved
+        self.cost_classes = [(value, points) for value, points in classes.items() if points]
         self.costs = point_costs * len(self.actions)
         for i, value in problem.cost_override_indices:
             self.costs[i] = value
@@ -1073,27 +1093,103 @@ class Grounding:
             self._pairs = enumerate_pairs(self.grid, self.actions)
         return self._pairs
 
+    @property
+    def effects(self) -> list:
+        """Every pair's effect mask, in canonical pair order. The first read
+        fills the rule-form blocks; a caller that folds over every pair
+        reads this once, and one that asks about a few pairs or atoms
+        calls ``effect`` or ``meeting`` instead."""
+        if self._unfilled:
+            effects, n_points = self._effects, self.n_points
+            for k, (source, target, shift, ball) in self._unfilled.items():
+                base = k * n_points
+                if ball is None:
+                    shifted = target << shift  # one int shared by every source point
+                    for i in iter_bits(source):
+                        effects[base + i] = shifted
+                else:
+                    for i in iter_bits(source):
+                        effects[base + i] = (ball(i) & target) << shift
+            self._unfilled = {}
+        return self._effects
+
+    def effect(self, i: int) -> int:
+        """The effect mask of pair ``i``, from the table or, in a rule-form
+        block not yet filled, from the rule."""
+        if not self._unfilled:
+            return self._effects[i]
+        k, p = divmod(i, self.n_points)
+        rule = self._unfilled.get(k)
+        if rule is None:
+            return self._effects[i]
+        source, target, shift, ball = rule
+        if not source >> p & 1:
+            return 0
+        return (target if ball is None else ball(p) & target) << shift
+
+    def meeting(self, mask: int) -> dict:
+        """``{i: effect(i) & mask}`` for every pair whose effect meets
+        ``mask``, in ascending pair order.
+
+        Blocks in the table are scanned in C-level passes. A rule-form
+        block not yet filled is read from the atoms of ``mask`` instead:
+        its pairs that reach target atom ``q`` are its sources in
+        ``ball(q)``, since every metric's ball is symmetric, so the work
+        is the mask's atoms times the ball, not the pairs."""
+        if not mask:
+            return {}
+        n_points = self.n_points
+        out = {}
+        start = 0  # the first pair of the table not yet scanned
+        for k, (source, target, shift, ball) in self._unfilled.items():
+            base = k * n_points
+            self._scan(out, mask, start, base)
+            start = base + n_points
+            local = mask >> shift & target  # the target points of the mask's atoms
+            if not local:
+                continue
+            if ball is None:
+                out.update(zip(map(base.__add__, iter_bits(source)), repeat(local << shift)))
+                continue
+            reach = 0
+            for q in iter_bits(local):
+                reach |= ball(q)
+            for p in iter_bits(reach & source):
+                out[base + p] = (ball(p) & local) << shift
+        self._scan(out, mask, start, self.n_pairs)
+        return out
+
+    def _scan(self, out: dict, mask: int, start: int, end: int) -> None:
+        """Add ``{i: effects[i] & mask}`` to ``out`` for the pairs ``start``
+        to ``end - 1`` of the table that meet ``mask``, in C-level passes."""
+        hits = list(map(mask.__and__, self._effects[start:end]))
+        out.update(zip(compress(range(start, end), hits), filter(None, hits)))
+
     def union_effects(self, indices: Iterable[int]) -> int:
-        mask = 0
-        effects = self.effects
-        for i in indices:
-            mask |= effects[i]
-        return mask
+        return reduce(or_, map(self.effect, indices), 0)
 
     def producers(self, indices: Sequence[int], mask: int) -> dict:
-        """Atom index -> the positions within ``indices`` of the pairs whose
-        effects hold that atom, for every atom of ``mask`` that one of them
-        holds, in ascending atom order; atoms no pair produces are left
-        out. A builder whose variable ``j`` selects pair ``indices[j]``
-        takes each list as its cover row's variables, already ascending.
+        """Atom index -> the positions within ``indices`` (ascending) of the
+        pairs whose effects hold that atom, for every atom of ``mask`` that
+        one of them holds, in ascending atom order; atoms no pair produces
+        are left out. A builder whose variable ``j`` selects pair
+        ``indices[j]`` takes each list as its cover row's variables,
+        already ascending.
 
-        One pass over the pairs' effect bits inside ``mask``, so the work
-        is the number of entries, not atoms times pairs, for a dense mask
-        (every atom outside the initial state) as for a sparse one."""
+        Once the table holds every block, one pass walks the pairs' effect
+        bits inside ``mask``; before that, the pairs are those of
+        ``meeting(mask)``, each found among ``indices`` by bisection, so a
+        goal-based program grounds no rule-form block. Either way the work
+        is the entries, not atoms times pairs, for a dense mask (every atom
+        outside the initial state) as for a sparse one."""
+        if self._unfilled:
+            n = len(indices)
+            hits = ((bisect_left(indices, i), i, hit) for i, hit in self.meeting(mask).items())
+            found = ((pos, hit) for pos, i, hit in hits if pos < n and indices[pos] == i)
+        else:
+            found = zip(count(), map(mask.__and__, map(self._effects.__getitem__, indices)))
         out = defaultdict(list)
-        effects = self.effects
-        for pos, i in enumerate(indices):
-            hit = effects[i] & mask
+        for pos, hit in found:
             while hit:  # most pairs miss a small mask and skip the loop
                 low = hit & -hit
                 out[low.bit_length() - 1].append(pos)
@@ -1174,7 +1270,7 @@ class Grounding:
         ascend or every partial sum of their costs is exact, and are summed
         again in canonical order otherwise."""
         tick = (lambda: None) if limits is None else limits._counter()
-        effects = [self.effects[i] for i in candidates]
+        effects = list(map(self.effect, candidates))
         costs = [self.costs[i] for i in candidates]
         running = (all(a < b for a, b in zip(candidates, candidates[1:]))
                    or sums_exact(zip(costs, repeat(1))))

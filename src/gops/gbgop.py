@@ -10,7 +10,8 @@ solver, and a guarded exhaustive solution counter.
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
+from itertools import accumulate, chain, compress
+from operator import itemgetter, or_
 from typing import Optional
 
 from .core import Problem, Solution, _mask, check_atoms, iter_bits
@@ -61,8 +62,16 @@ def _needed(inst: GbgopInstance) -> int:
 
 def _admissible(inst: GbgopInstance) -> list:
     """Indices of the pairs whose effects avoid every forbidden atom."""
-    out_mask = inst.theta_out_mask
-    return [i for i, eff in enumerate(inst.grounding.effects) if not eff & out_mask]
+    g = inst.grounding
+    return _complement(g.n_pairs, g.meeting(inst.theta_out_mask))
+
+
+def _complement(n: int, dropped) -> list:
+    """``range(n)`` without ``dropped``, ascending, in C-level passes."""
+    keep = bytearray(b"\x01") * n
+    for i in dropped:
+        keep[i] = 0
+    return list(compress(range(n), keep))
 
 
 def validate_gbgop(inst: GbgopInstance, sol) -> list:
@@ -134,6 +143,7 @@ def probe_feasibility(inst: GbgopInstance) -> Optional[GbgopSolution]:
     constraints that a smaller selection would satisfy.
     """
     candidate = _admissible(inst)
+    inst.grounding.effects  # the fold below reads every pair: fill the table once
     if _violations(inst, candidate):
         return None
     return inst.grounding._selection(candidate)
@@ -159,9 +169,25 @@ def reduce_to_r_star(inst: GbgopInstance):
 
 
 def _r_star(inst: GbgopInstance):
-    """(indices of R, indices of R*), both in canonical order.
+    """(indices of R, indices of R*), both in canonical order."""
+    inadmissible, kept = _reduction(inst)
+    return _complement(inst.grounding.n_pairs, inadmissible), kept
 
-    One pass keeps each key's first pair. The distinct keys are then
+
+def _reduction(inst: GbgopInstance):
+    """(the pairs outside R, indices of R*): R is every pair but those
+    whose effects meet the forbidden atoms, and R* is in canonical order.
+
+    The keys and their first pairs are found from the goals, not pair by
+    pair. One ``meeting`` of the outstanding goal and forbidden atoms gives
+    the pairs outside R and the covering pairs. A covering pair of R, or
+    one in an active constraint or with a cost override, is keyed from its
+    own values. Every other pair of R has the key (its point's cost, (),
+    0), and that key's first pair is the lowest point of the cost's point
+    mask (``Grounding.cost_classes``) left in the first action that has
+    one, once the pairs keyed before and those outside R are taken out.
+
+    The distinct keys are then
     numbered in ascending cost order, bit j standing for key j, and one
     pass builds a mask of keys per active constraint and per outstanding
     goal atom covered (indexed by the atom's low bit). Key j's candidate
@@ -173,13 +199,34 @@ def _r_star(inst: GbgopInstance):
     exactly when no candidate remains.
     """
     g = inst.grounding
-    needed = _needed(inst)
-    r_indices = _admissible(inst)
-    costs, effects, pair_ics = g.costs, g.effects, g.pair_ics
-    first = {}
-    for i in r_indices:  # pair_ics entries ascend, so equal sets give equal keys
-        first.setdefault((costs[i], pair_ics[i], effects[i] & needed), i)
-    keys = sorted(first, key=itemgetter(0))
+    out_mask = inst.theta_out_mask
+    covers = g.meeting(_needed(inst) | out_mask)
+    inadmissible = [i for i, hit in covers.items() if hit & out_mask] if out_mask else []
+    for i in inadmissible:
+        del covers[i]
+    # a covering key has atoms and no other has, so the two kinds never share a key
+    rest = {i for i, _ in inst.cost_override_indices}.union(*(m for _, m in g.ic_s0))
+    rest.difference_update(covers, inadmissible)
+    costs, pair_ics = g.costs, g.pair_ics
+    first = {}  # pair_ics entries ascend, so equal sets give equal keys
+    for i, hit in covers.items():
+        first.setdefault((costs[i], pair_ics[i], hit), i)
+    for i in sorted(rest):
+        first.setdefault((costs[i], pair_ics[i], 0), i)
+    if len(covers) + len(rest) + len(inadmissible) < g.n_pairs:  # a pair is left
+        # the pairs keyed above and those outside R, as one mask over the pairs
+        digits = bytearray(b"0") * g.n_pairs  # digit n_pairs - 1 - i stands for pair i
+        for i in chain(covers, rest, inadmissible):
+            digits[-1 - i] = ord("1")
+        taken = int(b"0" + digits, 2)
+        for value, points in g.cost_classes:
+            # the cost's points in every action's block, one numeral per block
+            free = int("0" + f"{points:0{g.n_points}b}" * len(g.actions), 2) & ~taken
+            if free:
+                i = (free & -free).bit_length() - 1
+                key = (value, (), 0)
+                first[key] = min(first.get(key, i), i)
+    keys = sorted(first, key=itemgetter(0))  # the kept set does not depend on the order of ties
     key_costs = [c for c, _, _ in keys]
 
     in_ic, covering = {}, {}  # constraint / atom low bit -> mask of keys
@@ -205,7 +252,7 @@ def _r_star(inst: GbgopInstance):
         if not dominators:
             kept.append(first[keys[j]])
     kept.sort()
-    return r_indices, kept
+    return inadmissible, kept
 
 
 def build_gbgop_ip(inst: GbgopInstance, use_reduction: bool = False) -> IpModel:
@@ -224,17 +271,17 @@ def build_gbgop_ip(inst: GbgopInstance, use_reduction: bool = False) -> IpModel:
     inherent = _initially_forbidden(inst)
     if inherent:
         raise InstanceError(inherent.code, inherent.message)
-    indices = _r_star(inst)[1] if use_reduction else _admissible(inst)
+    indices = _reduction(inst)[1] if use_reduction else _admissible(inst)
+
+    needed = _needed(inst)
+    covers = g.producers(indices, needed)
+    uncoverable = needed & ~_mask(covers)
+    if uncoverable:
+        raise UncoverableAtomsError(list(map(g.atom_at, iter_bits(uncoverable))))
 
     model = IpModel(sense="min")
     x_vars = model.add_variables(g.pair_names("X", indices), indices)
     model.objective = dict.fromkeys(x_vars, 1.0)
-
-    needed = _needed(inst)
-    uncoverable = needed & ~g.union_effects(indices)
-    if uncoverable:
-        raise UncoverableAtomsError(list(map(g.atom_at, iter_bits(uncoverable))))
-    covers = g.producers(indices, needed)
     # variable j selects pair indices[j], so the producers' positions are
     # the row's variables, ascending
     model.add_rows(g.atom_names("cover", covers), ">=", 1.0, list(covers.values()))
@@ -256,7 +303,7 @@ def solve_gbgop_exact(inst: GbgopInstance, limits: Optional[Limits] = None) -> O
     if _initially_forbidden(inst):
         return None
     needed = _needed(inst)
-    candidates = _r_star(inst)[1]
+    candidates = _reduction(inst)[1]
     suffix = _suffix_unions(g, candidates)
     best = None
     smaller_than = len(candidates) + 1  # a kept cover must have fewer pairs
@@ -276,10 +323,7 @@ def solve_gbgop_exact(inst: GbgopInstance, limits: Optional[Limits] = None) -> O
 
 def _suffix_unions(g, candidates) -> list:
     """suffix[t]: the union of the effects of ``candidates[t:]``."""
-    suffix = [0]
-    for i in reversed(candidates):
-        suffix.append(suffix[-1] | g.effects[i])
-    return suffix[::-1]
+    return [*accumulate(map(g.effect, reversed(candidates)), or_, initial=0)][::-1]
 
 
 def solve_gbgop_ip(inst: GbgopInstance, limits: Optional[Limits] = None):

@@ -312,8 +312,15 @@ def solve_branch_and_bound(model: IpModel, limits: Optional[Limits] = None) -> I
     nodes it visits without one, and ends with the same answer when it
     completes. Each step is one ``tick``; a limit hit during the steps
     returns the start, ``limit_reached``.
+
+    A NaN right-hand side is refused with InstanceError ``ip-bad-rhs``: no
+    sum is above or below it, so the start's check would keep such a row
+    and the search would break it.
     """
     model.validate()
+    for label, r in zip(model.labels, model.rhs):
+        if r != r:
+            raise InstanceError("ip-bad-rhs", f"constraint {label!r}: right-hand side is NaN")
     n = len(model.names)
     maximize = model.sense == "max"
     obj = [model.objective.get(i, 0.0) for i in range(n)]

@@ -5,6 +5,8 @@ the tests and docs, and seeded random instances for property suites.
 import math
 import random
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .bmgop import BmgopInstance
 from .core import (ActionPointPair, ActionRule, BenefitModel, CostModel,
@@ -205,7 +207,7 @@ def gen_random(*, seed: int, width: int = 1, height: int = 1, predicates: int = 
     # are feasible; leave some arbitrary picks to exercise infeasibility.
     parts = Problem(grid, pred_names, s0, rules, cost_model, ic_tuple, budget=0.0)
     g = parts.grounding
-    producible = g.mask_atoms(g.union_effects(range(g.n_pairs)))
+    producible = g.mask_atoms(reduce(or_, g.effects, 0))  # a fold over every pair: the table
     all_atoms = [GroundAtom(pred, p) for pred in pred_names for p in points]
     theta_in = set()
     for _ in range(rng.randint(1, 3)):

@@ -23,7 +23,10 @@ it; with q 0, when the objective's sums can round, ties are searched.
 read from the flat rows.
 ``ground`` is a builder, not an oracle: it grounds loose instance parts;
 ``golden_corpus`` is an input corpus, the one the serialize golden pins,
-and ``planted_cover`` draws the benchmark's max-k-cover shape.
+``planted_cover`` draws the benchmark's max-k-cover shape, and
+``goal_cases`` and ``goal_corpus`` are the goal-based instances whose
+goal-driven reads (``Grounding.meeting``/``effect``, the reduction) are
+held to the full table.
 """
 
 import itertools
@@ -733,3 +736,63 @@ def per_row_half_widths(grid, metric, bound):
             break
         out.append(dx)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Goal-based instances for the reads that start from the goals
+
+GOAL_RADII = (None, 0, 0.5, 1, 1.5, 2, 3, 30)
+
+
+def goal_corpus(seeds, widths=(1, 2, 4, 7, 12)):
+    """Seeded ``gen_random`` goal-based instances: every radius in
+    ``GOAL_RADII`` (30 reaches past every map here), square maps of the
+    given widths and 0-3 constraints."""
+    for seed in seeds:
+        for radius in GOAL_RADII:
+            width = widths[seed % len(widths)]
+            yield gen_random(seed=seed, width=width, height=width, predicates=3, actions=3,
+                             radius=radius, ics=seed % 4, problem="gbgop")
+
+
+def goal_cases():
+    """(name, goal-based instance) built in code on a 7x6 map with two ball
+    rules, an unbounded rule and an explicit action: a cost override on a
+    covering pair, active and inactive constraints, a forbidden atom on a
+    covering pair, nothing needed, and a forbidden atom that holds
+    initially."""
+    from gops import GbgopInstance, IntegrityConstraint
+    grid = GridMap(6, 5)
+    site = {Point(1, 1), Point(3, 3), Point(4, 3), Point(5, 0)}
+    s0 = frozenset(GroundAtom("site", p) for p in site) | {GroundAtom("wet", Point(6, 5))}
+    lit, wet = (lambda x, y: GroundAtom("lit", Point(x, y))), (lambda x, y: GroundAtom("wet", Point(x, y)))
+    actions = (
+        ActionRule(name="lamp", effect_predicate="lit", source_guard=atom("site"),
+                   max_distance=1.5),
+        ActionRule(name="hose", effect_predicate="wet", target_guard=lnot(atom("site")),
+                   max_distance=1, metric="manhattan"),
+        ActionRule(name="flood", effect_predicate="wet", source_guard=atom("site", Point(5, 0)),
+                   target_guard=atom("site")),
+        ActionRule(name="sign", explicit_effects={Point(2, 2): frozenset({lit(2, 2), wet(3, 2)}),
+                                                  Point(4, 3): frozenset({lit(4, 4)})}),
+    )
+    costs = CostModel(default_cost=0.5, state_rules=((atom("site"), 0.25),))
+    parts = dict(grid=grid, predicates=("site", "lit", "wet"), s0=s0, actions=actions,
+                 cost_model=costs, ics=(), budget=2.0, theta_in=frozenset({lit(3, 4), wet(2, 1)}),
+                 theta_out=frozenset())
+    pair = ActionPointPair
+    yield "override-on-covering-pair", GbgopInstance(**dict(parts, cost_model=replace(
+        costs, overrides={pair("lamp", Point(3, 3)): 0.125, pair("lamp", Point(4, 3)): 1.0,
+                          pair("hose", Point(0, 0)): 0.0})))
+    yield "active-and-inactive-constraints", GbgopInstance(**dict(parts, ics=(
+        IntegrityConstraint(pairs=frozenset({pair("lamp", Point(3, 3)), pair("hose", Point(2, 2))})),
+        IntegrityConstraint(pairs=frozenset({pair("lamp", Point(4, 3)), pair("sign", Point(4, 3))}),
+                            condition=atom("site", Point(0, 0))),
+        IntegrityConstraint(pairs=frozenset({pair("hose", Point(0, 0)), pair("flood", Point(5, 0))}),
+                            condition=atom("site", Point(5, 0))))))
+    yield "forbidden-on-covering-pair", GbgopInstance(**dict(
+        parts, theta_out=frozenset({lit(4, 4), wet(1, 1)})))
+    yield "nothing-needed", GbgopInstance(**dict(
+        parts, theta_in=frozenset({GroundAtom("site", Point(3, 3)), wet(6, 5)}),
+        theta_out=frozenset({lit(0, 0)})))
+    yield "initially-forbidden", GbgopInstance(**dict(parts, theta_out=frozenset({wet(6, 5)})))

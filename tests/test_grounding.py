@@ -3,6 +3,8 @@ set-based reference builder, plus radius edge cases."""
 
 import dataclasses
 import random
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -13,12 +15,12 @@ from gops import (ActionPointPair, ActionRule, BenefitModel, BmgopInstance, Cost
                   TRUE, atom, check_ics, enumerate_ground_atoms, enumerate_pairs,
                   gen_campaign, gen_random, land, lnot, lor, objective_f, parse_instance,
                   serialize_instance, validate_bmgop, validate_gbgop)
-from gops import core
+from gops import build_gbgop_ip, core, emit_lp, reduce_to_r_star, solve_gbgop_exact, solve_gbgop_ip
 from gops.core import METRICS, _ball, _half_widths, iter_bits, within_distance
-from gops.errors import InstanceError
+from gops.errors import InstanceError, UncoverableAtomsError
 
-from helpers import (ground, per_row_half_widths, random_formula, reference_grounding,
-                     reference_grounding_of)
+from helpers import (goal_cases, goal_corpus, ground, per_row_half_widths, random_formula,
+                     reference_grounding, reference_grounding_of)
 
 FIELDS = ("s0_mask", "effects", "costs", "benefits", "ic_s0", "pair_ics")
 
@@ -498,6 +500,7 @@ def test_an_unbounded_rule_grounds_in_memory_of_one_mask_per_rule():
     tracemalloc.start()
     try:
         g = ground(grid, ("wall", "seen"), s0, (rule,), CostModel(), ())
+        g.effects  # the rule's block is filled on this first read
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -505,3 +508,112 @@ def test_an_unbounded_rule_grounds_in_memory_of_one_mask_per_rule():
     want = sum(1 << grid.n_points + i for i, p in enumerate(grid.points())
                if GroundAtom("wall", p) not in s0)
     assert g.effects == [want] * grid.n_points
+
+
+# ---------------------------------------------------------------------------
+# Reads that start from the goals: ``effect`` and ``meeting`` against the
+# full table, and the goal-based paths that read only them
+
+def assert_goal_reads_match_the_table(inst, rng):
+    """``meeting`` of empty, full, goal and random masks, and ``effect`` of
+    every pair, equal the reference table, on a fresh grounding before and
+    after its table is read."""
+    g = dataclasses.replace(inst).grounding
+    full = reference_grounding_of(inst)["effects"]
+    atoms = range(g.n_atoms)
+    masks = [0, (1 << g.n_atoms) - 1, inst.theta_in_mask, inst.theta_out_mask,
+             inst.theta_in_mask | inst.theta_out_mask]
+    masks += [sum(1 << a for a in rng.sample(atoms, rng.randint(1, min(6, len(atoms)))))
+              for _ in range(6)]
+    for _ in range(2):
+        for mask in masks:
+            assert list(g.meeting(mask).items()) == [(i, e & mask) for i, e in enumerate(full)
+                                                     if e & mask]
+        assert list(map(g.effect, range(g.n_pairs))) == full
+        assert g.effects == full
+
+
+def test_goal_reads_equal_the_table_on_generated_instances():
+    rng = random.Random(35)
+    corpus = list(goal_corpus(range(40)))
+    # rule-form actions with and without a distance bound, and explicit ones
+    assert any(rule.max_distance is None and rule.explicit_effects is None
+               for inst in corpus for rule in inst.actions)
+    assert any(rule.explicit_effects is not None for inst in corpus for rule in inst.actions)
+    for inst in corpus:
+        assert_goal_reads_match_the_table(inst, rng)
+
+
+@pytest.mark.parametrize("name, inst", list(goal_cases()), ids=[name for name, _ in goal_cases()])
+def test_goal_reads_equal_the_table_on_built_cases(name, inst):
+    assert_goal_reads_match_the_table(inst, random.Random(name))
+
+
+def _lp(reduced):
+    return lambda inst: emit_lp(build_gbgop_ip(inst, use_reduction=reduced))
+
+
+@pytest.mark.parametrize("run", [solve_gbgop_exact, solve_gbgop_ip, reduce_to_r_star,
+                                 _lp(False), _lp(True)],
+                         ids=["exact", "ip", "reduce", "emit-lp-full", "emit-lp-reduced"])
+def test_the_goal_based_paths_fill_no_rule_form_block(run):
+    corpus = [gen_campaign().gbgop, *(inst for _, inst in goal_cases()),
+              *(inst for inst in goal_corpus(range(16), widths=(3, 6))
+                if any(rule.explicit_effects is None for rule in inst.actions))]
+    solved = 0
+    for inst in corpus:
+        inst = dataclasses.replace(inst)  # without the grounding gen_random read
+        try:
+            solved += run(inst) is not None
+        except (InstanceError, UncoverableAtomsError):
+            pass  # build_gbgop_ip's documented refusals
+        g = inst.grounding
+        rules = [k for k, rule in enumerate(inst.actions) if rule.explicit_effects is None]
+        assert sorted(g._unfilled) == rules
+        n = g.n_points
+        assert not any(g._effects[k * n + i] for k in rules for i in range(n))
+        assert g.effects == reference_grounding_of(inst)["effects"]
+        assert not g._unfilled
+    assert solved
+
+
+def test_threads_that_share_a_grounding_read_the_table_while_it_fills():
+    # one thread's first read of ``effects`` fills the rule-form blocks in
+    # place while the others read it too, or read single effects and
+    # projections; every read must give the reference table's values
+    inst = next(inst for inst in goal_corpus(range(8), widths=(12,))
+                if sum(rule.explicit_effects is None for rule in inst.actions) > 1)
+    full = reference_grounding_of(inst)["effects"]
+    rng = random.Random(8)
+    atoms = range(len(inst.predicates) * inst.grid.n_points)
+    masks = [sum(1 << a for a in rng.sample(atoms, 4)) for _ in range(4)]
+    wanted = [[(i, e & mask) for i, e in enumerate(full) if e & mask] for mask in masks]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(40):
+            g = dataclasses.replace(inst).grounding
+            failures = []
+
+            def read(kind):
+                try:
+                    for _ in range(2):
+                        if kind == 0:
+                            assert g.effects == full
+                        elif kind == 1:
+                            assert list(map(g.effect, range(g.n_pairs))) == full
+                        else:
+                            assert [list(g.meeting(m).items()) for m in masks] == wanted
+                except AssertionError as err:
+                    failures.append(err)
+
+            threads = [threading.Thread(target=read, args=(j % 3,)) for j in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert failures == []
+            assert not g._unfilled
+    finally:
+        sys.setswitchinterval(interval)

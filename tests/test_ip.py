@@ -704,6 +704,26 @@ def test_a_start_naming_no_variable_is_refused(ones):
     assert err.value.code == "ip-start"
 
 
+@pytest.mark.parametrize("start", [None, (1, 0)], ids=["no-start", "start"])
+def test_a_nan_right_hand_side_is_refused_with_or_without_a_start(start):
+    # max x subject to x <= nan and y <= 1: no sum is above or below NaN, so
+    # the start x = 1 passed its check, while the search broke the row and
+    # ended at x = 0; both forms are refused alike
+    model = IpModel(sense="max")
+    x, y = model.add_variable("x"), model.add_variable("y")
+    model.objective[x] = 1.0
+    model.add_constraint({x: 1.0}, "<=", float("nan"), "cap_x")
+    model.add_constraint({y: 1.0}, "<=", 1.0, "cap_y")
+    if start:
+        with_start(model, start)
+    with pytest.raises(InstanceError) as err:
+        solve_branch_and_bound(model)
+    assert (err.value.code, err.value.message) == (
+        "ip-bad-rhs", "constraint 'cap_x': right-hand side is NaN")
+    model.validate()  # the model itself stays valid, and the LP writer writes it
+    assert " cap_x: x <= nan\n" in emit_lp(model)
+
+
 # ---------------------------------------------------------------------------
 # Ties: 0 before 1, and the tie prune once no tie can replace the incumbent
 

@@ -15,7 +15,7 @@ from gops import (ActionPointPair, CostModel, GridMap, GroundAtom,
 from gops.encodings import CoverProblem, encode_set_cover
 from gops.gbgop import _admissible, _needed, _r_star
 
-from helpers import explicit_action, quadratic_r_star, tiny_gbgop
+from helpers import explicit_action, goal_cases, goal_corpus, quadratic_r_star, tiny_gbgop
 
 P00, P10 = Point(0, 0), Point(1, 0)
 
@@ -99,6 +99,31 @@ def test_reduction_equals_the_quadratic_oracle_on_generated_instances():
         multi_ic += len(inst.ics) > 1
     # the corpus exercises what the key is made of
     assert overrides and out_goals and multi_ic
+
+
+def assert_reduction_matches_the_oracle(inst):
+    """R and R* of a fresh grounding, whose reduction reads the goals'
+    pairs, not the table, equal the oracle's."""
+    r, kept = quadratic_r_star(inst)
+    assert _admissible(replace(inst)) == r
+    assert _r_star(replace(inst)) == (r, kept)
+    return r, kept
+
+
+def test_reduction_equals_the_quadratic_oracle_from_the_goals_at_every_radius():
+    shrunk = overridden = constrained = forbidden = 0
+    for inst in goal_corpus(range(40)):
+        r, kept = assert_reduction_matches_the_oracle(inst)
+        shrunk += len(kept) < len(r)
+        overridden += bool(inst.cost_model.overrides)
+        constrained += bool(inst.grounding.ic_s0)
+        forbidden += len(r) < inst.grounding.n_pairs
+    assert shrunk and overridden and constrained and forbidden
+
+
+@pytest.mark.parametrize("name, inst", list(goal_cases()), ids=[name for name, _ in goal_cases()])
+def test_reduction_equals_the_quadratic_oracle_on_built_cases(name, inst):
+    assert_reduction_matches_the_oracle(inst)
 
 
 def test_reduction_equals_the_quadratic_oracle_on_repeated_families():
