@@ -26,8 +26,9 @@ each guard is evaluated once into a point mask, a rule's effect at ``p``
 is the metric ball around ``p`` AND the target-guard mask (gated by bit
 ``p`` of the source-guard mask), and the result is shifted into the
 effect predicate's block of atom indices. A rule-form action's block is
-filled only on the first read of ``Grounding.effects``; the goal-based
-solvers read ``effect`` and ``meeting`` and never fill it. Atom and pair
+filled only on the first read of ``Grounding.effects``, and an explicit
+row only then or when it is first read; the goal-based solvers read
+``effect`` and ``meeting`` and never fill a rule-form block. Atom and pair
 indices are arithmetic (block offset + ``y * (M + 1) + x``), so grounding
 keeps no per-atom or per-pair object tables: atoms and pairs are made only
 for the indices a caller asks about, and the full lists only on first
@@ -37,10 +38,13 @@ validation (``check_atoms``), and grounding's lookups of the items its
 callers pass in. Each item of an instance is indexed once, by validation;
 of several bad items, the least by ``repr`` is named. Every ``Problem``
 keeps its initial state as atom indices in a read-only ``AtomSet`` of its
-own map and predicates, and each explicit effect table as atom indices in
-an ``EffectTable`` of them: one of its own is taken as it is (version-2
-documents carry the indices, range-checked by the parser), and any other
-is indexed once by validation's pass. Validation keeps the rest of what
+own map and predicates, every explicit row in one ``ExplicitRows`` (three
+flat lists), and each explicit effect table as an ``EffectTable`` of its
+map and predicates, a view of its action's rows: one of its own is taken
+as it is (version-2 and -3 documents carry the indices, range-checked by
+the parser, and the rows of a parsed document are kept as the reader's
+lists), and any other is indexed once by validation's pass and its rows
+copied once into the lists. Validation keeps the rest of what
 it indexes too: each override table as (index, value) pairs in index
 order, each constraint's pair indices and the goal and forbidden atoms'
 indices, ascending. Grounding, the goal masks and the writer read only
@@ -53,13 +57,13 @@ solvers equal to them.
 
 import math
 import sys
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from collections.abc import Set
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, reduce
 from itertools import accumulate, compress, count, repeat
-from operator import or_
+from operator import or_, sub
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import InstanceError, LimitReachedError
@@ -292,7 +296,7 @@ class ActionRule:
 
     @classmethod
     def _read(cls, name: str, table: "EffectTable") -> "ActionRule":
-        """The explicit action of a name and table the version-2 reader has
+        """The explicit action of a name and table a reader has
         checked."""
         rule = object.__new__(cls)
         values = rule.__dict__
@@ -468,6 +472,26 @@ def _mask(indices: Iterable[int]) -> int:
     return mask
 
 
+def _numeral_mask(indices: Iterable[int], width: int) -> int:
+    """``_mask`` of many ``indices``, all in ``range(width)``, read from a
+    binary numeral written in a bytearray by C-level passes: linear in
+    ``width``, where OR-ing one bit at a time into a growing mask is not."""
+    digits = bytearray(b"0") * width  # digit i stands for bit i, reversed below
+    for _ in map(digits.__setitem__, indices, repeat(ord("1"))):
+        pass
+    return int(digits[::-1], 2) if width else 0
+
+
+# bytes.translate table from the digits of a binary numeral to bit values
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bits(mask: int, width: int) -> bytes:
+    """Bit ``i`` of ``mask`` at position ``i``, for ``i`` in
+    ``range(width)``, as one byte 0 or 1 each: a ``compress`` selector."""
+    return f"{mask:0{width}b}"[::-1].encode().translate(_BIT_VALUES)
+
+
 def format_number(x: float) -> str:
     """Up to 12 significant digits; integral values print without a dot."""
     if x == 0:
@@ -539,6 +563,37 @@ def _block_point(grid: GridMap, i: int) -> tuple:
     return k, Point(x, y)
 
 
+class ExplicitRows:
+    """Every explicit effect row of an instance, as three flat lists. Row
+    ``r`` is the effect of canonical pair ``pairs[r]`` (``k * n_points +
+    point`` for action ``k``): the atom indices ``atoms[ends[r - 1]:ends[r]]``
+    (from 0 for the first row). Pairs ascend strictly, ends ascend (an
+    empty row repeats the end before it, and the last is ``len(atoms)``),
+    and each row's atoms ascend strictly. ``Problem.explicit_rows`` holds
+    one, and version 3 of the instance format writes it as it is. It
+    unpacks and compares as the three lists. ``owner`` is the actions
+    tuple whose tables a reader made as views of these rows, until
+    validation takes the rows for those very actions and clears it, so no
+    reference cycle outlives the parse."""
+
+    __slots__ = ("pairs", "ends", "atoms", "owner")
+    _fields = ("pairs", "ends", "atoms")
+
+    def __init__(self, pairs: list, ends: list, atoms: list):
+        self.pairs, self.ends, self.atoms, self.owner = pairs, ends, atoms, None
+
+    def __iter__(self):
+        return iter((self.pairs, self.ends, self.atoms))
+
+    def __eq__(self, other) -> bool:
+        return type(other) is ExplicitRows and tuple(self) == tuple(other)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"ExplicitRows(pairs={self.pairs!r}, ends={self.ends!r}, atoms={self.atoms!r})"
+
+
 class EffectTable(Mapping):
     """A read-only explicit effect table, point -> frozenset of GroundAtom,
     stored as atom indices.
@@ -552,28 +607,45 @@ class EffectTable(Mapping):
     every ``Problem``'s explicit tables: an instance on the same grid and
     predicates keeps it as it is (``_is_own``), and validation reads any
     other table through this interface into one of its own. The
-    constructor copies and range-checks ``rows``; ``_read`` does not."""
+    constructor copies and range-checks ``rows``.
 
-    __slots__ = ("grid", "predicates", "rows")
+    A table that a reader or validation made is a view (``_view``) of its
+    action's slice of an ``ExplicitRows``, and builds ``rows`` on first
+    read."""
+
+    __slots__ = ("grid", "predicates", "_rows", "_part")
 
     def __init__(self, grid: GridMap, predicates: Sequence[str],
                  rows: Mapping[int, Sequence[int]]):
         self.grid = grid
         self.predicates = tuple(predicates)
-        self.rows = dict(rows)
-        points = self.rows.keys()
-        atoms = [row for row in self.rows.values() if row]
+        self._rows = dict(rows)
+        self._part = None
+        points = self._rows.keys()
+        atoms = [row for row in self._rows.values() if row]
         n_atoms = grid.n_points * len(self.predicates)
         if points and not (0 <= min(points) and max(points) < grid.n_points) \
                 or atoms and not (0 <= min(map(min, atoms)) and max(map(max, atoms)) < n_atoms):
             raise InstanceError("point-bounds", "effect table entry outside the map or its atoms")
 
     @classmethod
-    def _read(cls, grid: GridMap, predicates: tuple, rows: dict) -> "EffectTable":
-        """The table of rows the version-2 reader has range-checked."""
+    def _view(cls, grid: GridMap, predicates: tuple, flat: ExplicitRows, lo: int, hi: int,
+              base: int) -> "EffectTable":
+        """The table of rows ``lo`` to ``hi - 1`` of ``flat``, those of the
+        pairs ``base`` to ``base + n_points - 1``: its ``_part``."""
         table = object.__new__(cls)
-        table.grid, table.predicates, table.rows = grid, predicates, rows
+        table.grid, table.predicates, table._rows = grid, predicates, None
+        table._part = (flat, lo, hi, base)
         return table
+
+    @property
+    def rows(self) -> dict:
+        if self._rows is None:
+            (pairs, ends, atoms), lo, hi, base = self._part
+            starts = [ends[lo - 1] if lo else 0, *ends[lo:hi - 1]]
+            self._rows = dict(zip(map(sub, pairs[lo:hi], repeat(base)),
+                                  map(atoms.__getitem__, map(slice, starts, ends[lo:hi]))))
+        return self._rows
 
     def __getitem__(self, point) -> frozenset:
         try:
@@ -694,16 +766,18 @@ def validate_instance_parts(problem: "Problem") -> None:
     Keeps on ``problem`` what the checks index (see ``Problem``), and the
     normalised ``s0`` and ``actions``: a state or table that is not this
     instance's ``AtomSet`` or ``EffectTable`` already is kept as the
-    indices its check computed, a table in a copy of its rule; the actions
-    tuple is rebuilt only when a table was indexed."""
+    indices its check computed, a table as a view of the instance's
+    ``explicit_rows`` in a copy of its rule (``_explicit_rows``); the
+    actions tuple is rebuilt only when a table was indexed."""
     grid, predicates, actions = problem.grid, problem.predicates, problem.actions
     cost_model, benefit_model = problem.cost_model, getattr(problem, "benefit_model", None)
-    seen = set()
-    for name in predicates:
-        if name in seen:
-            raise InstanceError("predicate-duplicate", f"duplicate predicate {name!r}")
-        seen.add(name)
     problem.atom_offsets = known = block_offsets(predicates, grid)
+    if len(known) < len(predicates):  # a name repeats: find the first repeat
+        seen = set()
+        for name in predicates:
+            if name in seen:
+                raise InstanceError("predicate-duplicate", f"duplicate predicate {name!r}")
+            seen.add(name)
 
     def check_formula(f: Formula, where: str):
         for leaf in formula_atoms(f):
@@ -725,11 +799,12 @@ def validate_instance_parts(problem: "Problem") -> None:
             if name in seen:
                 break
             seen.add(name)
-    indexed = {}  # position -> the rule with its table as this instance's EffectTable
+    shared = _shared_rows(actions, grid, predicates)
+    indexed = {}  # position -> the rows of a table that is not this instance's EffectTable
     for pos, rule in enumerate(actions[:first_repeat]):  # those before a repeat are checked first
         if rule.explicit_effects is not None:
             table = rule.explicit_effects
-            if _is_own(table, EffectTable, grid, predicates):
+            if shared is not None or _is_own(table, EffectTable, grid, predicates):
                 continue  # built from this instance's own map points and predicates
             # the table's points are those of the action's pairs, indexed in a block at 0
             points = check_atoms([(rule.name, p) for p in table], {rule.name: 0}, grid,
@@ -738,8 +813,7 @@ def validate_instance_parts(problem: "Problem") -> None:
             atoms = check_atoms([a for effect in effects for a in effect], known, grid,
                                 f"action {rule.name!r} effects")
             ends = [*accumulate(map(len, effects))]
-            rows = {i: atoms[start:end] for i, start, end in zip(points, [0, *ends], ends)}
-            indexed[pos] = replace(rule, explicit_effects=EffectTable._read(grid, predicates, rows))
+            indexed[pos] = {i: atoms[start:end] for i, start, end in zip(points, [0, *ends], ends)}
         else:
             if rule.effect_predicate not in known:
                 raise InstanceError("unknown-predicate",
@@ -748,8 +822,12 @@ def validate_instance_parts(problem: "Problem") -> None:
             check_formula(rule.target_guard, f"action {rule.name!r} target guard")
     if first_repeat is not None:
         raise InstanceError("action-duplicate", f"duplicate action {names[first_repeat]!r}")
-    if indexed:
-        problem.actions = tuple(indexed.get(pos, rule) for pos, rule in enumerate(actions))
+    if shared is None:
+        shared, views = _explicit_rows(actions, indexed, grid, predicates)
+        if views:
+            problem.actions = tuple(replace(rule, explicit_effects=views[pos]) if pos in views
+                                    else rule for pos, rule in enumerate(actions))
+    problem.explicit_rows = shared
 
     overrides = cost_model.overrides
     problem.cost_override_indices = tuple(sorted(zip(check_atoms(
@@ -771,6 +849,45 @@ def validate_instance_parts(problem: "Problem") -> None:
             ic.pairs, action_offsets, grid, f"integrity constraint {i}", "unknown-action"))))
         check_formula(ic.condition, f"integrity constraint {i}")  # ground: see IntegrityConstraint
     problem.ic_pair_indices = tuple(ic_pairs)
+
+
+def _shared_rows(actions: tuple, grid: GridMap, predicates: tuple) -> Optional[ExplicitRows]:
+    """The ``ExplicitRows`` whose ``owner`` is ``actions`` itself, and so
+    which every explicit table of ``actions`` views, made for ``grid`` and
+    ``predicates`` themselves: the rows a reader checked. None otherwise."""
+    for rule in actions:
+        table = rule.explicit_effects
+        if table is not None:
+            part = getattr(table, "_part", None)  # a table built in code has none
+            if part is not None and part[0].owner is actions \
+                    and table.grid is grid and table.predicates is predicates:
+                part[0].owner = None
+                return part[0]
+            return None
+    return None
+
+
+def _explicit_rows(actions: tuple, indexed: dict, grid: GridMap, predicates: tuple) -> tuple:
+    """(a new ``ExplicitRows`` of ``actions``' explicit tables, {position:
+    a view of those rows} for each table in ``indexed``, the rows
+    validation read from a table that was not this instance's own): every
+    table's rows are copied into the lists once, with each row's atoms
+    sorted."""
+    n_points = grid.n_points
+    at = [pos for pos, rule in enumerate(actions) if rule.explicit_effects is not None]
+    flat = ExplicitRows([], [], [])
+    pairs, ends, atoms = flat
+    views = {}
+    for pos in at:
+        rows = indexed[pos] if pos in indexed else actions[pos].explicit_effects.rows
+        lo, base = len(pairs), pos * n_points
+        for i in sorted(rows):
+            pairs.append(base + i)
+            atoms += sorted(set(rows[i]))
+            ends.append(len(atoms))
+        if pos in indexed:
+            views[pos] = EffectTable._view(grid, predicates, flat, lo, len(pairs), base)
+    return flat, views
 
 
 def _point_mask(formula: Formula, s0_mask: int, offsets: Mapping[str, int], grid: GridMap,
@@ -938,18 +1055,20 @@ class Grounding:
     * a pair's cost is its override, else the value of the first cost rule
       whose condition mask has bit ``p``, else the default; ``cost_classes``
       keeps the point mask of each distinct cost before overrides;
-    * an explicit table, an ``EffectTable`` of this instance's grid and
-      predicates (validation made it one), holds atom indices, and each
-      row's mask is set from them.
+    * an explicit row, one of the Problem's ``ExplicitRows``, holds atom
+      indices, and its pair's mask is set from them.
 
-    Explicit blocks are filled when the grounding is built. A rule-form
-    block keeps its source and target masks and its ball, and is filled
-    only when a caller first reads ``effects``: the benefit solvers and
-    any caller that folds over every pair. The goal-based solvers read
-    ``effect(i)``, one pair's effect, and ``meeting(mask)``, the pairs
-    whose effects meet a few goal or forbidden atoms, which a rule-form
-    block answers from the balls around those atoms; so their work and
-    memory grow with the goals, not with pairs times atoms.
+    A rule-form block keeps its source and target masks and its ball, and
+    is filled, with every explicit row, only when a caller first reads
+    ``effects``: the benefit solvers and any caller that folds over every
+    pair. The goal-based solvers read ``effect(i)``, one pair's effect, and
+    ``meeting(mask)``, the pairs whose effects meet a few goal or forbidden
+    atoms, which a rule-form block answers from the balls around those
+    atoms and the explicit rows from their flat atom list; so their work
+    and memory grow with the goals, not with pairs times atoms. An
+    explicit row's mask is built when one of these first returns it, and
+    kept as its entry of the table; once every row is in and no
+    rule-form block waits, the table counts as full.
 
     Benefits are grouped the same way: each predicate's block plus the
     overridden atoms give ``benefit_classes``, one atom mask per distinct
@@ -973,28 +1092,23 @@ class Grounding:
         self._atoms = self._pairs = None  # built on first use
 
         self.s0 = problem.s0
-        self.s0_mask = _mask(self.s0.indices)
+        self.s0_mask = _numeral_mask(self.s0.indices, self.n_atoms)
         full = (1 << n_points) - 1
 
         def where(formula: Formula) -> int:
             return _point_mask(formula, self.s0_mask, offsets, grid, full)
 
-        self._effects = effects = [0] * self.n_pairs
+        self._effects = [0] * self.n_pairs
+        self._rows = problem.explicit_rows
         # action k -> (source, target, shift, ball) of a rule-form block not
         # yet in the table; ball is None without a distance bound
-        self._unfilled = {}
-        for k, rule in enumerate(self.actions):
-            table = rule.explicit_effects
-            if table is not None:  # an EffectTable of this grid and predicates
-                base = k * n_points
-                for i, atoms in table.rows.items():
-                    effects[base + i] = _mask(atoms)
-            else:
-                self._unfilled[k] = (
-                    where(rule.source_guard), where(rule.target_guard),
-                    offsets[rule.effect_predicate],
-                    None if rule.max_distance is None
-                    else _ball(grid, rule.metric, rule.max_distance))
+        self._unfilled = {
+            k: (where(rule.source_guard), where(rule.target_guard),
+                offsets[rule.effect_predicate],
+                None if rule.max_distance is None else _ball(grid, rule.metric, rule.max_distance))
+            for k, rule in enumerate(self.actions) if rule.explicit_effects is None}
+        self._rule_blocks = tuple(self._unfilled)
+        self._filled = not (self._unfilled or self._rows.pairs)
 
         default_cost = problem.cost_model.default_cost
         point_costs = [default_cost] * n_points
@@ -1002,7 +1116,7 @@ class Grounding:
         unresolved = full
         for condition, value in problem.cost_model.state_rules:
             hit = where(condition) & unresolved
-            for i in iter_bits(hit):
+            for i in compress(range(n_points), _bits(hit, n_points)):
                 point_costs[i] = value
             classes[value] = classes.get(value, 0) | hit
             unresolved &= ~hit
@@ -1096,11 +1210,12 @@ class Grounding:
     @property
     def effects(self) -> list:
         """Every pair's effect mask, in canonical pair order. The first read
-        fills the rule-form blocks; a caller that folds over every pair
-        reads this once, and one that asks about a few pairs or atoms
-        calls ``effect`` or ``meeting`` instead."""
-        if self._unfilled:
+        fills the explicit rows and the rule-form blocks; a caller that
+        folds over every pair reads this once, and one that asks about a
+        few pairs or atoms calls ``effect`` or ``meeting`` instead."""
+        if not self._filled:
             effects, n_points = self._effects, self.n_points
+            self._fill_rows()
             for k, (source, target, shift, ball) in self._unfilled.items():
                 base = k * n_points
                 if ball is None:
@@ -1110,60 +1225,110 @@ class Grounding:
                 else:
                     for i in iter_bits(source):
                         effects[base + i] = (ball(i) & target) << shift
+            # every entry is written before a reader can see the table as full
+            self._filled = True
             self._unfilled = {}
         return self._effects
 
+    def _fill_rows(self) -> None:
+        """Write every explicit row's mask into the table."""
+        effects, (pairs, ends, atoms) = self._effects, self._rows
+        for i, start, end in zip(pairs, [0, *ends], ends):
+            effects[i] = _mask(atoms[start:end])
+
     def effect(self, i: int) -> int:
-        """The effect mask of pair ``i``, from the table or, in a rule-form
-        block not yet filled, from the rule."""
-        if not self._unfilled:
+        """The effect mask of pair ``i``: from the table once it is full,
+        and before that from the pair's explicit row or rule."""
+        if self._filled:
             return self._effects[i]
         k, p = divmod(i, self.n_points)
         rule = self._unfilled.get(k)
-        if rule is None:
+        if rule is not None:
+            source, target, shift, ball = rule
+            if not source >> p & 1:
+                return 0
+            return (target if ball is None else ball(p) & target) << shift
+        # a row read before, or a rule-form block filled since the test above
+        if self._effects[i]:
             return self._effects[i]
-        source, target, shift, ball = rule
-        if not source >> p & 1:
-            return 0
-        return (target if ball is None else ball(p) & target) << shift
+        pairs = self._rows.pairs
+        r = bisect_left(pairs, i)
+        return self._row_masks((r,))[0] if r < len(pairs) and pairs[r] == i else 0
 
     def meeting(self, mask: int) -> dict:
         """``{i: effect(i) & mask}`` for every pair whose effect meets
         ``mask``, in ascending pair order.
 
-        Blocks in the table are scanned in C-level passes. A rule-form
-        block not yet filled is read from the atoms of ``mask`` instead:
-        its pairs that reach target atom ``q`` are its sources in
-        ``ball(q)``, since every metric's ball is symmetric, so the work
-        is the mask's atoms times the ball, not the pairs."""
+        Once the table is full, it is scanned in C-level passes. Before
+        that, the explicit rows are found by testing the flat atom list
+        against the mask's atoms and bisecting the row ends, and a rule-form
+        block is read from the atoms of ``mask``: its pairs that reach
+        target atom ``q`` are its sources in ``ball(q)``, since every
+        metric's ball is symmetric. So the work is the mask's atoms times
+        the ball, plus one pass over the explicit atoms, not the pairs. A
+        mask that holds every explicit atom meets every row, so all rows are
+        read at once, and the table is full when no rule-form block waits."""
         if not mask:
             return {}
-        n_points = self.n_points
-        out = {}
-        start = 0  # the first pair of the table not yet scanned
-        for k, (source, target, shift, ball) in self._unfilled.items():
+        if self._filled:
+            return self._scan({}, mask, 0, self.n_pairs)
+        pairs, ends, atoms = self._rows
+        wanted = set(iter_bits(mask)) if pairs else set()
+        if pairs and wanted.issuperset(atoms):
+            self._fill_rows()
+            if not self._unfilled:
+                self._filled = True
+                return self._scan({}, mask, 0, self.n_pairs)
+            rows = range(len(pairs))
+        else:  # the rows of the atoms that the mask holds, ascending
+            rows = [*dict.fromkeys(map(bisect_right, repeat(ends),
+                                       compress(count(), map(wanted.__contains__, atoms))))]
+        hits = list(map(mask.__and__, self._row_masks(rows)))
+        out = dict(zip(compress(map(pairs.__getitem__, rows), hits), filter(None, hits)))
+        unfilled = self._unfilled
+        ruled, n_points = {}, self.n_points
+        for k in self._rule_blocks:
             base = k * n_points
-            self._scan(out, mask, start, base)
-            start = base + n_points
+            rule = unfilled.get(k)
+            if rule is None:  # filled since the test above
+                self._scan(ruled, mask, base, base + n_points)
+                continue
+            source, target, shift, ball = rule
             local = mask >> shift & target  # the target points of the mask's atoms
             if not local:
                 continue
             if ball is None:
-                out.update(zip(map(base.__add__, iter_bits(source)), repeat(local << shift)))
+                ruled.update(zip(map(base.__add__, iter_bits(source)), repeat(local << shift)))
                 continue
             reach = 0
             for q in iter_bits(local):
                 reach |= ball(q)
             for p in iter_bits(reach & source):
-                out[base + p] = (ball(p) & local) << shift
-        self._scan(out, mask, start, self.n_pairs)
+                ruled[base + p] = (ball(p) & local) << shift
+        if out and ruled:
+            return dict(sorted({**out, **ruled}.items()))
+        return out or ruled
+
+    def _row_masks(self, rows: Iterable[int]) -> list:
+        """The masks of the explicit rows ``rows``, each built on its first
+        read and kept as its pair's entry of the table, which the full
+        table holds too."""
+        pairs, ends, atoms = self._rows
+        effects, out = self._effects, []
+        for r in rows:
+            mask = effects[pairs[r]]
+            if not mask:
+                mask = effects[pairs[r]] = _mask(atoms[ends[r - 1] if r else 0:ends[r]])
+            out.append(mask)
         return out
 
-    def _scan(self, out: dict, mask: int, start: int, end: int) -> None:
+    def _scan(self, out: dict, mask: int, start: int, end: int) -> dict:
         """Add ``{i: effects[i] & mask}`` to ``out`` for the pairs ``start``
-        to ``end - 1`` of the table that meet ``mask``, in C-level passes."""
+        to ``end - 1`` of the table that meet ``mask``, in C-level passes;
+        return ``out``."""
         hits = list(map(mask.__and__, self._effects[start:end]))
         out.update(zip(compress(range(start, end), hits), filter(None, hits)))
+        return out
 
     def union_effects(self, indices: Iterable[int]) -> int:
         return reduce(or_, map(self.effect, indices), 0)
@@ -1182,7 +1347,7 @@ class Grounding:
         goal-based program grounds no rule-form block. Either way the work
         is the entries, not atoms times pairs, for a dense mask (every atom
         outside the initial state) as for a sparse one."""
-        if self._unfilled:
+        if not self._filled:
             n = len(indices)
             hits = ((bisect_left(indices, i), i, hit) for i, hit in self.meeting(mask).items())
             found = ((pos, hit) for pos, i, hit in hits if pos < n and indices[pos] == i)
@@ -1331,7 +1496,8 @@ class Problem:
     explicit action's table an EffectTable of them: one given is kept as
     it is, and any other is kept as the indices that validation reads it
     into, a table in a copy of its action (``validate_instance_parts``).
-    Validation keeps the rest of what it indexes: ``atom_offsets`` and
+    Validation keeps the rest of what it indexes: ``explicit_rows``, every
+    explicit row of the instance (``ExplicitRows``), ``atom_offsets`` and
     ``pair_offsets``, ``cost_override_indices`` and (with a benefit table)
     ``benefit_override_indices`` as (index, value) pairs in index order,
     and ``ic_pair_indices``, and a goal-based instance ``theta_in_indices``
@@ -1350,6 +1516,9 @@ class Problem:
         self.actions = tuple(self.actions)
         self.ics = tuple(self.ics)
         validate_instance_parts(self)
+        self._check_budget()
+
+    def _check_budget(self):
         if not (0 <= self.budget < math.inf):
             raise InstanceError("budget-range", "budget must be a finite non-negative number")
 

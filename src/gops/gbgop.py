@@ -26,6 +26,22 @@ class GbgopInstance(Problem):
 
     def __post_init__(self):
         super().__post_init__()
+        self._check_goals()
+
+    @classmethod
+    def _from_parts(cls, parts: Problem, budget: float, theta_in, theta_out) -> "GbgopInstance":
+        """The instance of ``parts``, a Problem already validated, with this
+        budget and these goals: only they are checked, and the instance
+        shares the parts, what validation kept of them and their grounding
+        (which reads no budget)."""
+        inst = object.__new__(cls)
+        inst.__dict__.update(parts.__dict__)
+        inst.budget, inst.theta_in, inst.theta_out = budget, theta_in, theta_out
+        inst._check_budget()
+        inst._check_goals()
+        return inst
+
+    def _check_goals(self):
         self.theta_in = frozenset(self.theta_in)
         self.theta_out = frozenset(self.theta_out)
         if self.theta_in & self.theta_out:

@@ -226,25 +226,43 @@ class Limits:
 
     def _counter(self):
         """Start the clock for one search (``Grounding.search`` and
-        ``solve_branch_and_bound`` start one per run); returns a function to
-        call once per node, which returns the count so far. It raises
+        ``solve_branch_and_bound`` start one per run); returns a function
+        ``tick(step=False)`` to call once per node, or with ``step=True``
+        once per root step, which returns the count so far. It raises
         LimitReachedError on the node after the ``max_nodes``-th, and once
-        ``max_seconds`` have passed: with a time limit, every call reads the
-        clock, since one call may stand for a root step of milliseconds, so
-        ``max_seconds=0`` stops at the first node or step."""
+        ``max_seconds`` have passed. A root step may take milliseconds, so
+        every step reads the clock; a search node takes microseconds, so
+        the first node reads it and then every ``2 ** j``-th node, ``j``
+        sized at each reading from the node time measured since the last
+        one, so that readings come about ``_CLOCK_GAP`` seconds apart.
+        ``max_seconds=0`` still stops at the first node or step."""
         max_nodes = self.max_nodes
-        deadline = None if self.max_seconds is None else time.monotonic() + self.max_seconds
-        nodes = 0
+        last = time.monotonic()  # the time of the last reading
+        deadline = None if self.max_seconds is None else last + self.max_seconds
+        nodes = read = 0  # the count so far, and at the last reading
+        due = 1  # the count at which a node next reads the clock
 
-        def tick() -> int:
-            nonlocal nodes
+        def tick(step: bool = False) -> int:
+            nonlocal nodes, read, due, last
             nodes += 1
             if max_nodes is not None and nodes > max_nodes:
                 raise LimitReachedError("node budget exhausted")
-            if deadline is not None and time.monotonic() > deadline:
-                raise LimitReachedError("time budget exhausted")
+            if deadline is not None and (step or nodes >= due):
+                now = time.monotonic()
+                if now > deadline:
+                    raise LimitReachedError("time budget exhausted")
+                per_node = (now - last) / (nodes - read)
+                stride = 1 if step or not per_node else \
+                    1 << min(_MAX_STRIDE_LOG, max(0, int(_CLOCK_GAP / per_node).bit_length() - 1))
+                last, read, due = now, nodes, nodes + stride
             return nodes
         return tick
+
+
+# the time between two clock readings that ``Limits._counter`` aims at, and
+# the most nodes (as a power of two) it lets pass between them
+_CLOCK_GAP = 0.002
+_MAX_STRIDE_LOG = 16
 
 
 def _granularity(values) -> float:
@@ -518,7 +536,7 @@ def root_proof(model, obj, rhs, low, moves, start_cur, q, tick) -> tuple:
     verdict = None
     try:
         while True:
-            steps = tick()
+            steps = tick(True)
             at = lam.__getitem__
             reduced = [c - sum(map(mul, map(at, rs), cs)) for c, rs, cs in columns]
             bound = base + sum(map(mul, lam, b)) + sum(c for c in reduced if c > 0.0)

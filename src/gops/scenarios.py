@@ -218,10 +218,6 @@ def gen_random(*, seed: int, width: int = 1, height: int = 1, predicates: int = 
         candidate = rng.choice(all_atoms)
         if candidate not in theta_in and candidate not in s0:
             theta_out.add(candidate)
-    # the state and tables are already indexed, so the instance keeps them as they are
-    inst = GbgopInstance(grid=grid, predicates=pred_names, s0=parts.s0, actions=parts.actions,
-                         cost_model=cost_model, ics=ic_tuple,
-                         budget=rng.choice((1.0, 1.5, 2.0, 3.0, 4.0)),
-                         theta_in=frozenset(theta_in), theta_out=frozenset(theta_out))
-    inst.grounding = g  # same parts, and grounding reads no budget: no second grounding
-    return inst
+    # the parts are validated and grounded once: the instance checks only its goals
+    return GbgopInstance._from_parts(parts, budget=rng.choice((1.0, 1.5, 2.0, 3.0, 4.0)),
+                                     theta_in=frozenset(theta_in), theta_out=frozenset(theta_out))

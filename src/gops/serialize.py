@@ -3,61 +3,77 @@ placement problem (map, predicates, initial state, actions, costs,
 benefits, integrity constraints, goal or benefit problem section).
 
 Parsing is strict: unknown keys are rejected, every error carries a code
-and the JSON path of the offender. Two versions are read; the writer
-writes version 2 unless asked for version 1 (``version=1``). They differ
-only in the initial state and the ``explicit`` effect tables:
+and the JSON path of the offender. Three versions are read; the writer
+writes version 3 unless asked for another (``version=1`` or ``2``). They
+differ only in the initial state and the explicit effect tables:
 
-- Version 2 writes them as canonical indices: the state as the ascending
-  atom indices ``k * (M + 1) * (N + 1) + y * (M + 1) + x`` (``k`` the
-  predicate's position), each table as ``[[point index, [atom index,
-  ...]], ...]`` with point index ``y * (M + 1) + x``, points and atoms
-  ascending. ``dict(entries)`` is then already ``EffectTable.rows`` and
-  the state list the index set behind ``AtomSet``, so the reader hands
-  both over after a few C-level checks (only ints, in range, no repeated
-  point, every row a list). The state is checked on its own, and all the
-  explicit actions of a document together (``_explicit_rules``), each
-  check one pass over every action, table or index at once. When a check
-  refuses, the state, or every action, is read again item by item, to
-  raise the ``ParseError`` of its first faulty item.
+- Version 3 writes the state as version 2 does, each explicit action as
+  ``{"name": ..., "explicit": true}``, and every explicit row of the
+  document in one top-level ``"explicit": {"pairs": [...], "ends":
+  [...], "atoms": [...]}`` table (``ExplicitRows``): row ``r`` is the
+  effect of canonical pair ``pairs[r]`` (``k * n_points + point`` for
+  action ``k``), the atom indices ``atoms[ends[r - 1]:ends[r]]``. Pairs
+  ascend strictly, ends ascend to ``len(atoms)`` (an empty row repeats
+  the end before it), and each row's atoms ascend strictly. The reader
+  checks the three lists in a few C-level passes (``_rows_fit``: types,
+  pairwise order, ranges from the ends of ascending runs), keeps them on
+  the instance as they are, and makes each explicit action's table a view
+  of its block's rows (``EffectTable``); no row may lie in a rule-form
+  action's block. When a check refuses, the table is read again row by
+  row (``_read_rows``: a row's pair, its end, then its atoms), so the
+  ``ParseError`` names the first faulty item's path, e.g.
+  ``$.explicit.atoms[7]``. A marker other than ``true`` is a type error,
+  and a marked action with rule-form keys an unknown key.
+- Version 2 writes the state as the ascending atom indices ``k * (M + 1)
+  * (N + 1) + y * (M + 1) + x`` (``k`` the predicate's position), and each
+  table in its action as ``[[point index, [atom index, ...]], ...]`` with
+  point index ``y * (M + 1) + x``. The reader flattens all of a
+  document's tables into one ``ExplicitRows`` and runs version 3's checks
+  on it (``_explicit_rules``); as the writer writes them, points and atoms
+  ascend. Any other well-formed table (points or atoms in another order,
+  a repeated atom) and any faulty one is read entry by entry, so the
+  first faulty entry names its error.
 - Version 1 writes every atom as [name, [x, y]]. Each entry shape has one
   reader, for atoms and pairs alike: a point, a [name, [x, y]] item, a
   set of items, a list of [key, value] entries (``_read_entries``, which
   also reads the cost rules and, in either version, an explicit table
   read one by one). A well-formed point or item passes one inline shape
   check; only a malformed one goes through the step-by-step checks that
-  name its error, and only then is its path built. The initial state and each explicit effect table are
-  read this way, as ``GroundAtom`` objects, and the instance indexes the
-  state and each table once as it validates them, so version 1 reads
-  several times slower than version 2.
-  ``serialize_instance(parse_instance(text))`` rewrites a version-1
-  document at version 2.
+  name its error, and only then is its path built. The initial state and
+  each explicit effect table are read this way, as ``GroundAtom``
+  objects, and the instance indexes the state and each table once as it
+  validates them, so version 1 reads several times slower.
 
-Every other section is the same in both versions. Serialization is
-canonical (fixed key order, every item table written from the canonical
-indices that validation keeps, in index order, every coordinate as an
-integer, shortest round-tripping numbers), so equal instances produce
-identical bytes in each version and ``parse(serialize(x))`` reproduces
-``x``.
+``serialize_instance(parse_instance(text))`` rewrites a version-1 or -2
+document at version 3. Every other section is the same in all versions.
+Serialization is canonical (fixed key order, every item table written from
+the canonical indices that validation keeps, in index order, every
+coordinate as an integer, shortest round-tripping numbers), so equal
+instances produce identical bytes in each version and ``parse(serialize(x))``
+reproduces ``x``. Version 3 puts each top-level key on a line of its own,
+written by ``json``'s C encoder; versions 1 and 2 are indented at every
+level, which ``json`` writes with its pure-Python encoder.
 """
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, repeat
-from operator import eq, itemgetter
+from itertools import accumulate, chain, compress, count, repeat
+from operator import add, eq, ge, is_, itemgetter, le, lt, mul, sub
 from typing import Optional
 
 from .bmgop import BmgopInstance
 from .core import (ActionPointPair, ActionRule, AndFormula, AtomFormula, AtomSet,
-                   BenefitModel, CostModel, EffectTable, Formula, GridMap, GroundAtom,
-                   IntegrityConstraint, NotFormula, OrFormula, Point, TRUE,
+                   BenefitModel, CostModel, EffectTable, ExplicitRows, Formula, GridMap,
+                   GroundAtom, IntegrityConstraint, NotFormula, OrFormula, Point, TRUE,
                    TrueFormula, _block_point)
 from .errors import ParseError
 from .gbgop import GbgopInstance
 
 FORMAT_NAME = "gop-instance"
-FORMAT_VERSION = 2  # what the writer writes by default
-VERSIONS = (1, 2)  # what the reader reads
+FORMAT_VERSION = 3  # what the writer writes by default
+VERSIONS = (1, 2, 3)  # what the reader reads
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +221,7 @@ def _v1_table(entries, path) -> dict:
     """A version-1 ``explicit`` table: a dict of frozensets, read entry by
     entry."""
     return dict(_read_entries(
-        entries, path, "an effect table entry", "an effect entry is [[x, y], [atoms...]]",
+        _expect(entries, list, path, "an effect table"), path, "an effect table entry", "an effect entry is [[x, y], [atoms...]]",
         _parse_point, lambda atoms, at: _parse_set(GroundAtom, atoms, at, "an atom list"),
         lambda point: f"point {point} already has an effect entry"))
 
@@ -218,8 +234,34 @@ def _fits(values, count: int) -> bool:
                           and min(values) >= 0 and max(values) < count)
 
 
-# the keys of an explicit action; a dict's keys() compare equal to it
+def _rows_fit(rows: ExplicitRows, n_pairs: int, n_atoms: int) -> bool:
+    """Whether ``rows`` is well formed (see ``ExplicitRows``), by C-level
+    passes: three lists of ints only, as many ends as pairs, pairs strictly
+    ascending in ``range(n_pairs)``, ends ascending from 0 to
+    ``len(atoms)``, every fall in the atom list at a row's start, and atoms
+    in ``range(n_atoms)``. Each range is read from the ends of ascending
+    runs: the first and last pair, and the atoms at the rows' starts and
+    ends."""
+    pairs, ends, atoms = rows
+    if set(map(type, rows)) != {list} or len(pairs) != len(ends) or not pairs:
+        return not (pairs or ends or atoms) and set(map(type, rows)) == {list}
+    if not (set(map(type, pairs)) == set(map(type, ends)) == {int}
+            and 0 <= pairs[0] and pairs[-1] < n_pairs and all(map(lt, pairs, pairs[1:]))
+            and 0 <= ends[0] and ends[-1] == len(atoms) and all(map(le, ends, ends[1:]))):
+        return False
+    if not atoms:
+        return True
+    # with each row ascending, the least atom starts a row and the greatest ends one
+    return set(map(type, atoms)) == {int} \
+        and set(ends).issuperset(compress(range(1, len(atoms)), map(ge, atoms, atoms[1:]))) \
+        and min(map(atoms.__getitem__, [0, *ends[:bisect_left(ends, len(atoms))]])) >= 0 \
+        and max(map(atoms.__getitem__, map(sub, ends, repeat(1)))) < n_atoms
+
+
+# the keys of an explicit action, and of version 3's table; a dict's
+# keys() compare equal to them
 _EXPLICIT_KEYS = {"name", "explicit"}
+_ROW_KEYS = set(ExplicitRows._fields)
 
 
 def _check_index(value, count: int, path: str, what: str) -> int:
@@ -240,7 +282,7 @@ def _check_indices(values, count: int, path: str) -> list:
 
 
 def _v2_state(state: list, path: str, grid: GridMap, predicates: tuple) -> AtomSet:
-    """A version-2 ``state``: a list of atom indices."""
+    """A version-2 or -3 ``state``: a list of atom indices."""
     if not _fits(state, grid.n_points * len(predicates)):
         _check_indices(state, grid.n_points * len(predicates), path)
     return AtomSet._read(grid, predicates, frozenset(state))
@@ -252,40 +294,51 @@ def _v2_table(entries: list, path: str, grid: GridMap, predicates: tuple) -> Eff
     ``ParseError``. A document whose explicit actions all pass
     ``_explicit_rules`` is not read this way."""
     n_points, n_atoms = grid.n_points, grid.n_points * len(predicates)
-    return EffectTable._read(grid, predicates, dict(_read_entries(
-        entries, path, "an effect table entry",
+    return EffectTable(grid, predicates, dict(_read_entries(
+        _expect(entries, list, path, "an effect table"), path, "an effect table entry",
         "an effect entry is [point index, [atom index, ...]]",
         lambda point, at: _check_index(point, n_points, f"{at}[0]", "a point index"),
         lambda row, at: _check_indices(row, n_atoms, f"{at}[1]"),
         lambda point: f"point index {point} already has an effect entry")))
 
 
-def _explicit_rules(actions: list, grid: GridMap, predicates: tuple) -> Optional[list]:
-    """The rules of the version-2 explicit actions ``actions`` (dicts with
-    an ``explicit`` key), or None. C-level passes over all of them make the
-    checks that ``_parse_action`` and ``_v2_table`` make one by one: no key
-    but ``name`` and ``explicit``, every name a str and every table a list,
-    ``dict()`` of each table loses no entry, and every point and atom is an
-    int in range. ``dict(entries)`` is then already the table's rows. Any
-    refusal returns None, and the caller reads every action one by one."""
-    if not all(map(eq, map(dict.keys, actions), repeat(_EXPLICIT_KEYS))):
+def _explicit_rules(actions: list, grid: GridMap, predicates: tuple) -> Optional[dict]:
+    """{position: rule} of the explicit actions (those with an ``explicit``
+    key) among the version-2 actions ``actions``, all dicts, or None.
+    C-level passes over all of them make the checks that ``_parse_action``
+    and ``_v2_table`` make one by one: no key but ``name`` and
+    ``explicit``, every name a str and every table a list of two-item
+    lists, every point an int within the map. The tables are then
+    flattened into one ``ExplicitRows``, each point moved into its action's
+    block, which must pass ``_rows_fit`` as a version-3 table does (so the
+    points and each row's atoms must ascend, as the writer writes them),
+    and each rule's table is a view of its rows. Any refusal returns None,
+    and the caller reads every action one by one."""
+    at = [k for k, a in enumerate(actions) if "explicit" in a]
+    marked = list(map(actions.__getitem__, at))
+    if not all(map(eq, map(dict.keys, marked), repeat(_EXPLICIT_KEYS))):
         return None
-    names = list(map(itemgetter("name"), actions))
-    tables = list(map(itemgetter("explicit"), actions))
+    names = list(map(itemgetter("name"), marked))
+    tables = list(map(itemgetter("explicit"), marked))
     if not (set(map(type, names)) <= {str} and set(map(type, tables)) <= {list}):
         return None
-    try:
-        rows = list(map(dict, tables))
-    except (TypeError, ValueError):  # an entry of no two items, or a list as its point
+    entries = [*chain.from_iterable(tables)]
+    if not (set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}):
         return None
-    atom_lists = [*chain.from_iterable(map(dict.values, rows))]
-    if sum(map(len, rows)) == sum(map(len, tables)) \
-            and _fits([*chain.from_iterable(rows)], grid.n_points) \
-            and set(map(type, atom_lists)) <= {list} \
-            and _fits([*chain.from_iterable(atom_lists)], grid.n_points * len(predicates)):
-        return list(map(ActionRule._read, names,
-                        map(partial(EffectTable._read, grid, predicates), rows)))
-    return None
+    points, atom_lists = list(map(itemgetter(0), entries)), list(map(itemgetter(1), entries))
+    n_points = grid.n_points
+    if not (set(map(type, points)) <= {int} and set(map(type, atom_lists)) <= {list}
+            and all(0 <= t[0][0] and t[-1][0] < n_points for t in tables if t)):
+        return None
+    bases = chain.from_iterable(map(repeat, map(mul, at, repeat(n_points)), map(len, tables)))
+    rows = ExplicitRows(list(map(add, points, bases)), [*accumulate(map(len, atom_lists))],
+                        [*chain.from_iterable(atom_lists)])
+    if not _rows_fit(rows, n_points * len(actions), n_points * len(predicates)):
+        return None
+    ends = [*accumulate(map(len, tables))]
+    return {k: ActionRule._read(name, EffectTable._view(grid, predicates, rows, lo, hi,
+                                                        k * n_points))
+            for k, name, lo, hi in zip(at, names, [0, *ends], ends)}
 
 
 def _v2_actions(value, grid: GridMap, predicates: tuple) -> tuple:
@@ -296,15 +349,126 @@ def _v2_actions(value, grid: GridMap, predicates: tuple) -> tuple:
     values = _expect(value, list, "$.actions", "the action list")
     read_table = partial(_v2_table, grid=grid, predicates=predicates)
     if set(map(type, values)) <= {dict}:
-        rules = _explicit_rules([a for a in values if "explicit" in a], grid, predicates)
+        rules = _explicit_rules(values, grid, predicates)
         if rules is not None:
-            if len(rules) == len(values):
-                return tuple(rules)
-            rules = iter(rules)
-            return tuple(next(rules) if "explicit" in a
-                         else _parse_action(a, f"$.actions[{i}]", read_table)
-                         for i, a in enumerate(values))
+            return _owned(tuple(rules[i] if "explicit" in a
+                                else _parse_action(a, f"$.actions[{i}]", read_table)
+                                for i, a in enumerate(values)))
     return _parse_actions(values, read_table)
+
+
+def _owned(actions: tuple) -> tuple:
+    """``actions``, whose explicit tables are views of one ``ExplicitRows``
+    a reader made, set as those rows' ``owner``, so that the validation of
+    the instance built from them takes the rows as they are."""
+    for rule in actions:
+        if rule.explicit_effects is not None:
+            rule.explicit_effects._part[0].owner = actions
+            break
+    return actions
+
+
+def _marker(value, path) -> None:
+    """Check a version-3 explicit action's marker, which is ``true``."""
+    if value is not True:
+        raise ParseError("type", "expected true for an explicit action's marker", path)
+
+
+def _v3_actions(value, table, grid: GridMap, predicates: tuple) -> tuple:
+    """A version-3 action list and its ``explicit`` table. The marked
+    actions are checked in bulk (exactly the keys ``name`` and
+    ``explicit``, a str name, the marker ``true``), the rule-form ones read
+    by ``_parse_action``; when the bulk checks refuse, every action is read
+    one by one. Then the table gives each explicit action's table
+    (``_v3_tables``)."""
+    values = _expect(value, list, "$.actions", "the action list")
+    marks = list(map(dict.__contains__, values, repeat("explicit"))) \
+        if set(map(type, values)) <= {dict} else ()
+    marked = list(compress(values, marks))
+    if marks and all(map(eq, map(dict.keys, marked), repeat(_EXPLICIT_KEYS))) \
+            and set(map(type, map(itemgetter("name"), marked))) <= {str} \
+            and all(map(is_, map(itemgetter("explicit"), marked), repeat(True))):
+        rules = [a["name"] if mark else _parse_action(a, f"$.actions[{i}]", _marker)
+                 for i, (a, mark) in enumerate(zip(values, marks))] if not all(marks) \
+            else list(map(itemgetter("name"), marked))
+        at = list(compress(count(), marks))
+    else:
+        rules = [_parse_action(a, f"$.actions[{i}]", _marker) for i, a in enumerate(values)]
+        at = [k for k, rule in enumerate(rules) if type(rule) is str]  # an explicit one's name
+    explicit = map(ActionRule._read, map(rules.__getitem__, at),
+                   _v3_tables(table, grid, predicates, rules, at))
+    if len(at) == len(rules):
+        return _owned(tuple(explicit))
+    for k, rule in zip(at, explicit):
+        rules[k] = rule
+    return _owned(tuple(rules))
+
+
+def _v3_tables(value, grid: GridMap, predicates: tuple, rules: list, at: list) -> list:
+    """The tables of the explicit actions at the positions ``at`` of
+    ``rules`` (an explicit one as its name): views of the document's
+    ``explicit`` table, each of its block's rows, found by bisection.
+    ``_rows_fit`` checks the table, and the blocks' rows must be all of
+    its rows, so none lies in a rule-form block; when either check
+    refuses, ``_read_rows`` reads the table again row by row."""
+    table = _expect(value, dict, "$.explicit", "the explicit table")
+    if table.keys() != _ROW_KEYS:
+        _require_keys(table, "$.explicit", ExplicitRows._fields)
+    rows = ExplicitRows(*map(table.__getitem__, ExplicitRows._fields))
+    n_points = grid.n_points
+    if not _rows_fit(rows, n_points * len(rules), n_points * len(predicates)):
+        rows = _read_rows(rows, n_points, len(predicates), rules)
+    bases = list(map(mul, at, repeat(n_points)))
+    los = list(map(bisect_left, repeat(rows.pairs), bases))
+    his = list(map(bisect_left, repeat(rows.pairs), map(add, bases, repeat(n_points))))
+    if sum(his) - sum(los) != len(rows.pairs):  # a row in a rule-form block
+        _read_rows(rows, n_points, len(predicates), rules)
+    return list(map(partial(EffectTable._view, grid, predicates, rows), los, his, bases))
+
+
+def _read_rows(rows: ExplicitRows, n_points: int, n_predicates: int, rules: list) -> ExplicitRows:
+    """``rows``, read row by row: row ``r``'s pair, then its end, then its
+    atoms, so the first faulty item, in that order, raises its
+    ``ParseError`` at its path; then a surplus end or atom."""
+    pairs, ends, atoms = (_expect(value, list, f"$.explicit.{key}", f"the {key} list")
+                          for key, value in zip(ExplicitRows._fields, rows))
+    n_pairs, n_atoms = n_points * len(rules), n_points * n_predicates
+    start, last = 0, -1
+    for r, pair in enumerate(pairs):
+        path = f"$.explicit.pairs[{r}]"
+        _check_index(pair, n_pairs, path, "a pair index")
+        if pair <= last:
+            raise ParseError("order", f"pair index {pair} is not above the one before, {last}: "
+                             "pairs ascend strictly", path)
+        rule = rules[pair // n_points]
+        if type(rule) is not str:
+            raise ParseError("action-form",
+                             f"pair index {pair} is in rule-form action {rule.name!r}", path)
+        last = pair
+        if r == len(ends):
+            raise ParseError("table-shape", f"row {r} has no end: there are {len(pairs)} pairs "
+                             f"and {len(ends)} ends", "$.explicit.ends")
+        path = f"$.explicit.ends[{r}]"
+        end = _check_index(ends[r], len(atoms) + 1, path, "an end")
+        if end < start:
+            raise ParseError("order", f"end {end} is below the one before, {start}: ends "
+                             "ascend", path)
+        prev = -1
+        for j in range(start, end):
+            path = f"$.explicit.atoms[{j}]"
+            atom = _check_index(atoms[j], n_atoms, path, "an atom index")
+            if atom <= prev:
+                raise ParseError("order", f"atom index {atom} is not above the one before, "
+                                 f"{prev}: a row's atoms ascend strictly", path)
+            prev = atom
+        start = end
+    if len(ends) > len(pairs):
+        raise ParseError("table-shape", f"end {len(pairs)} has no row: there are {len(pairs)} "
+                         f"pairs and {len(ends)} ends", f"$.explicit.ends[{len(pairs)}]")
+    if start < len(atoms):
+        raise ParseError("table-shape", f"atom {start} is in no row: the last row ends at {start}",
+                         f"$.explicit.atoms[{start}]")
+    return ExplicitRows(pairs, ends, atoms)
 
 
 def _parse_actions(value, read_table) -> tuple:
@@ -313,9 +477,10 @@ def _parse_actions(value, read_table) -> tuple:
                  for i, a in enumerate(_expect(value, list, "$.actions", "the action list")))
 
 
-def _parse_action(value, path, read_table) -> ActionRule:
-    """An action; ``read_table(entries, path)`` reads an ``explicit`` table
-    in the document's version."""
+def _parse_action(value, path, read_table):
+    """An action; ``read_table(value, path)`` reads an ``explicit`` value in
+    the document's version: a table, or None for a version-3 marker, when
+    the action's name is returned in place of the action."""
     value = _expect(value, dict, path, "an action")
     name = _expect(value.get("name"), str, f"{path}.name", "an action name") \
         if "name" in value else None
@@ -323,8 +488,8 @@ def _parse_action(value, path, read_table) -> ActionRule:
         raise ParseError("missing-key", "missing key 'name'", path)
     if "explicit" in value:
         _require_keys(value, path, ("name", "explicit"))
-        entries = _expect(value["explicit"], list, f"{path}.explicit", "an effect table")
-        return ActionRule(name=name, explicit_effects=read_table(entries, f"{path}.explicit"))
+        table = read_table(value["explicit"], f"{path}.explicit")
+        return name if table is None else ActionRule(name=name, explicit_effects=table)
     _require_keys(value, path, ("name", "effect", "source_guard", "target_guard"),
                   optional=("max_distance", "metric"))
     max_distance = None
@@ -367,13 +532,16 @@ def _parse_document(doc):
     _require_keys(doc, "$",
                   ("format", "version", "map", "predicates", "state", "actions",
                    "cost", "ics", "problem"),
-                  optional=("benefit",))
+                  optional=("benefit", "explicit"))
     if doc["format"] != FORMAT_NAME:
         raise ParseError("format", f"unknown format {doc['format']!r}", "$.format")
     # typed first: ``true`` and ``2.0`` equal a version number but are not one
     version = _expect(doc["version"], int, "$.version", "the version")
     if version not in VERSIONS:
         raise ParseError("version", f"unsupported version {version!r}", "$.version")
+    if ("explicit" in doc) != (version == 3):  # version 3's table, and no other's
+        raise ParseError(*(("missing-key", "missing key 'explicit'") if version == 3
+                           else ("unknown-key", "unknown key 'explicit'")), "$")
 
     map_obj = _expect(doc["map"], dict, "$.map", "the map")
     _require_keys(map_obj, "$.map", ("M", "N"))
@@ -385,12 +553,13 @@ def _parse_document(doc):
                                                      "the predicate list")))
 
     state = _expect(doc["state"], list, "$.state", "the state")
-    if version == 2:
-        s0 = _v2_state(state, "$.state", grid, predicates)
-        actions = _v2_actions(doc["actions"], grid, predicates)
-    else:
+    if version == 1:
         s0 = _parse_set(GroundAtom, state, "$.state", "the state")
         actions = _parse_actions(doc["actions"], _v1_table)
+    else:
+        s0 = _v2_state(state, "$.state", grid, predicates)
+        actions = _v2_actions(doc["actions"], grid, predicates) if version == 2 \
+            else _v3_actions(doc["actions"], doc["explicit"], grid, predicates)
 
     cost_obj = _expect(doc["cost"], dict, "$.cost", "the cost section")
     _require_keys(cost_obj, "$.cost", ("default",), optional=("rules", "overrides"))
@@ -483,7 +652,8 @@ def formula_to_json(f: Formula):
 
 
 def _action_json(rule: ActionRule, explicit):
-    """An action; ``explicit(table)`` writes an explicit table's entries."""
+    """An action; ``explicit(table)`` writes an explicit table's entries, or
+    version 3's marker."""
     if rule.explicit_effects is not None:
         return {"name": rule.name, "explicit": explicit(rule.explicit_effects)}
     out = {"name": rule.name, "effect": rule.effect_predicate,
@@ -497,11 +667,18 @@ def _action_json(rule: ActionRule, explicit):
 
 def instance_to_json(inst, version: int = FORMAT_VERSION) -> dict:
     """Canonical JSON object for an instance (either kind), in format
-    ``version`` (1 or 2): version 2 writes the state and explicit tables as
-    canonical indices, version 1 as [name, [x, y]] atoms."""
+    ``version`` (1, 2 or 3): version 3 writes the state as canonical
+    indices and every explicit row in one ``explicit`` table
+    (``Problem.explicit_rows``), version 2 the state and each explicit
+    table as canonical indices, version 1 as [name, [x, y]] atoms."""
     grid, predicates = inst.grid, inst.predicates
     atom, pair = _index_json(grid, predicates), _index_json(grid, [r.name for r in inst.actions])
-    if version == 2:
+    if version == 3:
+        state = sorted(inst.s0.indices)
+
+        def explicit(table):
+            return True
+    elif version == 2:
         state = sorted(inst.s0.indices)
 
         def explicit(table):  # points and atoms ascending
@@ -521,13 +698,17 @@ def instance_to_json(inst, version: int = FORMAT_VERSION) -> dict:
         "predicates": list(predicates),
         "state": state,
         "actions": [_action_json(rule, explicit) for rule in inst.actions],
+    }
+    if version == 3:
+        doc["explicit"] = dict(zip(ExplicitRows._fields, map(list, inst.explicit_rows)))
+    doc.update({
         "cost": {
             "default": inst.cost_model.default_cost,
             "rules": [[formula_to_json(cond), value]
                       for cond, value in inst.cost_model.state_rules],
             "overrides": [[pair(i), v] for i, v in inst.cost_override_indices],
         },
-    }
+    })
     if isinstance(inst, BmgopInstance):
         doc["benefit"] = {
             "per_predicate": {name: inst.benefit_model.per_predicate[name]
@@ -550,8 +731,15 @@ def instance_to_json(inst, version: int = FORMAT_VERSION) -> dict:
 
 
 def serialize_instance(inst, version: int = FORMAT_VERSION) -> str:
-    """The canonical document of an instance, in format ``version``."""
-    return json.dumps(instance_to_json(inst, version), indent=2) + "\n"
+    """The canonical document of an instance, in format ``version``.
+    Version 3 puts each top-level key on a line of its own, written by
+    ``json``'s C encoder; versions 1 and 2 are indented by two spaces at
+    every level, which ``json`` writes with its pure-Python encoder."""
+    doc = instance_to_json(inst, version)
+    if version < 3:
+        return json.dumps(doc, indent=2) + "\n"
+    return "{\n" + ",\n".join(f"  {json.dumps(key)}: {json.dumps(value)}"
+                               for key, value in doc.items()) + "\n}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ def _outcome(text):
         inst = parse_instance(text)
     except GopsError as err:
         return ("error", type(err), err.code, getattr(err, "path", None), err.message)
-    return ("instance", _actions_of(inst), serialize_instance(inst))
+    return ("instance", _actions_of(inst), serialize_instance(inst, version=2))
 
 
 def _both(text, monkeypatch):
@@ -87,7 +87,7 @@ def test_both_paths_read_well_formed_documents_alike(corpus, monkeypatch):
 
     monkeypatch.setattr(serialize, "_explicit_rules", spy)
     for inst in corpus():
-        text = serialize_instance(inst)
+        text = serialize_instance(inst, version=2)
         bulk, one_by_one = _both(text, monkeypatch)
         assert bulk[0] == "instance" and bulk == one_by_one
         assert bulk[2] == text
@@ -155,7 +155,8 @@ def _mutate(doc, rng):
 
 def test_both_paths_give_the_same_instance_or_error_under_mutation(monkeypatch):
     rng = random.Random(2024)
-    bases = [json.loads(serialize_instance(inst)) for inst in _mixed()[:6] + _encodings()]
+    bases = [json.loads(serialize_instance(inst, version=2))
+             for inst in _mixed()[:6] + _encodings()]
     kinds = {"instance": 0, "error": 0}
     codes = set()
     for n in range(400):

@@ -174,8 +174,8 @@ def _document(change=None):
 
 
 def _upgraded(text):
-    """The version-1 document ``text`` rewritten at version 2, whose tables
-    parse to EffectTables."""
+    """The version-1 document ``text`` rewritten at the writer's version,
+    whose tables parse to EffectTables."""
     return serialize_instance(parse_instance(text))
 
 

@@ -57,7 +57,7 @@ def _corpus():
 def test_both_versions_parse_to_equal_instances_and_round_trip():
     tables = states = 0
     for inst in _corpus():
-        v1, v2 = serialize_instance(inst, version=1), serialize_instance(inst)
+        v1, v2 = serialize_instance(inst, version=1), serialize_instance(inst, version=2)
         assert json.loads(v2)["version"] == 2 and json.loads(v1)["version"] == 1
         old, new = parse_instance(v1), parse_instance(v2)
         assert type(new.s0) is AtomSet
@@ -75,13 +75,13 @@ def test_both_versions_parse_to_equal_instances_and_round_trip():
         # each version round-trips, and either parse writes both versions
         for parsed in (old, new):
             assert serialize_instance(parsed, version=1) == v1
-            assert serialize_instance(parsed) == v2
+            assert serialize_instance(parsed, version=2) == v2
     assert tables > 300 and states > 250
 
 
 def test_the_version_2_layout():
     inst = gen_campaign().bmgop
-    doc = instance_to_json(inst)
+    doc = instance_to_json(inst, version=2)
     grid, n_points = inst.grid, inst.grid.n_points
     width = grid.width_bound + 1
     assert doc["state"] == sorted(inst.predicates.index(a.predicate) * n_points
@@ -98,7 +98,7 @@ def test_the_version_2_layout():
         for point, atoms in action["explicit"]:
             assert atoms == sorted(set(atoms))
     with pytest.raises(ValueError):
-        serialize_instance(inst, version=3)
+        serialize_instance(inst, version=4)
 
 
 # A 3 x 3 map (9 points) with predicates a, b (18 atoms) and action "e"
@@ -137,8 +137,9 @@ RULE_ACTION = {"name": "r", "effect": "b", "source_guard": "true", "target_guard
 
 def test_the_base_document_is_the_writers_own():
     inst = parse_instance(_document())
-    assert serialize_instance(inst) == serialize_instance(parse_instance(serialize_instance(inst)))
-    assert json.loads(serialize_instance(inst)) == BASE
+    text = serialize_instance(inst, version=2)
+    assert text == serialize_instance(parse_instance(text), version=2)
+    assert json.loads(text) == BASE
     assert inst.s0 == {GroundAtom("a", Point(0, 0)), GroundAtom("b", Point(2, 0))}
     assert inst.actions[0].explicit_effects == {
         Point(0, 0): frozenset({GroundAtom("a", Point(1, 1)), GroundAtom("b", Point(2, 0))}),
@@ -292,7 +293,7 @@ def test_a_version_2_document_in_any_order_parses_to_the_canonical_one():
 
     inst = parse_instance(_document(shuffle))
     assert inst.s0 == parse_instance(_document()).s0 and len(inst.s0) == 2
-    doc = json.loads(serialize_instance(inst))
+    doc = json.loads(serialize_instance(inst, version=2))
     assert doc["state"] == [0, 11]
     assert _explicit(doc) == [[0, [4, 11]], [7, [15]], [8, []]]
 
@@ -312,7 +313,7 @@ def test_a_version_2_table_on_a_huge_map_parses_in_the_size_of_its_entries():
     assert table[corner] == frozenset({GroundAtom("b", corner)})
     assert table[Point(0, 0)] == frozenset({GroundAtom("a", Point(0, 0))})
     assert list(inst.s0) == [GroundAtom("a", Point(0, 0)), GroundAtom("b", corner)]
-    assert json.loads(serialize_instance(inst))["state"] == [0, n * n + last]
+    assert json.loads(serialize_instance(inst, version=2))["state"] == [0, n * n + last]
 
 
 def test_a_table_and_state_of_another_map_are_written_by_their_atoms():
@@ -323,11 +324,11 @@ def test_a_table_and_state_of_another_map_are_written_by_their_atoms():
                                              explicit_effects=parsed.actions[0].explicit_effects),),
                          cost_model=CostModel(), ics=(), budget=1.0,
                          theta_in=frozenset(), theta_out=frozenset())
-    doc = instance_to_json(inst)
+    doc = instance_to_json(inst, version=2)
     # on a 4 x 3 map with b first: a(0,0) is 12 + 0, b(2,0) is 2
     assert doc["state"] == [2, 12]
     assert doc["actions"][0]["explicit"] == [[0, [2, 17]], [9, [8]]]
-    again = parse_instance(serialize_instance(inst))
+    again = parse_instance(serialize_instance(inst, version=2))
     assert again.s0 == parsed.s0
     assert again.actions[0].explicit_effects == parsed.actions[0].explicit_effects
 

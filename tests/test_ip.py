@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import time
 
 import pytest
 
@@ -180,9 +181,26 @@ def _singleton_max_cover_bmgop_exact(limits):
                                  _singleton_max_cover_bmgop_exact],
                          ids=["branch-and-bound", "gbgop-exact", "bmgop-exact"])
 def test_a_time_limit_of_zero_ends_search_at_once(run):
-    # the clock is read at every node, so a limit of 0 ends each search at
-    # its first node; each would need thousands of nodes to end by itself
+    # the clock is read at the first node, so a limit of 0 ends each search
+    # there; each would need thousands of nodes to end by itself
     run(Limits(max_seconds=0.0))
+
+
+def test_a_time_limit_stops_a_search_of_many_quick_nodes_near_it():
+    # at most 12 and at least 13 of 25 variables set, and no start: no root
+    # step, and C(26, 13) - 1, about 10 million, quick search nodes to find
+    # no leaf; the clock is read at the first node and then every 2 ** j-th
+    model = IpModel(sense="max")
+    for i in range(25):
+        model.add_variable(f"x{i}")
+    model.add_rows(["most"], "<=", 12.0, [list(range(25))])
+    model.add_rows(["least"], ">=", 13.0, [list(range(25))])
+    start = time.perf_counter()
+    result = solve_branch_and_bound(model, Limits(max_seconds=0.2))
+    elapsed = time.perf_counter() - start
+    assert result.status == "limit_reached" and result.steps == 0
+    assert result.nodes > 1000
+    assert 0.2 <= elapsed < 0.5
 
 
 def test_limits_refuse_negative_and_nan_values():

@@ -117,10 +117,10 @@ def test_gen_random_corpus_golden_digest():
 
 
 def test_gen_random_corpus_golden_digest_v2():
-    # the same corpus in the version-2 layout, which the writer defaults to
+    # the same corpus in the version-2 layout
     digest = hashlib.sha256()
     for inst in golden_corpus():
-        digest.update(serialize_instance(inst).encode())
+        digest.update(serialize_instance(inst, version=2).encode())
     assert digest.hexdigest() == "55283145de06f94538a95459bfe13780ab65bc8ccd64fefa3d6cdb4cd0684245"
 
 

@@ -57,8 +57,10 @@ def test_random_instances_round_trip():
             assert serialize_instance(parse_instance(text)) == text
 
 
-# the sha256 of the corpus below, both versions of each instance in turn
+# the sha256 of the corpus below, versions 1 and 2 of each instance in
+# turn, and of version 3 alone
 CORPUS_SHA256 = "632a2be7e845187af0da324f853a500d20e32002b4a2a452666a4a96f4c28552"
+CORPUS_V3_SHA256 = "ec5f829e9127373dc11190a8f92fbeef0aac296f5409530e3d3e2137dcadee15"
 
 
 def test_the_writer_bytes_of_a_seeded_corpus_hold_and_round_trip():
@@ -70,13 +72,14 @@ def test_the_writer_bytes_of_a_seeded_corpus_hold_and_round_trip():
     corpus += [gen_random(seed=seed, width=w, height=w, predicates=3, actions=3, radius=2.0,
                           ics=3, problem=problem)
                for seed in range(60) for problem in ("gbgop", "bmgop") for w in (1, 3, 6)]
-    digest = hashlib.sha256()
+    digest, v3 = hashlib.sha256(), hashlib.sha256()
     for inst in corpus:
-        for version in (1, 2):
+        for version in (1, 2, 3):
             text = serialize_instance(inst, version=version)
             assert serialize_instance(parse_instance(text), version=version) == text
-            digest.update(text.encode())
+            (v3 if version == 3 else digest).update(text.encode())
     assert digest.hexdigest() == CORPUS_SHA256
+    assert v3.hexdigest() == CORPUS_V3_SHA256
 
 
 def test_rejects_goal_overlap_with_code():
