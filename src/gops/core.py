@@ -1034,10 +1034,10 @@ class Grounding:
     ``atom_names``/``pair_names`` make the integer programs' names from the
     indices alone, ``atoms_to_mask`` and ``pairs_to_indices`` serve only
     the items callers pass in (the instance's own come indexed from
-    validation), and the full ``atoms``/``pairs`` lists are built on first
-    use, for the callers that need every one of them. The initial state's
-    indices (the Problem's ``AtomSet``) give ``s0_mask``, and each
-    solution's final state is an ``AtomSet`` too.
+    validation), and the full ``pairs`` list is built on first use, for
+    the callers that need every pair. The initial state's indices (the
+    Problem's ``AtomSet``) give ``s0_mask``, and each solution's final
+    state is an ``AtomSet`` too.
 
     Effects and costs are derived with mask algebra, never per pair, and
     written in place: the effect table is allocated once, ``n_pairs``
@@ -1089,7 +1089,7 @@ class Grounding:
             raise InstanceError("map-size", f"{n_points} points are too many for one bit mask")
         self.atom_offsets = offsets = problem.atom_offsets
         self.pair_offsets = problem.pair_offsets
-        self._atoms = self._pairs = None  # built on first use
+        self._pairs = None  # built on first use
 
         self.s0 = problem.s0
         self.s0_mask = _numeral_mask(self.s0.indices, self.n_atoms)
@@ -1192,13 +1192,6 @@ class Grounding:
         xs = [f"{x}_" for x in range(width)]
         ys = [str(y) for y in range(self.grid.height_bound + 1)]
         return [heads[i // n_points] + xs[i % width] + ys[i % n_points // width] for i in indices]
-
-    @property
-    def atoms(self) -> list:
-        """Every ground atom in canonical order, built on first use."""
-        if self._atoms is None:
-            self._atoms = enumerate_ground_atoms(self.grid, self.predicates)
-        return self._atoms
 
     @property
     def pairs(self) -> list:

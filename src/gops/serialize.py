@@ -4,8 +4,8 @@ benefits, integrity constraints, goal or benefit problem section).
 
 Parsing is strict: unknown keys are rejected, every error carries a code
 and the JSON path of the offender. Three versions are read; the writer
-writes version 3 unless asked for another (``version=1`` or ``2``). They
-differ only in the initial state and the explicit effect tables:
+writes version 3 only. They differ only in the initial state and the
+explicit effect tables:
 
 - Version 3 writes the state as version 2 does, each explicit action as
   ``{"name": ..., "explicit": true}``, and every explicit row of the
@@ -24,42 +24,39 @@ differ only in the initial state and the explicit effect tables:
   ``ParseError`` names the first faulty item's path, e.g.
   ``$.explicit.atoms[7]``. A marker other than ``true`` is a type error,
   and a marked action with rule-form keys an unknown key.
-- Version 2 writes the state as the ascending atom indices ``k * (M + 1)
+- Version 2 holds the state as the ascending atom indices ``k * (M + 1)
   * (N + 1) + y * (M + 1) + x`` (``k`` the predicate's position), and each
   table in its action as ``[[point index, [atom index, ...]], ...]`` with
-  point index ``y * (M + 1) + x``. The reader flattens all of a
-  document's tables into one ``ExplicitRows`` and runs version 3's checks
-  on it (``_explicit_rules``); as the writer writes them, points and atoms
-  ascend. Any other well-formed table (points or atoms in another order,
-  a repeated atom) and any faulty one is read entry by entry, so the
-  first faulty entry names its error.
-- Version 1 writes every atom as [name, [x, y]]. Each entry shape has one
+  point index ``y * (M + 1) + x``. The reader reads each table entry by
+  entry (``_v2_table``), a row's atoms checked in C-level passes and read
+  one by one only when those refuse, so the first faulty entry names its
+  error.
+- Version 1 holds every atom as [name, [x, y]]. Each entry shape has one
   reader, for atoms and pairs alike: a point, a [name, [x, y]] item, a
   set of items, a list of [key, value] entries (``_read_entries``, which
-  also reads the cost rules and, in either version, an explicit table
-  read one by one). A well-formed point or item passes one inline shape
-  check; only a malformed one goes through the step-by-step checks that
-  name its error, and only then is its path built. The initial state and
-  each explicit effect table are read this way, as ``GroundAtom``
-  objects, and the instance indexes the state and each table once as it
-  validates them, so version 1 reads several times slower.
+  also reads the cost rules and, in either older version, an explicit
+  table). A well-formed point or item passes one inline shape check; only
+  a malformed one goes through the step-by-step checks that name its
+  error, and only then is its path built. The initial state and each
+  explicit effect table are read this way, as ``GroundAtom`` objects, and
+  the instance indexes the state and each table once as it validates
+  them, so version 1 reads several times slower.
 
 ``serialize_instance(parse_instance(text))`` rewrites a version-1 or -2
 document at version 3. Every other section is the same in all versions.
 Serialization is canonical (fixed key order, every item table written from
 the canonical indices that validation keeps, in index order, every
 coordinate as an integer, shortest round-tripping numbers), so equal
-instances produce identical bytes in each version and ``parse(serialize(x))``
-reproduces ``x``. Version 3 puts each top-level key on a line of its own,
-written by ``json``'s C encoder; versions 1 and 2 are indented at every
-level, which ``json`` writes with its pure-Python encoder.
+instances produce identical bytes and ``parse(serialize(x))`` reproduces
+``x``. Each top-level key is on a line of its own, written by ``json``'s C
+encoder.
 """
 
 import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, chain, compress, count, repeat
+from itertools import compress, count, repeat
 from operator import add, eq, ge, is_, itemgetter, le, lt, mul, sub
 from typing import Optional
 
@@ -72,7 +69,7 @@ from .errors import ParseError
 from .gbgop import GbgopInstance
 
 FORMAT_NAME = "gop-instance"
-FORMAT_VERSION = 3  # what the writer writes by default
+FORMAT_VERSION = 3  # what the writer writes
 VERSIONS = (1, 2, 3)  # what the reader reads
 
 
@@ -291,70 +288,20 @@ def _v2_state(state: list, path: str, grid: GridMap, predicates: tuple) -> AtomS
 def _v2_table(entries: list, path: str, grid: GridMap, predicates: tuple) -> EffectTable:
     """A version-2 ``explicit`` table of [point index, [atom index, ...]]
     entries, read entry by entry, so the first faulty entry raises its
-    ``ParseError``. A document whose explicit actions all pass
-    ``_explicit_rules`` is not read this way."""
+    ``ParseError``. A row's atoms are checked by ``_fits``, and one by one
+    only when it refuses, so the first faulty atom is named."""
     n_points, n_atoms = grid.n_points, grid.n_points * len(predicates)
+
+    def read_row(row, at):
+        if type(row) is list and _fits(row, n_atoms):
+            return row
+        return _check_indices(row, n_atoms, f"{at}[1]")
+
     return EffectTable(grid, predicates, dict(_read_entries(
         _expect(entries, list, path, "an effect table"), path, "an effect table entry",
         "an effect entry is [point index, [atom index, ...]]",
         lambda point, at: _check_index(point, n_points, f"{at}[0]", "a point index"),
-        lambda row, at: _check_indices(row, n_atoms, f"{at}[1]"),
-        lambda point: f"point index {point} already has an effect entry")))
-
-
-def _explicit_rules(actions: list, grid: GridMap, predicates: tuple) -> Optional[dict]:
-    """{position: rule} of the explicit actions (those with an ``explicit``
-    key) among the version-2 actions ``actions``, all dicts, or None.
-    C-level passes over all of them make the checks that ``_parse_action``
-    and ``_v2_table`` make one by one: no key but ``name`` and
-    ``explicit``, every name a str and every table a list of two-item
-    lists, every point an int within the map. The tables are then
-    flattened into one ``ExplicitRows``, each point moved into its action's
-    block, which must pass ``_rows_fit`` as a version-3 table does (so the
-    points and each row's atoms must ascend, as the writer writes them),
-    and each rule's table is a view of its rows. Any refusal returns None,
-    and the caller reads every action one by one."""
-    at = [k for k, a in enumerate(actions) if "explicit" in a]
-    marked = list(map(actions.__getitem__, at))
-    if not all(map(eq, map(dict.keys, marked), repeat(_EXPLICIT_KEYS))):
-        return None
-    names = list(map(itemgetter("name"), marked))
-    tables = list(map(itemgetter("explicit"), marked))
-    if not (set(map(type, names)) <= {str} and set(map(type, tables)) <= {list}):
-        return None
-    entries = [*chain.from_iterable(tables)]
-    if not (set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}):
-        return None
-    points, atom_lists = list(map(itemgetter(0), entries)), list(map(itemgetter(1), entries))
-    n_points = grid.n_points
-    if not (set(map(type, points)) <= {int} and set(map(type, atom_lists)) <= {list}
-            and all(0 <= t[0][0] and t[-1][0] < n_points for t in tables if t)):
-        return None
-    bases = chain.from_iterable(map(repeat, map(mul, at, repeat(n_points)), map(len, tables)))
-    rows = ExplicitRows(list(map(add, points, bases)), [*accumulate(map(len, atom_lists))],
-                        [*chain.from_iterable(atom_lists)])
-    if not _rows_fit(rows, n_points * len(actions), n_points * len(predicates)):
-        return None
-    ends = [*accumulate(map(len, tables))]
-    return {k: ActionRule._read(name, EffectTable._view(grid, predicates, rows, lo, hi,
-                                                        k * n_points))
-            for k, name, lo, hi in zip(at, names, [0, *ends], ends)}
-
-
-def _v2_actions(value, grid: GridMap, predicates: tuple) -> tuple:
-    """A version-2 action list: the explicit actions built in bulk by
-    ``_explicit_rules``, the rule-form ones by ``_parse_action``. When the
-    bulk checks refuse, every action is read one by one, and the first
-    faulty one raises its ``ParseError``."""
-    values = _expect(value, list, "$.actions", "the action list")
-    read_table = partial(_v2_table, grid=grid, predicates=predicates)
-    if set(map(type, values)) <= {dict}:
-        rules = _explicit_rules(values, grid, predicates)
-        if rules is not None:
-            return _owned(tuple(rules[i] if "explicit" in a
-                                else _parse_action(a, f"$.actions[{i}]", read_table)
-                                for i, a in enumerate(values)))
-    return _parse_actions(values, read_table)
+        read_row, lambda point: f"point index {point} already has an effect entry")))
 
 
 def _owned(actions: tuple) -> tuple:
@@ -558,8 +505,11 @@ def _parse_document(doc):
         actions = _parse_actions(doc["actions"], _v1_table)
     else:
         s0 = _v2_state(state, "$.state", grid, predicates)
-        actions = _v2_actions(doc["actions"], grid, predicates) if version == 2 \
-            else _v3_actions(doc["actions"], doc["explicit"], grid, predicates)
+        if version == 2:
+            actions = _parse_actions(doc["actions"],
+                                     partial(_v2_table, grid=grid, predicates=predicates))
+        else:
+            actions = _v3_actions(doc["actions"], doc["explicit"], grid, predicates)
 
     cost_obj = _expect(doc["cost"], dict, "$.cost", "the cost section")
     _require_keys(cost_obj, "$.cost", ("default",), optional=("rules", "overrides"))
@@ -651,11 +601,11 @@ def formula_to_json(f: Formula):
     raise TypeError(f"not a formula node: {f!r}")
 
 
-def _action_json(rule: ActionRule, explicit):
-    """An action; ``explicit(table)`` writes an explicit table's entries, or
-    version 3's marker."""
+def _action_json(rule: ActionRule):
+    """An action; an explicit one as its name and the marker, its rows
+    being in the document's ``explicit`` table."""
     if rule.explicit_effects is not None:
-        return {"name": rule.name, "explicit": explicit(rule.explicit_effects)}
+        return {"name": rule.name, "explicit": True}
     out = {"name": rule.name, "effect": rule.effect_predicate,
            "source_guard": formula_to_json(rule.source_guard),
            "target_guard": formula_to_json(rule.target_guard)}
@@ -665,50 +615,27 @@ def _action_json(rule: ActionRule, explicit):
     return out
 
 
-def instance_to_json(inst, version: int = FORMAT_VERSION) -> dict:
+def instance_to_json(inst) -> dict:
     """Canonical JSON object for an instance (either kind), in format
-    ``version`` (1, 2 or 3): version 3 writes the state as canonical
-    indices and every explicit row in one ``explicit`` table
-    (``Problem.explicit_rows``), version 2 the state and each explicit
-    table as canonical indices, version 1 as [name, [x, y]] atoms."""
+    version 3: the state as canonical atom indices, and every explicit
+    row in one ``explicit`` table (``Problem.explicit_rows``)."""
     grid, predicates = inst.grid, inst.predicates
     atom, pair = _index_json(grid, predicates), _index_json(grid, [r.name for r in inst.actions])
-    if version == 3:
-        state = sorted(inst.s0.indices)
-
-        def explicit(table):
-            return True
-    elif version == 2:
-        state = sorted(inst.s0.indices)
-
-        def explicit(table):  # points and atoms ascending
-            return [[i, sorted(set(row))] for i, row in sorted(table.rows.items())]
-    elif version == 1:
-        state = [atom(i) for i in sorted(inst.s0.indices)]
-
-        def explicit(table):  # points and atoms in index order, the canonical one
-            return [[[*_block_point(grid, i)[1]], [atom(j) for j in sorted(set(row))]]
-                    for i, row in sorted(table.rows.items())]
-    else:
-        raise ValueError(f"unknown {FORMAT_NAME} version {version!r}")
     doc = {
         "format": FORMAT_NAME,
-        "version": version,
+        "version": FORMAT_VERSION,
         "map": {"M": grid.width_bound, "N": grid.height_bound},
         "predicates": list(predicates),
-        "state": state,
-        "actions": [_action_json(rule, explicit) for rule in inst.actions],
-    }
-    if version == 3:
-        doc["explicit"] = dict(zip(ExplicitRows._fields, map(list, inst.explicit_rows)))
-    doc.update({
+        "state": sorted(inst.s0.indices),
+        "actions": list(map(_action_json, inst.actions)),
+        "explicit": dict(zip(ExplicitRows._fields, map(list, inst.explicit_rows))),
         "cost": {
             "default": inst.cost_model.default_cost,
             "rules": [[formula_to_json(cond), value]
                       for cond, value in inst.cost_model.state_rules],
             "overrides": [[pair(i), v] for i, v in inst.cost_override_indices],
         },
-    })
+    }
     if isinstance(inst, BmgopInstance):
         doc["benefit"] = {
             "per_predicate": {name: inst.benefit_model.per_predicate[name]
@@ -730,16 +657,11 @@ def instance_to_json(inst, version: int = FORMAT_VERSION) -> dict:
     return doc
 
 
-def serialize_instance(inst, version: int = FORMAT_VERSION) -> str:
-    """The canonical document of an instance, in format ``version``.
-    Version 3 puts each top-level key on a line of its own, written by
-    ``json``'s C encoder; versions 1 and 2 are indented by two spaces at
-    every level, which ``json`` writes with its pure-Python encoder."""
-    doc = instance_to_json(inst, version)
-    if version < 3:
-        return json.dumps(doc, indent=2) + "\n"
+def serialize_instance(inst) -> str:
+    """The canonical document of an instance, in format version 3, each
+    top-level key on a line of its own, written by ``json``'s C encoder."""
     return "{\n" + ",\n".join(f"  {json.dumps(key)}: {json.dumps(value)}"
-                               for key, value in doc.items()) + "\n}\n"
+                               for key, value in instance_to_json(inst).items()) + "\n}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,9 @@ it; with q 0, when the objective's sums can round, ties are searched.
 read from the flat rows.
 ``ground`` is a builder, not an oracle: it grounds loose instance parts;
 ``golden_corpus`` is an input corpus, the one the serialize golden pins,
+``legacy_text`` writes an instance at format version 1 or 2, which the
+package reads but no longer writes, for the older versions' reader tests
+(``text_at`` at any version),
 ``planted_cover`` draws the benchmark's max-k-cover shape, and
 ``goal_cases`` and ``goal_corpus`` are the goal-based instances whose
 goal-driven reads (``Grounding.meeting``/``effect``, the reduction) are
@@ -44,7 +47,9 @@ from gops import (ActionPointPair, ActionRule, AndFormula, AtomFormula,
                   satisfies)
 from gops.bmgop import (GreedyIteration, GreedyTrace, _benefit, _violations,
                         approx_bound, bmgop_compute, bound_applicable)
-from gops.core import Problem, format_number, formula_atoms, iter_bits, within_distance
+from gops.core import (Problem, _block_point, format_number, formula_atoms, iter_bits,
+                       within_distance)
+from gops.serialize import instance_to_json, serialize_instance
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +568,46 @@ def golden_corpus():
             for problem in ("gbgop", "bmgop"):
                 yield gen_random(seed=seed, width=width, height=height, actions=actions,
                                  radius=radius, ics=ics, problem=problem)
+
+
+def legacy_text(inst, version):
+    """The document of ``inst`` at format version 1 or 2, byte for byte as
+    the package wrote those versions: version 3's document without its
+    ``explicit`` table, indented by two spaces at every level. Version 2
+    writes each explicit table in its action as [[point index, [atom
+    index, ...]], ...]; version 1 writes those points as [x, y] and every
+    atom of the state and the tables as [name, [x, y]]. Points and each
+    row's atoms ascend."""
+    if version not in (1, 2):
+        raise ValueError(f"no legacy writer for version {version!r}")
+    grid, predicates = inst.grid, inst.predicates
+    doc = instance_to_json(inst)
+    doc["version"] = version
+    del doc["explicit"]
+
+    def atom(i):
+        k, point = _block_point(grid, i)
+        return [predicates[k], [*point]]
+
+    def entry(point, row):
+        row = sorted(set(row))
+        if version == 2:
+            return [point, row]
+        return [[*_block_point(grid, point)[1]], list(map(atom, row))]
+
+    for rule, action in zip(inst.actions, doc["actions"]):
+        if rule.explicit_effects is not None:
+            action["explicit"] = [entry(point, row)
+                                  for point, row in sorted(rule.explicit_effects.rows.items())]
+    if version == 1:
+        doc["state"] = list(map(atom, doc["state"]))
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def text_at(inst, version):
+    """The document of ``inst`` at format version 1, 2 or 3: the package's
+    writer at version 3, ``legacy_text`` at the others."""
+    return serialize_instance(inst) if version == 3 else legacy_text(inst, version)
 
 
 def planted_cover(rng, planted, block, decoys):

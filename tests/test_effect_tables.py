@@ -28,7 +28,7 @@ from gops.encodings import (CoverProblem, MonotoneCnf, encode_max_k_cover, encod
                             encode_set_cover)
 from gops.errors import InstanceError, ParseError
 
-from helpers import golden_corpus, reference_grounding
+from helpers import golden_corpus, legacy_text, reference_grounding
 
 GROUNDING_TABLES = ("s0_mask", "effects", "costs", "benefits", "ic_s0", "pair_ics")
 
@@ -339,8 +339,8 @@ def test_a_table_built_in_code_is_kept_as_an_effect_table_of_the_instance(monkey
     # the same bytes as the instance read back from them, at either version;
     # a coordinate given as 1.0 or True is written as the integer it equals
     for version in (1, 2):
-        text = serialize_instance(inst, version=version)
-        assert serialize_instance(parse_instance(text), version=version) == text
+        text = legacy_text(inst, version)
+        assert legacy_text(parse_instance(text), version) == text
 
 
 def test_a_generated_goal_instance_shares_its_rules_with_its_grounding():
@@ -380,7 +380,7 @@ def _reads(version):
     at ``version``) over ``_state_corpus()``."""
     for inst in _state_corpus():
         assert type(inst.s0) is AtomSet  # built in code, indexed by Problem
-        yield inst, parse_instance(serialize_instance(inst, version=version))
+        yield inst, parse_instance(legacy_text(inst, version))
 
 
 def _check_tables(version):

@@ -2,12 +2,15 @@
 tables as canonical indices (``k * (M + 1) * (N + 1) + y * (M + 1) + x``
 for an atom of predicate ``k``, ``y * (M + 1) + x`` for a point).
 
-Both versions of one instance parse to equal instances (state, tables,
-groundings) and round-trip, each to its own bytes. Every malformed
+The package reads versions 1 and 2 but writes neither; ``legacy_text``
+writes them as it did. Both versions of one instance parse to equal
+instances (state, tables, groundings) and round-trip, each to its own
+bytes. Every malformed
 version-2 state, table or action ends in a ``ParseError`` with a code and
 the JSON path of the first faulty item, never in a traceback, however its
 fault slips past ``dict()``."""
 
+import copy
 import hashlib
 import json
 import random
@@ -15,15 +18,14 @@ import random
 import pytest
 
 from gops import (ActionRule, CostModel, GbgopInstance, GridMap, GroundAtom, Point,
-                  gen_campaign, gen_random, parse_instance, serialize_instance)
+                  gen_campaign, gen_random, parse_instance)
 from gops.cli import main
 from gops.core import AtomSet, EffectTable
 from gops.encodings import (CoverProblem, MonotoneCnf, encode_max_k_cover, encode_monsat,
                             encode_set_cover)
-from gops.errors import InstanceError, ParseError
-from gops.serialize import instance_to_json
+from gops.errors import GopsError, InstanceError, ParseError
 
-from helpers import golden_corpus
+from helpers import golden_corpus, legacy_text
 
 GROUNDING_TABLES = ("s0_mask", "effects", "costs", "benefits", "ic_s0", "pair_ics")
 
@@ -57,7 +59,7 @@ def _corpus():
 def test_both_versions_parse_to_equal_instances_and_round_trip():
     tables = states = 0
     for inst in _corpus():
-        v1, v2 = serialize_instance(inst, version=1), serialize_instance(inst, version=2)
+        v1, v2 = legacy_text(inst, 1), legacy_text(inst, 2)
         assert json.loads(v2)["version"] == 2 and json.loads(v1)["version"] == 1
         old, new = parse_instance(v1), parse_instance(v2)
         assert type(new.s0) is AtomSet
@@ -74,19 +76,19 @@ def test_both_versions_parse_to_equal_instances_and_round_trip():
             assert getattr(new.grounding, name) == getattr(old.grounding, name), name
         # each version round-trips, and either parse writes both versions
         for parsed in (old, new):
-            assert serialize_instance(parsed, version=1) == v1
-            assert serialize_instance(parsed, version=2) == v2
+            assert legacy_text(parsed, 1) == v1
+            assert legacy_text(parsed, 2) == v2
     assert tables > 300 and states > 250
 
 
 def test_the_version_2_layout():
     inst = gen_campaign().bmgop
-    doc = instance_to_json(inst, version=2)
+    doc = json.loads(legacy_text(inst, 2))
     grid, n_points = inst.grid, inst.grid.n_points
     width = grid.width_bound + 1
     assert doc["state"] == sorted(inst.predicates.index(a.predicate) * n_points
                                   + a.point.y * width + a.point.x for a in inst.s0)
-    v1 = instance_to_json(inst, version=1)
+    v1 = json.loads(legacy_text(inst, 1))
     assert doc.keys() == v1.keys()
     assert all(doc[key] == v1[key] for key in doc if key not in ("version", "state", "actions"))
     for rule, action, old in zip(inst.actions, doc["actions"], v1["actions"]):
@@ -97,8 +99,6 @@ def test_the_version_2_layout():
         assert points == sorted(p.y * width + p.x for p in rule.explicit_effects)
         for point, atoms in action["explicit"]:
             assert atoms == sorted(set(atoms))
-    with pytest.raises(ValueError):
-        serialize_instance(inst, version=4)
 
 
 # A 3 x 3 map (9 points) with predicates a, b (18 atoms) and action "e"
@@ -137,8 +137,8 @@ RULE_ACTION = {"name": "r", "effect": "b", "source_guard": "true", "target_guard
 
 def test_the_base_document_is_the_writers_own():
     inst = parse_instance(_document())
-    text = serialize_instance(inst, version=2)
-    assert text == serialize_instance(parse_instance(text), version=2)
+    text = legacy_text(inst, 2)
+    assert text == legacy_text(parse_instance(text), 2)
     assert json.loads(text) == BASE
     assert inst.s0 == {GroundAtom("a", Point(0, 0)), GroundAtom("b", Point(2, 0))}
     assert inst.actions[0].explicit_effects == {
@@ -279,7 +279,7 @@ def test_malformed_version_2_messages_hold():
 
 def test_a_repeated_predicate_is_reported_as_in_version_1():
     for version in (1, 2):
-        doc = json.loads(serialize_instance(parse_instance(_document()), version=version))
+        doc = json.loads(legacy_text(parse_instance(_document()), version))
         doc["predicates"].append("a")
         with pytest.raises(InstanceError) as err:
             parse_instance(json.dumps(doc))
@@ -293,7 +293,7 @@ def test_a_version_2_document_in_any_order_parses_to_the_canonical_one():
 
     inst = parse_instance(_document(shuffle))
     assert inst.s0 == parse_instance(_document()).s0 and len(inst.s0) == 2
-    doc = json.loads(serialize_instance(inst, version=2))
+    doc = json.loads(legacy_text(inst, 2))
     assert doc["state"] == [0, 11]
     assert _explicit(doc) == [[0, [4, 11]], [7, [15]], [8, []]]
 
@@ -313,7 +313,7 @@ def test_a_version_2_table_on_a_huge_map_parses_in_the_size_of_its_entries():
     assert table[corner] == frozenset({GroundAtom("b", corner)})
     assert table[Point(0, 0)] == frozenset({GroundAtom("a", Point(0, 0))})
     assert list(inst.s0) == [GroundAtom("a", Point(0, 0)), GroundAtom("b", corner)]
-    assert json.loads(serialize_instance(inst, version=2))["state"] == [0, n * n + last]
+    assert json.loads(legacy_text(inst, 2))["state"] == [0, n * n + last]
 
 
 def test_a_table_and_state_of_another_map_are_written_by_their_atoms():
@@ -324,11 +324,11 @@ def test_a_table_and_state_of_another_map_are_written_by_their_atoms():
                                              explicit_effects=parsed.actions[0].explicit_effects),),
                          cost_model=CostModel(), ics=(), budget=1.0,
                          theta_in=frozenset(), theta_out=frozenset())
-    doc = instance_to_json(inst, version=2)
+    doc = json.loads(legacy_text(inst, 2))
     # on a 4 x 3 map with b first: a(0,0) is 12 + 0, b(2,0) is 2
     assert doc["state"] == [2, 12]
     assert doc["actions"][0]["explicit"] == [[0, [2, 17]], [9, [8]]]
-    again = parse_instance(serialize_instance(inst, version=2))
+    again = parse_instance(legacy_text(inst, 2))
     assert again.s0 == parsed.s0
     assert again.actions[0].explicit_effects == parsed.actions[0].explicit_effects
 
@@ -337,10 +337,112 @@ def test_gops_solve_prints_the_same_report_for_both_versions(tmp_path, capsys):
     inst = gen_random(seed=5, width=4, height=4, predicates=3, actions=3, radius=1.5, ics=2,
                       problem="bmgop")
     for version in (1, 2):
-        (tmp_path / f"v{version}.json").write_text(serialize_instance(inst, version=version))
+        (tmp_path / f"v{version}.json").write_text(legacy_text(inst, version))
     for method in ("approx", "exact", "ip"):
         printed = []
         for version in (1, 2):
             main(["solve", str(tmp_path / f"v{version}.json"), "--method", method, "--json"])
             printed.append(capsys.readouterr().out)
         assert printed[0] == printed[1] and json.loads(printed[0])["method"] == method
+
+
+# ---------------------------------------------------------------------------
+# A mutation sweep of the actions of version-2 documents
+
+def _sweep_bases():
+    """Version-2 documents of gen_random instances whose actions mix
+    explicit tables and rules, and of three encodings."""
+    mixed = []
+    for seed in range(40):
+        inst = gen_random(seed=seed, width=4, height=3, predicates=3, actions=4, radius=1.5,
+                          ics=2, problem=("gbgop", "bmgop")[seed % 2])
+        if {rule.explicit_effects is None for rule in inst.actions} == {True, False}:
+            mixed.append(inst)
+    assert len(mixed) >= 8
+    rng = random.Random(11)
+    universe = tuple(range(10))
+    families = tuple(frozenset(rng.sample(universe, rng.randint(1, 4))) for _ in range(7))
+    families += (frozenset(universe[:5]), frozenset(universe[5:]))
+    encoded = [encode_set_cover(CoverProblem(universe=universe, families=families)),
+               encode_max_k_cover(CoverProblem(universe=universe, families=families, k=3)),
+               encode_monsat(MonotoneCnf(("x0", "x1", "x2"),
+                                         (frozenset({"x0", "x1"}), frozenset({"x2"}),
+                                          frozenset({"x1", "x2"}))))]
+    return [json.loads(legacy_text(inst, 2)) for inst in mixed[:6] + encoded]
+
+
+# index-shaped values that are not a valid index somewhere
+_BAD_INDICES = (True, False, 1.0, 0.5, -1, 2 ** 70, "0", None, [0], {})
+_ANY_VALUES = (True, 1.5, -1, 0, "x", "", None, [], [0], [[0, []]], {}, {"a": 1}, "ab")
+_EXTRA_KEYS = (("metric", "euclidean"), ("effect", "p0"), ("max_distance", 1.0),
+               ("source_guard", "true"), ("other", 1))
+
+
+def _nodes(value, path=()):
+    """Every node of a JSON value, as (path from the value, node)."""
+    yield path, value
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _nodes(item, path + (i,))
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _nodes(item, path + (key,))
+
+
+def _put(doc, path, value):
+    holder = doc
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = value
+
+
+def _mutate(doc, rng):
+    """One one-node change of ``doc``'s actions, often in its last one."""
+    actions = doc["actions"]
+    explicit = [i for i, a in enumerate(actions) if "explicit" in a]
+    i = len(actions) - 1 if rng.random() < 0.3 else rng.choice(explicit or range(len(actions)))
+    action = actions[i]
+    path, node = rng.choice(list(_nodes(action)))
+    kind = rng.random()
+    if isinstance(node, dict) and kind < 0.5:
+        if rng.random() < 0.5 and node:
+            del node[rng.choice(sorted(node))]
+        else:
+            key, value = rng.choice(_EXTRA_KEYS)
+            node[key] = value
+    elif isinstance(node, list) and node and path and path[-1] == "explicit" and kind < 0.5:
+        # repeat a point, with the same or another row
+        entry = copy.deepcopy(rng.choice(node))
+        if isinstance(entry, list) and entry and rng.random() < 0.5:
+            entry[-1] = []
+        node.insert(rng.randrange(len(node) + 1), entry)
+    elif type(node) is int and kind < 0.7:
+        n_points = (doc["map"]["M"] + 1) * (doc["map"]["N"] + 1)
+        bad = _BAD_INDICES + (n_points, n_points * len(doc["predicates"]), float(node))
+        # or a valid point or atom index, which may repeat a point or an atom
+        _put(actions, (i,) + path, rng.choice(bad + (rng.randrange(n_points),) * 4))
+    elif not path:
+        actions[i] = rng.choice(_ANY_VALUES)
+    else:
+        _put(actions, (i,) + path, rng.choice(_ANY_VALUES))
+
+
+def test_a_mutated_version_2_document_reads_to_an_instance_or_an_error():
+    rng = random.Random(2024)
+    bases = _sweep_bases()
+    kinds = {"instance": 0, "error": 0}
+    codes = set()
+    for n in range(400):
+        doc = copy.deepcopy(bases[n % len(bases)])
+        _mutate(doc, rng)
+        try:
+            inst = parse_instance(json.dumps(doc))
+        except GopsError as err:
+            kinds["error"] += 1
+            codes.add(err.code)
+            continue
+        kinds["instance"] += 1
+        assert parse_instance(legacy_text(inst, 2)).actions == inst.actions, n
+    # the sweep reaches both outcomes and the reader's codes
+    assert min(kinds.values()) >= 40
+    assert {"type", "index-range", "duplicate", "unknown-key", "missing-key"} <= codes

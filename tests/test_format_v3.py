@@ -5,9 +5,10 @@ document in one top-level ``explicit`` table of three flat lists
 point``, strictly ascending; ``ends``, each row's end in ``atoms``,
 ascending; and ``atoms``, each row's atom indices, strictly ascending.
 
-Every instance written at versions 1, 2 and 3 parses to equal instances,
-and each version round-trips to its own bytes. A version-3 table's views
-equal the tables the one-by-one version-2 reader builds, and its grounding
+Every instance written at versions 1, 2 and 3 (the older two by
+``legacy_text``) parses to equal instances, and each version round-trips
+to its own bytes. A version-3 table's views equal the tables the
+entry-by-entry version-2 reader builds, and its grounding
 (``effect``, ``meeting``, ``producers`` and the filled ``effects``) equals
 the set-based ``action_effects`` for every pair. Every malformed
 version-3 document ends in a ``ParseError`` with a code and the path of
@@ -28,17 +29,17 @@ from gops.core import EffectTable
 from gops.errors import GopsError, ParseError, UncoverableAtomsError
 from gops.serialize import instance_to_json
 
-from helpers import cover_rows_by_scan, golden_corpus, goal_corpus, reference_grounding_of
+from helpers import (cover_rows_by_scan, golden_corpus, goal_corpus, legacy_text,
+                     reference_grounding_of, text_at)
 
 GROUNDING_TABLES = ("s0_mask", "effects", "costs", "benefits", "ic_s0", "pair_ics")
 CORPUS = list(golden_corpus())
 
 
 def _one_by_one(monkeypatch, text):
-    """``text`` parsed with every bulk check refused: a version-2 document's
-    tables read entry by entry, a version-3 table row by row."""
+    """``text`` parsed with ``_rows_fit`` refusing: a version-3 table read
+    row by row."""
     with monkeypatch.context() as patch:
-        patch.setattr(serialize, "_explicit_rules", lambda *args: None)
         patch.setattr(serialize, "_rows_fit", lambda *args: False)
         return parse_instance(text)
 
@@ -46,8 +47,7 @@ def _one_by_one(monkeypatch, text):
 def test_the_three_versions_parse_to_equal_instances_and_round_trip():
     tables = 0
     for inst in CORPUS:
-        texts = {version: serialize_instance(inst, version=version) for version in (1, 2, 3)}
-        assert texts[3] == serialize_instance(inst)  # the writer's default
+        texts = {version: text_at(inst, version) for version in (1, 2, 3)}
         read = {version: parse_instance(text) for version, text in texts.items()}
         for version, again in read.items():
             assert json.loads(texts[version])["version"] == version
@@ -59,16 +59,16 @@ def test_the_three_versions_parse_to_equal_instances_and_round_trip():
                 assert getattr(again.grounding, name) == getattr(inst.grounding, name), name
             # each read writes every version's bytes
             for other, text in texts.items():
-                assert serialize_instance(again, version=other) == text
+                assert text_at(again, other) == text
         tables += sum(rule.explicit_effects is not None for rule in inst.actions)
     assert tables > 300
 
 
-def test_the_views_equal_the_tables_the_one_by_one_reader_builds(monkeypatch):
+def test_the_views_equal_the_tables_the_one_by_one_reader_builds():
     views = 0
     for inst in CORPUS:
         v3 = parse_instance(serialize_instance(inst))
-        v2 = _one_by_one(monkeypatch, serialize_instance(inst, version=2))
+        v2 = parse_instance(legacy_text(inst, 2))  # read entry by entry
         for view, table in zip(v3.actions, v2.actions):
             if table.explicit_effects is None:
                 assert view.explicit_effects is None
@@ -174,7 +174,7 @@ def test_a_goal_based_op_on_a_version_3_document_builds_only_the_rows_it_reads()
 def test_the_version_3_layout():
     inst = CORPUS[13]
     doc = instance_to_json(inst)
-    v2 = instance_to_json(inst, version=2)
+    v2 = json.loads(legacy_text(inst, 2))
     keys = [*v2]
     keys.insert(keys.index("actions") + 1, "explicit")
     assert [*doc] == keys
@@ -197,8 +197,6 @@ def test_the_version_3_layout():
     assert lines[1:-2] == [f"  {json.dumps(key)}: {json.dumps(value)}" + ("," if i < len(doc) - 1
                                                                            else "")
                            for i, (key, value) in enumerate(doc.items())]
-    with pytest.raises(ValueError):
-        serialize_instance(inst, version=4)
 
 
 # A 3 x 3 map (9 points, 27 pairs for three actions) with predicates a, b

@@ -10,7 +10,7 @@ import pytest
 
 from gops import (ActionRule, BmgopInstance, CostModel, GbgopInstance, GridMap, IpModel,
                   IpVariable, UncoverableAtomsError, build_bmgop_ip, build_gbgop_ip, emit_lp,
-                  gen_campaign, gen_random)
+                  enumerate_ground_atoms, gen_campaign, gen_random)
 from gops.gbgop import _admissible, _needed, _r_star
 
 from helpers import cover_rows_by_scan, ground, lp_name, reference_bmgop_ip
@@ -106,7 +106,7 @@ def test_bmgop_cover_rows_equal_the_per_atom_scan():
         assert [v.tag for v in model.variables] == (
             [("pair", i) for i in kept] + [("atom", a) for a in expected])
         assert cover_rows(model) == [
-            (cover_label(g.atoms[a]), [(("pair", i), 1.0) for i in producers] + [(("atom", a), -1.0)])
+            (cover_label(g.atom_at(a)), [(("pair", i), 1.0) for i in producers] + [(("atom", a), -1.0)])
             for a, producers in expected.items()]
 
 
@@ -120,14 +120,14 @@ def test_gbgop_cover_rows_equal_the_per_atom_scan():
             expected = cover_rows_by_scan(g.effects, indices, needed, g.n_atoms)
             # the sparse mask: positions within the admissible or reduced pairs
             assert list(g.producers(indices, needed).items()) == produced(expected, indices)
-            uncoverable = [g.atoms[a] for a, producers in expected.items() if not producers]
+            uncoverable = [g.atom_at(a) for a, producers in expected.items() if not producers]
             if uncoverable:
                 with pytest.raises(UncoverableAtomsError) as err:
                     build_gbgop_ip(inst, use_reduction=use_reduction)
                 assert list(err.value.atoms) == uncoverable
                 continue
             assert cover_rows(build_gbgop_ip(inst, use_reduction=use_reduction)) == [
-                (cover_label(g.atoms[a]), [(i, 1.0) for i in producers])
+                (cover_label(g.atom_at(a)), [(i, 1.0) for i in producers])
                 for a, producers in expected.items()]
 
 
@@ -140,6 +140,7 @@ def test_index_names_equal_the_object_names(width_bound, height_bound):
     rng = random.Random(width_bound * 31 + height_bound)
     pairs = list(range(g.n_pairs))
     atoms = list(range(g.n_atoms))
+    every_atom = enumerate_ground_atoms(grid, g.predicates)
     for prefix in ("X", "Y", "cover"):
         for indices in (pairs, rng.sample(pairs, len(pairs) // 2)):
             want = [lp_name(prefix, g.pair_at(i)) for i in indices]
@@ -148,7 +149,7 @@ def test_index_names_equal_the_object_names(width_bound, height_bound):
         for indices in (atoms, rng.sample(atoms, len(atoms) // 2)):
             want = [lp_name(prefix, g.atom_at(i)) for i in indices]
             assert g.atom_names(prefix, indices) == want
-            assert want == [lp_name(prefix, g.atoms[i]) for i in indices]
+            assert want == [lp_name(prefix, every_atom[i]) for i in indices]
 
 
 def test_variables_are_a_view_of_the_flat_names_and_tags():
@@ -176,7 +177,8 @@ def test_program_variable_names_equal_the_object_names():
                 assert [v.name for v in model.variables] == [
                     lp_name("X", g.pairs[v.tag]) for v in model.variables]
         else:
-            objects = {"pair": ("X", g.pairs), "atom": ("Y", g.atoms)}
+            objects = {"pair": ("X", g.pairs),
+                       "atom": ("Y", enumerate_ground_atoms(g.grid, g.predicates))}
             variables = build_bmgop_ip(inst).variables
             assert [v.name for v in variables] == [
                 lp_name(objects[kind][0], objects[kind][1][i]) for kind, i in (v.tag for v in variables)]

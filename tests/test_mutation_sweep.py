@@ -1,9 +1,10 @@
 """Seeded mutations of valid documents end in a result or a GopsError.
 
 Each mutation changes one to three nodes of a valid instance document: the
-campaign and small ``gen_random`` maps, both flavours, written at both
-format versions. The mutated text then goes through parse, grounding, both
-instance writers, every solver, the reports and ``emit_lp``; nothing but a
+campaign and small ``gen_random`` maps, both flavours, written at format
+versions 2 and 1 (``legacy_text``). The mutated text then goes through
+parse, grounding, the instance writer and a parse of what it wrote, every
+solver, the reports and ``emit_lp``; nothing but a
 ``GopsError`` may escape any of them. Each solver runs under small
 ``Limits``, so every run is time-boxed. A map's width and height are never
 raised, nor copied from elsewhere: a larger map asks for memory that grows
@@ -21,6 +22,8 @@ from gops import (GbgopInstance, GopsError, Limits, bmgop_compute, build_bmgop_i
                   parse_instance, reduce_to_r_star, serialize_instance, solve_bmgop_exact,
                   solve_bmgop_ip, solve_gbgop_exact, solve_gbgop_ip)
 from gops.serialize import report_for
+
+from helpers import legacy_text
 
 MUTATIONS = 1500
 LIMITS = Limits(max_nodes=300, max_seconds=0.25)
@@ -41,7 +44,7 @@ def documents():
         for problem in ("gbgop", "bmgop"):
             instances.append((f"r{seed}-{problem}", gen_random(
                 seed=seed, width=size, height=size, radius=1.5, ics=2, problem=problem)))
-    return [(f"{name}-v{version}", serialize_instance(inst, version=version))
+    return [(f"{name}-v{version}", legacy_text(inst, version))
             for name, inst in instances for version in (2, 1)]
 
 
@@ -112,11 +115,9 @@ def run_pipeline(text):
         return None
     if _guarded("grounding", lambda: inst.grounding) is None:
         return inst
-    for version in (1, 2):
-        written = _guarded(f"serialize v{version}",
-                           lambda: serialize_instance(inst, version=version))
-        if written is not None:
-            _guarded(f"parse of the v{version} text", lambda: parse_instance(written))
+    written = _guarded("serialize", lambda: serialize_instance(inst))
+    if written is not None:
+        _guarded("parse of the written text", lambda: parse_instance(written))
     if isinstance(inst, GbgopInstance):
         _guarded("reduce", lambda: reduce_to_r_star(inst))
         _guarded("count", lambda: count_gbgop_solutions(inst, cap=100))

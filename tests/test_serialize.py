@@ -8,7 +8,7 @@ from gops import (GbgopInstance, gen_campaign, gen_random, parse_instance,
 from gops.errors import InstanceError, ParseError
 from gops.serialize import SolutionReport, report_for_bmgop, report_for_gbgop
 
-from helpers import DUPLICATES
+from helpers import DUPLICATES, text_at
 
 MINIMAL = {
     "format": "gop-instance",
@@ -58,7 +58,8 @@ def test_random_instances_round_trip():
 
 
 # the sha256 of the corpus below, versions 1 and 2 of each instance in
-# turn, and of version 3 alone
+# turn (as ``legacy_text`` writes them, the bytes the package wrote), and
+# of version 3 alone
 CORPUS_SHA256 = "632a2be7e845187af0da324f853a500d20e32002b4a2a452666a4a96f4c28552"
 CORPUS_V3_SHA256 = "ec5f829e9127373dc11190a8f92fbeef0aac296f5409530e3d3e2137dcadee15"
 
@@ -75,8 +76,8 @@ def test_the_writer_bytes_of_a_seeded_corpus_hold_and_round_trip():
     digest, v3 = hashlib.sha256(), hashlib.sha256()
     for inst in corpus:
         for version in (1, 2, 3):
-            text = serialize_instance(inst, version=version)
-            assert serialize_instance(parse_instance(text), version=version) == text
+            text = text_at(inst, version)
+            assert text_at(parse_instance(text), version) == text
             (v3 if version == 3 else digest).update(text.encode())
     assert digest.hexdigest() == CORPUS_SHA256
     assert v3.hexdigest() == CORPUS_V3_SHA256
