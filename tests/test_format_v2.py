@@ -18,7 +18,7 @@ import random
 import pytest
 
 from gops import (ActionRule, CostModel, GbgopInstance, GridMap, GroundAtom, Point,
-                  gen_campaign, gen_random, parse_instance)
+                  gen_campaign, gen_random, parse_instance, serialize_instance)
 from gops.cli import main
 from gops.core import AtomSet, EffectTable
 from gops.encodings import (CoverProblem, MonotoneCnf, encode_max_k_cover, encode_monsat,
@@ -347,28 +347,56 @@ def test_gops_solve_prints_the_same_report_for_both_versions(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# A mutation sweep of the actions of version-2 documents
+# Well-formed and mutated version-2 documents of mixed and encoded instances
 
-def _sweep_bases():
-    """Version-2 documents of gen_random instances whose actions mix
-    explicit tables and rules, and of three encodings."""
-    mixed = []
+def _campaign():
+    scenario = gen_campaign()
+    return [scenario.gbgop, scenario.bmgop]
+
+
+def _mixed():
+    """gen_random instances whose actions mix explicit tables and rules."""
+    out = []
     for seed in range(40):
         inst = gen_random(seed=seed, width=4, height=3, predicates=3, actions=4, radius=1.5,
                           ics=2, problem=("gbgop", "bmgop")[seed % 2])
         if {rule.explicit_effects is None for rule in inst.actions} == {True, False}:
-            mixed.append(inst)
-    assert len(mixed) >= 8
+            out.append(inst)
+    assert len(out) >= 8
+    return out
+
+
+def _small_encodings():
     rng = random.Random(11)
     universe = tuple(range(10))
     families = tuple(frozenset(rng.sample(universe, rng.randint(1, 4))) for _ in range(7))
     families += (frozenset(universe[:5]), frozenset(universe[5:]))
-    encoded = [encode_set_cover(CoverProblem(universe=universe, families=families)),
-               encode_max_k_cover(CoverProblem(universe=universe, families=families, k=3)),
-               encode_monsat(MonotoneCnf(("x0", "x1", "x2"),
-                                         (frozenset({"x0", "x1"}), frozenset({"x2"}),
-                                          frozenset({"x1", "x2"}))))]
-    return [json.loads(legacy_text(inst, 2)) for inst in mixed[:6] + encoded]
+    return [encode_set_cover(CoverProblem(universe=universe, families=families)),
+            encode_max_k_cover(CoverProblem(universe=universe, families=families, k=3)),
+            encode_monsat(MonotoneCnf(("x0", "x1", "x2"),
+                                      (frozenset({"x0", "x1"}), frozenset({"x2"}),
+                                       frozenset({"x1", "x2"}))))]
+
+
+@pytest.mark.parametrize("corpus", [_campaign, _mixed, _small_encodings],
+                         ids=["campaign", "mixed", "encodings"])
+def test_a_version_2_document_reads_as_its_version_3_document(corpus):
+    for inst in corpus():
+        text = legacy_text(inst, 2)
+        got, want = parse_instance(text), parse_instance(serialize_instance(inst))
+        assert got.s0 == want.s0 and got.actions == want.actions
+        for name in GROUNDING_TABLES:
+            assert getattr(got.grounding, name) == getattr(want.grounding, name), name
+        assert legacy_text(got, 2) == text
+        for rule in got.actions:
+            if rule.explicit_effects is not None:
+                assert type(rule.explicit_effects) is EffectTable
+
+
+def _sweep_bases():
+    """Version-2 documents of gen_random instances whose actions mix
+    explicit tables and rules, and of three encodings."""
+    return [json.loads(legacy_text(inst, 2)) for inst in _mixed()[:6] + _small_encodings()]
 
 
 # index-shaped values that are not a valid index somewhere
