@@ -14,10 +14,11 @@ import heapq
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from itertools import compress, repeat
+from itertools import compress, count, repeat
 from typing import Optional
 
-from .core import (ActionPointPair, BenefitModel, Problem, Solution, format_number, sums_exact)
+from .core import (ActionPointPair, BenefitModel, Problem, Solution, _fit, _numeral_mask,
+                   format_number, sums_exact)
 from .errors import InstanceError
 from .ip import IpModel, Limits, _solve_for_tags
 
@@ -29,7 +30,7 @@ class BmgopInstance(Problem):
 
     def __post_init__(self):
         super().__post_init__()
-        if type(self.k) is bool or not isinstance(self.k, int) or self.k < 0:
+        if not _fit(self.k, math.inf):
             raise InstanceError("k-range", "k must be a non-negative integer")
         if self.k > sys.float_info.max:  # the greedy and the program take it as a float
             raise InstanceError("k-range", "k is too large for a float")
@@ -398,7 +399,7 @@ def solve_bmgop_exact(inst: BmgopInstance, limits: Optional[Limits] = None) -> B
     """
     g = inst.grounding
     # the atoms with a non-zero benefit; summing over these alone gives the same floats
-    paying = int("0" + "".join(["1" if b else "0" for b in reversed(g.benefits)]), 2)
+    paying = _numeral_mask(compress(count(), g.benefits), g.n_atoms)
     effects = g.effects
     gain = [g.benefit_sum(e & paying & ~g.s0_mask) for e in effects]
     order = sorted((i for i, v in enumerate(gain) if v > 0), key=lambda i: (-gain[i], i))

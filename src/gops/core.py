@@ -32,8 +32,11 @@ row only then or when it is first read; the goal-based solvers read
 indices are arithmetic (block offset + ``y * (M + 1) + x``), so grounding
 keeps no per-atom or per-pair object tables: atoms and pairs are made only
 for the indices a caller asks about, and the full lists only on first
-use. One indexer, ``item_indices``, kept here so the index formula lives
-in one module, turns (name, point) items into those indices item by item:
+use. ``_fits`` (``_fit`` for one value) is the one rule for an index, a
+map bound or ``k``, in a document or in code: an int in range, where a
+coordinate may be any value equal to an integer (``_integral``). One
+indexer, ``item_indices``, kept here so the index formula lives in one
+module, turns (name, point) items into those indices item by item:
 validation (``check_atoms``), and grounding's lookups of the items its
 callers pass in. Each item of an instance is indexed once, by validation;
 of several bad items, the least by ``repr`` is named. Every ``Problem``
@@ -62,7 +65,7 @@ from collections import defaultdict
 from collections.abc import Set
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, reduce
-from itertools import accumulate, compress, count, repeat
+from itertools import accumulate, chain, compress, count, repeat
 from operator import or_, sub
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -104,8 +107,8 @@ class GridMap:
     height_bound: int
 
     def __post_init__(self):
-        if self.width_bound < 0 or self.height_bound < 0:
-            raise InstanceError("map-bounds", "map bounds must be non-negative")
+        if not (_fit(self.width_bound, math.inf) and _fit(self.height_bound, math.inf)):
+            raise InstanceError("map-bounds", "map bounds must be non-negative integers")
 
     @property
     def n_points(self) -> int:
@@ -499,6 +502,19 @@ def format_number(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _fits(values, count) -> bool:
+    """Whether every item of ``values`` (a list, set or dict, read up to
+    three times) is an int in ``range(count)``, by C-level passes; ``True``
+    and ``1.0`` are not ints here."""
+    return not values or (set(map(type, values)) == {int}
+                          and min(values) >= 0 and max(values) < count)
+
+
+def _fit(value, count) -> bool:
+    """``_fits`` of the one value ``value``."""
+    return type(value) is int and 0 <= value < count
+
+
 def _integral(v) -> Optional[int]:
     """``v`` as an int when it equals one, else None. Equal numbers are one
     dict key, so ``True``, ``1.0`` and ``numpy.int64(1)`` all name the
@@ -607,7 +623,7 @@ class EffectTable(Mapping):
     every ``Problem``'s explicit tables: an instance on the same grid and
     predicates keeps it as it is (``_is_own``), and validation reads any
     other table through this interface into one of its own. The
-    constructor copies and range-checks ``rows``.
+    constructor copies ``rows``; it refuses any index ``_fits`` refuses.
 
     A table that a reader or validation made is a view (``_view``) of its
     action's slice of an ``ExplicitRows``, and builds ``rows`` on first
@@ -621,12 +637,9 @@ class EffectTable(Mapping):
         self.predicates = tuple(predicates)
         self._rows = dict(rows)
         self._part = None
-        points = self._rows.keys()
-        atoms = [row for row in self._rows.values() if row]
-        n_atoms = grid.n_points * len(self.predicates)
-        if points and not (0 <= min(points) and max(points) < grid.n_points) \
-                or atoms and not (0 <= min(map(min, atoms)) and max(map(max, atoms)) < n_atoms):
-            raise InstanceError("point-bounds", "effect table entry outside the map or its atoms")
+        if not (_fits(self._rows, grid.n_points) and _fits(
+                [*chain.from_iterable(self._rows.values())], grid.n_points * len(self.predicates))):
+            raise InstanceError("point-bounds", "effect table index not an int in range")
 
     @classmethod
     def _view(cls, grid: GridMap, predicates: tuple, flat: ExplicitRows, lo: int, hi: int,
@@ -677,8 +690,8 @@ class AtomSet(Set):
     It equals and hashes as the frozenset of its atoms, and set operations
     with frozensets give frozensets. It is the form of every ``Problem``'s
     initial state, which an instance on the same grid and predicates keeps
-    as it is (``_is_own``). The constructor range-checks ``indices``;
-    ``_read``, for indices already checked, does not."""
+    as it is (``_is_own``). The constructor refuses any index ``_fits``
+    refuses; ``_read``, for indices already checked, does not check."""
 
     __slots__ = ("grid", "predicates", "indices")
 
@@ -686,9 +699,8 @@ class AtomSet(Set):
         self.grid = grid
         self.predicates = tuple(predicates)
         self.indices = frozenset(indices)
-        if self.indices and not (0 <= min(self.indices)
-                                 and max(self.indices) < grid.n_points * len(self.predicates)):
-            raise InstanceError("point-bounds", "atom index outside the map or its predicates")
+        if not _fits(self.indices, grid.n_points * len(self.predicates)):
+            raise InstanceError("point-bounds", "atom index not an int in range")
 
     @classmethod
     def _read(cls, grid: GridMap, predicates: tuple, indices: frozenset) -> "AtomSet":

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bmgop import BmgopInstance
-from .core import (ActionRule, BenefitModel, CostModel, GridMap, GroundAtom,
-                   Point)
+from .core import ActionRule, BenefitModel, CostModel, GridMap, GroundAtom, Point, _fit
 from .errors import InstanceError
 from .gbgop import GbgopInstance
 
@@ -36,7 +35,7 @@ class CoverProblem:
         for i, fam in enumerate(self.families):
             if not set(fam) <= elems:
                 raise InstanceError("cover-family", f"family {i} leaves the universe")
-        if self.k is not None and (type(self.k) is bool or not 0 < self.k <= len(self.families)):
+        if self.k is not None and not (_fit(self.k, len(self.families) + 1) and self.k):
             raise InstanceError("cover-k", "k must be in 1..number of families")
 
 

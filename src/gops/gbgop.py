@@ -14,7 +14,7 @@ from itertools import accumulate, chain, compress
 from operator import itemgetter, or_
 from typing import Optional
 
-from .core import Problem, Solution, _mask, check_atoms, iter_bits
+from .core import Problem, Solution, _mask, _numeral_mask, check_atoms, iter_bits
 from .errors import InstanceError, LimitReachedError, UncoverableAtomsError
 from .ip import IpModel, Limits, _solve_for_tags
 
@@ -231,10 +231,7 @@ def _reduction(inst: GbgopInstance):
         first.setdefault((costs[i], pair_ics[i], 0), i)
     if len(covers) + len(rest) + len(inadmissible) < g.n_pairs:  # a pair is left
         # the pairs keyed above and those outside R, as one mask over the pairs
-        digits = bytearray(b"0") * g.n_pairs  # digit n_pairs - 1 - i stands for pair i
-        for i in chain(covers, rest, inadmissible):
-            digits[-1 - i] = ord("1")
-        taken = int(b"0" + digits, 2)
+        taken = _numeral_mask(chain(covers, rest, inadmissible), g.n_pairs)
         for value, points in g.cost_classes:
             # the cost's points in every action's block, one numeral per block
             free = int("0" + f"{points:0{g.n_points}b}" * len(g.actions), 2) & ~taken

@@ -14,7 +14,7 @@ from itertools import accumulate, chain, compress, count, repeat
 from operator import add, itemgetter, mul, not_, sub
 from typing import Callable, NamedTuple, Optional
 
-from .core import format_number, sums_exact
+from .core import _fit, _fits, format_number, sums_exact
 from .errors import InstanceError, LimitReachedError
 
 
@@ -147,7 +147,7 @@ class IpModel:
         """Raise InstanceError at the first fault: an unknown objective sense,
         a repeated variable name, an objective term outside the variables,
         then, row by row, a sense other than ``<=``/``>=`` or a term outside
-        the variables.
+        the variables; an index that is not an int (``0.0``) is outside them.
 
         Whole-array checks run first; the item-by-item loops run only when
         one of them fails, to name that first fault."""
@@ -160,29 +160,19 @@ class IpModel:
                 if name in seen:
                     raise InstanceError("ip-duplicate-variable", f"duplicate variable {name!r}")
                 seen.add(name)
-        if not _in_range(self.objective, n):
+        if not _fits(self.objective, n):
             for i in self.objective:
-                if not 0 <= i < n:
-                    raise InstanceError("ip-bad-variable", f"objective references variable {i}")
-        if not (set(self.senses) <= {"<=", ">="} and _in_range(self.cols, n)):
+                if not _fit(i, n):
+                    raise InstanceError("ip-bad-variable", f"objective references variable {i!r}")
+        if not (set(self.senses) <= {"<=", ">="} and _fits(self.cols, n)):
             starts, cols = self.starts, self.cols
             for s, e, sense, label in zip(starts, starts[1:], self.senses, self.labels):
                 if sense not in ("<=", ">="):
                     raise InstanceError("ip-bad-sense", f"constraint {label!r}: sense {sense!r}")
                 for i in cols[s:e]:
-                    if not 0 <= i < n:
+                    if not _fit(i, n):
                         raise InstanceError("ip-bad-variable",
-                                            f"constraint {label!r} references variable {i}")
-
-
-def _in_range(indices, n: int) -> bool:
-    """True when every item of ``indices`` lies in ``[0, n)``, checked by
-    ``min``/``max``; False sends ``validate`` to its item-by-item loop. A NaN
-    item can hide from ``min``/``max``, so a non-finite sum also says False."""
-    if not indices:
-        return True
-    total = sum(indices)
-    return total - total == 0 and 0 <= min(indices) and max(indices) < n
+                                            f"constraint {label!r} references variable {i!r}")
 
 
 PRUNE_KINDS = ("row", "bound", "tie")
@@ -456,7 +446,7 @@ def start_vector(model, rhs: list, low: list, moves: list) -> list:
     n = len(moves)
     vec = [0] * n
     for i in model.start():
-        if type(i) is not int or not 0 <= i < n:
+        if not _fit(i, n):
             raise InstanceError("ip-start", f"start sets {i!r}, which is not a variable index")
         vec[i] = 1
     sums = low.copy()

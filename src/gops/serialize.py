@@ -30,7 +30,8 @@ explicit effect tables:
   point index ``y * (M + 1) + x``. The reader reads each table entry by
   entry (``_v2_table``), a row's atoms checked in C-level passes and read
   one by one only when those refuse, so the first faulty entry names its
-  error.
+  error. Every index of version 2 or 3 is held to ``core._fits``, the
+  package's one integer rule, which instances built in code meet too.
 - Version 1 holds every atom as [name, [x, y]]. Each entry shape has one
   reader, for atoms and pairs alike: a point, a [name, [x, y]] item, a
   set of items, a list of [key, value] entries (``_read_entries``, which
@@ -64,7 +65,7 @@ from .bmgop import BmgopInstance
 from .core import (ActionPointPair, ActionRule, AndFormula, AtomFormula, AtomSet,
                    BenefitModel, CostModel, EffectTable, ExplicitRows, Formula, GridMap,
                    GroundAtom, IntegrityConstraint, NotFormula, OrFormula, Point, TRUE,
-                   TrueFormula, _block_point)
+                   TrueFormula, _block_point, _fit, _fits)
 from .errors import ParseError
 from .gbgop import GbgopInstance
 
@@ -223,14 +224,6 @@ def _v1_table(entries, path) -> dict:
         lambda point: f"point {point} already has an effect entry"))
 
 
-def _fits(values, count: int) -> bool:
-    """Whether every item of ``values`` (a list or dict, read up to three
-    times) is an int in ``range(count)``, by C-level passes; ``true`` and
-    ``1.0`` are not ints here."""
-    return not values or (set(map(type, values)) == {int}
-                          and min(values) >= 0 and max(values) < count)
-
-
 def _rows_fit(rows: ExplicitRows, n_pairs: int, n_atoms: int) -> bool:
     """Whether ``rows`` is well formed (see ``ExplicitRows``), by C-level
     passes: three lists of ints only, as many ends as pairs, pairs strictly
@@ -262,10 +255,10 @@ _ROW_KEYS = set(ExplicitRows._fields)
 
 
 def _check_index(value, count: int, path: str, what: str) -> int:
-    """``value``, when it is an int in ``range(count)``."""
-    if type(value) is not int:
-        raise ParseError("type", f"expected an integer for {what}", path)
-    if not 0 <= value < count:
+    """``value``, when it is an int in ``range(count)`` (``_fit``)."""
+    if not _fit(value, count):
+        if type(value) is not int:
+            raise ParseError("type", f"expected an integer for {what}", path)
         raise ParseError("index-range", f"{what} {value} is outside 0..{count - 1}", path)
     return value
 

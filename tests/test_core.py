@@ -10,7 +10,7 @@ from gops import (ActionPointPair, ActionRule, BenefitModel, CostModel,
                   action_effects, appl, atom, benefit_of, check_ics, cost_of,
                   enumerate_ground_atoms, enumerate_pairs,
                   ground_ics_for_state, land, lnot, lor, satisfies)
-from gops.core import block_offsets, item_indices
+from gops.core import _mask, _numeral_mask, block_offsets, item_indices
 from gops.errors import InstanceError
 
 from helpers import random_formula, truth_table_satisfies
@@ -274,6 +274,17 @@ def test_point_index_is_none_off_the_map_not_aliased():
     assert grid.point_index(Point(True, 1.0)) == 6
     for p in ((5, 0), (0, 5), (-1, 0), (0, -1), (0.5, 0)):
         assert grid.point_index(Point(*p)) is None
+
+
+def test_a_numeral_mask_is_the_mask_of_its_indices():
+    rng = random.Random(0)
+    cases = [([], 0), ([], 1), ([0], 1)]
+    for _ in range(200):
+        width = rng.randint(1, 300)
+        cases.append((rng.sample(range(width), rng.randint(0, width)), width))
+    for indices, width in cases:
+        assert _numeral_mask(iter(indices), width) == _mask(indices)
+        assert _numeral_mask(indices + indices[::-1], width) == _mask(indices)  # repeats
 
 
 class _Bad(Exception):

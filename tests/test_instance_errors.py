@@ -2,14 +2,25 @@
 rule of the instance: an unknown predicate or action, a point off the map,
 a repeated name, a template atom in a constraint, a value out of range.
 Each case changes one place of a small valid document; the message names
-where the offender sits, as the validation that raises it reports it."""
+where the offender sits, as the validation that raises it reports it.
+
+A sweep puts values that may or may not be an index, a map bound or ``k``
+into each such place of an instance, an integer program or a cover
+problem built in code: each is refused with its ``InstanceError``, or
+gives an instance whose document reads back to its own bytes, or a
+program that ``emit_lp`` and ``solve_branch_and_bound`` both take."""
 
 import json
+import random
 
 import pytest
 
-from gops import parse_instance
+from gops import (ActionRule, CostModel, GbgopInstance, GridMap, GroundAtom, Point,
+                  parse_instance, serialize_instance)
+from gops.core import AtomSet, EffectTable
+from gops.encodings import CoverProblem, encode_max_k_cover
 from gops.errors import InstanceError
+from gops.ip import IpModel, emit_lp, solve_branch_and_bound
 
 GBGOP = {
     "format": "gop-instance",
@@ -160,3 +171,70 @@ def test_a_repeated_action_name_is_reported_in_action_order():
     with pytest.raises(InstanceError) as err:
         parse_instance(json.dumps(doc))
     assert err.value.code == "action-duplicate"  # action 3 repeats e; its effect is not read
+
+
+# place -> (the count it is drawn against, the least valid value, the
+# code that refuses an invalid one); a map bound has no upper limit
+SWEPT = {
+    "map bound": (3, 0, "map-bounds"),
+    "state index": (8, 0, "point-bounds"),  # the 2 predicates' atoms on a 2 x 2 map
+    "table point": (4, 0, "point-bounds"),
+    "table atom": (8, 0, "point-bounds"),
+    "IP column": (3, 0, "ip-bad-variable"),  # a program of 3 variables
+    "objective key": (3, 0, "ip-bad-variable"),
+    "start index": (3, 0, "ip-start"),
+    "cover k": (4, 1, "cover-k"),  # k in 1..3 families
+}
+FAMILIES = (frozenset("a"), frozenset("b"), frozenset("ab"))
+
+
+def _swept_instance(place: str, value, pick):
+    """A goal-based instance with ``value`` at ``place``, and values drawn
+    by ``pick(count)`` from the valid ones elsewhere."""
+    grid = GridMap(value if place == "map bound" else 1, 1)
+    n_points = grid.n_points
+    at = {"state index": 2 * n_points, "table point": n_points, "table atom": 2 * n_points}
+    state, point, atom = (value if place == p else pick(at[p]) for p in at)
+    return GbgopInstance(
+        grid=grid, predicates=("a", "b"), s0=AtomSet(grid, ("a", "b"), [state]),
+        actions=(ActionRule(name="t", explicit_effects=EffectTable(grid, ("a", "b"),
+                                                                   {point: [atom]})),
+                 ActionRule(name="r", effect_predicate="b", max_distance=1.0)),
+        cost_model=CostModel(default_cost=1.0), ics=(), budget=2.0,
+        theta_in=frozenset({GroundAtom("b", Point(0, 0))}), theta_out=frozenset())
+
+
+def _swept_model(place: str, value, pick) -> IpModel:
+    """A program of 3 variables and one row, with ``value`` at ``place``."""
+    column, key, start = (value if place == p else pick(3)
+                          for p in ("IP column", "objective key", "start index"))
+    model = IpModel(sense="max", objective={key: 1.0}, start=lambda: [start])
+    model.add_variables(["x0", "x1", "x2"], [None] * 3)
+    model.add_rows(["r"], "<=", 1.0, [[column]])
+    return model
+
+
+@pytest.mark.parametrize("place", sorted(SWEPT))
+def test_a_value_in_an_index_place_is_refused_or_reads_back(place):
+    count, least, code = SWEPT[place]
+    rng = random.Random(sorted(SWEPT).index(place))
+    pick = lambda n: rng.choice((0, n - 1))  # noqa: E731
+    accepted = []
+    for value in (0, count - 1, count, -1, True, False, 1.0, 2.5, "1"):
+        try:
+            if place in ("IP column", "objective key", "start index"):
+                model = _swept_model(place, value, pick)
+                emit_lp(model)
+                assert solve_branch_and_bound(model).status == "optimal"
+            else:
+                inst = encode_max_k_cover(CoverProblem(("a", "b"), FAMILIES, value)) \
+                    if place == "cover k" else _swept_instance(place, value, pick)
+                text = serialize_instance(inst)
+                assert serialize_instance(parse_instance(text)) == text
+        except InstanceError as err:
+            assert err.code == code, (value, err.message)
+        else:
+            accepted.append(value)
+    # ints only, and of those every valid one: no map bound is too large
+    assert accepted == [value for value in (0, count - 1, count)
+                        if value >= least and (value < count or place == "map bound")]
