@@ -8,6 +8,8 @@ maximize the summed benefit of the resulting state. Both respect per-pair
 costs, a cost budget, and at-most-one integrity constraints.
 """
 
+import importlib
+
 from .core import (ActionPointPair, ActionRule, AndFormula, AtomFormula,
                    BenefitModel, CostModel, Formula, GridMap, GroundAtom,
                    Grounding, IntegrityConstraint, NotFormula, OrFormula,
@@ -27,11 +29,26 @@ from .bmgop import (BmgopInstance, BmgopSolution, GreedyTrace, approx_bound,
                     validate_bmgop)
 from .ip import (IpAssignment, IpConstraint, IpModel, IpVariable, Limits,
                  emit_lp, solve_branch_and_bound)
-from .encodings import (CoverProblem, MonotoneCnf, encode_max_k_cover,
-                        encode_monsat, encode_set_cover)
-from .scenarios import CampaignScenario, gen_campaign, gen_random
-from .bench import BenchRecord, BenchReport, run_bench
 from .serialize import (SolutionReport, instance_to_json, parse_instance,
                         serialize_instance)
 
 __version__ = "0.1.0"
+
+# names of the modules that solving needs none of, loaded on first use
+# (PEP 562), so that a process that only solves does not compile them
+_LAZY = {
+    **dict.fromkeys(("CoverProblem", "MonotoneCnf", "encode_max_k_cover", "encode_monsat",
+                     "encode_set_cover"), "encodings"),
+    **dict.fromkeys(("CampaignScenario", "gen_campaign", "gen_random"), "scenarios"),
+    **dict.fromkeys(("BenchRecord", "BenchReport", "run_bench"), "bench"),
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY.values():
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value

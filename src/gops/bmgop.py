@@ -163,7 +163,11 @@ def bmgop_compute(inst: BmgopInstance, delta: float = 0.001,
     where it can, the members that could tie are evaluated again, so the
     pick is the pair a rescan of every pair would make, ties included.
     Ratios are the same float operations, in the same order, as a rescan
-    takes. Gains are ``Grounding.benefit_sum`` of the atoms a pair adds.
+    takes. Gains are ``Grounding.benefit_sum`` of the atoms a pair adds:
+    the first round takes them all from ``Grounding.gains``, which counts a
+    ball rule's gains without building its pairs' effects, and the
+    evaluations after it and the picks read ``Grounding.effect``, so the
+    greedy fills no rule-form block of the effect table.
 
     If the assembled set is invalid, the repair step keeps either the
     prefix or the last pick, whichever has the larger objective; if that
@@ -179,7 +183,6 @@ def bmgop_compute(inst: BmgopInstance, delta: float = 0.001,
         raise InstanceError("budget-range", "the greedy needs a positive budget")
 
     g = inst.grounding
-    n = g.n_pairs
     m = len(g.ic_s0)
     k = inst.k
     budget = inst.budget
@@ -193,7 +196,7 @@ def bmgop_compute(inst: BmgopInstance, delta: float = 0.001,
 
     trace = GreedyTrace(delta=delta, lam=lam, mode=condition_mode, ic_count=m)
 
-    effects = g.effects
+    effect = g.effect
     costs = g.costs
     pair_ics = g.pair_ics
     benefit_sum = g.benefit_sum
@@ -209,7 +212,7 @@ def bmgop_compute(inst: BmgopInstance, delta: float = 0.001,
     def gain_of(j):
         """Pair ``j``'s current gain, counted as one evaluation."""
         trace.op_count += 1
-        return benefit_sum(effects[j] & ~cur_mask)
+        return benefit_sum(effect(j) & ~cur_mask)
 
     def settle(heap, numerator, ratio, below):
         """The entry of the smallest index under ``below`` whose current
@@ -245,11 +248,9 @@ def bmgop_compute(inst: BmgopInstance, delta: float = 0.001,
     classes = {}
     cond = condition()
     if cond <= lam:
-        fresh = ((1 << g.n_atoms) - 1) & ~cur_mask
-        added = list(map(fresh.__and__, effects))
-        candidates = list(compress(range(n), added))
-        trace.op_count = len(candidates)
-        for j, gain in zip(candidates, map(benefit_sum, compress(added, added))):
+        first = g.gains(((1 << g.n_atoms) - 1) & ~cur_mask)
+        trace.op_count = len(first)
+        for j, gain in first:
             if gain > 0.0:
                 classes.setdefault((costs[j], pair_ics[j]), []).append((-gain, j, 0))
         for heap in classes.values():
@@ -295,7 +296,7 @@ def bmgop_compute(inst: BmgopInstance, delta: float = 0.001,
         classes = {key: h for key, h in classes.items() if h}
         gain, best_j = -entry[0], entry[1]
         order.append(best_j)
-        cur_mask |= effects[best_j]
+        cur_mask |= effect(best_j)
         w_prime *= step_prime
         w_dprime *= lam ** (costs[best_j] / budget)
         for i in pair_ics[best_j]:

@@ -10,15 +10,15 @@ import os
 import sys
 from pathlib import Path
 
-from . import bench as bench_mod
 from .bmgop import BmgopInstance, bmgop_compute, build_bmgop_ip, solve_bmgop_exact, solve_bmgop_ip
-from .encodings import CoverProblem, MonotoneCnf, encode_max_k_cover, encode_monsat, encode_set_cover
 from .errors import BoundViolationError, GopsError, LimitReachedError, ParseError
 from .gbgop import (GbgopInstance, build_gbgop_ip, count_gbgop_solutions,
                     reduce_to_r_star, solve_gbgop_exact, solve_gbgop_ip)
 from .ip import Limits, emit_lp
-from .scenarios import gen_campaign, gen_random
 from .serialize import _item_json, parse_instance, read_json, report_for, serialize_instance
+
+# ``gen``, ``encode`` and ``bench`` import ``scenarios``, ``encodings`` and
+# ``bench`` themselves, so that the other commands' processes do not compile them
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -156,6 +156,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_encode(args) -> int:
+    from .encodings import (CoverProblem, MonotoneCnf, encode_max_k_cover, encode_monsat,
+                            encode_set_cover)
     doc = read_json(_read_text(args.file))
     if not isinstance(doc, dict):
         raise ParseError("type", "expected an object", "$")
@@ -176,6 +178,7 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .scenarios import gen_campaign, gen_random
     if args.kind == "campaign":
         scenario = gen_campaign()
         inst = scenario.gbgop if args.variant == "gbgop" else scenario.bmgop
@@ -188,6 +191,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from . import bench
     # iterdir, unlike glob, fails on a missing path or one that is not a directory
     paths = sorted(p for p in Path(args.directory).iterdir() if p.match("*.json"))
     suite = []
@@ -198,7 +202,7 @@ def _cmd_bench(args) -> int:
         suite.append((path.name, inst))
     failure = None
     try:
-        report = bench_mod.run_bench(suite, delta=args.delta, limits=_limits(args))
+        report = bench.run_bench(suite, delta=args.delta, limits=_limits(args))
     except BoundViolationError as err:
         report, failure = err.report, err
     except LimitReachedError as err:

@@ -28,7 +28,8 @@ is the metric ball around ``p`` AND the target-guard mask (gated by bit
 effect predicate's block of atom indices. A rule-form action's block is
 filled only on the first read of ``Grounding.effects``, and an explicit
 row only then or when it is first read; the goal-based solvers read
-``effect`` and ``meeting`` and never fill a rule-form block. Atom and pair
+``effect`` and ``meeting``, and the greedy ``gains`` and ``effect``, and
+none of them fills a rule-form block. Atom and pair
 indices are arithmetic (block offset + ``y * (M + 1) + x``), so grounding
 keeps no per-atom or per-pair object tables: atoms and pairs are made only
 for the indices a caller asks about, and the full lists only on first
@@ -623,7 +624,8 @@ class EffectTable(Mapping):
     every ``Problem``'s explicit tables: an instance on the same grid and
     predicates keeps it as it is (``_is_own``), and validation reads any
     other table through this interface into one of its own. The
-    constructor copies ``rows``; it refuses any index ``_fits`` refuses.
+    constructor copies ``rows``; it refuses, with ``point-bounds``, any
+    index ``_fits`` refuses and rows that are no mapping of index lists.
 
     A table that a reader or validation made is a view (``_view``) of its
     action's slice of an ``ExplicitRows``, and builds ``rows`` on first
@@ -635,10 +637,14 @@ class EffectTable(Mapping):
                  rows: Mapping[int, Sequence[int]]):
         self.grid = grid
         self.predicates = tuple(predicates)
-        self._rows = dict(rows)
         self._part = None
-        if not (_fits(self._rows, grid.n_points) and _fits(
-                [*chain.from_iterable(self._rows.values())], grid.n_points * len(self.predicates))):
+        try:
+            self._rows = dict(rows)
+            atoms = [*chain.from_iterable(self._rows.values())]
+        except (TypeError, ValueError):  # not a mapping, or a row not a collection
+            raise InstanceError("point-bounds", "effect table rows not index lists") from None
+        if not (_fits(self._rows, grid.n_points)
+                and _fits(atoms, grid.n_points * len(self.predicates))):
             raise InstanceError("point-bounds", "effect table index not an int in range")
 
     @classmethod
@@ -690,15 +696,19 @@ class AtomSet(Set):
     It equals and hashes as the frozenset of its atoms, and set operations
     with frozensets give frozensets. It is the form of every ``Problem``'s
     initial state, which an instance on the same grid and predicates keeps
-    as it is (``_is_own``). The constructor refuses any index ``_fits``
-    refuses; ``_read``, for indices already checked, does not check."""
+    as it is (``_is_own``). The constructor refuses, with ``point-bounds``,
+    any index ``_fits`` refuses and indices that are no collection;
+    ``_read``, for indices already checked, does not check."""
 
     __slots__ = ("grid", "predicates", "indices")
 
     def __init__(self, grid: GridMap, predicates: Sequence[str], indices: Iterable[int]):
         self.grid = grid
         self.predicates = tuple(predicates)
-        self.indices = frozenset(indices)
+        try:
+            self.indices = frozenset(indices)
+        except TypeError:  # not a collection, or an item that no index equals
+            raise InstanceError("point-bounds", "atom indices not a collection of ints") from None
         if not _fits(self.indices, grid.n_points * len(self.predicates)):
             raise InstanceError("point-bounds", "atom index not an int in range")
 
@@ -958,6 +968,10 @@ def _half_widths(grid: GridMap, metric: str, bound: float) -> list:
     return out
 
 
+# the memoryview format of a native unsigned field of each size in bytes
+_FIELD_CODES = {memoryview(b"").cast(code).itemsize: code for code in "BHILQ"}
+
+
 def _ball(grid: GridMap, metric: str, bound: float):
     """Function from a point index ``i`` to the point mask of the map
     points within ``bound`` of point ``i``.
@@ -976,11 +990,22 @@ def _ball(grid: GridMap, metric: str, bound: float):
     for its ball, and kept: a rule with sources in ``c`` columns holds
     ``c`` stacks of ``(2R + 1) * (M + 1)`` bits, so a sparse rule pays for
     the columns it uses and a dense one builds each stack once.
+
+    ``ball.counts(local, source)`` is ``[(ball(p) & local).bit_count() for
+    p in iter_bits(source)]`` without a ball built: every point gets a
+    counter field, wide enough for the largest ball, in one int, with
+    ``P`` zero fields after each row (``P`` the widest half-width) so that
+    no shift of a row by at most ``P`` fields reaches the next. Summing the
+    fields shifted by ``-h..h`` counts each point's row run of half-width
+    ``h``, and summing those runs over the row offsets, with each offset's
+    half-width, counts its ball: O(P + R) shifts and adds of one int, then
+    one pass over the fields picks out the sources'.
     """
     half_widths = _half_widths(grid, metric, bound)
     width = grid.width_bound + 1
     last_col = grid.width_bound
-    full = (1 << grid.n_points) - 1
+    n_points = grid.n_points
+    full = (1 << n_points) - 1
     r = len(half_widths) - 1
     stack_widths = half_widths[:0:-1] + half_widths  # of rows -R..R
     stacks = {}
@@ -1005,6 +1030,50 @@ def _ball(grid: GridMap, metric: str, bound: float):
             return stack << top & full
         return stack >> -top & full
 
+    def counts(local: int, source: int) -> list:
+        # the counter fields: each row's ``width`` points, then ``pad`` zeros
+        # (none after the last row), ``size`` bytes each, so no count overflows
+        pad = half_widths[0]
+        stride = width + pad
+        n_fields = n_points // width * stride - pad
+        most = sum(min(2 * h + 1, width) for h in stack_widths)
+        size = next(s for s in (1, 2, 4, 8) if most < 1 << 8 * s)
+        step = 8 * size
+        starts = range(0, n_points, width)
+        row_slices = [*map(slice, starts, map(width.__add__, starts))]
+        # the row offsets dy >= 0 of each half-width, from the widest down
+        offsets_of = defaultdict(list)
+        for dy, h in enumerate(half_widths):
+            offsets_of[h].append(dy)
+
+        def spread(mask: int, nbytes: int) -> bytearray:
+            # bit i of mask as the first byte of point i's field of nbytes bytes
+            flags = _bits(mask, n_points)
+            rows = bytes(pad).join(map(flags.__getitem__, row_slices))
+            if nbytes == 1:
+                return bytearray(rows)
+            fields = bytearray(n_fields * nbytes)
+            fields[::nbytes] = rows
+            return fields
+
+        stacked = int.from_bytes(spread(local, size), "little")
+        run, total = stacked, 0
+        for h in range(pad + 1):
+            if h:
+                run += (stacked << h * step) + (stacked >> h * step)
+            for dy in offsets_of.get(h, ()):
+                if dy:
+                    move = dy * stride * step
+                    total += (run << move) + (run >> move)
+                else:
+                    total += run
+        data = (total & (1 << n_fields * step) - 1).to_bytes(n_fields * size, sys.byteorder)
+        fields = memoryview(data).cast(_FIELD_CODES[size])
+        if sys.byteorder == "big":  # the last field first
+            fields = fields[::-1]
+        return list(compress(fields, spread(source, 1)))
+
+    ball.counts = counts
     return ball
 
 
@@ -1072,15 +1141,23 @@ class Grounding:
 
     A rule-form block keeps its source and target masks and its ball, and
     is filled, with every explicit row, only when a caller first reads
-    ``effects``: the benefit solvers and any caller that folds over every
-    pair. The goal-based solvers read ``effect(i)``, one pair's effect, and
-    ``meeting(mask)``, the pairs whose effects meet a few goal or forbidden
-    atoms, which a rule-form block answers from the balls around those
-    atoms and the explicit rows from their flat atom list; so their work
-    and memory grow with the goals, not with pairs times atoms. An
-    explicit row's mask is built when one of these first returns it, and
-    kept as its entry of the table; once every row is in and no
-    rule-form block waits, the table counts as full.
+    ``effects``: a caller that folds over every pair, which are the exact
+    benefit search (``solve_bmgop_exact``), the benefit program
+    (``build_bmgop_ip``), ``gen_random`` of a goal-based instance and
+    ``probe_feasibility``. The others read projections, and a rule-form
+    block answers them from its parts, filled or not. The goal-based
+    solvers read ``effect(i)``, one pair's effect, and ``meeting(mask)``,
+    the pairs whose effects meet a few goal or forbidden atoms, which a
+    rule-form block answers from the balls around those atoms and the
+    explicit rows from their flat atom list; so their work and memory grow
+    with the goals, not with pairs times atoms. The greedy
+    (``bmgop_compute``) reads ``gains(fresh)``, every pair's gain on the
+    fresh atoms, which fills the explicit rows but counts a ball rule's
+    gains in point space (``ball.counts``), and then ``effect(i)`` for the
+    pairs it evaluates again and picks; so its memory grows with the pairs,
+    not with pairs times atoms. An explicit row's mask is built when one
+    of these first returns it, and kept as its entry of the table; once
+    every row is in and no rule-form block waits, the table counts as full.
 
     Benefits are grouped the same way: each predicate's block plus the
     overridden atoms give ``benefit_classes``, one atom mask per distinct
@@ -1112,15 +1189,15 @@ class Grounding:
 
         self._effects = [0] * self.n_pairs
         self._rows = problem.explicit_rows
-        # action k -> (source, target, shift, ball) of a rule-form block not
-        # yet in the table; ball is None without a distance bound
-        self._unfilled = {
+        self._rows_in = not self._rows.pairs  # every explicit row is in the table
+        # action k -> (source, target, shift, ball) of a rule-form block; ball
+        # is None without a distance bound
+        self._rules = {
             k: (where(rule.source_guard), where(rule.target_guard),
                 offsets[rule.effect_predicate],
                 None if rule.max_distance is None else _ball(grid, rule.metric, rule.max_distance))
             for k, rule in enumerate(self.actions) if rule.explicit_effects is None}
-        self._rule_blocks = tuple(self._unfilled)
-        self._filled = not (self._unfilled or self._rows.pairs)
+        self._filled = not self._rules and self._rows_in
 
         default_cost = problem.cost_model.default_cost
         point_costs = [default_cost] * n_points
@@ -1217,11 +1294,13 @@ class Grounding:
         """Every pair's effect mask, in canonical pair order. The first read
         fills the explicit rows and the rule-form blocks; a caller that
         folds over every pair reads this once, and one that asks about a
-        few pairs or atoms calls ``effect`` or ``meeting`` instead."""
+        few pairs or atoms calls ``effect``, ``meeting`` or ``gains``
+        instead."""
         if not self._filled:
             effects, n_points = self._effects, self.n_points
-            self._fill_rows()
-            for k, (source, target, shift, ball) in self._unfilled.items():
+            if not self._rows_in:
+                self._fill_rows()
+            for k, (source, target, shift, ball) in self._rules.items():
                 base = k * n_points
                 if ball is None:
                     shifted = target << shift  # one int shared by every source point
@@ -1232,7 +1311,6 @@ class Grounding:
                         effects[base + i] = (ball(i) & target) << shift
             # every entry is written before a reader can see the table as full
             self._filled = True
-            self._unfilled = {}
         return self._effects
 
     def _fill_rows(self) -> None:
@@ -1240,6 +1318,7 @@ class Grounding:
         effects, (pairs, ends, atoms) = self._effects, self._rows
         for i, start, end in zip(pairs, [0, *ends], ends):
             effects[i] = _mask(atoms[start:end])
+        self._rows_in = True
 
     def effect(self, i: int) -> int:
         """The effect mask of pair ``i``: from the table once it is full,
@@ -1247,14 +1326,13 @@ class Grounding:
         if self._filled:
             return self._effects[i]
         k, p = divmod(i, self.n_points)
-        rule = self._unfilled.get(k)
+        rule = self._rules.get(k)
         if rule is not None:
             source, target, shift, ball = rule
             if not source >> p & 1:
                 return 0
             return (target if ball is None else ball(p) & target) << shift
-        # a row read before, or a rule-form block filled since the test above
-        if self._effects[i]:
+        if self._effects[i]:  # a row read before
             return self._effects[i]
         pairs = self._rows.pairs
         r = bisect_left(pairs, i)
@@ -1280,8 +1358,9 @@ class Grounding:
         pairs, ends, atoms = self._rows
         wanted = set(iter_bits(mask)) if pairs else set()
         if pairs and wanted.issuperset(atoms):
-            self._fill_rows()
-            if not self._unfilled:
+            if not self._rows_in:
+                self._fill_rows()
+            if not self._rules:
                 self._filled = True
                 return self._scan({}, mask, 0, self.n_pairs)
             rows = range(len(pairs))
@@ -1290,15 +1369,9 @@ class Grounding:
                                        compress(count(), map(wanted.__contains__, atoms))))]
         hits = list(map(mask.__and__, self._row_masks(rows)))
         out = dict(zip(compress(map(pairs.__getitem__, rows), hits), filter(None, hits)))
-        unfilled = self._unfilled
         ruled, n_points = {}, self.n_points
-        for k in self._rule_blocks:
+        for k, (source, target, shift, ball) in self._rules.items():
             base = k * n_points
-            rule = unfilled.get(k)
-            if rule is None:  # filled since the test above
-                self._scan(ruled, mask, base, base + n_points)
-                continue
-            source, target, shift, ball = rule
             local = mask >> shift & target  # the target points of the mask's atoms
             if not local:
                 continue
@@ -1313,6 +1386,53 @@ class Grounding:
         if out and ruled:
             return dict(sorted({**out, **ruled}.items()))
         return out or ruled
+
+    def gains(self, fresh: int) -> list:
+        """``(i, benefit_sum(effect(i) & fresh))`` for every pair whose
+        effect meets ``fresh``, in ascending pair order, each gain of the
+        value and type that ``benefit_sum`` gives; no rule-form block is
+        filled.
+
+        The explicit rows are filled in bulk, as ``effects`` fills them, and
+        each row's fresh atoms summed by ``benefit_sum``.
+        A rule-form block is read from its parts, whether or not the table
+        holds it: its fresh target points, ``local``, are a point mask.
+        Without a distance bound every source gets ``local``, and so one
+        gain. With one, a source's count is its ball's points in ``local``
+        (``ball.counts``), and its gain that count times the value of the
+        one benefit class that ``local`` meets; only where several classes
+        meet it, or ``benefit_classes`` is None, is a source's ``ball(p) &
+        local`` summed as a mask."""
+        if not self._rows_in:
+            self._fill_rows()
+            if not self._rules:
+                self._filled = True
+        pairs = self._rows.pairs
+        hits = list(map(fresh.__and__, map(self._effects.__getitem__, pairs)))
+        hits, indices = [*filter(None, hits)], [*compress(pairs, hits)]
+        n_points, classes, benefit_sum = self.n_points, self.benefit_classes, self.benefit_sum
+        out = list(zip(indices, map(benefit_sum, hits)))
+        for k, (source, target, shift, ball) in self._rules.items():
+            local = fresh >> shift & target
+            if not local:
+                continue
+            base = k * n_points
+            points = compress(range(base, base + n_points), _bits(source, n_points))
+            if ball is None:
+                out += zip(points, repeat(benefit_sum(local << shift)))
+                continue
+            counts = ball.counts(local, source)
+            points = [*compress(points, counts)]
+            met = [value for value, members in classes if members >> shift & local] \
+                if classes else []
+            if len(met) == 1:  # benefit_sum's 0 + value * count, as (0 + value) * count
+                out += zip(points, map((0 + met[0]).__mul__, filter(None, counts)))
+            else:
+                out += zip(points, (benefit_sum((ball(i - base) & local) << shift)
+                                    for i in points))
+        if indices and len(out) > len(indices) and indices[-1] > out[len(indices)][0]:
+            out.sort()  # explicit and rule-form blocks interleave
+        return out
 
     def _row_masks(self, rows: Iterable[int]) -> list:
         """The masks of the explicit rows ``rows``, each built on its first

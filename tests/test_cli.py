@@ -783,3 +783,21 @@ def test_encode_refuses_a_document_json_cannot_read_exit_2(tmp_path, text, code)
     assert result.stderr.startswith(f"error[{code}]: ")
     assert "Traceback" not in result.stderr
     assert not out.exists()
+
+
+def test_a_solving_process_loads_no_generator_encoder_or_bench_module():
+    # gen, encode and bench import their modules themselves; the package
+    # loads their names on first use, and `import gops.bench` still works
+    code = ("import sys, gops.cli; "
+            "print(*(m for m in sys.modules if m.split('.')[0] == 'gops')); "
+            "from gops import gen_campaign, CoverProblem, run_bench; import gops.bench; "
+            "print(gen_campaign.__module__, CoverProblem.__module__, gops.bench.run_bench is run_bench)")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    loaded, names = result.stdout.splitlines()
+    assert "gops.core" in loaded.split()
+    assert not {"gops.scenarios", "gops.encodings", "gops.bench"} & set(loaded.split())
+    assert names == "gops.scenarios gops.encodings True"
+    import gops
+    with pytest.raises(AttributeError):
+        gops.no_such_name

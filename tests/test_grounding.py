@@ -569,11 +569,11 @@ def test_the_goal_based_paths_fill_no_rule_form_block(run):
             pass  # build_gbgop_ip's documented refusals
         g = inst.grounding
         rules = [k for k, rule in enumerate(inst.actions) if rule.explicit_effects is None]
-        assert sorted(g._unfilled) == rules
+        assert sorted(g._rules) == rules and not g._filled
         n = g.n_points
         assert not any(g._effects[k * n + i] for k in rules for i in range(n))
         assert g.effects == reference_grounding_of(inst)["effects"]
-        assert not g._unfilled
+        assert g._filled
     assert solved
 
 
@@ -614,6 +614,6 @@ def test_threads_that_share_a_grounding_read_the_table_while_it_fills():
                 thread.join(timeout=60)
             assert not any(thread.is_alive() for thread in threads)
             assert failures == []
-            assert not g._unfilled
+            assert g._filled
     finally:
         sys.setswitchinterval(interval)

@@ -238,3 +238,25 @@ def test_a_value_in_an_index_place_is_refused_or_reads_back(place):
     # ints only, and of those every valid one: no map bound is too large
     assert accepted == [value for value in (0, count - 1, count)
                         if value >= least and (value < count or place == "map bound")]
+
+
+# tables and states whose parts hold no indices at all: a row that is an
+# int, rows that are no mapping, an index that is a list, and the like
+SHAPES = {
+    "row an int": lambda grid: EffectTable(grid, ("a", "b"), {0: 5}),
+    "rows a list": lambda grid: EffectTable(grid, ("a", "b"), [1]),
+    "rows of three": lambda grid: EffectTable(grid, ("a", "b"), [(0, 1, 2)]),
+    "rows None": lambda grid: EffectTable(grid, ("a", "b"), None),
+    "row None": lambda grid: EffectTable(grid, ("a", "b"), {0: None}),
+    "row of lists": lambda grid: EffectTable(grid, ("a", "b"), {0: [[1]]}),
+    "index a list": lambda grid: AtomSet(grid, ("a", "b"), [[1]]),
+    "indices an int": lambda grid: AtomSet(grid, ("a", "b"), 5),
+    "indices None": lambda grid: AtomSet(grid, ("a", "b"), None),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_a_table_or_state_that_holds_no_indices_is_refused(shape):
+    with pytest.raises(InstanceError) as err:
+        SHAPES[shape](GridMap(1, 1))
+    assert err.value.code == "point-bounds"
